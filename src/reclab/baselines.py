@@ -30,10 +30,6 @@ class SimilarityMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_items(self) -> int:
-        return self.values.shape[0]
-
     def to_json(self) -> str:
         return json.dumps(self.values.tolist())
 
@@ -86,7 +82,9 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
 
 
 class CfPredictor:
-    """Caches per-user rated-item lists so repeated predictions stay cheap."""
+    """Item-based CF: the similarity-weighted average of u's ratings on i's
+    nearest neighbors, clamped to the scale, or the global train mean when
+    no neighbor qualifies. Caches per-user rated-item lists."""
 
     def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
                  cfg: Optional[CfConfig] = None):
@@ -117,14 +115,6 @@ class CfPredictor:
         num = sum(s * v for s, _, v in top)
         den = sum(abs(s) for s, _, _ in top)
         return clamp_prediction(num / den, self.r_max)
-
-
-def cf_predict(u: int, i: int, sims: SimilarityMatrix, train: RatingsDataset,
-               cfg: Optional[CfConfig] = None) -> float:
-    """Similarity-weighted average of user u's ratings on i's nearest
-    neighbors, clamped to the scale; global train mean when no neighbor
-    qualifies."""
-    return CfPredictor(sims, train, cfg).predict(u, i)
 
 
 def _init_factors(n_rows: int, k: int, rng: np.random.Generator,

@@ -7,34 +7,32 @@ Exit codes: 0 success, 1 input/config error, 2 numerical divergence.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+import dataclasses
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import click
 import numpy as np
 
-from . import analysis, evaluation, ingest, zeroshot
+from . import analysis, evaluation, ingest
 from .baselines import (CfConfig, CfPredictor, SimilarityKind, item_similarities,
                         mf_predict, mf_train)
 from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
                    TrainConfig, TrainingError)
+from .evaluation import NamedPredictor, Predictor
 from .ingest import MovieLensFormat, ParseError, ParseResult, SchemaError, SplitSpec
 from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, hybrid_train,
                        powermat_train, train_zeroshot)
-
-ALGORITHMS = ("itemcf", "mf", "zeromat", "dotmat", "poissonmat", "powermat",
-              "zeromat-hybrid", "dotmat-hybrid", "poissonmat-hybrid", "random")
 
 EXIT_INPUT_ERROR = 1
 EXIT_DIVERGENCE = 2
 
 _FORMATS = {"tab100k": MovieLensFormat.TAB_100K,
             "colons1m": MovieLensFormat.COLONS_1M}
-
 
 def _atomic_write(path: Path, content: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
@@ -53,23 +51,8 @@ def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
                      f"{sorted(_FORMATS) + ['comoda']}")
 
 
-# stable starting points per trainer. ZeroMat collapses to a uniform fixed
-# point if over-trained, and PoissonMat's gradient coefficient is strictly
-# positive, so both only tolerate a small step budget.
-_ALGO_DEFAULTS: Dict[str, Dict] = {
-    "zeromat": {"gamma": 0.002, "epochs": 2},
-    "dotmat": {"gamma": 0.005, "epochs": 5},
-    "poissonmat": {"gamma": 2e-5, "epochs": 2},
-    "powermat": {"gamma": 0.0005, "epochs": 5},
-    "zeromat-hybrid": {"gamma": 0.002, "epochs": 2},
-    "dotmat-hybrid": {"gamma": 0.005, "epochs": 5},
-    "poissonmat-hybrid": {"gamma": 2e-5, "epochs": 2},
-}
-
-
 def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> TrainConfig:
-    fields: Dict = {}
-    fields.update(_ALGO_DEFAULTS.get(algo, {}))
+    fields = dict(REGISTRY[algo].defaults)
     train_section = config.get("train", {})
     fields.update(train_section.get("default", {}))
     fields.update(train_section.get(algo, {}))
@@ -78,97 +61,176 @@ def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> T
     return TrainConfig(**fields)
 
 
+# Fit functions: fit(name, config, train, contexts, seed) trains the named
+# algorithm on a train split and returns its predictor. They look trainers and
+# predictor classes up by this module's names at call time, never through
+# references stored in REGISTRY, so wrappers installed on those names
+# (perfbench/tracing.py) see every call.
+
+def _fit_itemcf(algo, config, train, contexts, seed) -> Predictor:
+    kind = SimilarityKind(config.get("similarity_kind", "cosine"))
+    cf_cfg = CfConfig(neighborhood_size=config.get("neighborhood_size", 20),
+                      similarity_kind=kind)
+    return CfPredictor(item_similarities(train, kind), train, cf_cfg)
+
+
+def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
+    model = mf_train(train, _train_config(config, algo, seed, len(train)))
+    return NamedPredictor(algo, partial(mf_predict, model, r_max=train.r_max))
+
+
+def _fit_shape_only(algo, config, train, contexts, seed) -> Predictor:
+    cfg = _train_config(config, algo, seed, len(train))
+    model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
+    return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
+
+
+def _fit_powermat(algo, config, train, contexts, seed) -> Predictor:
+    if not contexts:
+        raise ValueError("powermat: context required (use a comoda dataset)")
+    cfg = _train_config(config, algo, seed, len(train))
+    train_cells = train.cells()
+    train_contexts = [c for c in contexts if (c.user_id, c.item_id) in train_cells]
+    # sized by the dataset, not by the train ids, so test-only ids stay in range
+    model = powermat_train(train_contexts, cfg,
+                           sigma_u=config.get("sigma_u", 1.0),
+                           sigma_v=config.get("sigma_v", 1.0),
+                           n_users=train.n_users, n_items=train.n_items)
+    return ZeroShotPredictor(model.factors, train.r_max, cfg.eps_floor)
+
+
+def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
+    base = ZeroShotAlgo(algo[: -len("-hybrid")])
+    model = hybrid_train(train, base, _train_config(config, algo, seed, len(train)),
+                         fill_fraction=config.get("fill_fraction", 1.0),
+                         mf_cfg=_train_config(config, "mf", seed, len(train)))
+    return NamedPredictor(algo, partial(mf_predict, model, r_max=train.r_max))
+
+
+class Algorithm(NamedTuple):
+    """The TrainConfig fields an algorithm starts from, which the config's
+    `train.default` and `train.<name>` sections override, and its fit
+    function. `random` has none: it guesses per test row, not per cell."""
+
+    defaults: Dict
+    fit: Optional[Callable[..., Predictor]]
+
+
+# Stable starting points per trainer. ZeroMat collapses to a uniform fixed
+# point if over-trained, and PoissonMat's gradient coefficient is strictly
+# positive, so both only tolerate a small step budget. A hybrid's zero-shot
+# stage starts where its base trainer does.
+_ZEROMAT = {"gamma": 0.002, "epochs": 2}
+_DOTMAT = {"gamma": 0.005, "epochs": 5}
+_POISSONMAT = {"gamma": 2e-5, "epochs": 2}
+
+REGISTRY: Dict[str, Algorithm] = {
+    "itemcf": Algorithm({}, _fit_itemcf),
+    "mf": Algorithm({}, _fit_mf),
+    "zeromat": Algorithm(_ZEROMAT, _fit_shape_only),
+    "dotmat": Algorithm(_DOTMAT, _fit_shape_only),
+    "poissonmat": Algorithm(_POISSONMAT, _fit_shape_only),
+    "powermat": Algorithm({"gamma": 0.0005, "epochs": 5}, _fit_powermat),
+    "zeromat-hybrid": Algorithm(_ZEROMAT, _fit_hybrid),
+    "dotmat-hybrid": Algorithm(_DOTMAT, _fit_hybrid),
+    "poissonmat-hybrid": Algorithm(_POISSONMAT, _fit_hybrid),
+    "random": Algorithm({}, None),
+}
+
+ALGORITHMS = tuple(REGISTRY)
+
+
 def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
                         test: RatingsDataset, contexts, seed: int) -> EvalEntry:
-    default_samples = len(train)
-    if algo == "random":
-        return EvalEntry("random", evaluation.random_baseline_mae(test, seed), len(test))
-    if algo == "itemcf":
-        kind = SimilarityKind(config.get("similarity_kind", "cosine"))
-        cf_cfg = CfConfig(neighborhood_size=config.get("neighborhood_size", 20),
-                          similarity_kind=kind)
-        sims = item_similarities(train, kind)
-        predictor = CfPredictor(sims, train, cf_cfg)
-    elif algo == "mf":
-        model = mf_train(train, _train_config(config, algo, seed, default_samples))
-        predictor = evaluation.NamedPredictor(
-            "mf", lambda u, i, m=model: mf_predict(m, u, i, train.r_max))
-    elif algo in ("zeromat", "dotmat", "poissonmat"):
-        cfg = _train_config(config, algo, seed, default_samples)
-        model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
-        predictor = ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
-    elif algo == "powermat":
-        if not contexts:
-            raise ValueError("powermat: context required (use a comoda dataset)")
-        cfg = _train_config(config, algo, seed, default_samples)
-        train_cells = train.cells()
-        train_contexts = [c for c in contexts
-                          if (c.user_id, c.item_id) in train_cells]
-        model = powermat_train(train_contexts, cfg,
-                               sigma_u=config.get("sigma_u", 1.0),
-                               sigma_v=config.get("sigma_v", 1.0))
-        predictor = ZeroShotPredictor(model.factors, train.r_max, cfg.eps_floor)
-    elif algo.endswith("-hybrid"):
-        base = algo[: -len("-hybrid")]
-        cfg = _train_config(config, algo, seed, default_samples)
-        mf_cfg = _train_config(config, "mf", seed, default_samples)
-        model = hybrid_train(train, ZeroShotAlgo(base), cfg,
-                             fill_fraction=config.get("fill_fraction", 1.0),
-                             mf_cfg=mf_cfg)
-        predictor = evaluation.NamedPredictor(
-            algo, lambda u, i, m=model: mf_predict(m, u, i, train.r_max))
-    else:
+    """Fit one registered algorithm on train and score its MAE on test."""
+    if algo not in REGISTRY:
         raise ValueError(f"unknown algorithm {algo!r}; registry: {ALGORITHMS}")
-    return EvalEntry(algo, evaluation.mae(predictor, test), len(test))
-
-
-def _run_seed(config: dict, parsed: ParseResult, seed: int,
-              threads: int) -> EvalReport:
-    dataset = parsed.dataset
-    spec = SplitSpec(test_fraction=config["split"].get("test_fraction", 0.2),
-                     seed=seed)
-    train, test = ingest.split(dataset, spec)
-    algorithms = config["algorithms"]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(
-                lambda a: _evaluate_algorithm(a, config, train, test,
-                                              parsed.contexts, seed),
-                algorithms))
+    if algo == "random":
+        mae = evaluation.random_baseline_mae(test, seed)
     else:
-        entries = [_evaluate_algorithm(a, config, train, test, parsed.contexts, seed)
-                   for a in algorithms]
-    return EvalReport(entries=tuple(entries),
-                      split_ratio=spec.test_fraction, seed=seed)
+        predictor = REGISTRY[algo].fit(algo, config, train, contexts, seed)
+        mae = evaluation.mae(predictor, test)
+    return EvalEntry(algo, mae, len(test))
 
 
-def run_bench(config: dict, out_dir: Path) -> List[EvalReport]:
-    """Full benchmark: ingest, split, train and score every configured
-    algorithm, once per repetition seed. Writes per-seed and aggregate
-    reports plus a manifest into out_dir."""
+# Every config key `reclab bench` reads, by dotted path (parents first), with
+# its JSON type. A float key takes any finite number.
+_CONFIG_TYPES = {
+    "dataset": dict, "dataset.path": str, "dataset.format": str,
+    "split": dict, "split.test_fraction": float, "split.seed": int,
+    "train": dict, "algorithms": list, "context_columns": list,
+    "similarity_kind": str, "neighborhood_size": int, "sigma_u": float,
+    "sigma_v": float, "fill_fraction": float, "repetitions": int, "out_dir": str,
+}
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+                    int: "an integer", float: "a finite number"}
+_TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig))
+
+
+def _check_config(config) -> None:
+    """Raise ValueError for a malformed bench config, before any work."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     for key in ("dataset", "algorithms"):
         if key not in config:
             raise ValueError(f"config missing required key {key!r}")
-    config.setdefault("split", {"test_fraction": 0.2, "seed": 42})
+    for path, kind in _CONFIG_TYPES.items():
+        parent, _, key = path.rpartition(".")
+        section = config.get(parent, {}) if parent else config
+        if key not in section:
+            continue
+        value = section[key]
+        ok = (isinstance(value, (int, float)) and math.isfinite(value)
+              if kind is float else isinstance(value, kind))
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"config key {path!r} must be "
+                             f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    if not all(isinstance(c, str) for c in config.get("context_columns", [])):
+        raise ValueError("config key 'context_columns' must list strings")
     unknown = [a for a in config["algorithms"] if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; registry: {ALGORITHMS}")
+    for section, keys in config.get("train", {}).items():
+        if section != "default" and section not in REGISTRY:
+            raise ValueError(f"unknown train section {section!r}; expected "
+                             f"'default' or one of {ALGORITHMS}")
+        if not isinstance(keys, dict):
+            raise ValueError(f"config key 'train.{section}' must be an object")
+        unknown = sorted(set(keys) - set(_TRAIN_KEYS))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in train.{section}; "
+                             f"expected some of {_TRAIN_KEYS}")
 
+
+def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
+    """Full benchmark: ingest, split, train and score every configured
+    algorithm, once per repetition seed. Writes per-seed and aggregate
+    reports plus a manifest into out_dir (default: the config's `out_dir`,
+    else `reclab-out`). The config itself is left unchanged."""
+    _check_config(config)
+    split_config = config.get("split", {"test_fraction": 0.2, "seed": 42})
     parsed = _load_dataset(Path(config["dataset"]["path"]),
                            config["dataset"].get("format", "tab100k"),
                            config.get("context_columns"))
-    threads = int(os.environ.get("RECLAB_THREADS", "1"))
-    repetitions = int(config.get("repetitions", 1))
-    base_seed = int(config["split"].get("seed", 42))
+    repetitions = config.get("repetitions", 1)
+    base_seed = split_config.get("seed", 42)
 
+    out_dir = out_dir or Path(config.get("out_dir", "reclab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = {**config, "split": split_config}
     _atomic_write(out_dir / "manifest.json",
-                  json.dumps(config, sort_keys=True, indent=2) + "\n")
+                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     reports = []
     for rep in range(repetitions):
         seed = base_seed + rep
-        report = _run_seed(config, parsed, seed, threads)
+        spec = SplitSpec(test_fraction=split_config.get("test_fraction", 0.2),
+                         seed=seed)
+        train, test = ingest.split(parsed.dataset, spec)
+        entries = [_evaluate_algorithm(a, config, train, test, parsed.contexts, seed)
+                   for a in config["algorithms"]]
+        report = EvalReport(entries=tuple(entries),
+                            split_ratio=spec.test_fraction, seed=seed)
         reports.append(report)
         _atomic_write(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
         _atomic_write(out_dir / f"report_seed{seed}.csv", report.to_csv())
@@ -203,8 +265,7 @@ def bench(config_path: Path, out_dir: Optional[Path]):
     """Run the configured benchmark and write JSON/CSV reports."""
     try:
         config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        target = out_dir or Path(config.get("out_dir", "reclab-out"))
-        run_bench(config, target)
+        run_bench(config, out_dir)
     except TrainingError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DIVERGENCE)

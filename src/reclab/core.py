@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -146,14 +148,6 @@ class FactorModel:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
 
-    @property
-    def n_users(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.V.shape[0]
-
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "U": self.U.tolist(), "V": self.V.tolist()})
 
@@ -223,12 +217,23 @@ class TrainConfig:
     samples_per_epoch: int = 10000
 
     def __post_init__(self):
+        for name in ("k", "epochs", "seed", "samples_per_epoch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("gamma", "eps_floor", "init_lo", "init_hi"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.samples_per_epoch < 1:
+            raise ValueError("samples_per_epoch must be >= 1")
         if self.eps_floor <= 0:
             raise ValueError("eps_floor must be positive")
         if not (0 < self.init_lo < self.init_hi):

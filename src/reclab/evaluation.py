@@ -1,14 +1,14 @@
-"""MAE evaluation: single-predictor scoring, the uniform random baseline,
-and the multi-algorithm comparison harness."""
+"""MAE evaluation: single-predictor scoring and the uniform random
+baseline."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import DatasetError, EvalEntry, EvalReport, RatingsDataset
+from .core import DatasetError, RatingsDataset
 
 
 class Predictor(Protocol):
@@ -45,20 +45,3 @@ def random_baseline_mae(test: RatingsDataset, seed: int) -> float:
     guesses = rng.integers(1, test.r_max + 1, size=len(test))
     truth = np.array([r.value for r in test.ratings], dtype=np.int64)
     return float(np.mean(np.abs(guesses - truth)))
-
-
-def compare(test: RatingsDataset, predictors: Sequence[NamedPredictor],
-            split_ratio: float, seed: int,
-            include_random: bool = True) -> EvalReport:
-    """One EvalReport row per predictor, plus the random baseline, all on
-    the same test split."""
-    entries = []
-    for predictor in predictors:
-        entries.append(EvalEntry(algorithm=predictor.name,
-                                 mae=mae(predictor, test),
-                                 n_test_predictions=len(test)))
-    if include_random:
-        entries.append(EvalEntry(algorithm="random",
-                                 mae=random_baseline_mae(test, seed),
-                                 n_test_predictions=len(test)))
-    return EvalReport(entries=tuple(entries), split_ratio=split_ratio, seed=seed)

@@ -30,10 +30,6 @@ class MovieLensFormat(Enum):
     TAB_100K = "\t"
     COLONS_1M = "::"
 
-    @property
-    def separator(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -47,14 +43,10 @@ class SplitSpec:
 
 @dataclass
 class ParseResult:
-    """A parsed dataset plus the raw-id remapping tables kept for reports.
-
-    user_ids[i] / item_ids[j] is the raw id mapped to internal index i / j.
-    """
+    """A parsed dataset, the number of duplicate cells the parser replaced,
+    and (CoMoDa only) one context sample per cell."""
 
     dataset: RatingsDataset
-    user_ids: List[str]
-    item_ids: List[str]
     duplicates_replaced: int = 0
     contexts: List[ContextSample] = field(default_factory=list)
 
@@ -76,11 +68,9 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     Lines are "user<sep>item<sep>rating<sep>timestamp"; duplicate cells keep
     the last occurrence (counted in duplicates_replaced).
     """
-    sep = fmt.separator
+    sep = fmt.value
     user_index: dict = {}
     item_index: dict = {}
-    user_ids: List[str] = []
-    item_ids: List[str] = []
     cell_to_rating: dict = {}
     duplicates = 0
 
@@ -100,26 +90,21 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
         if not (1 <= value <= 5):
             raise DatasetError(f"line {line_no}: rating {value} outside [1, 5]")
-        if raw_user not in user_index:
-            user_index[raw_user] = len(user_ids)
-            user_ids.append(raw_user)
-        if raw_item not in item_index:
-            item_index[raw_item] = len(item_ids)
-            item_ids.append(raw_item)
-        cell = (user_index[raw_user], item_index[raw_item])
+        user = user_index.setdefault(raw_user, len(user_index))
+        item = item_index.setdefault(raw_item, len(item_index))
+        cell = (user, item)
         if cell in cell_to_rating:
             duplicates += 1
         cell_to_rating[cell] = Rating(cell[0], cell[1], value, timestamp)
 
     dataset = RatingsDataset(ratings=tuple(cell_to_rating.values()),
-                             n_users=len(user_ids), n_items=len(item_ids), r_max=5)
-    return ParseResult(dataset=dataset, user_ids=user_ids, item_ids=item_ids,
-                       duplicates_replaced=duplicates)
+                             n_users=len(user_index), n_items=len(item_index), r_max=5)
+    return ParseResult(dataset=dataset, duplicates_replaced=duplicates)
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
     """Serialize a dataset back to MovieLens line format with 1-based ids."""
-    sep = fmt.separator
+    sep = fmt.value
     lines = []
     for r in dataset.ratings:
         ts = r.timestamp if r.timestamp is not None else 0
@@ -146,8 +131,6 @@ def parse_comoda(source, context_columns: Sequence[str],
 
     user_index: dict = {}
     item_index: dict = {}
-    user_ids: List[str] = []
-    item_ids: List[str] = []
     cell_to_row: dict = {}
     duplicates = 0
 
@@ -165,14 +148,9 @@ def parse_comoda(source, context_columns: Sequence[str],
                 raise ParseError(f"non-numeric context value {cell_text!r} in {col}",
                                  line_no) from None
             context.append(max(code, 0.0))  # missing marker (-1 or blank) -> 0
-        raw_user, raw_item = row[user_col], row[item_col]
-        if raw_user not in user_index:
-            user_index[raw_user] = len(user_ids)
-            user_ids.append(raw_user)
-        if raw_item not in item_index:
-            item_index[raw_item] = len(item_ids)
-            item_ids.append(raw_item)
-        cell = (user_index[raw_user], item_index[raw_item])
+        user = user_index.setdefault(row[user_col], len(user_index))
+        item = item_index.setdefault(row[item_col], len(item_index))
+        cell = (user, item)
         if cell in cell_to_row:
             duplicates += 1
         cell_to_row[cell] = (value, context)
@@ -182,10 +160,10 @@ def parse_comoda(source, context_columns: Sequence[str],
     for (u, i), (value, context) in cell_to_row.items():
         ratings.append(Rating(u, i, value))
         contexts.append(ContextSample(u, i, value, tuple(context)))
-    dataset = RatingsDataset(ratings=tuple(ratings), n_users=len(user_ids),
-                             n_items=len(item_ids), r_max=r_max)
-    return ParseResult(dataset=dataset, user_ids=user_ids, item_ids=item_ids,
-                       duplicates_replaced=duplicates, contexts=contexts)
+    dataset = RatingsDataset(ratings=tuple(ratings), n_users=len(user_index),
+                             n_items=len(item_index), r_max=r_max)
+    return ParseResult(dataset=dataset, duplicates_replaced=duplicates,
+                       contexts=contexts)
 
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:

@@ -9,7 +9,7 @@ vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,8 +104,11 @@ _STEP_FN = {
 }
 
 
-def _train_shape_only(algo: ZeroShotAlgo, n_users: int, n_items: int,
-                      cfg: TrainConfig, stats: Optional[TrainStats]) -> FactorModel:
+def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
+                   cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
+    """Train ZeroMat, DotMat or PoissonMat from the matrix shape alone: each
+    epoch applies the algorithm's step rule to samples_per_epoch uniformly
+    drawn grid cells."""
     rng = np.random.default_rng(cfg.seed)
     U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
     V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
@@ -126,41 +129,25 @@ def _train_shape_only(algo: ZeroShotAlgo, n_users: int, n_items: int,
     return FactorModel(U=U, V=V, k=cfg.k)
 
 
-def zeromat_train(n_users: int, n_items: int, cfg: TrainConfig,
-                  stats: Optional[TrainStats] = None) -> FactorModel:
-    """Train ZeroMat from the matrix shape alone."""
-    return _train_shape_only(ZeroShotAlgo.ZEROMAT, n_users, n_items, cfg, stats)
-
-
-def dotmat_train(n_users: int, n_items: int, cfg: TrainConfig,
-                 stats: Optional[TrainStats] = None) -> FactorModel:
-    """Train DotMat (simplified rule) from the matrix shape alone."""
-    return _train_shape_only(ZeroShotAlgo.DOTMAT, n_users, n_items, cfg, stats)
-
-
-def poissonmat_train(n_users: int, n_items: int, cfg: TrainConfig,
-                     stats: Optional[TrainStats] = None) -> FactorModel:
-    """Train PoissonMat from the matrix shape alone."""
-    return _train_shape_only(ZeroShotAlgo.POISSONMAT, n_users, n_items, cfg, stats)
-
-
-def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
-                   cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
-    return _train_shape_only(algo, n_users, n_items, cfg, stats)
-
-
 def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
                    sigma_u: float = 1.0, sigma_v: float = 1.0,
-                   stats: Optional[TrainStats] = None) -> PowerMatModel:
+                   stats: Optional[TrainStats] = None,
+                   n_users: Optional[int] = None,
+                   n_items: Optional[int] = None) -> PowerMatModel:
     """Train PowerMat from (user, item, context) triples; rating values in
-    the samples are never read."""
+    the samples are never read. n_users / n_items default to one past the
+    largest id in contexts; pass the dataset's sizes to cover every id."""
     if not contexts:
         raise ValueError("contexts is empty")
+    if sigma_u <= 0 or sigma_v <= 0:
+        raise ValueError("sigma_u and sigma_v must be positive")
     d_c = len(contexts[0].context)
     if any(len(c.context) != d_c for c in contexts):
         raise ValueError("context vectors must share one dimensionality")
-    n_users = max(c.user_id for c in contexts) + 1
-    n_items = max(c.item_id for c in contexts) + 1
+    if n_users is None:
+        n_users = max(c.user_id for c in contexts) + 1
+    if n_items is None:
+        n_items = max(c.item_id for c in contexts) + 1
 
     rng = np.random.default_rng(cfg.seed)
     U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
@@ -208,15 +195,6 @@ class ZeroShotPredictor:
     def predict(self, u: int, i: int) -> float:
         raw = self.r_max * self._scores[u, i] / self._row_max[u]
         return clamp_prediction(raw, self.r_max)
-
-
-def zeroshot_predict(model: FactorModel, u: int, i: int, r_max: int,
-                     eps_floor: float = 1e-6) -> float:
-    """Single-shot form of ZeroShotPredictor.predict (recomputes the row
-    maximum each call; use the class for bulk evaluation)."""
-    row = model.U[u] @ model.V.T
-    m_u = max(float(row.max()), eps_floor)
-    return clamp_prediction(r_max * float(row[i]) / m_u, r_max)
 
 
 def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,

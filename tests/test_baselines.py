@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reclab.baselines import (CfConfig, CfPredictor, SimilarityKind,
-                              SimilarityMatrix, cf_predict, item_similarities,
+                              SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_predict, mf_train)
 from reclab.core import (FactorModel, Rating, RatingsDataset, TrainConfig,
                          TrainingError)
@@ -84,22 +84,22 @@ class TestCfPredict:
     def test_single_neighbor(self):
         train = dataset([(0, 1, 4)], 1, 2)
         sims = self.sims([[1.0, 0.8], [0.8, 1.0]])
-        assert cf_predict(0, 0, sims, train) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
 
     def test_equal_weights_average(self):
         train = dataset([(0, 1, 5), (0, 2, 3)], 1, 3)
         sims = self.sims([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
-        assert cf_predict(0, 0, sims, train) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
 
     def test_hand_computed_weighted_average(self):
         train = dataset([(0, 1, 5), (0, 2, 2)], 1, 3)
         sims = self.sims([[1, 0.5, 0.25], [0.5, 1, 0], [0.25, 0, 1]])
-        assert cf_predict(0, 0, sims, train) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
 
     def test_fallback_is_global_mean(self):
         train = dataset([(0, 1, 5), (1, 0, 3)], 2, 2)
         sims = self.sims([[1, 0], [0, 1]])  # no cross-similarity
-        assert cf_predict(0, 0, sims, train) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
 
     def test_prediction_within_neighbor_range(self):
         ds = generate_zipf(40, 25, 600, 1.0, 5, seed=10)
@@ -122,7 +122,7 @@ class TestCfPredict:
         sims = self.sims([[1, 0.9, 0.5], [0.9, 1, 0], [0.5, 0, 1]])
         cfg = CfConfig(neighborhood_size=1)
         # only the most similar neighbor (item 1) is used
-        assert cf_predict(0, 0, sims, train, cfg) == pytest.approx(5.0)
+        assert CfPredictor(sims, train, cfg).predict(0, 0) == pytest.approx(5.0)
 
 
 class TestMfTrain:

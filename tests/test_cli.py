@@ -1,11 +1,13 @@
+import copy
 import json
-import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from reclab.cli import main
-from reclab.ingest import MovieLensFormat, generate_zipf, write_movielens
+from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
+from reclab.core import ContextSample, Rating, RatingsDataset
+from reclab.ingest import generate_zipf, write_movielens
 
 
 @pytest.fixture
@@ -18,6 +20,29 @@ def fixture_file(tmp_path):
     path = tmp_path / "ratings.data"
     path.write_text(write_movielens(generate_zipf(60, 50, 1500, 1.0, 5, seed=30)))
     return path
+
+
+@pytest.fixture
+def comoda_file(tmp_path):
+    rows = ["userID,itemID,rating,mood,location"]
+    rng = np.random.default_rng(0)
+    seen = set()
+    while len(seen) < 120:
+        u, i = int(rng.integers(1, 16)), int(rng.integers(1, 21))
+        if (u, i) in seen:
+            continue
+        seen.add((u, i))
+        rows.append(f"{u},{i},{int(rng.integers(1, 6))},"
+                    f"{int(rng.integers(0, 4))},{int(rng.integers(1, 4))}")
+    path = tmp_path / "comoda.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def comoda_config(comoda_file, tmp_path, algorithms, **extra):
+    return bench_config(comoda_file, tmp_path, algorithms,
+                        dataset={"path": str(comoda_file), "format": "comoda"},
+                        context_columns=["mood", "location"], **extra)
 
 
 def bench_config(fixture_file, tmp_path, algorithms, **extra):
@@ -72,6 +97,15 @@ class TestBench:
         assert (out / "manifest.json").exists()
         assert (out / "aggregate.json").exists()
 
+        # run_bench leaves its config alone; the manifest records the split
+        config_dict = json.loads(config.read_text())
+        del config_dict["split"]
+        before = copy.deepcopy(config_dict)
+        run_bench(config_dict, tmp_path / "direct")
+        assert config_dict == before
+        manifest = json.loads((tmp_path / "direct" / "manifest.json").read_text())
+        assert manifest["split"] == {"test_fraction": 0.2, "seed": 42}
+
     def test_rerun_is_byte_identical(self, runner, fixture_file, tmp_path):
         config = bench_config(fixture_file, tmp_path,
                               ["random", "mf", "zeromat"])
@@ -82,6 +116,10 @@ class TestBench:
             assert result.exit_code == 0, result.output
         assert (out1 / "report_seed42.json").read_bytes() == \
             (out2 / "report_seed42.json").read_bytes()
+        # one row per configured algorithm, in config order, over the test split
+        report = json.loads((out1 / "report_seed42.json").read_text())
+        assert [row["algo"] for row in report["rows"]] == ["random", "mf", "zeromat"]
+        assert all(row["n"] == 300 and row["mae"] >= 0.0 for row in report["rows"])
 
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
@@ -91,23 +129,8 @@ class TestBench:
         assert result.exit_code == 1
         assert "context required" in result.output
 
-    def test_powermat_on_comoda(self, runner, tmp_path):
-        rows = ["userID,itemID,rating,mood,location"]
-        import numpy as np
-        rng = np.random.default_rng(0)
-        seen = set()
-        while len(seen) < 120:
-            u, i = int(rng.integers(1, 16)), int(rng.integers(1, 21))
-            if (u, i) in seen:
-                continue
-            seen.add((u, i))
-            rows.append(f"{u},{i},{int(rng.integers(1, 6))},"
-                        f"{int(rng.integers(0, 4))},{int(rng.integers(1, 4))}")
-        data = tmp_path / "comoda.csv"
-        data.write_text("\n".join(rows) + "\n")
-        config = bench_config(data, tmp_path, ["powermat", "random"],
-                              dataset={"path": str(data), "format": "comoda"},
-                              context_columns=["mood", "location"])
+    def test_powermat_on_comoda(self, runner, comoda_file, tmp_path):
+        config = comoda_config(comoda_file, tmp_path, ["powermat", "random"])
         result = runner.invoke(main, ["bench", "--config", str(config),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
@@ -145,18 +168,58 @@ class TestBench:
         aggregate = json.loads((out / "aggregate.json").read_text())
         assert aggregate["repetitions"] == 3
 
-    def test_thread_env_var_does_not_change_results(self, runner, fixture_file,
-                                                    tmp_path, monkeypatch):
-        config = bench_config(fixture_file, tmp_path,
-                              ["random", "mf", "dotmat"])
-        out1, out2 = tmp_path / "st", tmp_path / "mt"
-        assert runner.invoke(main, ["bench", "--config", str(config),
-                                    "--out", str(out1)]).exit_code == 0
-        monkeypatch.setenv("RECLAB_THREADS", "3")
-        assert runner.invoke(main, ["bench", "--config", str(config),
-                                    "--out", str(out2)]).exit_code == 0
-        assert (out1 / "report_seed42.json").read_bytes() == \
-            (out2 / "report_seed42.json").read_bytes()
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda c: [c], id="config-not-object"),
+        pytest.param(lambda c: {**c, "dataset": "comoda.csv"}, id="dataset-not-object"),
+        pytest.param(lambda c: {**c, "split": 0.2}, id="split-not-object"),
+        pytest.param(lambda c: {**c, "split": {"test_fraction": "0.2"}},
+                     id="string-test-fraction"),
+        pytest.param(lambda c: {**c, "repetitions": None}, id="null-repetitions"),
+        pytest.param(lambda c: {**c, "algorithms": [["mf"]]}, id="list-algorithm-name"),
+        pytest.param(lambda c: {**c, "context_columns": [["mood"]]},
+                     id="nested-context-columns"),
+        pytest.param(lambda c: {**c, "train": []}, id="train-not-object"),
+        pytest.param(lambda c: {**c, "train": {"svdpp": {}}}, id="unknown-train-section"),
+        pytest.param(lambda c: {**c, "train": {"mf": [1]}}, id="train-section-not-object"),
+        pytest.param(lambda c: {**c, "train": {"default": {"epoch": 2}}},
+                     id="unknown-default-key"),
+        pytest.param(lambda c: {**c, "train": {"mf": {"lr": 0.1}}}, id="unknown-algo-key"),
+        pytest.param(lambda c: {**c, "train": {"mf": {"epochs": "3"}}}, id="string-epochs"),
+        pytest.param(lambda c: {**c, "train": {"mf": {"k": 2.5}}}, id="fractional-k"),
+        pytest.param(lambda c: {**c, "train": {"mf": {"gamma": float("nan")}}},
+                     id="nan-gamma"),
+        pytest.param(lambda c: {**c, "train": {"zeromat": {"samples_per_epoch": 0}}},
+                     id="zero-samples-per-epoch"),
+        pytest.param(lambda c: {**c, "sigma_u": 0}, id="zero-sigma"),
+    ])
+    def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
+        path = comoda_config(comoda_file, tmp_path,
+                             ["random", "mf", "zeromat", "powermat"])
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        result = runner.invoke(main, ["bench", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        # CliRunner also maps an uncaught exception to exit code 1
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "random"])
+    def test_predictor_is_total_over_the_id_range(self, algo):
+        # user 5 and item 6, the largest ids, are rated only in the test split
+        cells = [(u, i) for u in range(6) for i in range(7) if (u + i) % 3]
+        ratings = [Rating(u, i, 1 + (u * 7 + i) % 5) for u, i in cells]
+        contexts = [ContextSample(r.user_id, r.item_id, r.value,
+                                  (float(r.user_id % 2), float(r.item_id % 3)))
+                    for r in ratings]
+        in_test = [r.user_id == 5 or r.item_id == 6 for r in ratings]
+        train = RatingsDataset(ratings=[r for r, t in zip(ratings, in_test) if not t],
+                               n_users=6, n_items=7)
+        predictor = REGISTRY[algo].fit(algo, {}, train, contexts, 3)
+        for u in range(6):
+            for i in range(7):
+                assert 1.0 <= predictor.predict(u, i) <= 5.0
 
 
 class TestAnalyze:

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from reclab.cli import run_bench
 from reclab.core import DatasetError, Rating, RatingsDataset
-from reclab.evaluation import NamedPredictor, compare, mae, random_baseline_mae
-from reclab.ingest import generate_zipf
+from reclab.evaluation import NamedPredictor, mae, random_baseline_mae
+from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
+                           parse_movielens, split, write_movielens)
 
 
 def dataset(triples, n_users, n_items, r_max=5):
@@ -90,19 +94,38 @@ class TestRandomBaseline:
             random_baseline_mae(empty, 0)
 
 
-class TestCompare:
-    def test_random_only(self):
-        ds = generate_zipf(20, 20, 100, 1.0, 5, seed=8)
-        report = compare(ds, [], split_ratio=0.2, seed=8, include_random=True)
-        assert len(report.entries) == 1
-        assert report.entries[0].algorithm == "random"
+def bench_reports(tmp_path, ds, algorithms, seed):
+    """Run the bench comparison on ds with a 0.2 test split; return its
+    reports and the test split's size."""
+    path = tmp_path / "ratings.data"
+    path.write_text(write_movielens(ds))
+    config = {"dataset": {"path": str(path), "format": "tab100k"},
+              "split": {"test_fraction": 0.2, "seed": seed},
+              "algorithms": algorithms}
+    reports = run_bench(config, tmp_path / "out")
+    with open(path, "rb") as fh:
+        parsed = parse_movielens(fh, MovieLensFormat.TAB_100K)
+    _, test = split(parsed.dataset, SplitSpec(test_fraction=0.2, seed=seed))
+    return reports, len(test)
 
-    def test_row_contract(self):
+
+class TestCompare:
+    def test_random_only(self, tmp_path):
+        ds = generate_zipf(20, 20, 100, 1.0, 5, seed=8)
+        reports, _ = bench_reports(tmp_path, ds, ["random"], seed=8)
+        assert len(reports) == 1
+        assert len(reports[0].entries) == 1
+        assert reports[0].entries[0].algorithm == "random"
+
+    def test_row_contract(self, tmp_path):
         ds = generate_zipf(20, 20, 100, 1.0, 5, seed=9)
-        predictors = [NamedPredictor("c3", lambda u, i: 3.0),
-                      NamedPredictor("c4", lambda u, i: 4.0)]
-        report = compare(ds, predictors, split_ratio=0.2, seed=9)
-        assert [e.algorithm for e in report.entries] == ["c3", "c4", "random"]
+        algorithms = ["zeromat", "random", "dotmat"]
+        reports, n_test = bench_reports(tmp_path, ds, algorithms, seed=9)
+        report = reports[0]
+        assert [e.algorithm for e in report.entries] == algorithms
+        assert report.split_ratio == 0.2 and report.seed == 9
         for entry in report.entries:
             assert entry.mae >= 0.0
-            assert entry.n_test_predictions == len(ds)
+            assert entry.n_test_predictions == n_test
+        rows = json.loads((tmp_path / "out" / "report_seed9.json").read_text())["rows"]
+        assert [row["algo"] for row in rows] == algorithms

@@ -8,10 +8,9 @@ from reclab.core import (ContextSample, FactorModel, Rating, RatingsDataset,
                          TrainConfig)
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (TrainStats, ZeroShotAlgo, ZeroShotPredictor,
-                             augment_with_zeroshot, dotmat_step, dotmat_train,
-                             hybrid_train, poissonmat_step, poissonmat_train,
-                             powermat_step, powermat_train, train_zeroshot,
-                             zeromat_step, zeromat_train, zeroshot_predict)
+                             augment_with_zeroshot, dotmat_step, hybrid_train,
+                             poissonmat_step, powermat_step, powermat_train,
+                             train_zeroshot, zeromat_step)
 
 EPS = 1e-6
 
@@ -85,11 +84,13 @@ def _cfg(**kw):
 
 
 class TestTrainers:
-    @pytest.mark.parametrize("train_fn", [zeromat_train, dotmat_train,
-                                          poissonmat_train])
-    def test_zero_gamma_keeps_initialization(self, train_fn):
+    @pytest.mark.parametrize("algo", [
+        pytest.param(ZeroShotAlgo.ZEROMAT, id="zeromat_train"),
+        pytest.param(ZeroShotAlgo.DOTMAT, id="dotmat_train"),
+        pytest.param(ZeroShotAlgo.POISSONMAT, id="poissonmat_train")])
+    def test_zero_gamma_keeps_initialization(self, algo):
         cfg = _cfg(gamma=0.0)
-        model = train_fn(30, 20, cfg)
+        model = train_zeroshot(algo, 30, 20, cfg)
         rng = np.random.default_rng(cfg.seed)
         expected_u = rng.uniform(cfg.init_lo, cfg.init_hi, size=(30, 4)) / 2.0
         expected_v = rng.uniform(cfg.init_lo, cfg.init_hi, size=(20, 4)) / 2.0
@@ -108,14 +109,14 @@ class TestTrainers:
         # trainers only see the shape, so two datasets differing in every
         # rating value produce the same model
         cfg = _cfg()
-        a = zeromat_train(25, 30, cfg)
-        b = zeromat_train(25, 30, cfg)
+        a = train_zeroshot(ZeroShotAlgo.ZEROMAT, 25, 30, cfg)
+        b = train_zeroshot(ZeroShotAlgo.ZEROMAT, 25, 30, cfg)
         assert np.array_equal(a.U, b.U)
 
     def test_clamp_counter_records_floor_hits(self):
         cfg = _cfg(gamma=0.0, init_lo=1e-9, init_hi=1e-8)
         stats = TrainStats()
-        zeromat_train(10, 10, cfg, stats)
+        train_zeroshot(ZeroShotAlgo.ZEROMAT, 10, 10, cfg, stats)
         assert stats.clamp_activations == 2 * 500
         assert stats.epochs_run == 2
 
@@ -193,23 +194,27 @@ class TestZeroShotPredict:
         return FactorModel(U=U, V=V, k=2)
 
     def test_row_maximum_predicts_r_max(self):
-        assert zeroshot_predict(self.model(), 0, 0, 5) == 5.0
+        assert ZeroShotPredictor(self.model(), 5).predict(0, 0) == 5.0
 
     def test_half_of_row_maximum(self):
-        assert zeroshot_predict(self.model(), 0, 1, 5) == pytest.approx(2.5)
+        assert ZeroShotPredictor(self.model(), 5).predict(0, 1) == pytest.approx(2.5)
 
     def test_degenerate_equal_row(self):
         model = FactorModel(U=np.array([[1.0]]),
                             V=np.array([[0.3], [0.3], [0.3]]), k=1)
+        predictor = ZeroShotPredictor(model, 5)
         for i in range(3):
-            assert zeroshot_predict(model, 0, i, 5) == 5.0
+            assert predictor.predict(0, i) == 5.0
 
     def test_class_matches_function(self):
+        # oracle: r_max * (U_u . V_i) / max(max_j U_u . V_j, eps), clamped
         model = self.model()
-        predictor = ZeroShotPredictor(model, 5)
+        predictor = ZeroShotPredictor(model, 5, EPS)
         for u in range(2):
+            row = model.U[u] @ model.V.T
+            expected = np.clip(5 * row / max(row.max(), EPS), 1.0, 5.0)
             for i in range(3):
-                assert predictor.predict(u, i) == zeroshot_predict(model, u, i, 5)
+                assert predictor.predict(u, i) == expected[i]
 
     def test_output_always_on_scale(self):
         model = train_zeroshot(ZeroShotAlgo.DOTMAT, 20, 30, _cfg(gamma=0.005))
