@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -65,10 +65,8 @@ class DiversityInput:
 def rating_histogram(dataset: RatingsDataset) -> RatingHistogram:
     if len(dataset) == 0:
         raise DatasetError("empty dataset")
-    counts: Dict[int, int] = {}
-    for r in dataset.ratings:
-        counts[r.value] = counts.get(r.value, 0) + 1
-    return RatingHistogram(counts=counts)
+    values, counts = np.unique(dataset.values, return_counts=True)
+    return RatingHistogram(counts=dict(zip(values.tolist(), counts.tolist())))
 
 
 def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:

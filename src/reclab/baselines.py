@@ -92,12 +92,11 @@ class CfPredictor:
         self.cfg = cfg or CfConfig()
         self.r_max = train.r_max
         self.fallback = train.global_mean()
-        self._user_items = [[] for _ in range(train.n_users)]
-        self._user_values = [[] for _ in range(train.n_users)]
         users, items, values = train.arrays()
-        for u, j, v in zip(users, items, values):
-            self._user_items[u].append(int(j))
-            self._user_values[u].append(float(v))
+        # user u's rows are bounds[u]:bounds[u + 1] in canonical order
+        bounds = np.searchsorted(users, np.arange(train.n_users + 1)).tolist()
+        self._user_items = [items[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        self._user_values = [values[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
     def predict(self, u: int, i: int) -> float:
         items = self._user_items[u]

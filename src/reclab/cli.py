@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 import click
 import numpy as np
 
-from . import analysis, evaluation, ingest
+from . import evaluation, ingest
 from .baselines import (CfConfig, CfPredictor, SimilarityKind, item_similarities,
                         mf_predict, mf_train)
 from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
@@ -89,8 +89,9 @@ def _fit_powermat(algo, config, train, contexts, seed) -> Predictor:
     if not contexts:
         raise ValueError("powermat: context required (use a comoda dataset)")
     cfg = _train_config(config, algo, seed, len(train))
-    train_cells = train.cells()
-    train_contexts = [c for c in contexts if (c.user_id, c.item_id) in train_cells]
+    train_keys = set(train.keys().tolist())
+    train_contexts = [c for c in contexts
+                      if c.user_id * train.n_items + c.item_id in train_keys]
     # sized by the dataset, not by the train ids, so test-only ids stay in range
     model = powermat_train(train_contexts, cfg,
                            sigma_u=config.get("sigma_u", 1.0),
@@ -164,7 +165,8 @@ _CONFIG_TYPES = {
 }
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
                     int: "an integer", float: "a finite number"}
-_TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig))
+# every TrainConfig field but `seed`, which is always the repetition's split seed
+_TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
 
 
 def _check_config(config) -> None:
@@ -286,6 +288,8 @@ def bench(config_path: Path, out_dir: Optional[Path]):
               default=Path("reclab-out"))
 def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     """Zipf proportionality check or log-space diversity computation."""
+    # imported here: analysis loads scipy, which `reclab bench` never needs
+    from . import analysis
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if mode == "zipf":

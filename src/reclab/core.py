@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,81 +30,113 @@ def clamp_prediction(raw: float, r_max: int) -> float:
     return min(max(float(raw), 1.0), float(r_max))
 
 
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Rating:
-    """A single user-item rating. The timestamp is retained but never
-    consulted by any algorithm in this package."""
+    """A single user-item rating."""
 
     user_id: int
     item_id: int
     value: int
-    timestamp: Optional[int] = None
 
 
-@dataclass(frozen=True)
+def _check_range(name: str, column: np.ndarray, lo: int, hi: int) -> None:
+    bad = np.flatnonzero((column < lo) | (column > hi))
+    if bad.size:
+        raise DatasetError(f"{name} {column[bad[0]]} outside [{lo}, {hi}] at row {bad[0]}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class RatingsDataset:
     """Sparse integer rating triples with scale bounds.
 
-    Immutable after construction; duplicate (user, item) pairs and
-    out-of-range values are rejected up front.
+    The rows are stored once, as three read-only int64 columns `users`,
+    `items` and `values`, in the order they were given. Duplicate
+    (user, item) cells and out-of-range ids or values are rejected up front.
+    Immutable after construction. Datasets compare by identity; compare
+    their columns to compare their rows.
     """
 
-    ratings: tuple
+    users: np.ndarray
+    items: np.ndarray
+    values: np.ndarray
     n_users: int
     n_items: int
-    r_max: int = 5
+    r_max: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratings", tuple(self.ratings))
-        if self.n_users < 0 or self.n_items < 0:
+    def __init__(self, ratings, n_users: int, n_items: int, r_max: int = 5):
+        rows = np.array([(r.user_id, r.item_id, r.value) for r in ratings])
+        rows = rows.reshape(-1, 3)
+        self._set_columns(rows[:, 0], rows[:, 1], rows[:, 2], n_users, n_items, r_max)
+
+    @classmethod
+    def from_columns(cls, users, items, values, n_users, n_items, r_max=5):
+        """A dataset whose row k is (users[k], items[k], values[k])."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(users, items, values, n_users, n_items, r_max)
+        return dataset
+
+    def _set_columns(self, users, items, values, n_users, n_items, r_max):
+        if n_users < 0 or n_items < 0:
             raise DatasetError("n_users and n_items must be nonnegative")
-        if self.r_max < 1:
-            raise DatasetError(f"r_max must be >= 1, got {self.r_max}")
-        seen = set()
-        for r in self.ratings:
-            if not (1 <= r.value <= self.r_max):
-                raise DatasetError(
-                    f"rating value {r.value} outside [1, {self.r_max}] "
-                    f"at (user {r.user_id}, item {r.item_id})"
-                )
-            if not (0 <= r.user_id < self.n_users):
-                raise DatasetError(f"user_id {r.user_id} out of range [0, {self.n_users})")
-            if not (0 <= r.item_id < self.n_items):
-                raise DatasetError(f"item_id {r.item_id} out of range [0, {self.n_items})")
-            cell = (r.user_id, r.item_id)
-            if cell in seen:
-                raise DatasetError(f"duplicate rating for cell {cell}")
-            seen.add(cell)
+        if r_max < 1:
+            raise DatasetError(f"r_max must be >= 1, got {r_max}")
+        columns = [np.asarray(c) for c in (users, items, values)]
+        if len({c.size for c in columns}) > 1:
+            raise DatasetError("user, item and value columns differ in length")
+        if any(c.size and c.dtype.kind not in "iu" for c in columns):
+            raise DatasetError("user ids, item ids and values must be integers")
+        users, items, values = (_readonly(c, np.int64) for c in columns)
+        _check_range("rating value", values, 1, r_max)
+        _check_range("user_id", users, 0, n_users - 1)
+        _check_range("item_id", items, 0, n_items - 1)
+        keys, counts = np.unique(users * n_items + items, return_counts=True)
+        if (counts > 1).any():
+            key = int(keys[counts > 1][0])
+            raise DatasetError(f"duplicate rating for cell {divmod(key, n_items)}")
+        row = (users, items, values, n_users, n_items, r_max)
+        for field, value in zip(fields(self), row):
+            object.__setattr__(self, field.name, value)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validator, so columns stay read-only
+        return (RatingsDataset.from_columns, (self.users, self.items, self.values,
+                                              self.n_users, self.n_items, self.r_max))
+
+    @property
+    def ratings(self) -> tuple:
+        """The rows as Rating objects, in storage order."""
+        return tuple(map(Rating, self.users.tolist(), self.items.tolist(),
+                         self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.ratings)
+        return len(self.values)
+
+    def keys(self) -> np.ndarray:
+        """One int64 key per row, user * n_items + item."""
+        return self.users * self.n_items + self.items
 
     def global_mean(self) -> float:
-        if not self.ratings:
+        if not len(self):
             raise DatasetError("empty dataset has no mean")
-        return float(np.mean([r.value for r in self.ratings]))
-
-    def cells(self) -> set:
-        return {(r.user_id, r.item_id) for r in self.ratings}
+        return float(np.mean(self.values))
 
     def arrays(self):
-        """(users, items, values) as int arrays, in canonical (user, item) order.
-
-        Canonical ordering makes every downstream consumer invariant to the
-        storage order of the rating rows.
-        """
-        order = sorted(range(len(self.ratings)),
-                       key=lambda idx: (self.ratings[idx].user_id, self.ratings[idx].item_id))
-        users = np.array([self.ratings[i].user_id for i in order], dtype=np.int64)
-        items = np.array([self.ratings[i].item_id for i in order], dtype=np.int64)
-        values = np.array([self.ratings[i].value for i in order], dtype=np.float64)
-        return users, items, values
+        """(users, items, values) in canonical (user, item) order, values as
+        floats, so that every consumer is invariant to the row order."""
+        order = np.lexsort((self.items, self.users))
+        return (self.users[order], self.items[order],
+                self.values[order].astype(np.float64))
 
     def to_dense(self) -> np.ndarray:
         """Dense n_users x n_items matrix, 0 for missing cells."""
         dense = np.zeros((self.n_users, self.n_items))
-        for r in self.ratings:
-            dense[r.user_id, r.item_id] = r.value
+        dense[self.users, self.items] = self.values
         return dense
 
 
@@ -124,12 +156,6 @@ class ContextSample:
     @property
     def context_array(self) -> np.ndarray:
         return np.asarray(self.context, dtype=np.float64)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

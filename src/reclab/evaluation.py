@@ -32,8 +32,8 @@ def mae(predictor: Predictor, test: RatingsDataset) -> float:
     if len(test) == 0:
         raise DatasetError("empty test set")
     total = 0.0
-    for r in test.ratings:
-        total += abs(predictor.predict(r.user_id, r.item_id) - r.value)
+    for u, i, v in zip(test.users.tolist(), test.items.tolist(), test.values.tolist()):
+        total += abs(predictor.predict(u, i) - v)
     return total / len(test)
 
 
@@ -43,5 +43,4 @@ def random_baseline_mae(test: RatingsDataset, seed: int) -> float:
         raise DatasetError("empty test set")
     rng = np.random.default_rng(seed)
     guesses = rng.integers(1, test.r_max + 1, size=len(test))
-    truth = np.array([r.value for r in test.ratings], dtype=np.int64)
-    return float(np.mean(np.abs(guesses - truth)))
+    return float(np.mean(np.abs(guesses - test.values)))

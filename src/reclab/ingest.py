@@ -7,11 +7,15 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContextSample, DatasetError, Rating, RatingsDataset
+from .core import ContextSample, DatasetError, RatingsDataset
+
+# CoMoDa's id and rating columns, and its rating scale
+COMODA_USER, COMODA_ITEM, COMODA_RATING = "userID", "itemID", "rating"
+COMODA_R_MAX = 5
 
 
 class ParseError(ValueError):
@@ -61,17 +65,25 @@ def _text_lines(source) -> Iterable[str]:
     return io.TextIOWrapper(source, encoding="utf-8")
 
 
+def _dataset(rows: dict, n_users: int, n_items: int, r_max: int) -> RatingsDataset:
+    """Dataset of a (user, item) -> value dict's rows, in the dict's order."""
+    cells = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
+    return RatingsDataset.from_columns(cells[:, 0], cells[:, 1], list(rows.values()),
+                                       n_users, n_items, r_max)
+
+
 def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     """Parse a MovieLens ratings file into a dataset with dense 0-based ids.
 
     Accepts a path-opened binary stream, a text stream, or raw str/bytes.
-    Lines are "user<sep>item<sep>rating<sep>timestamp"; duplicate cells keep
-    the last occurrence (counted in duplicates_replaced).
+    Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp must
+    be an integer but is not kept. Duplicate cells keep the last occurrence
+    (counted in duplicates_replaced) at the position of the first.
     """
     sep = fmt.value
     user_index: dict = {}
     item_index: dict = {}
-    cell_to_rating: dict = {}
+    cell_to_value: dict = {}
     duplicates = 0
 
     for line_no, raw_line in enumerate(_text_lines(source), start=1):
@@ -85,7 +97,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
         raw_user, raw_item, raw_value, raw_ts = fields
         try:
             value = int(raw_value)
-            timestamp = int(raw_ts)
+            int(raw_ts)  # checked, not kept
         except ValueError as exc:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
         if not (1 <= value <= 5):
@@ -93,29 +105,27 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
         user = user_index.setdefault(raw_user, len(user_index))
         item = item_index.setdefault(raw_item, len(item_index))
         cell = (user, item)
-        if cell in cell_to_rating:
+        if cell in cell_to_value:
             duplicates += 1
-        cell_to_rating[cell] = Rating(cell[0], cell[1], value, timestamp)
+        cell_to_value[cell] = value
 
-    dataset = RatingsDataset(ratings=tuple(cell_to_rating.values()),
-                             n_users=len(user_index), n_items=len(item_index), r_max=5)
+    dataset = _dataset(cell_to_value, len(user_index), len(item_index), r_max=5)
     return ParseResult(dataset=dataset, duplicates_replaced=duplicates)
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
-    """Serialize a dataset back to MovieLens line format with 1-based ids."""
+    """Serialize a dataset back to MovieLens line format with 1-based ids
+    and timestamp 0."""
     sep = fmt.value
-    lines = []
-    for r in dataset.ratings:
-        ts = r.timestamp if r.timestamp is not None else 0
-        lines.append(sep.join((str(r.user_id + 1), str(r.item_id + 1), str(r.value), str(ts))))
+    lines = [sep.join((str(u + 1), str(i + 1), str(v), "0"))
+             for u, i, v in zip(dataset.users.tolist(), dataset.items.tolist(),
+                                dataset.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def parse_comoda(source, context_columns: Sequence[str],
-                 user_col: str = "userID", item_col: str = "itemID",
-                 rating_col: str = "rating", r_max: int = 5) -> ParseResult:
-    """Parse an LDOS-CoMoDa style CSV into a dataset plus context samples.
+def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
+    """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
+    ratings on a 1-5 scale) into a dataset plus context samples.
 
     Context columns hold integer category codes; missing markers (-1, empty)
     are encoded as 0. Every context vector has dimension len(context_columns).
@@ -124,7 +134,7 @@ def parse_comoda(source, context_columns: Sequence[str],
     if reader.fieldnames is None:
         raise SchemaError("empty input: no header row")
     header = set(reader.fieldnames)
-    required = [user_col, item_col, rating_col, *context_columns]
+    required = [COMODA_USER, COMODA_ITEM, COMODA_RATING, *context_columns]
     missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"missing columns: {missing}")
@@ -136,9 +146,10 @@ def parse_comoda(source, context_columns: Sequence[str],
 
     for line_no, row in enumerate(reader, start=2):
         try:
-            value = int(row[rating_col])
+            value = int(row[COMODA_RATING])
         except (TypeError, ValueError):
-            raise ParseError(f"non-numeric rating {row.get(rating_col)!r}", line_no) from None
+            raise ParseError(f"non-numeric rating {row.get(COMODA_RATING)!r}",
+                             line_no) from None
         context = []
         for col in context_columns:
             cell_text = (row[col] or "").strip()
@@ -148,20 +159,17 @@ def parse_comoda(source, context_columns: Sequence[str],
                 raise ParseError(f"non-numeric context value {cell_text!r} in {col}",
                                  line_no) from None
             context.append(max(code, 0.0))  # missing marker (-1 or blank) -> 0
-        user = user_index.setdefault(row[user_col], len(user_index))
-        item = item_index.setdefault(row[item_col], len(item_index))
+        user = user_index.setdefault(row[COMODA_USER], len(user_index))
+        item = item_index.setdefault(row[COMODA_ITEM], len(item_index))
         cell = (user, item)
         if cell in cell_to_row:
             duplicates += 1
         cell_to_row[cell] = (value, context)
 
-    ratings = []
-    contexts = []
-    for (u, i), (value, context) in cell_to_row.items():
-        ratings.append(Rating(u, i, value))
-        contexts.append(ContextSample(u, i, value, tuple(context)))
-    dataset = RatingsDataset(ratings=tuple(ratings), n_users=len(user_index),
-                             n_items=len(item_index), r_max=r_max)
+    contexts = [ContextSample(u, i, value, tuple(context))
+                for (u, i), (value, context) in cell_to_row.items()]
+    values = {cell: value for cell, (value, _) in cell_to_row.items()}
+    dataset = _dataset(values, len(user_index), len(item_index), r_max=COMODA_R_MAX)
     return ParseResult(dataset=dataset, duplicates_replaced=duplicates,
                        contexts=contexts)
 
@@ -174,13 +182,21 @@ def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, Rat
         raise DatasetError("cannot split an empty dataset")
     n_test = int(round(spec.test_fraction * n))
     rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(n)
-    test_idx = set(perm[:n_test].tolist())
-    train_ratings = tuple(r for i, r in enumerate(dataset.ratings) if i not in test_idx)
-    test_ratings = tuple(r for i, r in enumerate(dataset.ratings) if i in test_idx)
-    make = lambda rs: RatingsDataset(ratings=rs, n_users=dataset.n_users,
-                                     n_items=dataset.n_items, r_max=dataset.r_max)
-    return make(train_ratings), make(test_ratings)
+    in_test = np.zeros(n, dtype=bool)
+    in_test[rng.permutation(n)[:n_test]] = True
+    make = lambda mask: RatingsDataset.from_columns(
+        dataset.users[mask], dataset.items[mask], dataset.values[mask],
+        dataset.n_users, dataset.n_items, dataset.r_max)
+    return make(~in_test), make(in_test)
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of `weights`, for inverse sampling with
+    searchsorted. The last entry is pinned to 1.0: left rounded down, a draw
+    above it would index one past the last bin."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1:] = 1.0
+    return cdf
 
 
 def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
@@ -199,39 +215,28 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
             f"{n_users}x{n_items} grid")
     rng = np.random.default_rng(seed)
     item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
-    item_cum = np.cumsum(item_weights / item_weights.sum())
-    values_pmf = np.arange(1, r_max + 1, dtype=np.float64)
-    values_cum = np.cumsum(values_pmf / values_pmf.sum())
+    item_cum = _cdf(item_weights)
+    values_cum = _cdf(np.arange(1, r_max + 1, dtype=np.float64))
 
-    used = set()
-    ratings = []
-    max_rounds = 200
-    for _ in range(max_rounds):
-        need = n_ratings - len(ratings)
-        if need == 0:
+    # cell keys user * n_items + item, in draw order; a cell keeps its first draw
+    keys = np.empty(0, dtype=np.int64)
+    values = np.empty(0, dtype=np.int64)
+    for _ in range(200):  # then fill dense grids in row-major order
+        if len(keys) == n_ratings:
             break
-        batch = max(2 * need, 1024)
+        batch = max(2 * (n_ratings - len(keys)), 1024)
         us = rng.integers(0, n_users, size=batch)
         js = np.searchsorted(item_cum, rng.random(batch))
         vs = np.searchsorted(values_cum, rng.random(batch)) + 1
-        for u, j, v in zip(us, js, vs):
-            cell = (int(u), int(j))
-            if cell in used:
-                continue
-            used.add(cell)
-            ratings.append(Rating(cell[0], cell[1], int(v), timestamp=0))
-            if len(ratings) == n_ratings:
-                break
-    if len(ratings) < n_ratings:
-        # dense grids: fill remaining cells deterministically
-        for u in range(n_users):
-            for j in range(n_items):
-                if len(ratings) >= n_ratings:
-                    break
-                if (u, j) in used:
-                    continue
-                used.add((u, j))
-                v = int(np.searchsorted(values_cum, rng.random())) + 1
-                ratings.append(Rating(u, j, v, timestamp=0))
-    return RatingsDataset(ratings=tuple(ratings), n_users=n_users,
-                          n_items=n_items, r_max=r_max)
+        keys = np.concatenate([keys, us * n_items + js])
+        values = np.concatenate([values, vs])
+        first = np.sort(np.unique(keys, return_index=True)[1])[:n_ratings]
+        keys = keys[first]
+        values = values[first]
+    if len(keys) < n_ratings:
+        free = np.setdiff1d(np.arange(n_users * n_items), keys)[:n_ratings - len(keys)]
+        keys = np.concatenate([keys, free])
+        free_values = np.searchsorted(values_cum, rng.random(len(free))) + 1
+        values = np.concatenate([values, free_values])
+    return RatingsDataset.from_columns(keys // n_items, keys % n_items, values,
+                                       n_users, n_items, r_max)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baselines import _init_factors, mf_train
-from .core import (ContextSample, FactorModel, PowerMatModel, Rating,
-                   RatingsDataset, TrainConfig, TrainingError, clamp_prediction)
+from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
+                   TrainConfig, TrainingError, clamp_prediction)
 
 DOTMAT_P_MAX = 10.0
 
@@ -50,15 +50,14 @@ def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
 
 
 def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                eps_floor: float, p_max: float = DOTMAT_P_MAX
-                ) -> Tuple[np.ndarray, np.ndarray, bool]:
+                eps_floor: float) -> Tuple[np.ndarray, np.ndarray, bool]:
     """One update of the simplified rule: with p clamped to
-    [eps_floor, p_max] and g = p**p,
+    [eps_floor, DOTMAT_P_MAX] and g = p**p,
     U -= gamma * g * sign(g - p) * (1 + ln p) * V (and symmetrically).
     p = 1 is an exact fixed point since sign(0) = 0."""
     p = float(u_vec @ v_vec)
-    clamped = p < eps_floor or p > p_max
-    p = min(max(p, eps_floor), p_max)
+    clamped = p < eps_floor or p > DOTMAT_P_MAX
+    p = min(max(p, eps_floor), DOTMAT_P_MAX)
     g = p ** p
     coef = gamma * g * float(np.sign(g - p)) * (1.0 + math.log(p))
     new_u = u_vec - coef * v_vec
@@ -211,23 +210,25 @@ def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
     predictor = ZeroShotPredictor(zs_model, train.r_max, cfg.eps_floor)
 
     n_fill = int(round(fill_fraction * len(train)))
-    observed = train.cells()
-    capacity = train.n_users * train.n_items - len(observed)
-    n_fill = min(n_fill, capacity)
+    n_fill = min(n_fill, train.n_users * train.n_items - len(train))
     rng = np.random.default_rng(cfg.seed)
-    filled: List[Rating] = []
-    chosen = set()
+    taken = set(train.keys().tolist())
+    filled = []
     while len(filled) < n_fill:
         u = int(rng.integers(0, train.n_users))
         j = int(rng.integers(0, train.n_items))
-        if (u, j) in observed or (u, j) in chosen:
+        key = u * train.n_items + j
+        if key in taken:
             continue
-        chosen.add((u, j))
+        taken.add(key)
         value = int(round(predictor.predict(u, j)))
-        filled.append(Rating(u, j, min(max(value, 1), train.r_max)))
-    return RatingsDataset(ratings=train.ratings + tuple(filled),
-                          n_users=train.n_users, n_items=train.n_items,
-                          r_max=train.r_max)
+        filled.append((u, j, min(max(value, 1), train.r_max)))
+    users, items, values = np.array(filled, dtype=np.int64).reshape(-1, 3).T
+    users = np.concatenate([train.users, users])
+    items = np.concatenate([train.items, items])
+    values = np.concatenate([train.values, values])
+    return RatingsDataset.from_columns(users, items, values, train.n_users,
+                                       train.n_items, train.r_max)
 
 
 def hybrid_train(train: RatingsDataset, algo: ZeroShotAlgo, cfg: TrainConfig,

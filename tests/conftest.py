@@ -24,7 +24,7 @@ def make_structured_dataset(n_users=600, n_items=800, n_ratings=40000,
            + np.einsum("ij,ij->i", user_lat[us], item_lat[js])
            + rng.normal(0, noise, n_ratings))
     vals = np.clip(np.rint(raw), 1, 5).astype(int)
-    ratings = tuple(Rating(int(u), int(j), int(v), 0)
+    ratings = tuple(Rating(int(u), int(j), int(v))
                     for u, j, v in zip(us, js, vals))
     return RatingsDataset(ratings=ratings, n_users=n_users, n_items=n_items,
                           r_max=5)

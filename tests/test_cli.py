@@ -1,10 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import reclab
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import ContextSample, Rating, RatingsDataset
 from reclab.ingest import generate_zipf, write_movielens
@@ -121,6 +126,15 @@ class TestBench:
         assert [row["algo"] for row in report["rows"]] == ["random", "mf", "zeromat"]
         assert all(row["n"] == 300 and row["mae"] >= 0.0 for row in report["rows"])
 
+    def test_import_does_not_load_scipy(self):
+        # only `reclab analyze` needs scipy; bench start-up should not pay for it
+        code = "import sys, reclab.cli; print('scipy' in sys.modules)"
+        src = str(Path(reclab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout.strip() == "False"
+
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
         config = bench_config(fixture_file, tmp_path, ["powermat"])
@@ -184,6 +198,9 @@ class TestBench:
         pytest.param(lambda c: {**c, "train": {"default": {"epoch": 2}}},
                      id="unknown-default-key"),
         pytest.param(lambda c: {**c, "train": {"mf": {"lr": 0.1}}}, id="unknown-algo-key"),
+        # training always takes the repetition's split seed
+        pytest.param(lambda c: {**c, "train": {"default": {"seed": 1}}}, id="default-seed"),
+        pytest.param(lambda c: {**c, "train": {"mf": {"seed": 1}}}, id="algo-seed"),
         pytest.param(lambda c: {**c, "train": {"mf": {"epochs": "3"}}}, id="string-epochs"),
         pytest.param(lambda c: {**c, "train": {"mf": {"k": 2.5}}}, id="fractional-k"),
         pytest.param(lambda c: {**c, "train": {"mf": {"gamma": float("nan")}}},

@@ -7,7 +7,7 @@ from scipy import stats
 from reclab.analysis import fit_power_law
 from reclab.core import DatasetError
 from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
-                           generate_zipf, parse_comoda, parse_movielens, split,
+                           _cdf, generate_zipf, parse_comoda, parse_movielens, split,
                            write_movielens)
 
 
@@ -21,7 +21,6 @@ class TestParseMovielens:
         result = parse_movielens("7::9::3::123\n", MovieLensFormat.COLONS_1M)
         [r] = result.dataset.ratings
         assert r.value == 3
-        assert r.timestamp == 123
 
     def test_rating_above_scale_rejected(self):
         with pytest.raises(DatasetError):
@@ -35,6 +34,10 @@ class TestParseMovielens:
     def test_non_integer_rating_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_movielens("1\t2\tfive\t0\n", MovieLensFormat.TAB_100K)
+
+    def test_non_integer_timestamp_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_movielens("1\t2\t5\tnoon\n", MovieLensFormat.TAB_100K)
 
     def test_binary_stream_and_crlf(self):
         result = parse_movielens(io.BytesIO(b"1\t2\t4\t0\r\n3\t2\t2\t0\r\n"),
@@ -117,7 +120,7 @@ class TestSplit:
         combined = sorted(train.ratings + test.ratings,
                           key=lambda r: (r.user_id, r.item_id))
         assert combined == sorted(ds.ratings, key=lambda r: (r.user_id, r.item_id))
-        assert train.cells().isdisjoint(test.cells())
+        assert set(train.keys().tolist()).isdisjoint(test.keys().tolist())
 
     def test_metadata_carried_over(self):
         ds = generate_zipf(50, 30, 100, 1.0, 4, seed=0)
@@ -136,7 +139,54 @@ class TestSplit:
             split(empty, SplitSpec(0.2, 0))
 
 
+def sequential_zipf(n_users, n_items, n_ratings, exponent, r_max, seed):
+    """Reference for generate_zipf: the same draws, with each cell taken or
+    rejected one at a time."""
+    rng = np.random.default_rng(seed)
+    item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
+    item_cum = np.cumsum(item_weights / item_weights.sum())
+    values_pmf = np.arange(1, r_max + 1, dtype=np.float64)
+    values_cum = np.cumsum(values_pmf / values_pmf.sum())
+    rows = {}
+    for _ in range(200):
+        need = n_ratings - len(rows)
+        if need == 0:
+            break
+        batch = max(2 * need, 1024)
+        us = rng.integers(0, n_users, size=batch)
+        js = np.searchsorted(item_cum, rng.random(batch))
+        vs = np.searchsorted(values_cum, rng.random(batch)) + 1
+        for u, j, v in zip(us.tolist(), js.tolist(), vs.tolist()):
+            if len(rows) < n_ratings:
+                rows.setdefault((u, j), v)
+    for u in range(n_users):
+        for j in range(n_items):
+            if len(rows) < n_ratings and (u, j) not in rows:
+                rows[u, j] = int(np.searchsorted(values_cum, rng.random())) + 1
+    return [(u, j, v) for (u, j), v in rows.items()]
+
+
 class TestGenerateZipf:
+    @pytest.mark.parametrize("args", [
+        (30, 20, 200, 1.0, 5, 3),
+        (5, 5, 25, 1.0, 5, 0),
+        (40, 40, 400, 1.2, 4, 9),
+        # the tail items are never drawn, so the row-major fill completes the grid
+        (3, 40, 120, 8.0, 5, 1),
+    ])
+    def test_matches_sequential_reference(self, args):
+        ds = generate_zipf(*args)
+        assert [(r.user_id, r.item_id, r.value) for r in ds.ratings] == \
+            sequential_zipf(*args)
+
+    def test_cdf_last_bin_takes_every_draw_below_one(self):
+        # 10 items at exponent 1.2: the plain cumulative sum rounds down to
+        # 1 - 2**-52, so the largest draw, 1 - 2**-53, lands past the last item
+        weights = np.arange(1, 11, dtype=np.float64) ** -1.2
+        largest_draw = np.nextafter(1.0, 0.0)
+        assert np.searchsorted(np.cumsum(weights / weights.sum()), largest_draw) == 10
+        assert np.searchsorted(_cdf(weights), largest_draw) == 9
+
     def test_value_counts_proportional_to_value(self):
         ds = generate_zipf(300, 200, 15000, 1.0, 5, seed=2)
         counts = np.zeros(5)
@@ -166,7 +216,7 @@ class TestGenerateZipf:
     def test_no_duplicate_cells_and_exact_count(self):
         ds = generate_zipf(30, 30, 800, 1.0, 5, seed=1)
         assert len(ds) == 800
-        assert len(ds.cells()) == 800
+        assert len(set(ds.keys().tolist())) == 800
 
     def test_infeasible_count_rejected(self):
         with pytest.raises(DatasetError):
