@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -121,13 +121,53 @@ def _init_factors(n_rows: int, k: int, rng: np.random.Generator,
     return rng.uniform(lo, hi, size=(n_rows, k)) / np.sqrt(k)
 
 
+def _previous_occurrence(keys: np.ndarray) -> np.ndarray:
+    """For each position, the latest earlier position holding the same key,
+    or -1."""
+    n = len(keys)
+    # sorting key * n + position orders by key, then by position
+    key, pos = np.divmod(np.sort(keys * n + np.arange(n)), n)
+    same = key[1:] == key[:-1]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[pos[1:][same]] = pos[:-1][same]
+    return prev
+
+
+def conflict_free_runs(users: np.ndarray, items: np.ndarray) -> List[slice]:
+    """Cut a visit order into maximal consecutive runs in which no user and
+    no item repeats.
+
+    The SGD steps of one run read and write disjoint rows of U and of V, so
+    they commute: one batched update per run is the same algorithm as the
+    step-by-step loop (the interchangeable blocks of DSGD, Gemulla et al.
+    KDD 2011, applied serially). Each run ends just before the first row
+    whose user or item it already holds.
+    """
+    users, items = np.asarray(users), np.asarray(items)
+    n = len(users)
+    # last[p]: the latest position before p holding p's user or p's item
+    last = np.maximum(_previous_occurrence(users), _previous_occurrence(items))
+    # first[v]: the first p with last[p] == v. Its suffix minimum end[s] is
+    # the first p with last[p] >= s, where a run that starts at s ends.
+    first = np.full(n + 1, n)
+    repeats = np.flatnonzero(last >= 0)
+    np.minimum.at(first, last[repeats], repeats)
+    end = np.minimum.accumulate(first[::-1])[::-1]
+    bounds = [0]
+    while bounds[-1] < n:
+        bounds.append(int(end[bounds[-1]]))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     """Plain squared-loss matrix factorization fitted by SGD.
 
     Visits the observed ratings once per epoch in a seed-derived shuffled
     order (independent of the input row order), applying
     U_i += gamma * 2e * V_j and V_j += gamma * 2e * U_i with
-    e = R_ij - U_i . V_j. No biases, no regularization.
+    e = R_ij - U_i . V_j. No biases, no regularization. Each run of
+    `conflict_free_runs` over the order is one batched update, so the
+    factors equal those of visiting the ratings one at a time.
     """
     if len(train) == 0:
         raise ValueError("train set is empty")
@@ -135,17 +175,19 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     U = _init_factors(train.n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
     V = _init_factors(train.n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
     users, items, values = train.arrays()
-    n = len(users)
     for epoch in range(cfg.epochs):
+        order = rng.permutation(len(users))
+        us, js, rs = users[order], items[order], values[order]
         # overflow surfaces as non-finite factors, checked after each epoch
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in rng.permutation(n):
-                u, j, r = users[idx], items[idx], values[idx]
-                e = r - U[u] @ V[j]
-                step = cfg.gamma * 2.0 * e
-                u_old = U[u].copy()
-                U[u] += step * V[j]
-                V[j] += step * u_old
+            for run in conflict_free_runs(us, js):
+                u, j = us[run], js[run]
+                # take: the same rows as U[u], gathered with less overhead
+                u_rows, v_rows = U.take(u, axis=0), V.take(j, axis=0)
+                e = rs[run] - np.vecdot(u_rows, v_rows)
+                step = (cfg.gamma * 2.0 * e)[:, None]
+                U[u] = u_rows + step * v_rows
+                V[j] = v_rows + step * u_rows
         if not (np.isfinite(U).all() and np.isfinite(V).all()):
             raise TrainingError(f"mf_train diverged at epoch {epoch}", epoch=epoch)
     return FactorModel(U=U, V=V, k=cfg.k)

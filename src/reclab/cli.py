@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 input/config error, 2 numerical divergence.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import dataclasses
@@ -38,6 +37,12 @@ def _atomic_write(path: Path, content: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj) -> None:
+    # a NaN or infinity is an error, never written as invalid JSON
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
+                                   allow_nan=False) + "\n")
 
 
 def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
@@ -149,13 +154,17 @@ def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
     if algo == "random":
         mae = evaluation.random_baseline_mae(test, seed)
     else:
-        predictor = REGISTRY[algo].fit(algo, config, train, contexts, seed)
+        try:
+            predictor = REGISTRY[algo].fit(algo, config, train, contexts, seed)
+        except TrainingError as exc:
+            # name the registered algorithm and the seed; exc names the stage
+            raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
         mae = evaluation.mae(predictor, test)
     return EvalEntry(algo, mae, len(test))
 
 
 # Every config key `reclab bench` reads, by dotted path (parents first), with
-# its JSON type. A float key takes any finite number.
+# its JSON type. A float key takes any number; none may be NaN or infinite.
 _CONFIG_TYPES = {
     "dataset": dict, "dataset.path": str, "dataset.format": str,
     "split": dict, "split.test_fraction": float, "split.seed": int,
@@ -164,7 +173,7 @@ _CONFIG_TYPES = {
     "sigma_v": float, "fill_fraction": float, "repetitions": int, "out_dir": str,
 }
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
-                    int: "an integer", float: "a finite number"}
+                    int: "an integer", float: "a number"}
 # every TrainConfig field but `seed`, which is always the repetition's split seed
 _TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
 
@@ -173,6 +182,10 @@ def _check_config(config) -> None:
     """Raise ValueError for a malformed bench config, before any work."""
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    try:
+        json.dumps(config, allow_nan=False)
+    except ValueError:
+        raise ValueError("config must not contain NaN or infinity") from None
     for key in ("dataset", "algorithms"):
         if key not in config:
             raise ValueError(f"config missing required key {key!r}")
@@ -182,8 +195,7 @@ def _check_config(config) -> None:
         if key not in section:
             continue
         value = section[key]
-        ok = (isinstance(value, (int, float)) and math.isfinite(value)
-              if kind is float else isinstance(value, kind))
+        ok = isinstance(value, (int, float) if kind is float else kind)
         if not ok or isinstance(value, bool):
             raise ValueError(f"config key {path!r} must be "
                              f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
@@ -220,8 +232,7 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     out_dir = out_dir or Path(config.get("out_dir", "reclab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {**config, "split": split_config}
-    _atomic_write(out_dir / "manifest.json",
-                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
     reports = []
     for rep in range(repetitions):
@@ -248,8 +259,7 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
                   "mae_std": float(np.std(vals))}
                  for algo, vals in by_algo.items()],
     }
-    _atomic_write(out_dir / "aggregate.json",
-                  json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "aggregate.json", aggregate)
     return reports
 
 

@@ -273,8 +273,9 @@ class EvalEntry:
     n_test_predictions: int
 
     def __post_init__(self):
-        if self.mae < 0:
-            raise ValueError("mae must be >= 0")
+        if not (math.isfinite(self.mae) and self.mae >= 0):
+            raise ValueError(f"{self.algorithm}: mae must be finite and >= 0, "
+                             f"got {self.mae}")
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["algo,mae,n"]

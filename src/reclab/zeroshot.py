@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import _init_factors, mf_train
+from .baselines import _init_factors, conflict_free_runs, mf_train
 from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
                    TrainConfig, TrainingError, clamp_prediction)
 
@@ -36,43 +36,46 @@ class TrainStats:
     epochs_run: int = 0
 
 
+# The three shape-only step rules take matching rows u_vec, v_vec of shape
+# (..., k): one pair of 1-D vectors, or a batch of pairs that share no user
+# and no item. They return the updated rows, computed from the pre-update
+# ones, and a (...)-shaped mask of the rows whose dot product p was clamped.
+
 def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                 eps_floor: float) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """One update: U += gamma (V/p - 2U), V += gamma (U/p - 2V), with the
-    dot product p floored at eps_floor. Both sides use the pre-update
-    vectors."""
-    p = float(u_vec @ v_vec)
+                 eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U += gamma (V/p - 2U), V += gamma (U/p - 2V), with the dot product p
+    floored at eps_floor."""
+    p = np.vecdot(u_vec, v_vec)
     clamped = p < eps_floor
-    p = max(p, eps_floor)
+    p = np.maximum(p, eps_floor)[..., None]
     new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
     new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
     return new_u, new_v, clamped
 
 
 def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                eps_floor: float) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """One update of the simplified rule: with p clamped to
-    [eps_floor, DOTMAT_P_MAX] and g = p**p,
-    U -= gamma * g * sign(g - p) * (1 + ln p) * V (and symmetrically).
-    p = 1 is an exact fixed point since sign(0) = 0."""
-    p = float(u_vec @ v_vec)
-    clamped = p < eps_floor or p > DOTMAT_P_MAX
-    p = min(max(p, eps_floor), DOTMAT_P_MAX)
+                eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The simplified rule: with p clamped to [eps_floor, DOTMAT_P_MAX] and
+    g = p**p, U -= gamma * g * sign(g - p) * (1 + ln p) * V (and
+    symmetrically). p = 1 is an exact fixed point since sign(0) = 0."""
+    p = np.vecdot(u_vec, v_vec)
+    clamped = (p < eps_floor) | (p > DOTMAT_P_MAX)
+    p = np.minimum(np.maximum(p, eps_floor), DOTMAT_P_MAX)
     g = p ** p
-    coef = gamma * g * float(np.sign(g - p)) * (1.0 + math.log(p))
+    coef = (gamma * g * np.sign(g - p) * (1.0 + np.log(p)))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
     return new_u, new_v, clamped
 
 
 def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                    eps_floor: float) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """One update: U -= gamma ((p+1)/p + ln p - 1) V (and symmetrically),
-    with p floored at eps_floor."""
-    p = float(u_vec @ v_vec)
+                    eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U -= gamma ((p+1)/p + ln p - 1) V (and symmetrically), with p floored
+    at eps_floor."""
+    p = np.vecdot(u_vec, v_vec)
     clamped = p < eps_floor
-    p = max(p, eps_floor)
-    coef = gamma * ((p + 1.0) / p + math.log(p) - 1.0)
+    p = np.maximum(p, eps_floor)
+    coef = (gamma * ((p + 1.0) / p + np.log(p) - 1.0))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
     return new_u, new_v, clamped
@@ -107,7 +110,10 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
                    cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
     """Train ZeroMat, DotMat or PoissonMat from the matrix shape alone: each
     epoch applies the algorithm's step rule to samples_per_epoch uniformly
-    drawn grid cells."""
+    drawn grid cells, in draw order. Each run of `conflict_free_runs` over
+    the draws is one batched step, which matches stepping one cell at a time
+    up to the last bits of numpy's log and power; stats adds up the clamp
+    masks."""
     rng = np.random.default_rng(cfg.seed)
     U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
     V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
@@ -117,10 +123,12 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
         js = rng.integers(0, n_items, size=cfg.samples_per_epoch)
         # overflow surfaces as non-finite factors, checked after each epoch
         with np.errstate(over="ignore", invalid="ignore"):
-            for u, j in zip(us, js):
-                U[u], V[j], clamped = step(U[u], V[j], cfg.gamma, cfg.eps_floor)
-                if clamped and stats is not None:
-                    stats.clamp_activations += 1
+            for run in conflict_free_runs(us, js):
+                u, j = us[run], js[run]
+                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
+                                            cfg.gamma, cfg.eps_floor)
+                if stats is not None:
+                    stats.clamp_activations += int(np.count_nonzero(clamped))
         if not (np.isfinite(U).all() and np.isfinite(V).all()):
             raise TrainingError(f"{algo.value} diverged at epoch {epoch}", epoch=epoch)
         if stats is not None:

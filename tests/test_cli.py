@@ -163,6 +163,30 @@ class TestBench:
         result = runner.invoke(main, ["bench", "--config", str(config),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+        assert result.output == "error: mf (seed 42): mf_train diverged at epoch 0\n"
+
+    def test_hybrid_divergence_names_the_hybrid(self, runner, fixture_file, tmp_path):
+        # the MF stage diverges; the message names the registered hybrid
+        config = bench_config(fixture_file, tmp_path, ["dotmat-hybrid"],
+                              split={"test_fraction": 0.2, "seed": 7},
+                              train={"mf": {"gamma": 80.0, "epochs": 5}})
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == ("error: dotmat-hybrid (seed 7): "
+                                 "mf_train diverged at epoch 0\n")
+
+    def test_non_finite_mae_exits_one(self, runner, fixture_file, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr("reclab.evaluation.random_baseline_mae",
+                            lambda test, seed: float("nan"))
+        config = bench_config(fixture_file, tmp_path, ["random"])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "mae must be finite" in result.output
+        assert not (out / "report_seed42.json").exists()
 
     def test_missing_config_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["bench", "--config",
@@ -208,6 +232,8 @@ class TestBench:
         pytest.param(lambda c: {**c, "train": {"zeromat": {"samples_per_epoch": 0}}},
                      id="zero-samples-per-epoch"),
         pytest.param(lambda c: {**c, "sigma_u": 0}, id="zero-sigma"),
+        # json.loads accepts NaN, which would make the manifest invalid JSON
+        pytest.param(lambda c: {**c, "note": float("nan")}, id="nan-unread-key"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,

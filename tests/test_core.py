@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,18 @@ class TestEvalReport:
     def test_negative_mae_rejected(self):
         with pytest.raises(ValueError):
             EvalEntry("x", -0.1, 10)
+
+    @pytest.mark.parametrize("mae", [float("nan"), float("inf")])
+    def test_non_finite_mae_rejected(self, mae):
+        # NaN passes a plain `mae < 0` check
+        with pytest.raises(ValueError, match="finite"):
+            EvalEntry("mf", mae, 3)
+
+    def test_to_json_refuses_nan(self):
+        # an entry that skipped EvalEntry's check still never becomes "NaN"
+        entry = SimpleNamespace(algorithm="mf", mae=float("nan"), n_test_predictions=3)
+        with pytest.raises(ValueError):
+            EvalReport((entry,), 0.2, 1).to_json()
 
     def test_json_and_csv_shapes(self):
         report = EvalReport(entries=(EvalEntry("mf", 0.8, 100),),

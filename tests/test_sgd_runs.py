@@ -1,0 +1,257 @@
+"""The conflict-free run kernel: `conflict_free_runs`, and `mf_train` and
+`train_zeroshot` against reference copies of the one-step-at-a-time loops
+they replace."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from reclab.baselines import _init_factors, conflict_free_runs, mf_train
+from reclab.core import RatingsDataset, TrainConfig, TrainingError
+from reclab.ingest import generate_zipf
+from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, ZeroShotAlgo, dotmat_step,
+                             poissonmat_step, train_zeroshot, zeromat_step)
+
+TOL = 1e-12
+
+
+# --- reference loops: one numpy step per rating or per drawn cell ---------
+
+def reference_mf_train(train, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    U = _init_factors(train.n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    V = _init_factors(train.n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    users, items, values = train.arrays()
+    for epoch in range(cfg.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in rng.permutation(len(users)):
+                u, j, r = users[idx], items[idx], values[idx]
+                e = r - U[u] @ V[j]
+                step = cfg.gamma * 2.0 * e
+                u_old = U[u].copy()
+                U[u] += step * V[j]
+                V[j] += step * u_old
+        if not (np.isfinite(U).all() and np.isfinite(V).all()):
+            raise TrainingError(f"mf_train diverged at epoch {epoch}", epoch=epoch)
+    return U, V
+
+
+def scalar_zeromat_step(u_vec, v_vec, gamma, eps_floor):
+    p = float(u_vec @ v_vec)
+    clamped = p < eps_floor
+    p = max(p, eps_floor)
+    new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
+    new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
+    return new_u, new_v, clamped
+
+
+def scalar_dotmat_step(u_vec, v_vec, gamma, eps_floor):
+    p = float(u_vec @ v_vec)
+    clamped = p < eps_floor or p > DOTMAT_P_MAX
+    p = min(max(p, eps_floor), DOTMAT_P_MAX)
+    g = p ** p
+    coef = gamma * g * float(np.sign(g - p)) * (1.0 + math.log(p))
+    return u_vec - coef * v_vec, v_vec - coef * u_vec, clamped
+
+
+def scalar_poissonmat_step(u_vec, v_vec, gamma, eps_floor):
+    p = float(u_vec @ v_vec)
+    clamped = p < eps_floor
+    p = max(p, eps_floor)
+    coef = gamma * ((p + 1.0) / p + math.log(p) - 1.0)
+    return u_vec - coef * v_vec, v_vec - coef * u_vec, clamped
+
+
+SCALAR_STEP = {
+    ZeroShotAlgo.ZEROMAT: scalar_zeromat_step,
+    ZeroShotAlgo.DOTMAT: scalar_dotmat_step,
+    ZeroShotAlgo.POISSONMAT: scalar_poissonmat_step,
+}
+BATCHED_STEP = {
+    ZeroShotAlgo.ZEROMAT: zeromat_step,
+    ZeroShotAlgo.DOTMAT: dotmat_step,
+    ZeroShotAlgo.POISSONMAT: poissonmat_step,
+}
+
+
+def reference_train_zeroshot(algo, n_users, n_items, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    step = SCALAR_STEP[algo]
+    clamps = epochs_run = 0
+    for epoch in range(cfg.epochs):
+        us = rng.integers(0, n_users, size=cfg.samples_per_epoch)
+        js = rng.integers(0, n_items, size=cfg.samples_per_epoch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u, j in zip(us, js):
+                U[u], V[j], clamped = step(U[u], V[j], cfg.gamma, cfg.eps_floor)
+                clamps += bool(clamped)
+        if not (np.isfinite(U).all() and np.isfinite(V).all()):
+            raise TrainingError(f"{algo.value} diverged at epoch {epoch}", epoch=epoch)
+        epochs_run = epoch + 1
+    return U, V, clamps, epochs_run
+
+
+# --- conflict_free_runs ----------------------------------------------------
+
+def check_runs(users, items):
+    users, items = np.asarray(users), np.asarray(items)
+    runs = conflict_free_runs(users, items)
+    n = len(users)
+    if n == 0:
+        assert runs == []
+        return runs
+    # in order, without gaps or overlaps, covering range(n)
+    assert runs[0].start == 0 and runs[-1].stop == n
+    for a, b in zip(runs, runs[1:]):
+        assert a.stop == b.start
+    for run in runs:
+        assert run.start < run.stop
+        u, j = users[run].tolist(), items[run].tolist()
+        assert len(set(u)) == len(u) and len(set(j)) == len(j)
+    # maximal: the row after a run repeats one of the run's users or items
+    for a in runs[:-1]:
+        nxt = a.stop
+        assert (users[nxt] in users[a].tolist()
+                or items[nxt] in items[a].tolist())
+    return runs
+
+
+class TestConflictFreeRuns:
+    def test_empty(self):
+        check_runs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def test_single_row(self):
+        assert check_runs([3], [7]) == [slice(0, 1)]
+
+    def test_one_user_gives_single_rows(self):
+        runs = check_runs([2] * 5, [0, 1, 2, 3, 4])
+        assert [(r.start, r.stop) for r in runs] == [(i, i + 1) for i in range(5)]
+
+    def test_distinct_rows_form_one_run(self):
+        assert check_runs([0, 1, 2], [2, 0, 1]) == [slice(0, 3)]
+
+    def test_hand_cut(self):
+        # item 1 repeats at position 2 and user 2 at position 4; user 0 at
+        # position 5 last appeared in an earlier run
+        runs = check_runs([0, 1, 2, 3, 2, 0], [0, 1, 1, 2, 3, 4])
+        assert [(r.start, r.stop) for r in runs] == [(0, 2), (2, 4), (4, 6)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n_ids: st.lists(
+        st.tuples(st.integers(0, n_ids), st.integers(0, n_ids)), max_size=60)))
+    def test_property(self, pairs):
+        users = np.array([u for u, _ in pairs], dtype=np.int64)
+        items = np.array([j for _, j in pairs], dtype=np.int64)
+        check_runs(users, items)
+
+
+# --- batched step rules against row-by-row application --------------------
+
+rows = st.integers(1, 12).flatmap(lambda n: st.integers(1, 6).flatmap(
+    lambda k: st.tuples(*[hnp.arrays(np.float64, (n, k),
+                                     elements=st.floats(-3.0, 3.0))] * 2)))
+
+
+class TestBatchedStepRules:
+    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
+    @settings(max_examples=100, deadline=None)
+    @given(batch=rows, gamma=st.floats(0.0, 0.1),
+           eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
+    def test_batch_equals_rows(self, algo, batch, gamma, eps_floor):
+        U, V = batch
+        new_u, new_v, clamped = BATCHED_STEP[algo](U, V, gamma, eps_floor)
+        assert new_u.shape == U.shape and new_v.shape == V.shape
+        assert clamped.shape == (U.shape[0],)
+        for i in range(U.shape[0]):
+            for rule in (BATCHED_STEP[algo], SCALAR_STEP[algo]):
+                row_u, row_v, row_clamped = rule(U[i], V[i], gamma, eps_floor)
+                np.testing.assert_allclose(new_u[i], row_u, rtol=TOL, atol=TOL)
+                np.testing.assert_allclose(new_v[i], row_v, rtol=TOL, atol=TOL)
+                assert bool(clamped[i]) == bool(row_clamped)
+
+
+# --- trainers against the reference loops ---------------------------------
+
+def zipf_dataset(seed=3):
+    return generate_zipf(40, 60, 900, 1.2, 5, seed=seed)
+
+
+def uniform_dataset(seed=4):
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(50 * 70, size=1200, replace=False)
+    return RatingsDataset.from_columns(cells // 70, cells % 70,
+                                       rng.integers(1, 6, size=1200), 50, 70, 5)
+
+
+class TestMfMatchesReference:
+    @pytest.mark.parametrize("make", [zipf_dataset, uniform_dataset],
+                             ids=["zipf", "uniform"])
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(gamma=0.01, k=5, epochs=4, seed=9),
+        TrainConfig(gamma=0.002, k=10, epochs=3, seed=2, init_lo=1e-9, init_hi=1e-8),
+    ], ids=["default-init", "tiny-init"])
+    def test_factors_match(self, make, cfg):
+        train = make()
+        ref_u, ref_v = reference_mf_train(train, cfg)
+        model = mf_train(train, cfg)
+        np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
+
+    def test_zipf_runs_are_short(self):
+        # the skewed fixture exercises many short runs, not a few long ones
+        train = zipf_dataset()
+        users, items, _ = train.arrays()
+        order = np.random.default_rng(0).permutation(len(users))
+        runs = conflict_free_runs(users[order], items[order])
+        assert len(train) / len(runs) < 8
+
+    def test_divergence_epoch_matches(self):
+        train = uniform_dataset()
+        cfg = TrainConfig(gamma=80.0, k=4, epochs=5, seed=1)
+        with pytest.raises(TrainingError) as ref:
+            reference_mf_train(train, cfg)
+        with pytest.raises(TrainingError) as got:
+            mf_train(train, cfg)
+        assert got.value.epoch == ref.value.epoch
+
+
+ZS_GAMMA = {ZeroShotAlgo.ZEROMAT: 0.002, ZeroShotAlgo.DOTMAT: 0.005,
+            ZeroShotAlgo.POISSONMAT: 2e-5}
+
+
+class TestZeroShotMatchesReference:
+    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
+    @pytest.mark.parametrize("shape,init", [
+        ((40, 60, 2000), {}),
+        ((30, 25, 1500), {"init_lo": 1e-9, "init_hi": 1e-8}),
+        ((3, 200, 600), {}),
+    ], ids=["default-init", "clamp-heavy", "few-users"])
+    def test_factors_and_counters_match(self, algo, shape, init):
+        n_users, n_items, samples = shape
+        # two epochs: PoissonMat from the tiny init diverges in the third
+        cfg = TrainConfig(gamma=ZS_GAMMA[algo], k=6, epochs=2, seed=11,
+                          samples_per_epoch=samples, **init)
+        ref_u, ref_v, ref_clamps, ref_epochs = reference_train_zeroshot(
+            algo, n_users, n_items, cfg)
+        stats = TrainStats()
+        model = train_zeroshot(algo, n_users, n_items, cfg, stats)
+        np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
+        assert stats.clamp_activations == ref_clamps
+        assert stats.epochs_run == ref_epochs
+        if init:
+            assert ref_clamps > 0
+
+    def test_divergence_epoch_matches(self):
+        cfg = TrainConfig(gamma=50.0, k=4, epochs=5, seed=1, samples_per_epoch=400)
+        with pytest.raises(TrainingError) as ref:
+            reference_train_zeroshot(ZeroShotAlgo.ZEROMAT, 20, 20, cfg)
+        with pytest.raises(TrainingError) as got:
+            train_zeroshot(ZeroShotAlgo.ZEROMAT, 20, 20, cfg)
+        assert got.value.epoch == ref.value.epoch
