@@ -10,7 +10,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import FactorModel, RatingsDataset, TrainConfig, TrainingError, clamp_prediction
+from .core import FactorModel, RatingsDataset, TrainConfig, TrainingError
+from .evaluation import Predictor
 
 
 class SimilarityKind(Enum):
@@ -18,24 +19,56 @@ class SimilarityKind(Enum):
     ADJUSTED_COSINE = "adjusted_cosine"
 
 
+# Item-CF materializes at most this many (rating, rating) pairs at a time,
+# when it builds similarities and when it predicts. It bounds memory, not
+# results: each block's outputs are final.
+PAIR_BLOCK = 1 << 14
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric item-item similarity scores; the diagonal is never used
-    for neighbor selection."""
+    """Symmetric item-item similarity scores of the co-rated pairs.
 
-    values: np.ndarray
+    scores[k] belongs to the pair (i, j) with keys[k] = i * n_items + j.
+    The keys are strictly increasing and only nonzero scores are stored;
+    every absent pair scores 0. The diagonal is never used for neighbor
+    selection.
+    """
+
+    n_items: int
+    keys: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        keys = np.array(self.keys, dtype=np.int64)
+        scores = np.array(self.scores, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != scores.shape:
+            raise ValueError("keys and scores must be 1-d and of one length")
+        if (np.diff(keys) <= 0).any():
+            raise ValueError("keys must be strictly increasing")
+        for name, value in (("keys", keys), ("scores", scores)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def lookup(self, i, j) -> np.ndarray:
+        """The scores of the pairs (i[k], j[k]); 0.0 for a pair not stored."""
+        query = (np.asarray(i, dtype=np.int64) * self.n_items
+                 + np.asarray(j, dtype=np.int64))
+        if not len(self.keys):
+            return np.zeros(query.shape)
+        pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
+        return np.where(self.keys[pos] == query, self.scores[pos], 0.0)
 
     def to_json(self) -> str:
-        return json.dumps(self.values.tolist())
+        return json.dumps({"n_items": self.n_items, "keys": self.keys.tolist(),
+                           "scores": self.scores.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "SimilarityMatrix":
-        return cls(values=np.asarray(json.loads(text), dtype=np.float64))
+        obj = json.loads(text)
+        return cls(n_items=int(obj["n_items"]),
+                   keys=np.asarray(obj["keys"], dtype=np.int64),
+                   scores=np.asarray(obj["scores"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -48,43 +81,99 @@ class CfConfig:
             raise ValueError("neighborhood_size must be >= 1")
 
 
+def _blocks(counts: np.ndarray, cap: int) -> List[slice]:
+    """Cut range(len(counts)) into consecutive slices whose counts sum to at
+    most cap, or that hold a single index."""
+    ends = np.cumsum(counts)
+    bounds = [0]
+    while bounds[-1] < len(counts):
+        start = bounds[-1]
+        reached = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, reached + cap, side="right"))
+        bounds.append(max(stop, start + 1))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _expand(starts: np.ndarray, lengths: np.ndarray):
+    """The ranges starts[k]:starts[k] + lengths[k], concatenated, as
+    (owner, position): position runs through each range and owner is its k."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) - offsets[owner] + starts[owner]
+
+
 def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> SimilarityMatrix:
-    """Dense item-item similarity matrix.
+    """Item-item similarities of every co-rated pair.
 
     COSINE treats each item's column of the rating matrix (0 for missing)
     as its vector. ADJUSTED_COSINE first subtracts each user's mean rating
     and restricts norms to the co-rating users. Pairs without co-raters
-    score 0.
+    score 0 and are not stored.
+
+    Each rating is paired with every rating of the same user, a block of
+    anchor items at a time, and the terms of each pair are summed in user
+    order. So memory grows with the number of co-rated pairs, not with
+    n_users * n_items, and adjusted-cosine scores are exactly symmetric.
+    Cosine numerators and norms are sums of integers, so they are exact.
     """
     if len(train) == 0:
         raise ValueError("train set is empty")
-    dense = train.to_dense()
-    rated = dense > 0
-
-    if kind is SimilarityKind.COSINE:
-        norms = np.linalg.norm(dense, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = (dense.T @ dense) / np.outer(norms, norms)
-        sims[~np.isfinite(sims)] = 0.0
+    n_items = train.n_items
+    users, items, values = train.arrays()
+    # user u's ratings are bounds[u]:bounds[u + 1], ordered by item
+    bounds = np.searchsorted(users, np.arange(train.n_users + 1))
+    degree = np.diff(bounds)
+    adjusted = kind is SimilarityKind.ADJUSTED_COSINE
+    if adjusted:
+        sums = np.bincount(users, weights=values, minlength=train.n_users)
+        values = values - (sums / np.maximum(degree, 1))[users]
     else:
-        counts = rated.sum(axis=1)
-        user_means = np.divide(dense.sum(axis=1), counts,
-                               out=np.zeros(train.n_users), where=counts > 0)
-        centered = np.where(rated, dense - user_means[:, None], 0.0)
-        num = centered.T @ centered
-        # sq_on[i, j] = sum over co-raters of centered[u, i]^2
-        sq_on = (centered ** 2).T @ rated.astype(np.float64)
+        norms = np.sqrt(np.bincount(items, weights=values ** 2, minlength=n_items))
+
+    # anchors: the ratings ordered by (item, user); item i's are
+    # anchors[item_bounds[i]:item_bounds[i + 1]]
+    anchors = np.argsort(items, kind="stable")
+    item_bounds = np.searchsorted(items[anchors], np.arange(n_items + 1))
+    pairs_per_item = np.bincount(items, weights=degree[users], minlength=n_items)
+
+    all_keys, all_scores = [], []
+    for block in _blocks(pairs_per_item, PAIR_BLOCK):
+        anchor = anchors[item_bounds[block.start]:item_bounds[block.stop]]
+        owner, partner = _expand(bounds[users[anchor]], degree[users[anchor]])
+        if not len(owner):
+            continue
+        anchor = anchor[owner]
+        # Sorting key * m + position orders by key, then by position, which
+        # is user order within each key. Keys count from the block's first
+        # item to keep that product far below 2**63. Blocks hold ascending
+        # anchor items, so no key occurs in two blocks.
+        m = len(anchor)
+        local = (items[anchor] - block.start) * n_items + items[partner]
+        local, pos = np.divmod(np.sort(local * m + np.arange(m)), m)
+        starts = np.flatnonzero(np.concatenate(([True], local[1:] != local[:-1])))
+        keys = local[starts] + block.start * n_items
+        x, y = values[anchor], values[partner]
+        num = np.add.reduceat((x * y)[pos], starts)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sims = num / np.sqrt(sq_on * sq_on.T)
-        sims[~np.isfinite(sims)] = 0.0
-    np.clip(sims, -1.0, 1.0, out=sims)
-    return SimilarityMatrix(values=sims)
+            if adjusted:
+                scores = num / np.sqrt(np.add.reduceat((x * x)[pos], starts)
+                                       * np.add.reduceat((y * y)[pos], starts))
+            else:
+                i, j = np.divmod(keys, n_items)
+                scores = num / (norms[i] * norms[j])
+        scores[~np.isfinite(scores)] = 0.0
+        np.clip(scores, -1.0, 1.0, out=scores)
+        stored = scores != 0.0
+        all_keys.append(keys[stored])
+        all_scores.append(scores[stored])
+    return SimilarityMatrix(n_items=n_items, keys=np.concatenate(all_keys),
+                            scores=np.concatenate(all_scores))
 
 
-class CfPredictor:
+class CfPredictor(Predictor):
     """Item-based CF: the similarity-weighted average of u's ratings on i's
     nearest neighbors, clamped to the scale, or the global train mean when
-    no neighbor qualifies. Caches per-user rated-item lists."""
+    no neighbor qualifies."""
 
     def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
                  cfg: Optional[CfConfig] = None):
@@ -92,28 +181,37 @@ class CfPredictor:
         self.cfg = cfg or CfConfig()
         self.r_max = train.r_max
         self.fallback = train.global_mean()
-        users, items, values = train.arrays()
-        # user u's rows are bounds[u]:bounds[u + 1] in canonical order
-        bounds = np.searchsorted(users, np.arange(train.n_users + 1)).tolist()
-        self._user_items = [items[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-        self._user_values = [values[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        users, self._items, self._values = train.arrays()
+        # user u's rated items are _items[_bounds[u]:_bounds[u + 1]]
+        self._bounds = np.searchsorted(users, np.arange(train.n_users + 1))
 
-    def predict(self, u: int, i: int) -> float:
-        items = self._user_items[u]
-        if not items:
-            return clamp_prediction(self.fallback, self.r_max)
-        sims_row = self.sims.values[i]
-        candidates = [(sims_row[j], j, v)
-                      for j, v in zip(items, self._user_values[u])
-                      if j != i and sims_row[j] != 0.0]
-        if not candidates:
-            return clamp_prediction(self.fallback, self.r_max)
-        # most similar first; ties broken by lower item index
-        candidates.sort(key=lambda t: (-t[0], t[1]))
-        top = candidates[: self.cfg.neighborhood_size]
-        num = sum(s * v for s, _, v in top)
-        den = sum(abs(s) for s, _, _ in top)
-        return clamp_prediction(num / den, self.r_max)
+    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Each cell's candidates are u's rated items j other than i with a
+        nonzero score s_ij. The top neighborhood_size of them, most similar
+        first and ties to the lower j, give sum(s * r) / sum(|s|), added in
+        that order."""
+        users, items = np.asarray(users), np.asarray(items)
+        first = self._bounds[users]
+        counts = self._bounds[users + 1] - first
+        preds = np.full(len(users), self.fallback)
+        for rows in _blocks(counts, PAIR_BLOCK):
+            row, pos = _expand(first[rows], counts[rows])
+            target, j = items[rows][row], self._items[pos]
+            s = self.sims.lookup(target, j)
+            keep = (j != target) & (s != 0.0)
+            row, s, r = row[keep], s[keep], self._values[pos][keep]
+            # j ascends within each row and lexsort is stable, so this
+            # orders by (row, -s, j)
+            order = np.lexsort((-s, row))
+            row, s, r = row[order], s[order], r[order]
+            rank = np.arange(len(row)) - np.searchsorted(row, row)
+            top = rank < self.cfg.neighborhood_size
+            n = rows.stop - rows.start
+            # bincount adds each row's terms in array order, as the rank order
+            num = np.bincount(row[top], weights=(s * r)[top], minlength=n)
+            den = np.bincount(row[top], weights=np.abs(s[top]), minlength=n)
+            np.divide(num, den, out=preds[rows], where=den > 0)
+        return np.clip(preds, 1.0, self.r_max)
 
 
 def _init_factors(n_rows: int, k: int, rng: np.random.Generator,
@@ -193,8 +291,16 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     return FactorModel(U=U, V=V, k=cfg.k)
 
 
-def mf_predict(model: FactorModel, u: int, i: int, r_max: int) -> float:
-    return clamp_prediction(float(model.U[u] @ model.V[i]), r_max)
+class MfPredictor(Predictor):
+    """The factor model's dot product U_u . V_i, clamped to [1, r_max]."""
+
+    def __init__(self, model: FactorModel, r_max: int):
+        self.model = model
+        self.r_max = r_max
+
+    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        scores = np.vecdot(self.model.U[users], self.model.V[items])
+        return np.clip(scores, 1.0, self.r_max)
 
 
 def mf_loss(train: RatingsDataset, U: np.ndarray, V: np.ndarray) -> float:

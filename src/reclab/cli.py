@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import dataclasses
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -18,11 +17,11 @@ import click
 import numpy as np
 
 from . import evaluation, ingest
-from .baselines import (CfConfig, CfPredictor, SimilarityKind, item_similarities,
-                        mf_predict, mf_train)
+from .baselines import (CfConfig, CfPredictor, MfPredictor, SimilarityKind,
+                        item_similarities, mf_train)
 from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
                    TrainConfig, TrainingError)
-from .evaluation import NamedPredictor, Predictor
+from .evaluation import Predictor
 from .ingest import MovieLensFormat, ParseError, ParseResult, SchemaError, SplitSpec
 from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, hybrid_train,
                        powermat_train, train_zeroshot)
@@ -81,7 +80,7 @@ def _fit_itemcf(algo, config, train, contexts, seed) -> Predictor:
 
 def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
     model = mf_train(train, _train_config(config, algo, seed, len(train)))
-    return NamedPredictor(algo, partial(mf_predict, model, r_max=train.r_max))
+    return MfPredictor(model, train.r_max)
 
 
 def _fit_shape_only(algo, config, train, contexts, seed) -> Predictor:
@@ -110,7 +109,7 @@ def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
     model = hybrid_train(train, base, _train_config(config, algo, seed, len(train)),
                          fill_fraction=config.get("fill_fraction", 1.0),
                          mf_cfg=_train_config(config, "mf", seed, len(train)))
-    return NamedPredictor(algo, partial(mf_predict, model, r_max=train.r_max))
+    return MfPredictor(model, train.r_max)
 
 
 class Algorithm(NamedTuple):
@@ -201,9 +200,19 @@ def _check_config(config) -> None:
                              f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
     if not all(isinstance(c, str) for c in config.get("context_columns", [])):
         raise ValueError("config key 'context_columns' must list strings")
-    unknown = [a for a in config["algorithms"] if a not in ALGORITHMS]
+    if config.get("repetitions", 1) < 1:
+        raise ValueError(f"config key 'repetitions' must be >= 1, "
+                         f"got {config['repetitions']}")
+    algorithms = config["algorithms"]
+    if not algorithms:
+        raise ValueError("config key 'algorithms' must name at least one algorithm")
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}; registry: {ALGORITHMS}")
+    # the aggregate pools a report's rows by name, so a repeat would merge two rows
+    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+    if repeated:
+        raise ValueError(f"algorithms listed more than once: {repeated}")
     for section, keys in config.get("train", {}).items():
         if section != "default" and section not in REGISTRY:
             raise ValueError(f"unknown train section {section!r}; expected "

@@ -133,12 +133,6 @@ class RatingsDataset:
         return (self.users[order], self.items[order],
                 self.values[order].astype(np.float64))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense n_users x n_items matrix, 0 for missing cells."""
-        dense = np.zeros((self.n_users, self.n_items))
-        dense[self.users, self.items] = self.values
-        return dense
-
 
 @dataclass(frozen=True)
 class ContextSample:

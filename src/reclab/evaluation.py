@@ -3,38 +3,34 @@ baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from abc import ABC, abstractmethod
 
 import numpy as np
 
 from .core import DatasetError, RatingsDataset
 
 
-class Predictor(Protocol):
+class Predictor(ABC):
     """Uniform prediction interface: total over in-range (u, i) and always
-    within [1, r_max]."""
+    within [1, r_max]. A predictor implements `predict_many`; `predict` is
+    the one-cell case of it."""
 
-    def predict(self, u: int, i: int) -> float: ...
-
-
-@dataclass(frozen=True)
-class NamedPredictor:
-    name: str
-    fn: Callable[[int, int], float]
+    @abstractmethod
+    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Float predictions for the cells (users[k], items[k])."""
 
     def predict(self, u: int, i: int) -> float:
-        return self.fn(u, i)
+        return float(self.predict_many(np.array([u]), np.array([i]))[0])
 
 
 def mae(predictor: Predictor, test: RatingsDataset) -> float:
     """Mean absolute error over the observed test cells."""
     if len(test) == 0:
         raise DatasetError("empty test set")
-    total = 0.0
-    for u, i, v in zip(test.users.tolist(), test.items.tolist(), test.values.tolist()):
-        total += abs(predictor.predict(u, i) - v)
-    return total / len(test)
+    errors = np.abs(predictor.predict_many(test.users, test.items) - test.values)
+    # a running total in row order adds the errors one at a time, so the
+    # result does not depend on numpy's pairwise summation
+    return float(np.cumsum(errors)[-1]) / len(test)
 
 
 def random_baseline_mae(test: RatingsDataset, seed: int) -> float:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .baselines import _init_factors, conflict_free_runs, mf_train
 from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
-                   TrainConfig, TrainingError, clamp_prediction)
+                   TrainConfig, TrainingError)
+from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
 
@@ -188,7 +189,7 @@ def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
                          sigma_u=sigma_u, sigma_v=sigma_v)
 
 
-class ZeroShotPredictor:
+class ZeroShotPredictor(Predictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
     r_max * (U_u . V_i) / max_j(U_u . V_j), with the per-user maximum
     cached once and floored at eps_floor."""
@@ -199,9 +200,9 @@ class ZeroShotPredictor:
         self._scores = model.U @ model.V.T
         self._row_max = np.maximum(self._scores.max(axis=1), eps_floor)
 
-    def predict(self, u: int, i: int) -> float:
-        raw = self.r_max * self._scores[u, i] / self._row_max[u]
-        return clamp_prediction(raw, self.r_max)
+    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        raw = self.r_max * self._scores[users, items] / self._row_max[users]
+        return np.clip(raw, 1.0, self.r_max)
 
 
 def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
@@ -221,17 +222,19 @@ def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
     n_fill = min(n_fill, train.n_users * train.n_items - len(train))
     rng = np.random.default_rng(cfg.seed)
     taken = set(train.keys().tolist())
-    filled = []
-    while len(filled) < n_fill:
+    users, items = [], []
+    while len(users) < n_fill:
         u = int(rng.integers(0, train.n_users))
         j = int(rng.integers(0, train.n_items))
         key = u * train.n_items + j
         if key in taken:
             continue
         taken.add(key)
-        value = int(round(predictor.predict(u, j)))
-        filled.append((u, j, min(max(value, 1), train.r_max)))
-    users, items, values = np.array(filled, dtype=np.int64).reshape(-1, 3).T
+        users.append(u)
+        items.append(j)
+    users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    # predictions lie in [1, r_max]; rint rounds halves to even, as round() does
+    values = np.rint(predictor.predict_many(users, items)).astype(np.int64)
     users = np.concatenate([train.users, users])
     items = np.concatenate([train.items, items])
     values = np.concatenate([train.values, values])

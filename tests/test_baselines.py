@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reclab.baselines import (CfConfig, CfPredictor, SimilarityKind,
+from reclab import baselines
+from reclab.baselines import (CfConfig, CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
-                              mf_gradients, mf_loss, mf_predict, mf_train)
+                              mf_gradients, mf_loss, mf_train)
 from reclab.core import (FactorModel, Rating, RatingsDataset, TrainConfig,
-                         TrainingError)
+                         TrainingError, clamp_prediction)
 from reclab.ingest import SplitSpec, generate_zipf, split
 
 
@@ -16,13 +17,80 @@ def dataset(triples, n_users, n_items, r_max=5):
                           n_users=n_users, n_items=n_items, r_max=r_max)
 
 
-def brute_force_cosine(train, i, j):
-    dense = train.to_dense()
-    a, b = dense[:, i], dense[:, j]
-    dot = float(a @ b)
-    if dot == 0.0:
-        return 0.0
-    return dot / (np.linalg.norm(a) * np.linalg.norm(b))
+def dense_ratings(train):
+    dense = np.zeros((train.n_users, train.n_items))
+    dense[train.users, train.items] = train.values
+    return dense
+
+
+def reference_similarities(train, kind):
+    """The dense n_items x n_items similarity matrix, built from the dense
+    rating matrix as item_similarities once did: the oracle for the sparse
+    build."""
+    dense = dense_ratings(train)
+    rated = dense > 0
+    if kind is SimilarityKind.COSINE:
+        norms = np.linalg.norm(dense, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = (dense.T @ dense) / np.outer(norms, norms)
+        sims[~np.isfinite(sims)] = 0.0
+    else:
+        counts = rated.sum(axis=1)
+        user_means = np.divide(dense.sum(axis=1), counts,
+                               out=np.zeros(train.n_users), where=counts > 0)
+        centered = np.where(rated, dense - user_means[:, None], 0.0)
+        num = centered.T @ centered
+        sq_on = (centered ** 2).T @ rated.astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = num / np.sqrt(sq_on * sq_on.T)
+        sims[~np.isfinite(sims)] = 0.0
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
+
+
+def reference_predict(matrix, train, cfg, u, i):
+    """One item-CF prediction from a dense similarity matrix, with a Python
+    candidate sort per call as CfPredictor.predict once did: the oracle for
+    predict_many."""
+    fallback = clamp_prediction(train.global_mean(), train.r_max)
+    mine = train.users == u
+    items = train.items[mine].tolist()
+    values = train.values[mine].astype(np.float64).tolist()
+    order = sorted(range(len(items)), key=items.__getitem__)
+    candidates = [(matrix[i, items[k]], items[k], values[k]) for k in order
+                  if items[k] != i and matrix[i, items[k]] != 0.0]
+    if not candidates:
+        return fallback
+    candidates.sort(key=lambda t: (-t[0], t[1]))
+    top = candidates[: cfg.neighborhood_size]
+    num = sum(s * v for s, _, v in top)
+    den = sum(abs(s) for s, _, _ in top)
+    return clamp_prediction(num / den, train.r_max)
+
+
+def sims_from_dense(matrix):
+    """A SimilarityMatrix holding the nonzero entries of a square matrix."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    keys = np.flatnonzero(matrix)
+    return SimilarityMatrix(n_items=len(matrix), keys=keys,
+                            scores=matrix.ravel()[keys])
+
+
+def dense_scores(sims):
+    """Every pair's score, as an n_items x n_items matrix."""
+    i, j = np.divmod(np.arange(sims.n_items ** 2), sims.n_items)
+    return sims.lookup(i, j).reshape(sims.n_items, sims.n_items)
+
+
+ORACLE_DATASETS = [
+    # (n_users, n_items, n_ratings, seed). The last three leave items with
+    # no co-raters (Zipf skew) and the last one users with no train rows.
+    (30, 15, 250, 6),
+    (40, 25, 500, 5),
+    (50, 60, 400, 41),
+    (12, 40, 90, 42),
+    (60, 20, 80, 43),
+]
 
 
 class TestItemSimilarities:
@@ -30,56 +98,97 @@ class TestItemSimilarities:
         ds = dataset([(0, 0, 4), (0, 1, 4), (1, 0, 2), (1, 1, 2),
                       (2, 0, 5), (2, 1, 5)], 3, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
-        assert sims.values[0, 1] == pytest.approx(1.0)
+        assert sims.lookup(0, 1) == pytest.approx(1.0)
 
     def test_no_common_rater_gives_zero(self):
         ds = dataset([(0, 0, 4), (1, 1, 3)], 2, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
-        assert sims.values[0, 1] == 0.0
+        assert sims.lookup(0, 1) == 0.0
 
     def test_hand_computed_cross_pair(self):
         # items rated (1,5) and (5,1) by the same two users
         ds = dataset([(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)], 2, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
-        assert sims.values[0, 1] == pytest.approx(10.0 / 26.0)
+        assert sims.lookup(0, 1) == pytest.approx(10.0 / 26.0)
 
     def test_symmetry_exact(self):
-        ds = generate_zipf(40, 25, 500, 1.0, 5, seed=5)
-        for kind in SimilarityKind:
-            sims = item_similarities(ds, kind)
-            assert np.array_equal(sims.values, sims.values.T)
+        for shape in ORACLE_DATASETS:
+            ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+            for kind in SimilarityKind:
+                scores = dense_scores(item_similarities(ds, kind))
+                assert np.array_equal(scores, scores.T)
 
     def test_cosine_matches_brute_force(self):
         ds = generate_zipf(30, 15, 250, 1.0, 5, seed=6)
         sims = item_similarities(ds, SimilarityKind.COSINE)
+        dense = dense_ratings(ds)
         for i in range(15):
             for j in range(15):
-                assert sims.values[i, j] == pytest.approx(
-                    brute_force_cosine(ds, i, j), abs=1e-12)
+                a, b = dense[:, i], dense[:, j]
+                dot = float(a @ b)
+                expected = dot / (np.linalg.norm(a) * np.linalg.norm(b)) if dot else 0.0
+                assert sims.lookup(i, j) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", ORACLE_DATASETS)
+    def test_cosine_equals_dense_reference_exactly(self, shape):
+        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        sims = item_similarities(ds, SimilarityKind.COSINE)
+        reference = reference_similarities(ds, SimilarityKind.COSINE)
+        assert np.array_equal(dense_scores(sims), reference)
+        # only the nonzero scores are stored
+        assert len(sims.keys) == np.count_nonzero(reference)
+
+    @pytest.mark.parametrize("shape", ORACLE_DATASETS)
+    def test_adjusted_cosine_matches_dense_reference(self, shape):
+        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        sims = item_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
+        reference = reference_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
+        scores = dense_scores(sims)
+        assert np.abs(scores - reference).max() <= 1e-12
+        assert np.array_equal(scores, scores.T)
+        assert (sims.scores != 0.0).all()
+
+    def test_pair_blocks_do_not_change_scores(self, monkeypatch):
+        ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
+        for kind in SimilarityKind:
+            whole = item_similarities(ds, kind)
+            # a cap below one item's pairs: every item is its own block
+            monkeypatch.setattr(baselines, "PAIR_BLOCK", 3)
+            blocked = item_similarities(ds, kind)
+            monkeypatch.undo()
+            assert np.array_equal(whole.keys, blocked.keys)
+            assert np.array_equal(whole.scores, blocked.scores)
 
     def test_scores_bounded(self):
         ds = generate_zipf(40, 20, 400, 1.0, 5, seed=7)
         for kind in SimilarityKind:
             sims = item_similarities(ds, kind)
-            assert (sims.values >= -1.0).all() and (sims.values <= 1.0).all()
+            assert (sims.scores >= -1.0).all() and (sims.scores <= 1.0).all()
 
     def test_adjusted_cosine_centers_users(self):
         # one user rating both items identically: centered vector is zero,
         # so the pair is degenerate and scores 0
         ds = dataset([(0, 0, 4), (0, 1, 4)], 1, 2)
         sims = item_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
-        assert sims.values[0, 1] == 0.0
+        assert sims.lookup(0, 1) == 0.0
+        assert len(sims.keys) == 0 and sims.lookup(1, 1) == 0.0
 
     def test_json_round_trip(self):
         ds = generate_zipf(10, 8, 50, 1.0, 5, seed=8)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         back = SimilarityMatrix.from_json(sims.to_json())
-        assert np.array_equal(back.values, sims.values)
+        assert back.n_items == sims.n_items
+        assert np.array_equal(back.keys, sims.keys)
+        assert np.array_equal(back.scores, sims.scores)
+
+    def test_unsorted_keys_rejected(self):
+        with pytest.raises(ValueError):
+            SimilarityMatrix(n_items=2, keys=[3, 1], scores=[0.5, 0.5])
 
 
 class TestCfPredict:
     def sims(self, matrix):
-        return SimilarityMatrix(values=np.asarray(matrix, dtype=np.float64))
+        return sims_from_dense(matrix)
 
     def test_single_neighbor(self):
         train = dataset([(0, 1, 4)], 1, 2)
@@ -123,6 +232,62 @@ class TestCfPredict:
         cfg = CfConfig(neighborhood_size=1)
         # only the most similar neighbor (item 1) is used
         assert CfPredictor(sims, train, cfg).predict(0, 0) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("size", [1, 5, 20])
+    @pytest.mark.parametrize("shape", ORACLE_DATASETS)
+    def test_predict_many_equals_reference(self, shape, size):
+        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        train, test = split(ds, SplitSpec(test_fraction=0.3, seed=shape[3]))
+        cfg = CfConfig(neighborhood_size=size)
+        # every cell of the grid, test cells first
+        grid = np.divmod(np.arange(ds.n_users * ds.n_items), ds.n_items)
+        users = np.concatenate([test.users, grid[0]])
+        items = np.concatenate([test.items, grid[1]])
+        for kind in SimilarityKind:
+            sims = item_similarities(train, kind)
+            got = CfPredictor(sims, train, cfg).predict_many(users, items)
+            matrix = dense_scores(sims)
+            expected = [reference_predict(matrix, train, cfg, u, i)
+                        for u, i in zip(users.tolist(), items.tolist())]
+            assert got.tolist() == expected
+
+    def test_predict_many_handles_ties_negatives_and_fallbacks(self):
+        # user 0 rated items 1-4; user 1 rated nothing; item 5 has no
+        # co-raters; items 1 and 2 tie for item 0, item 3 scores negative
+        train = dataset([(0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 4),
+                         (2, 0, 3)], 3, 6)
+        matrix = np.zeros((6, 6))
+        for i, j, s in [(0, 1, 0.5), (0, 2, 0.5), (0, 3, -0.75), (0, 4, 0.25),
+                        (1, 3, -0.5), (2, 3, -0.9)]:
+            matrix[i, j] = matrix[j, i] = s
+        sims = sims_from_dense(matrix)
+        users = np.array([0, 0, 0, 0, 1, 0, 2])
+        items = np.array([0, 0, 5, 1, 0, 2, 5])
+        for size in (1, 2, 3, 4, 20):
+            cfg = CfConfig(neighborhood_size=size)
+            got = CfPredictor(sims, train, cfg).predict_many(users, items)
+            expected = [reference_predict(matrix, train, cfg, u, i)
+                        for u, i in zip(users.tolist(), items.tolist())]
+            assert got.tolist() == expected
+        mean = train.global_mean()
+        one = CfPredictor(sims, train, CfConfig(neighborhood_size=1))
+        # the tie goes to the lower item; no rows or no co-raters: the mean
+        assert one.predict_many(users, items).tolist() == [5.0, 5.0, mean, 1.0,
+                                                           mean, 1.0, mean]
+        # the negative neighbor ranks last and pulls the average down:
+        # (0.5*5 + 0.5*1 + 0.25*4 - 0.75*2) / (0.5 + 0.5 + 0.25 + 0.75)
+        four = CfPredictor(sims, train, CfConfig(neighborhood_size=4))
+        assert four.predict(0, 0) == pytest.approx(2.5 / 2.0)
+
+    def test_pair_blocks_do_not_change_predictions(self, monkeypatch):
+        ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
+        train, test = split(ds, SplitSpec(test_fraction=0.3, seed=41))
+        predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE),
+                                train, CfConfig(neighborhood_size=5))
+        whole = predictor.predict_many(test.users, test.items)
+        monkeypatch.setattr(baselines, "PAIR_BLOCK", 4)
+        blocked = predictor.predict_many(test.users, test.items)
+        assert np.array_equal(whole, blocked)
 
 
 class TestMfTrain:
@@ -200,12 +365,23 @@ class TestMfPredict:
     def test_dot_product(self):
         model = FactorModel(U=np.array([[2.0, 0.0]]),
                             V=np.array([[1.5, 9.0]]), k=2)
-        assert mf_predict(model, 0, 0, 5) == pytest.approx(3.0)
+        assert MfPredictor(model, 5).predict(0, 0) == pytest.approx(3.0)
 
     def test_upper_clamp(self):
         model = FactorModel(U=np.array([[3.1]]), V=np.array([[2.0]]), k=1)
-        assert mf_predict(model, 0, 0, 5) == 5.0
+        assert MfPredictor(model, 5).predict(0, 0) == 5.0
 
     def test_lower_clamp_on_zero_vector(self):
         model = FactorModel(U=np.array([[0.0]]), V=np.array([[2.0]]), k=1)
-        assert mf_predict(model, 0, 0, 5) == 1.0
+        assert MfPredictor(model, 5).predict(0, 0) == 1.0
+
+    def test_predict_many_equals_per_cell_dot_products(self):
+        # the oracle is one clamped U[u] @ V[i] per cell
+        rng = np.random.default_rng(3)
+        model = FactorModel(U=rng.uniform(0, 1, (9, 10)),
+                            V=rng.uniform(0, 1, (7, 10)), k=10)
+        users, items = np.divmod(np.arange(63), 7)
+        got = MfPredictor(model, 5).predict_many(users, items)
+        expected = [clamp_prediction(float(model.U[u] @ model.V[i]), 5)
+                    for u, i in zip(users.tolist(), items.tolist())]
+        assert got.tolist() == expected

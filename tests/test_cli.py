@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reclab
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
@@ -126,14 +128,21 @@ class TestBench:
         assert [row["algo"] for row in report["rows"]] == ["random", "mf", "zeromat"]
         assert all(row["n"] == 300 and row["mae"] >= 0.0 for row in report["rows"])
 
-    def test_import_does_not_load_scipy(self):
-        # only `reclab analyze` needs scipy; bench start-up should not pay for it
-        code = "import sys, reclab.cli; print('scipy' in sys.modules)"
+    def test_import_does_not_load_scipy(self, fixture_file, tmp_path):
+        # only `reclab analyze` needs scipy; neither bench start-up nor an
+        # item-CF bench run should pay for it
+        config = bench_config(fixture_file, tmp_path, ["itemcf"],
+                              similarity_kind="adjusted_cosine")
+        code = ("import json, sys, reclab.cli; print('scipy' in sys.modules); "
+                f"reclab.cli.run_bench(json.load(open({str(config)!r})), "
+                f"reclab.cli.Path({str(tmp_path / 'out')!r})); "
+                "print('scipy' in sys.modules)")
         src = str(Path(reclab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True, env=env)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["False", "False"]
+        assert (tmp_path / "out" / "report_seed42.json").exists()
 
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
@@ -234,6 +243,12 @@ class TestBench:
         pytest.param(lambda c: {**c, "sigma_u": 0}, id="zero-sigma"),
         # json.loads accepts NaN, which would make the manifest invalid JSON
         pytest.param(lambda c: {**c, "note": float("nan")}, id="nan-unread-key"),
+        # each would write no report, or pool two rows into one aggregate row
+        pytest.param(lambda c: {**c, "repetitions": 0}, id="zero-repetitions"),
+        pytest.param(lambda c: {**c, "repetitions": -3}, id="negative-repetitions"),
+        pytest.param(lambda c: {**c, "algorithms": []}, id="no-algorithms"),
+        pytest.param(lambda c: {**c, "algorithms": ["random", "random"]},
+                     id="repeated-algorithm"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -245,6 +260,18 @@ class TestBench:
         assert "error:" in result.output
         # CliRunner also maps an uncaught exception to exit code 1
         assert isinstance(result.exception, SystemExit)
+
+
+def assert_total(predictor, n_users, n_items, r_max=5):
+    """predict_many over the whole grid is finite, within [1, r_max], and
+    equals predict cell by cell."""
+    users, items = np.divmod(np.arange(n_users * n_items), n_items)
+    preds = predictor.predict_many(users, items)
+    assert preds.shape == (n_users * n_items,)
+    assert np.isfinite(preds).all()
+    assert ((preds >= 1.0) & (preds <= r_max)).all()
+    assert preds.tolist() == [predictor.predict(u, i)
+                              for u, i in zip(users.tolist(), items.tolist())]
 
 
 class TestRegistry:
@@ -260,9 +287,24 @@ class TestRegistry:
         train = RatingsDataset(ratings=[r for r, t in zip(ratings, in_test) if not t],
                                n_users=6, n_items=7)
         predictor = REGISTRY[algo].fit(algo, {}, train, contexts, 3)
-        for u in range(6):
-            for i in range(7):
-                assert 1.0 <= predictor.predict(u, i) <= 5.0
+        assert_total(predictor, 6, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["cosine", "adjusted_cosine"]),
+           size=st.integers(1, 6), r_max=st.integers(1, 5))
+    def test_itemcf_is_total_on_random_train_sets(self, data, kind, size, r_max):
+        n_users = data.draw(st.integers(1, 7), label="n_users")
+        n_items = data.draw(st.integers(1, 7), label="n_items")
+        cells = data.draw(st.lists(st.integers(0, n_users * n_items - 1),
+                                   min_size=1, unique=True), label="cells")
+        values = data.draw(st.lists(st.integers(1, r_max), min_size=len(cells),
+                                    max_size=len(cells)), label="values")
+        users, items = np.divmod(np.array(cells), n_items)
+        train = RatingsDataset.from_columns(users, items, values, n_users,
+                                            n_items, r_max)
+        config = {"similarity_kind": kind, "neighborhood_size": size}
+        predictor = REGISTRY["itemcf"].fit("itemcf", config, train, None, 0)
+        assert_total(predictor, n_users, n_items, r_max)
 
 
 class TestAnalyze:

@@ -5,7 +5,7 @@ import pytest
 
 from reclab.cli import run_bench
 from reclab.core import DatasetError, Rating, RatingsDataset
-from reclab.evaluation import NamedPredictor, mae, random_baseline_mae
+from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
 
@@ -13,6 +13,17 @@ from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
 def dataset(triples, n_users, n_items, r_max=5):
     return RatingsDataset(ratings=tuple(Rating(u, i, v) for u, i, v in triples),
                           n_users=n_users, n_items=n_items, r_max=r_max)
+
+
+class CellPredictor(Predictor):
+    """A predictor computed cell by cell by fn(u, i)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def predict_many(self, users, items):
+        return np.array([self.fn(u, i) for u, i in zip(users.tolist(), items.tolist())],
+                        dtype=np.float64)
 
 
 def uniform_dataset(n_cells, r_max=5, seed=0):
@@ -35,35 +46,46 @@ class TestMae:
     def test_exact_truth_gives_zero(self):
         ds = dataset([(0, 0, 3), (0, 1, 5)], 1, 2)
         truth = {(r.user_id, r.item_id): r.value for r in ds.ratings}
-        predictor = NamedPredictor("oracle", lambda u, i: float(truth[(u, i)]))
+        predictor = CellPredictor(lambda u, i: float(truth[(u, i)]))
         assert mae(predictor, ds) == 0.0
 
     def test_constant_offset(self):
         ds = dataset([(0, 0, 2), (0, 1, 4), (1, 0, 3)], 2, 2)
         truth = {(r.user_id, r.item_id): r.value for r in ds.ratings}
-        predictor = NamedPredictor("off", lambda u, i: truth[(u, i)] + 1.0)
+        predictor = CellPredictor(lambda u, i: truth[(u, i)] + 1.0)
         assert mae(predictor, ds) == pytest.approx(1.0)
 
     def test_hand_sum(self):
         ds = dataset([(0, 0, 3), (0, 1, 5)], 1, 2)
-        predictor = NamedPredictor("four", lambda u, i: 4.0)
+        predictor = CellPredictor(lambda u, i: 4.0)
         assert mae(predictor, ds) == pytest.approx(1.0)
 
     def test_empty_test_rejected(self):
         empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
         with pytest.raises(DatasetError):
-            mae(NamedPredictor("x", lambda u, i: 3.0), empty)
+            mae(CellPredictor(lambda u, i: 3.0), empty)
 
     def test_permutation_invariant_over_test_rows(self):
         ds = generate_zipf(30, 30, 300, 1.0, 5, seed=1)
         rev = RatingsDataset(ratings=tuple(reversed(ds.ratings)),
                              n_users=30, n_items=30, r_max=5)
-        predictor = NamedPredictor("c", lambda u, i: 3.0)
+        predictor = CellPredictor(lambda u, i: 3.0)
         assert mae(predictor, ds) == mae(predictor, rev)
+
+    def test_running_total_in_row_order(self):
+        # the oracle adds one row's error at a time, as a Python loop does
+        ds = generate_zipf(40, 30, 500, 1.0, 5, seed=3)
+        rng = np.random.default_rng(4)
+        table = rng.uniform(1.0, 5.0, size=(40, 30))
+        predictor = CellPredictor(lambda u, i: float(table[u, i]))
+        total = 0.0
+        for u, i, v in zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()):
+            total += abs(predictor.predict(u, i) - v)
+        assert mae(predictor, ds) == total / len(ds)
 
     def test_bounded_for_clamped_predictor(self):
         ds = generate_zipf(30, 30, 300, 1.0, 5, seed=2)
-        predictor = NamedPredictor("lo", lambda u, i: 1.0)
+        predictor = CellPredictor(lambda u, i: 1.0)
         assert 0.0 <= mae(predictor, ds) <= 4.0
 
 

@@ -232,6 +232,30 @@ class TestHybrid:
         assert len(augmented) == 300 + 150
         assert set(train.keys().tolist()) <= set(augmented.keys().tolist())
 
+    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
+    def test_augmented_columns_equal_per_cell_reference(self, algo):
+        # the oracle draws, rejects and scores one cell at a time
+        train = generate_zipf(25, 30, 400, 1.0, 5, seed=26)
+        cfg = _cfg(gamma={ZeroShotAlgo.POISSONMAT: 2e-5}.get(algo, 0.005))
+        augmented = augment_with_zeroshot(train, algo, cfg, fill_fraction=0.8)
+        predictor = ZeroShotPredictor(
+            train_zeroshot(algo, train.n_users, train.n_items, cfg), 5, cfg.eps_floor)
+        rng = np.random.default_rng(cfg.seed)
+        taken = set(train.keys().tolist())
+        filled = []
+        while len(filled) < 320:
+            u = int(rng.integers(0, train.n_users))
+            j = int(rng.integers(0, train.n_items))
+            if u * train.n_items + j in taken:
+                continue
+            taken.add(u * train.n_items + j)
+            value = int(round(predictor.predict(u, j)))
+            filled.append((u, j, min(max(value, 1), 5)))
+        users, items, values = np.array(filled).T
+        assert np.array_equal(augmented.users, np.concatenate([train.users, users]))
+        assert np.array_equal(augmented.items, np.concatenate([train.items, items]))
+        assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
+
     def test_vanishing_fill_equals_plain_mf(self):
         train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
         cfg = _cfg(gamma=0.005, epochs=3)
