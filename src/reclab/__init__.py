@@ -3,12 +3,12 @@ trainers, MAE evaluation, and Zipf/diversity analysis."""
 
 from .core import (ContextSample, DatasetError, EvalEntry, EvalReport,
                    FactorModel, PowerMatModel, Rating, RatingsDataset,
-                   TrainConfig, TrainingError, clamp_prediction)
+                   TrainConfig, TrainingError)
 
 __all__ = [
     "ContextSample", "DatasetError", "EvalEntry", "EvalReport", "FactorModel",
     "PowerMatModel", "Rating", "RatingsDataset", "TrainConfig",
-    "TrainingError", "clamp_prediction",
+    "TrainingError",
 ]
 
 __version__ = "0.1.0"

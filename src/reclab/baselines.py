@@ -1,12 +1,11 @@
 """Classic data-consuming baselines: item-based CF and SGD matrix
-factorization."""
+factorization, plus the SGD epoch loop that every factor trainer shares."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,17 +57,6 @@ class SimilarityMatrix:
             return np.zeros(query.shape)
         pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
         return np.where(self.keys[pos] == query, self.scores[pos], 0.0)
-
-    def to_json(self) -> str:
-        return json.dumps({"n_items": self.n_items, "keys": self.keys.tolist(),
-                           "scores": self.scores.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimilarityMatrix":
-        obj = json.loads(text)
-        return cls(n_items=int(obj["n_items"]),
-                   keys=np.asarray(obj["keys"], dtype=np.int64),
-                   scores=np.asarray(obj["scores"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -214,9 +202,22 @@ class CfPredictor(Predictor):
         return np.clip(preds, 1.0, self.r_max)
 
 
-def _init_factors(n_rows: int, k: int, rng: np.random.Generator,
-                  lo: float, hi: float) -> np.ndarray:
-    return rng.uniform(lo, hi, size=(n_rows, k)) / np.sqrt(k)
+@dataclass
+class TrainStats:
+    """Debug counters collected during a training run."""
+
+    clamp_activations: int = 0
+    epochs_run: int = 0
+
+
+def init_factors(n_users: int, n_items: int,
+                 cfg: TrainConfig) -> Tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """A trainer's generator, seeded by cfg.seed, and the U and V it draws
+    first: uniform in [init_lo, init_hi), scaled by 1/sqrt(k)."""
+    rng = np.random.default_rng(cfg.seed)
+    U = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_users, cfg.k)) / np.sqrt(cfg.k)
+    V = rng.uniform(cfg.init_lo, cfg.init_hi, size=(n_items, cfg.k)) / np.sqrt(cfg.k)
+    return rng, U, V
 
 
 def _previous_occurrence(keys: np.ndarray) -> np.ndarray:
@@ -257,6 +258,38 @@ def conflict_free_runs(users: np.ndarray, items: np.ndarray) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
+               visit: Callable[[], tuple], step: Callable[..., tuple],
+               stats: Optional[TrainStats] = None,
+               state: Sequence[np.ndarray] = ()) -> None:
+    """The epoch loop of every SGD trainer; updates U and V in place.
+
+    Each epoch, visit() returns the visit order as user and item columns
+    and a column of per-step data (a rating, a context row) or None. Each
+    run of `conflict_free_runs` over that order is one call
+    step(user_rows, item_rows, data_of_the_run), which returns the updated
+    rows and a mask of the steps whose dot product was clamped (or None).
+    state holds further arrays that step updates in place. After each epoch
+    every entry of U, V and state must be finite, or TrainingError names the
+    epoch. stats, if given, adds up the clamp masks and counts the epochs.
+    """
+    for epoch in range(epochs):
+        us, js, data = visit()
+        # overflow surfaces as non-finite entries, checked after each epoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in conflict_free_runs(us, js):
+                u, j = us[run], js[run]
+                # take: the same rows as U[u], gathered with less overhead
+                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
+                                           None if data is None else data[run])
+                if stats is not None:
+                    stats.clamp_activations += int(np.count_nonzero(clamped))
+        if not all(np.isfinite(a).all() for a in (U, V, *state)):
+            raise TrainingError(f"{name} diverged at epoch {epoch}", epoch=epoch)
+        if stats is not None:
+            stats.epochs_run = epoch + 1
+
+
 def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     """Plain squared-loss matrix factorization fitted by SGD.
 
@@ -269,25 +302,18 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     """
     if len(train) == 0:
         raise ValueError("train set is empty")
-    rng = np.random.default_rng(cfg.seed)
-    U = _init_factors(train.n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    V = _init_factors(train.n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    rng, U, V = init_factors(train.n_users, train.n_items, cfg)
     users, items, values = train.arrays()
-    for epoch in range(cfg.epochs):
+
+    def visit():
         order = rng.permutation(len(users))
-        us, js, rs = users[order], items[order], values[order]
-        # overflow surfaces as non-finite factors, checked after each epoch
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in conflict_free_runs(us, js):
-                u, j = us[run], js[run]
-                # take: the same rows as U[u], gathered with less overhead
-                u_rows, v_rows = U.take(u, axis=0), V.take(j, axis=0)
-                e = rs[run] - np.vecdot(u_rows, v_rows)
-                step = (cfg.gamma * 2.0 * e)[:, None]
-                U[u] = u_rows + step * v_rows
-                V[j] = v_rows + step * u_rows
-        if not (np.isfinite(U).all() and np.isfinite(V).all()):
-            raise TrainingError(f"mf_train diverged at epoch {epoch}", epoch=epoch)
+        return users[order], items[order], values[order]
+
+    def step(u_rows, v_rows, r):
+        g = (cfg.gamma * 2.0 * (r - np.vecdot(u_rows, v_rows)))[:, None]
+        return u_rows + g * v_rows, v_rows + g * u_rows, None
+
+    sgd_epochs("mf_train", U, V, cfg.epochs, visit, step)
     return FactorModel(U=U, V=V, k=cfg.k)
 
 

@@ -23,13 +23,6 @@ class TrainingError(RuntimeError):
         self.epoch = epoch
 
 
-def clamp_prediction(raw: float, r_max: int) -> float:
-    """Clamp a raw prediction onto the rating scale [1, r_max]."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    return min(max(float(raw), 1.0), float(r_max))
-
-
 def _readonly(a, dtype=np.float64) -> np.ndarray:
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
@@ -147,10 +140,6 @@ class ContextSample:
     def __post_init__(self):
         object.__setattr__(self, "context", tuple(float(c) for c in self.context))
 
-    @property
-    def context_array(self) -> np.ndarray:
-        return np.asarray(self.context, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class FactorModel:
@@ -168,16 +157,6 @@ class FactorModel:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
 
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "U": self.U.tolist(), "V": self.V.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FactorModel":
-        obj = json.loads(text)
-        return cls(U=np.asarray(obj["U"], dtype=np.float64),
-                   V=np.asarray(obj["V"], dtype=np.float64),
-                   k=int(obj["k"]))
-
 
 @dataclass(frozen=True)
 class PowerMatModel:
@@ -194,29 +173,6 @@ class PowerMatModel:
         object.__setattr__(self, "alpha", _readonly(self.alpha))
         if self.sigma_u <= 0 or self.sigma_v <= 0:
             raise ValueError("sigma_u and sigma_v must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.factors.k,
-            "U": self.factors.U.tolist(),
-            "V": self.factors.V.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta,
-            "sigma_u": self.sigma_u,
-            "sigma_v": self.sigma_v,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PowerMatModel":
-        obj = json.loads(text)
-        factors = FactorModel(U=np.asarray(obj["U"], dtype=np.float64),
-                              V=np.asarray(obj["V"], dtype=np.float64),
-                              k=int(obj["k"]))
-        return cls(factors=factors,
-                   alpha=np.asarray(obj["alpha"], dtype=np.float64),
-                   beta=float(obj["beta"]),
-                   sigma_u=float(obj["sigma_u"]),
-                   sigma_v=float(obj["sigma_v"]))
 
 
 @dataclass(frozen=True)

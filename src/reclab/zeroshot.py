@@ -8,16 +8,14 @@ vectors.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import _init_factors, conflict_free_runs, mf_train
+from .baselines import TrainStats, init_factors, mf_train, sgd_epochs
 from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
-                   TrainConfig, TrainingError)
+                   TrainConfig)
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -27,14 +25,6 @@ class ZeroShotAlgo(Enum):
     ZEROMAT = "zeromat"
     DOTMAT = "dotmat"
     POISSONMAT = "poissonmat"
-
-
-@dataclass
-class TrainStats:
-    """Debug counters collected during a training run."""
-
-    clamp_activations: int = 0
-    epochs_run: int = 0
 
 
 # The three shape-only step rules take matching rows u_vec, v_vec of shape
@@ -85,19 +75,30 @@ def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
 def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
                   beta: float, context: np.ndarray, gamma: float,
                   sigma_u: float, sigma_v: float, eps_floor: float):
-    """One context-driven update of (U, V, alpha, beta); all four parts are
-    computed from the pre-update values."""
-    p = float(u_vec @ v_vec)
+    """Context-driven updates of (U, V, alpha, beta), one per row of u_vec,
+    v_vec (..., k) and context (..., d), applied in row order. The rows
+    share no user and no item, so each row's part of U and V is computed
+    from its pre-update rows, while alpha and beta carry over from row to
+    row. Returns the updated rows, alpha and beta after the last row, and
+    the clamp mask."""
+    p = np.vecdot(u_vec, v_vec)
     clamped = p < eps_floor
-    p = max(p, eps_floor)
-    s = float(alpha @ context)
-    new_u = u_vec - gamma * (beta * p * v_vec + (beta * p + s) * v_vec
-                             - (2.0 / sigma_u) * u_vec)
-    new_v = v_vec - gamma * (beta * p * u_vec + (beta * p + s) * u_vec
-                             - (2.0 / sigma_v) * v_vec)
-    new_alpha = alpha - gamma * p * context
-    new_beta = beta - gamma * p * p
-    return new_u, new_v, new_alpha, new_beta, clamped
+    p = np.maximum(p, eps_floor)
+    # Row t subtracts gamma p_t (c_t, p_t) from (alpha, beta), and seen[t] is
+    # the (alpha, beta) that row t sees. accumulate subtracts in row order,
+    # as one row at a time does, so the bits are the same.
+    gp = gamma * p
+    seen = np.empty((gp.size + 1, len(alpha) + 1))
+    seen[0, :-1], seen[0, -1] = alpha, beta
+    seen[1:, :-1] = gp[..., None] * context
+    seen[1:, -1] = gp * p
+    np.subtract.accumulate(seen, out=seen)
+    bp = seen[:-1, -1].reshape(np.shape(p)) * p
+    bps = (bp + np.vecdot(seen[:-1, :-1].reshape(np.shape(context)), context))[..., None]
+    bp = bp[..., None]
+    new_u = u_vec - gamma * (bp * v_vec + bps * v_vec - (2.0 / sigma_u) * u_vec)
+    new_v = v_vec - gamma * (bp * u_vec + bps * u_vec - (2.0 / sigma_v) * v_vec)
+    return new_u, new_v, seen[-1, :-1], seen[-1, -1], clamped
 
 
 _STEP_FN = {
@@ -115,25 +116,17 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
     the draws is one batched step, which matches stepping one cell at a time
     up to the last bits of numpy's log and power; stats adds up the clamp
     masks."""
-    rng = np.random.default_rng(cfg.seed)
-    U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    step = _STEP_FN[algo]
-    for epoch in range(cfg.epochs):
-        us = rng.integers(0, n_users, size=cfg.samples_per_epoch)
-        js = rng.integers(0, n_items, size=cfg.samples_per_epoch)
-        # overflow surfaces as non-finite factors, checked after each epoch
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in conflict_free_runs(us, js):
-                u, j = us[run], js[run]
-                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
-                                            cfg.gamma, cfg.eps_floor)
-                if stats is not None:
-                    stats.clamp_activations += int(np.count_nonzero(clamped))
-        if not (np.isfinite(U).all() and np.isfinite(V).all()):
-            raise TrainingError(f"{algo.value} diverged at epoch {epoch}", epoch=epoch)
-        if stats is not None:
-            stats.epochs_run = epoch + 1
+    rng, U, V = init_factors(n_users, n_items, cfg)
+    rule = _STEP_FN[algo]
+
+    def visit():
+        return (rng.integers(0, n_users, size=cfg.samples_per_epoch),
+                rng.integers(0, n_items, size=cfg.samples_per_epoch), None)
+
+    def step(u_rows, v_rows, _):
+        return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
+
+    sgd_epochs(algo.value, U, V, cfg.epochs, visit, step, stats)
     return FactorModel(U=U, V=V, k=cfg.k)
 
 
@@ -144,7 +137,11 @@ def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
                    n_items: Optional[int] = None) -> PowerMatModel:
     """Train PowerMat from (user, item, context) triples; rating values in
     the samples are never read. n_users / n_items default to one past the
-    largest id in contexts; pass the dataset's sizes to cover every id."""
+    largest id in contexts; pass the dataset's sizes to cover every id.
+
+    Each epoch visits the samples in a seed-derived shuffled order. Each
+    run of `conflict_free_runs` over it is one `powermat_step`, so U, V,
+    alpha and beta equal those of visiting the samples one at a time."""
     if not contexts:
         raise ValueError("contexts is empty")
     if sigma_u <= 0 or sigma_v <= 0:
@@ -152,40 +149,35 @@ def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
     d_c = len(contexts[0].context)
     if any(len(c.context) != d_c for c in contexts):
         raise ValueError("context vectors must share one dimensionality")
+    users = np.array([c.user_id for c in contexts], dtype=np.int64)
+    items = np.array([c.item_id for c in contexts], dtype=np.int64)
+    ctx = np.array([c.context for c in contexts], dtype=np.float64)
+    # canonical (user, item) order keeps training invariant to input row
+    # order; lexsort is stable, so equal keys keep their input order
+    order = np.lexsort((items, users))
+    users, items, ctx = users[order], items[order], ctx[order]
     if n_users is None:
-        n_users = max(c.user_id for c in contexts) + 1
+        n_users = int(users.max()) + 1
     if n_items is None:
-        n_items = max(c.item_id for c in contexts) + 1
+        n_items = int(items.max()) + 1
 
-    rng = np.random.default_rng(cfg.seed)
-    U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    alpha = rng.uniform(0.0, cfg.init_lo, size=d_c)
-    beta = cfg.init_lo
+    rng, U, V = init_factors(n_users, n_items, cfg)
+    # alpha and beta in one array: step writes both in place after each run
+    alpha_beta = np.append(rng.uniform(0.0, cfg.init_lo, size=d_c), cfg.init_lo)
 
-    # canonical order keeps training invariant to input row order
-    order = sorted(range(len(contexts)),
-                   key=lambda i: (contexts[i].user_id, contexts[i].item_id))
-    ctx_arrays = [contexts[i].context_array for i in order]
-    users = [contexts[i].user_id for i in order]
-    items = [contexts[i].item_id for i in order]
+    def visit():
+        order = rng.permutation(len(users))
+        return users[order], items[order], ctx[order]
 
-    for epoch in range(cfg.epochs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx in rng.permutation(len(order)):
-                u, j = users[idx], items[idx]
-                U[u], V[j], alpha, beta, clamped = powermat_step(
-                    U[u], V[j], alpha, beta, ctx_arrays[idx],
-                    cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
-                if clamped and stats is not None:
-                    stats.clamp_activations += 1
-        if not (np.isfinite(U).all() and np.isfinite(V).all()
-                and np.isfinite(alpha).all() and math.isfinite(beta)):
-            raise TrainingError(f"powermat diverged at epoch {epoch}", epoch=epoch)
-        if stats is not None:
-            stats.epochs_run = epoch + 1
-    factors = FactorModel(U=U, V=V, k=cfg.k)
-    return PowerMatModel(factors=factors, alpha=alpha, beta=beta,
+    def step(u_rows, v_rows, c):
+        new_u, new_v, alpha_beta[:-1], alpha_beta[-1], clamped = powermat_step(
+            u_rows, v_rows, alpha_beta[:-1], alpha_beta[-1], c,
+            cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
+        return new_u, new_v, clamped
+
+    sgd_epochs("powermat", U, V, cfg.epochs, visit, step, stats, state=(alpha_beta,))
+    return PowerMatModel(factors=FactorModel(U=U, V=V, k=cfg.k),
+                         alpha=alpha_beta[:-1], beta=float(alpha_beta[-1]),
                          sigma_u=sigma_u, sigma_v=sigma_v)
 
 

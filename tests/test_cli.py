@@ -249,6 +249,8 @@ class TestBench:
         pytest.param(lambda c: {**c, "algorithms": []}, id="no-algorithms"),
         pytest.param(lambda c: {**c, "algorithms": ["random", "random"]},
                      id="repeated-algorithm"),
+        pytest.param(lambda c: {**c, "context_columns": []},
+                     id="empty-context-columns"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -288,6 +290,16 @@ class TestRegistry:
                                n_users=6, n_items=7)
         predictor = REGISTRY[algo].fit(algo, {}, train, contexts, 3)
         assert_total(predictor, 6, 7)
+
+    def test_powermat_trains_on_the_train_cells_only(self, monkeypatch):
+        contexts = [ContextSample(u, i, 3, (float(u),)) for u in range(3) for i in range(4)]
+        train = RatingsDataset.from_columns([2, 0], [1, 3], [4, 5], 3, 4)
+        passed = []
+        real = reclab.cli.powermat_train
+        monkeypatch.setattr(reclab.cli, "powermat_train",
+                            lambda ctx, *args, **kw: passed.append(ctx) or real(ctx, *args, **kw))
+        REGISTRY["powermat"].fit("powermat", {}, train, contexts, 3)
+        assert [(c.user_id, c.item_id) for c in passed[0]] == [(0, 3), (2, 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["cosine", "adjusted_cosine"]),

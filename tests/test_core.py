@@ -5,27 +5,7 @@ import pytest
 
 from reclab.core import (ContextSample, DatasetError, EvalEntry, EvalReport,
                          FactorModel, PowerMatModel, Rating, RatingsDataset,
-                         TrainConfig, clamp_prediction)
-
-
-class TestClampPrediction:
-    @pytest.mark.parametrize("raw,r_max,expected", [
-        (3.2, 5, 3.2),
-        (-0.4, 5, 1.0),
-        (7.9, 5, 5.0),
-        (1.0, 1, 1.0),
-    ])
-    def test_examples(self, raw, r_max, expected):
-        assert clamp_prediction(raw, r_max) == expected
-
-    def test_always_in_range(self):
-        rng = np.random.default_rng(0)
-        for raw in rng.normal(0, 10, 200):
-            assert 1.0 <= clamp_prediction(raw, 5) <= 5.0
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            clamp_prediction(3.0, 0)
+                         TrainConfig)
 
 
 class TestRatingsDataset:
@@ -63,15 +43,6 @@ class TestRatingsDataset:
 
 
 class TestFactorModel:
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(3)
-        model = FactorModel(U=rng.normal(size=(4, 3)),
-                            V=rng.normal(size=(5, 3)), k=3)
-        back = FactorModel.from_json(model.to_json())
-        assert np.array_equal(model.U, back.U)
-        assert np.array_equal(model.V, back.V)
-        assert back.k == 3
-
     def test_immutable_matrices(self):
         model = FactorModel(U=np.ones((2, 2)), V=np.ones((2, 2)), k=2)
         with pytest.raises(ValueError):
@@ -83,18 +54,6 @@ class TestFactorModel:
 
 
 class TestPowerMatModel:
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(4)
-        factors = FactorModel(U=rng.normal(size=(3, 2)),
-                              V=rng.normal(size=(4, 2)), k=2)
-        model = PowerMatModel(factors=factors, alpha=rng.normal(size=2),
-                              beta=0.123456789, sigma_u=1.0, sigma_v=2.0)
-        back = PowerMatModel.from_json(model.to_json())
-        assert np.array_equal(model.factors.U, back.factors.U)
-        assert np.array_equal(model.alpha, back.alpha)
-        assert back.beta == model.beta
-        assert back.sigma_v == 2.0
-
     def test_rejects_nonpositive_sigma(self):
         factors = FactorModel(U=np.ones((1, 1)), V=np.ones((1, 1)), k=1)
         with pytest.raises(ValueError):
@@ -123,7 +82,7 @@ class TestContextSample:
     def test_context_coerced_to_floats(self):
         sample = ContextSample(0, 1, 4, (2, 1))
         assert sample.context == (2.0, 1.0)
-        assert sample.context_array.dtype == np.float64
+        assert all(type(c) is float for c in sample.context)
 
 
 class TestEvalReport:

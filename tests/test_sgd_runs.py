@@ -1,6 +1,6 @@
-"""The conflict-free run kernel: `conflict_free_runs`, and `mf_train` and
-`train_zeroshot` against reference copies of the one-step-at-a-time loops
-they replace."""
+"""The conflict-free run kernel: `conflict_free_runs`, and `mf_train`,
+`train_zeroshot` and `powermat_train` against reference copies of the
+one-step-at-a-time loops they replace."""
 
 import math
 
@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reclab.baselines import _init_factors, conflict_free_runs, mf_train
-from reclab.core import RatingsDataset, TrainConfig, TrainingError
+from reclab.baselines import conflict_free_runs, init_factors, mf_train
+from reclab.core import ContextSample, RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, ZeroShotAlgo, dotmat_step,
-                             poissonmat_step, train_zeroshot, zeromat_step)
+                             poissonmat_step, powermat_step, powermat_train,
+                             train_zeroshot, zeromat_step)
 
 TOL = 1e-12
 
@@ -22,9 +23,7 @@ TOL = 1e-12
 # --- reference loops: one numpy step per rating or per drawn cell ---------
 
 def reference_mf_train(train, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    U = _init_factors(train.n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    V = _init_factors(train.n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    rng, U, V = init_factors(train.n_users, train.n_items, cfg)
     users, items, values = train.arrays()
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -79,9 +78,7 @@ BATCHED_STEP = {
 
 
 def reference_train_zeroshot(algo, n_users, n_items, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    U = _init_factors(n_users, cfg.k, rng, cfg.init_lo, cfg.init_hi)
-    V = _init_factors(n_items, cfg.k, rng, cfg.init_lo, cfg.init_hi)
+    rng, U, V = init_factors(n_users, n_items, cfg)
     step = SCALAR_STEP[algo]
     clamps = epochs_run = 0
     for epoch in range(cfg.epochs):
@@ -95,6 +92,49 @@ def reference_train_zeroshot(algo, n_users, n_items, cfg):
             raise TrainingError(f"{algo.value} diverged at epoch {epoch}", epoch=epoch)
         epochs_run = epoch + 1
     return U, V, clamps, epochs_run
+
+
+def scalar_powermat_step(u_vec, v_vec, alpha, beta, context, gamma,
+                         sigma_u, sigma_v, eps_floor):
+    p = float(u_vec @ v_vec)
+    clamped = p < eps_floor
+    p = max(p, eps_floor)
+    s = float(alpha @ context)
+    new_u = u_vec - gamma * (beta * p * v_vec + (beta * p + s) * v_vec
+                             - (2.0 / sigma_u) * u_vec)
+    new_v = v_vec - gamma * (beta * p * u_vec + (beta * p + s) * u_vec
+                             - (2.0 / sigma_v) * v_vec)
+    new_alpha = alpha - gamma * p * context
+    new_beta = beta - gamma * p * p
+    return new_u, new_v, new_alpha, new_beta, clamped
+
+
+def reference_powermat_train(contexts, cfg, sigma_u=1.0, sigma_v=1.0):
+    d_c = len(contexts[0].context)
+    n_users = max(c.user_id for c in contexts) + 1
+    n_items = max(c.item_id for c in contexts) + 1
+    rng, U, V = init_factors(n_users, n_items, cfg)
+    alpha = rng.uniform(0.0, cfg.init_lo, size=d_c)
+    beta = cfg.init_lo
+    order = sorted(range(len(contexts)),
+                   key=lambda i: (contexts[i].user_id, contexts[i].item_id))
+    ctx_arrays = [np.asarray(contexts[i].context, dtype=np.float64) for i in order]
+    users = [contexts[i].user_id for i in order]
+    items = [contexts[i].item_id for i in order]
+    clamps = epochs_run = 0
+    for epoch in range(cfg.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in rng.permutation(len(order)):
+                u, j = users[idx], items[idx]
+                U[u], V[j], alpha, beta, clamped = scalar_powermat_step(
+                    U[u], V[j], alpha, beta, ctx_arrays[idx],
+                    cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
+                clamps += bool(clamped)
+        if not (np.isfinite(U).all() and np.isfinite(V).all()
+                and np.isfinite(alpha).all() and math.isfinite(beta)):
+            raise TrainingError(f"powermat diverged at epoch {epoch}", epoch=epoch)
+        epochs_run = epoch + 1
+    return U, V, alpha, beta, clamps, epochs_run
 
 
 # --- conflict_free_runs ----------------------------------------------------
@@ -255,3 +295,89 @@ class TestZeroShotMatchesReference:
         with pytest.raises(TrainingError) as got:
             train_zeroshot(ZeroShotAlgo.ZEROMAT, 20, 20, cfg)
         assert got.value.epoch == ref.value.epoch
+
+
+# --- PowerMat: the batched step and the trainer, bit for bit ---------------
+
+def powermat_rows(n, k, d):
+    floats = st.floats(-3.0, 3.0)
+    return st.tuples(hnp.arrays(np.float64, (n, k), elements=floats),
+                     hnp.arrays(np.float64, (n, k), elements=floats),
+                     hnp.arrays(np.float64, (n, d), elements=floats),
+                     hnp.arrays(np.float64, (d,), elements=floats), floats)
+
+
+class TestPowerMatStep:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(0, 5))
+           .flatmap(lambda nkd: powermat_rows(*nkd)),
+           gamma=st.floats(0.0, 0.1), sigmas=st.sampled_from([(1.0, 1.0), (0.5, 3.0)]),
+           eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
+    def test_prefix_differences_equal_sequential_steps(self, rows, gamma, sigmas,
+                                                       eps_floor):
+        U, V, C, alpha, beta = rows
+        new_u, new_v, new_alpha, new_beta, clamped = powermat_step(
+            U, V, alpha, beta, C, gamma, *sigmas, eps_floor)
+        assert new_u.shape == U.shape and clamped.shape == (len(U),)
+        for t in range(len(U)):
+            row_u, row_v, alpha, beta, row_clamped = scalar_powermat_step(
+                U[t], V[t], alpha, beta, C[t], gamma, *sigmas, eps_floor)
+            assert np.array_equal(new_u[t], row_u)
+            assert np.array_equal(new_v[t], row_v)
+            assert bool(clamped[t]) == row_clamped
+        assert np.array_equal(new_alpha, alpha)
+        assert new_beta == beta
+
+
+def context_samples(seed, n, d, n_users, n_items):
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(n_users * n_items, size=n, replace=False)
+    return [ContextSample(int(c // n_items), int(c % n_items), int(rng.integers(1, 6)),
+                          tuple(float(x) for x in rng.integers(0, 4, size=d)))
+            for c in cells]
+
+
+class TestPowerMatMatchesReference:
+    def check(self, contexts, cfg, sigma_u=1.0, sigma_v=1.0):
+        ref_u, ref_v, ref_alpha, ref_beta, ref_clamps, ref_epochs = \
+            reference_powermat_train(contexts, cfg, sigma_u, sigma_v)
+        stats = TrainStats()
+        model = powermat_train(contexts, cfg, sigma_u, sigma_v, stats)
+        assert np.array_equal(model.factors.U, ref_u)
+        assert np.array_equal(model.factors.V, ref_v)
+        assert np.array_equal(model.alpha, ref_alpha)
+        assert model.beta == ref_beta
+        assert stats.clamp_activations == ref_clamps
+        assert stats.epochs_run == ref_epochs
+        return ref_clamps
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_context_dimensions(self, d):
+        cfg = TrainConfig(gamma=0.0005, k=6, epochs=4, seed=d)
+        self.check(context_samples(d, 500, d, 30, 40), cfg, sigma_v=2.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_clamp_heavy_init(self, d):
+        cfg = TrainConfig(gamma=0.0005, k=6, epochs=3, seed=7,
+                          init_lo=1e-9, init_hi=1e-8)
+        assert self.check(context_samples(d + 10, 400, d, 25, 30), cfg) > 0
+
+    def test_one_user_runs_are_single_steps(self):
+        contexts = context_samples(3, 60, 2, 1, 80)
+        cfg = TrainConfig(gamma=0.0005, k=4, epochs=3, seed=4)
+        self.check(contexts, cfg)
+        users = np.array([c.user_id for c in contexts])
+        items = np.array([c.item_id for c in contexts])
+        assert len(conflict_free_runs(users, items)) == len(contexts)
+
+    def test_divergence_epoch_matches(self):
+        contexts = context_samples(5, 300, 3, 20, 25)
+        cfg = TrainConfig(gamma=0.005, k=4, epochs=6, seed=1)
+        with pytest.raises(TrainingError) as ref:
+            reference_powermat_train(contexts, cfg)
+        with pytest.raises(TrainingError) as got:
+            powermat_train(contexts, cfg)
+        # a later epoch: the epochs before it must match too
+        assert ref.value.epoch > 0
+        assert got.value.epoch == ref.value.epoch
+        assert str(got.value) == str(ref.value)
