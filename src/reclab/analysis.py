@@ -4,11 +4,11 @@ fits, and the two global-diversity counts evaluated in log space."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import DatasetError, RatingsDataset
 
@@ -91,7 +91,7 @@ def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
 def diversity_ordered(inp: DiversityInput) -> float:
     """ln of sum over groups of K_i * N^{M_i}, via log-sum-exp."""
     terms = [np.log(k) + m * np.log(inp.n_market) for k, m in inp.groups]
-    return float(logsumexp(terms))
+    return float(np.logaddexp.reduce(terms))
 
 
 def diversity_order_invariant(inp: DiversityInput,
@@ -103,7 +103,7 @@ def diversity_order_invariant(inp: DiversityInput,
     it is offered for exploration only and is never the default.
     """
     if per_group_factorial:
-        terms = [np.log(k) + m * np.log(inp.n_market) - gammaln(m + 1)
+        terms = [np.log(k) + m * np.log(inp.n_market) - math.lgamma(m + 1)
                  for k, m in inp.groups]
-        return float(logsumexp(terms))
-    return diversity_ordered(inp) - float(gammaln(inp.n_market + 1))
+        return float(np.logaddexp.reduce(terms))
+    return diversity_ordered(inp) - math.lgamma(inp.n_market + 1)

@@ -59,16 +59,6 @@ class SimilarityMatrix:
         return np.where(self.keys[pos] == query, self.scores[pos], 0.0)
 
 
-@dataclass(frozen=True)
-class CfConfig:
-    neighborhood_size: int = 20
-    similarity_kind: SimilarityKind = SimilarityKind.COSINE
-
-    def __post_init__(self):
-        if self.neighborhood_size < 1:
-            raise ValueError("neighborhood_size must be >= 1")
-
-
 def _blocks(counts: np.ndarray, cap: int) -> List[slice]:
     """Cut range(len(counts)) into consecutive slices whose counts sum to at
     most cap, or that hold a single index."""
@@ -164,9 +154,11 @@ class CfPredictor(Predictor):
     no neighbor qualifies."""
 
     def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
-                 cfg: Optional[CfConfig] = None):
+                 neighborhood_size: int = 20):
+        if neighborhood_size < 1:
+            raise ValueError("neighborhood_size must be >= 1")
         self.sims = sims
-        self.cfg = cfg or CfConfig()
+        self.neighborhood_size = neighborhood_size
         self.r_max = train.r_max
         self.fallback = train.global_mean()
         users, self._items, self._values = train.arrays()
@@ -193,7 +185,7 @@ class CfPredictor(Predictor):
             order = np.lexsort((-s, row))
             row, s, r = row[order], s[order], r[order]
             rank = np.arange(len(row)) - np.searchsorted(row, row)
-            top = rank < self.cfg.neighborhood_size
+            top = rank < self.neighborhood_size
             n = rows.stop - rows.start
             # bincount adds each row's terms in array order, as the rank order
             num = np.bincount(row[top], weights=(s * r)[top], minlength=n)
@@ -314,7 +306,7 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
         return u_rows + g * v_rows, v_rows + g * u_rows, None
 
     sgd_epochs("mf_train", U, V, cfg.epochs, visit, step)
-    return FactorModel(U=U, V=V, k=cfg.k)
+    return FactorModel(U=U, V=V)
 
 
 class MfPredictor(Predictor):

@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 input/config error, 2 numerical divergence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
-import dataclasses
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -17,13 +17,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 import click
 import numpy as np
 
-from . import evaluation, ingest
-from .baselines import (CfConfig, CfPredictor, MfPredictor, SimilarityKind,
+from . import analysis, evaluation, ingest
+from .baselines import (CfPredictor, MfPredictor, SimilarityKind,
                         item_similarities, mf_train)
 from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
                    TrainConfig, TrainingError)
 from .evaluation import Predictor
-from .ingest import MovieLensFormat, ParseError, ParseResult, SchemaError, SplitSpec
+from .ingest import MovieLensFormat, ParseResult, SplitSpec
 from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, hybrid_train,
                        powermat_train, train_zeroshot)
 
@@ -76,9 +76,8 @@ def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> T
 
 def _fit_itemcf(algo, config, train, contexts, seed) -> Predictor:
     kind = SimilarityKind(config.get("similarity_kind", "cosine"))
-    cf_cfg = CfConfig(neighborhood_size=config.get("neighborhood_size", 20),
-                      similarity_kind=kind)
-    return CfPredictor(item_similarities(train, kind), train, cf_cfg)
+    return CfPredictor(item_similarities(train, kind), train,
+                       config.get("neighborhood_size", 20))
 
 
 def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
@@ -120,10 +119,11 @@ def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
 
 class Algorithm(NamedTuple):
     """The TrainConfig fields an algorithm starts from, which the config's
-    `train.default` and `train.<name>` sections override, and its fit
-    function. `random` has none: it guesses per test row, not per cell."""
+    `train.default` and `train.<name>` sections override (None: it takes
+    no `train` section), and its fit function (None for `random`, which
+    guesses per test row, not per cell)."""
 
-    defaults: Dict
+    defaults: Optional[Dict]
     fit: Optional[Callable[..., Predictor]]
 
 
@@ -136,7 +136,7 @@ _DOTMAT = {"gamma": 0.005, "epochs": 5}
 _POISSONMAT = {"gamma": 2e-5, "epochs": 2}
 
 REGISTRY: Dict[str, Algorithm] = {
-    "itemcf": Algorithm({}, _fit_itemcf),
+    "itemcf": Algorithm(None, _fit_itemcf),
     "mf": Algorithm({}, _fit_mf),
     "zeromat": Algorithm(_ZEROMAT, _fit_shape_only),
     "dotmat": Algorithm(_DOTMAT, _fit_shape_only),
@@ -145,7 +145,7 @@ REGISTRY: Dict[str, Algorithm] = {
     "zeromat-hybrid": Algorithm(_ZEROMAT, _fit_hybrid),
     "dotmat-hybrid": Algorithm(_DOTMAT, _fit_hybrid),
     "poissonmat-hybrid": Algorithm(_POISSONMAT, _fit_hybrid),
-    "random": Algorithm({}, None),
+    "random": Algorithm(None, None),
 }
 
 ALGORITHMS = tuple(REGISTRY)
@@ -168,8 +168,9 @@ def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
     return EvalEntry(algo, mae, len(test))
 
 
-# Every config key `reclab bench` reads, by dotted path (parents first), with
-# its JSON type. A float key takes any number; none may be NaN or infinite.
+# Every config key `reclab bench` reads, by dotted path, with its JSON type.
+# No other key is accepted at the top level or inside `dataset` and `split`.
+# A float key takes any number; none may be NaN or infinite.
 _CONFIG_TYPES = {
     "dataset": dict, "dataset.path": str, "dataset.format": str,
     "split": dict, "split.test_fraction": float, "split.seed": int,
@@ -181,6 +182,13 @@ _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
                     int: "an integer", float: "a number"}
 # every TrainConfig field but `seed`, which is always the repetition's split seed
 _TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+_DEFAULT_SPLIT = {"test_fraction": 0.2, "seed": 42}
+
+
+def _split_spec(config: dict, rep: int = 0) -> SplitSpec:
+    """The split of repetition rep: the configured split seed plus rep."""
+    split = {**_DEFAULT_SPLIT, **config.get("split", {})}
+    return SplitSpec(test_fraction=split["test_fraction"], seed=split["seed"] + rep)
 
 
 def _check_config(config) -> None:
@@ -194,16 +202,19 @@ def _check_config(config) -> None:
     for key in ("dataset", "algorithms"):
         if key not in config:
             raise ValueError(f"config missing required key {key!r}")
-    for path, kind in _CONFIG_TYPES.items():
-        parent, _, key = path.rpartition(".")
+    # the top level first, so `dataset` and `split` are known to be objects
+    for parent in ("", "dataset", "split"):
         section = config.get(parent, {}) if parent else config
-        if key not in section:
-            continue
-        value = section[key]
-        ok = isinstance(value, (int, float) if kind is float else kind)
-        if not ok or isinstance(value, bool):
-            raise ValueError(f"config key {path!r} must be "
-                             f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
+        for key, value in section.items():
+            path = f"{parent}.{key}" if parent else key
+            if path not in _CONFIG_TYPES:
+                raise ValueError(f"unknown config key {path!r}; the README lists "
+                                 f"every key reclab bench reads")
+            kind = _CONFIG_TYPES[path]
+            ok = isinstance(value, (int, float) if kind is float else kind)
+            if not ok or isinstance(value, bool):
+                raise ValueError(f"config key {path!r} must be "
+                                 f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
     if not all(isinstance(c, str) for c in config.get("context_columns", [])):
         raise ValueError("config key 'context_columns' must list strings")
     if config.get("context_columns") == []:
@@ -225,12 +236,30 @@ def _check_config(config) -> None:
         if section != "default" and section not in REGISTRY:
             raise ValueError(f"unknown train section {section!r}; expected "
                              f"'default' or one of {ALGORITHMS}")
+        if section != "default" and REGISTRY[section].defaults is None:
+            raise ValueError(f"config key 'train.{section}' is not read: "
+                             f"{section} takes no training settings")
         if not isinstance(keys, dict):
             raise ValueError(f"config key 'train.{section}' must be an object")
         unknown = sorted(set(keys) - set(_TRAIN_KEYS))
         if unknown:
             raise ValueError(f"unknown keys {unknown} in train.{section}; "
                              f"expected some of {_TRAIN_KEYS}")
+    # Build every TrainConfig and SplitSpec the run reads, so that a bad value
+    # fails before anything is written. samples_per_epoch defaults to the size
+    # of a train split not drawn yet; 1 stands in for it.
+    trained = [a for a in algorithms if REGISTRY[a].defaults is not None]
+    if any(a.endswith("-hybrid") for a in algorithms):
+        trained.append("mf")  # a hybrid's MF stage reads train.mf
+    for algo in trained:
+        try:
+            _train_config(config, algo, 0, 1)
+        except ValueError as exc:
+            raise ValueError(f"train.{algo}: {exc}") from None
+    try:
+        _split_spec(config)
+    except ValueError as exc:
+        raise ValueError(f"split: {exc}") from None
 
 
 def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
@@ -239,31 +268,31 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     reports plus a manifest into out_dir (default: the config's `out_dir`,
     else `reclab-out`). The config itself is left unchanged."""
     _check_config(config)
-    split_config = config.get("split", {"test_fraction": 0.2, "seed": 42})
     parsed = _load_dataset(Path(config["dataset"]["path"]),
                            config["dataset"].get("format", "tab100k"),
                            config.get("context_columns"))
     repetitions = config.get("repetitions", 1)
-    base_seed = split_config.get("seed", 42)
 
     out_dir = out_dir or Path(config.get("out_dir", "reclab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {**config, "split": split_config}
+    manifest = {**config, "split": config.get("split", _DEFAULT_SPLIT)}
     _write_json(out_dir / "manifest.json", manifest)
 
     reports = []
     for rep in range(repetitions):
-        seed = base_seed + rep
-        spec = SplitSpec(test_fraction=split_config.get("test_fraction", 0.2),
-                         seed=seed)
+        spec = _split_spec(config, rep)
         train, test = ingest.split(parsed.dataset, spec)
-        entries = [_evaluate_algorithm(a, config, train, test, parsed.contexts, seed)
+        if not (len(train) and len(test)):
+            side = "test" if len(train) else "train"
+            raise DatasetError(f"split seed {spec.seed} with test_fraction "
+                               f"{spec.test_fraction} leaves the {side} side empty")
+        entries = [_evaluate_algorithm(a, config, train, test, parsed.contexts, spec.seed)
                    for a in config["algorithms"]]
         report = EvalReport(entries=tuple(entries),
-                            split_ratio=spec.test_fraction, seed=seed)
+                            split_ratio=spec.test_fraction, seed=spec.seed)
         reports.append(report)
-        _atomic_write(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
-        _atomic_write(out_dir / f"report_seed{seed}.csv", report.to_csv())
+        _atomic_write(out_dir / f"report_seed{spec.seed}.json", report.to_json() + "\n")
+        _atomic_write(out_dir / f"report_seed{spec.seed}.csv", report.to_csv())
 
     by_algo: Dict[str, List[float]] = {}
     for report in reports:
@@ -280,7 +309,32 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     return reports
 
 
-@click.group()
+class _ExitDoor(click.Group):
+    """The one exit of every subcommand: divergence (TrainingError) exits 2,
+    and a usage, input or config error prints one `error:` line and exits 1.
+    With standalone_mode=False an error still raises SystemExit, and
+    success returns instead of exiting."""
+
+    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
+        try:
+            code = super().main(args, prog_name, standalone_mode=False, **extra)
+        except TrainingError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DIVERGENCE)
+        except (click.ClickException, OSError, ValueError, KeyError, TypeError) as exc:
+            message = exc.format_message() if isinstance(exc, click.ClickException) else exc
+            click.echo(f"error: {message}", err=True)
+            sys.exit(EXIT_INPUT_ERROR)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(EXIT_INPUT_ERROR)
+        if standalone_mode:
+            sys.exit(code or 0)
+        return code
+
+
+# no_args_is_help=False: a bare `reclab` is the usage error "Missing command."
+@click.group(cls=_ExitDoor, no_args_is_help=False)
 def main():
     """Recommender benchmark harness: classic baselines, data-free
     cold-start trainers, MAE comparison, and distribution analyses."""
@@ -292,15 +346,8 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
 def bench(config_path: Path, out_dir: Optional[Path]):
     """Run the configured benchmark and write JSON/CSV reports."""
-    try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        run_bench(config, out_dir)
-    except TrainingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DIVERGENCE)
-    except (OSError, ValueError, KeyError, DatasetError, ParseError, SchemaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    run_bench(config, out_dir)
 
 
 @main.command()
@@ -315,39 +362,32 @@ def bench(config_path: Path, out_dir: Optional[Path]):
               default=Path("reclab-out"))
 def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     """Zipf proportionality check or log-space diversity computation."""
-    # imported here: analysis loads scipy, which `reclab bench` never needs
-    from . import analysis
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if mode == "zipf":
-            if dataset_path is None:
-                raise ValueError("zipf mode requires --dataset")
-            parsed = _load_dataset(dataset_path, fmt, None)
-            hist = analysis.rating_histogram(parsed.dataset)
-            fit = analysis.fit_power_law(
-                [(v, c) for v, c in sorted(hist.counts.items()) if c > 0])
-            _atomic_write(out_dir / "histogram.json", hist.to_json() + "\n")
-            _atomic_write(out_dir / "histogram.csv", hist.to_csv())
-            _atomic_write(out_dir / "fit.json", fit.to_json() + "\n")
-        else:
-            if input_path is None:
-                raise ValueError("diversity mode requires --input")
-            obj = json.loads(Path(input_path).read_text(encoding="utf-8"))
-            inp = analysis.DiversityInput(
-                groups=tuple((g[0], g[1]) for g in obj["groups"]),
-                n_market=int(obj["n_market"]))
-            ordered = analysis.diversity_ordered(inp)
-            invariant = analysis.diversity_order_invariant(
-                inp, per_group_factorial=per_group_factorial)
-            _atomic_write(out_dir / "diversity.json", json.dumps({
-                "ordered_ln": ordered,
-                "invariant_ln": invariant,
-                "difference_ln": ordered - invariant,
-            }, sort_keys=True) + "\n")
-    except (OSError, ValueError, KeyError, TypeError, DatasetError,
-            ParseError, SchemaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if mode == "zipf":
+        if dataset_path is None:
+            raise ValueError("zipf mode requires --dataset")
+        parsed = _load_dataset(dataset_path, fmt, None)
+        hist = analysis.rating_histogram(parsed.dataset)
+        fit = analysis.fit_power_law(
+            [(v, c) for v, c in sorted(hist.counts.items()) if c > 0])
+        _atomic_write(out_dir / "histogram.json", hist.to_json() + "\n")
+        _atomic_write(out_dir / "histogram.csv", hist.to_csv())
+        _atomic_write(out_dir / "fit.json", fit.to_json() + "\n")
+    else:
+        if input_path is None:
+            raise ValueError("diversity mode requires --input")
+        obj = json.loads(Path(input_path).read_text(encoding="utf-8"))
+        inp = analysis.DiversityInput(
+            groups=tuple((g[0], g[1]) for g in obj["groups"]),
+            n_market=int(obj["n_market"]))
+        ordered = analysis.diversity_ordered(inp)
+        invariant = analysis.diversity_order_invariant(
+            inp, per_group_factorial=per_group_factorial)
+        _atomic_write(out_dir / "diversity.json", json.dumps({
+            "ordered_ln": ordered,
+            "invariant_ln": invariant,
+            "difference_ln": ordered - invariant,
+        }, sort_keys=True) + "\n")
 
 
 @main.command()
@@ -360,14 +400,10 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def generate(n_users, n_items, n_ratings, exponent, r_max, seed, out_path):
     """Write a synthetic Zipf dataset in MovieLens tab format."""
-    try:
-        dataset = ingest.generate_zipf(n_users, n_items, n_ratings,
-                                       exponent, r_max, seed)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_path, ingest.write_movielens(dataset))
-    except (OSError, ValueError, DatasetError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    dataset = ingest.generate_zipf(n_users, n_items, n_ratings,
+                                   exponent, r_max, seed)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out_path, ingest.write_movielens(dataset))
 
 
 if __name__ == "__main__":

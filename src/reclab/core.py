@@ -147,13 +147,12 @@ class FactorModel:
 
     U: np.ndarray
     V: np.ndarray
-    k: int
 
     def __post_init__(self):
         U = _readonly(self.U)
         V = _readonly(self.V)
-        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != self.k or V.shape[1] != self.k:
-            raise ValueError("U and V must be 2-d with row length k")
+        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
+            raise ValueError("U and V must be 2-d with one row length")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
 
@@ -166,13 +165,9 @@ class PowerMatModel:
     factors: FactorModel
     alpha: np.ndarray
     beta: float
-    sigma_u: float = 1.0
-    sigma_v: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _readonly(self.alpha))
-        if self.sigma_u <= 0 or self.sigma_v <= 0:
-            raise ValueError("sigma_u and sigma_v must be positive")
 
 
 @dataclass(frozen=True)

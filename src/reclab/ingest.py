@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -158,6 +159,9 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
             except ValueError:
                 raise ParseError(f"non-numeric context value {cell_text!r} in {col}",
                                  line_no) from None
+            if not math.isfinite(code):  # float() reads nan and inf
+                raise ParseError(f"non-finite context value {cell_text!r} in {col}",
+                                 line_no)
             context.append(max(code, 0.0))  # missing marker (-1 or blank) -> 0
         user = user_index.setdefault(row[COMODA_USER], len(user_index))
         item = item_index.setdefault(row[COMODA_ITEM], len(item_index))
@@ -209,6 +213,8 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     """
     if exponent <= 0:
         raise ValueError("exponent must be positive")
+    if n_ratings < 0:
+        raise ValueError(f"n_ratings must be >= 0, got {n_ratings}")
     if n_ratings > n_users * n_items:
         raise DatasetError(
             f"cannot place {n_ratings} distinct ratings on a "

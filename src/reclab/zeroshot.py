@@ -127,7 +127,7 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
         return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
 
     sgd_epochs(algo.value, U, V, cfg.epochs, visit, step, stats)
-    return FactorModel(U=U, V=V, k=cfg.k)
+    return FactorModel(U=U, V=V)
 
 
 def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
@@ -176,9 +176,8 @@ def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
         return new_u, new_v, clamped
 
     sgd_epochs("powermat", U, V, cfg.epochs, visit, step, stats, state=(alpha_beta,))
-    return PowerMatModel(factors=FactorModel(U=U, V=V, k=cfg.k),
-                         alpha=alpha_beta[:-1], beta=float(alpha_beta[-1]),
-                         sigma_u=sigma_u, sigma_v=sigma_v)
+    return PowerMatModel(factors=FactorModel(U=U, V=V),
+                         alpha=alpha_beta[:-1], beta=float(alpha_beta[-1]))
 
 
 class ZeroShotPredictor(Predictor):
@@ -187,7 +186,6 @@ class ZeroShotPredictor(Predictor):
     cached once and floored at eps_floor."""
 
     def __init__(self, model: FactorModel, r_max: int, eps_floor: float = 1e-6):
-        self.model = model
         self.r_max = r_max
         self._scores = model.U @ model.V.T
         self._row_max = np.maximum(self._scores.max(axis=1), eps_floor)
@@ -235,14 +233,13 @@ def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
 
 
 def hybrid_train(train: RatingsDataset, algo: ZeroShotAlgo, cfg: TrainConfig,
-                 fill_fraction: float = 1.0,
-                 mf_cfg: Optional[TrainConfig] = None) -> FactorModel:
+                 fill_fraction: float = 1.0, *, mf_cfg: TrainConfig) -> FactorModel:
     """Sparsity-mitigation hybrid: densify the training matrix with
     zero-shot predictions, then fit plain matrix factorization on the
     augmented data.
 
-    cfg drives the zero-shot stage; mf_cfg (default: cfg) the MF stage.
-    The stages want different learning rates, PoissonMat especially.
+    cfg drives the zero-shot stage and mf_cfg the MF stage. The stages want
+    different learning rates, PoissonMat especially.
     """
     augmented = augment_with_zeroshot(train, algo, cfg, fill_fraction)
-    return mf_train(augmented, mf_cfg if mf_cfg is not None else cfg)
+    return mf_train(augmented, mf_cfg)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from reclab.analysis import (DiversityInput, PowerLawFit, diversity_order_invariant,
                              diversity_ordered, fit_power_law, rating_histogram)
@@ -145,6 +146,27 @@ class TestDiversity:
         inp = DiversityInput(groups=((1000, 5000), (20, 30)), n_market=100000)
         assert math.isfinite(diversity_ordered(inp))
         assert math.isfinite(diversity_order_invariant(inp))
+
+    def test_matches_scipy(self):
+        # scipy's log-sum-exp and log-gamma as the oracle, on markets up to
+        # 10^6 titles and groups of up to 10^6 people watching up to 5000
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n_market = int(rng.integers(1, 10 ** int(rng.integers(1, 7))))
+            groups = tuple((int(rng.integers(1, 10 ** int(rng.integers(1, 7)))),
+                            int(rng.integers(0, 5000)))
+                           for _ in range(int(rng.integers(1, 8))))
+            inp = DiversityInput(groups=groups, n_market=n_market)
+            terms = np.array([math.log(k) + m * math.log(n_market) for k, m in groups])
+            watched = np.array([m for _, m in groups])
+            ordered = float(logsumexp(terms))
+            invariant = ordered - float(gammaln(n_market + 1))
+            per_group = float(logsumexp(terms - gammaln(watched + 1)))
+            close = dict(rel=1e-12, abs=1e-12)
+            assert diversity_ordered(inp) == pytest.approx(ordered, **close)
+            assert diversity_order_invariant(inp) == pytest.approx(invariant, **close)
+            assert diversity_order_invariant(inp, per_group_factorial=True) == \
+                pytest.approx(per_group, **close)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reclab import baselines
-from reclab.baselines import (CfConfig, CfPredictor, MfPredictor, SimilarityKind,
+from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
 from reclab.core import (FactorModel, Rating, RatingsDataset, TrainConfig,
@@ -54,7 +54,7 @@ def reference_similarities(train, kind):
     return sims
 
 
-def reference_predict(matrix, train, cfg, u, i):
+def reference_predict(matrix, train, neighborhood_size, u, i):
     """One item-CF prediction from a dense similarity matrix, with a Python
     candidate sort per call as CfPredictor.predict once did: the oracle for
     predict_many."""
@@ -68,7 +68,7 @@ def reference_predict(matrix, train, cfg, u, i):
     if not candidates:
         return fallback
     candidates.sort(key=lambda t: (-t[0], t[1]))
-    top = candidates[: cfg.neighborhood_size]
+    top = candidates[:neighborhood_size]
     num = sum(s * v for s, _, v in top)
     den = sum(abs(s) for s, _, _ in top)
     return clamp_prediction(num / den, train.r_max)
@@ -211,7 +211,7 @@ class TestCfPredict:
     def test_prediction_within_neighbor_range(self):
         ds = generate_zipf(40, 25, 600, 1.0, 5, seed=10)
         sims = item_similarities(ds, SimilarityKind.COSINE)
-        predictor = CfPredictor(sims, ds, CfConfig(neighborhood_size=5))
+        predictor = CfPredictor(sims, ds, neighborhood_size=5)
         rng = np.random.default_rng(0)
         by_user = {}
         for r in ds.ratings:
@@ -224,28 +224,32 @@ class TestCfPredict:
             if values:  # nonneg similarities: weighted average of some subset
                 assert 1.0 <= pred <= 5.0
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_nonpositive_neighborhood_size_rejected(self, size):
+        train = dataset([(0, 1, 5), (0, 2, 1)], 1, 3)
+        with pytest.raises(ValueError, match="neighborhood_size must be >= 1"):
+            CfPredictor(self.sims(np.eye(3)), train, size)
+
     def test_neighborhood_size_limits_neighbors(self):
         train = dataset([(0, 1, 5), (0, 2, 1)], 1, 3)
         sims = self.sims([[1, 0.9, 0.5], [0.9, 1, 0], [0.5, 0, 1]])
-        cfg = CfConfig(neighborhood_size=1)
         # only the most similar neighbor (item 1) is used
-        assert CfPredictor(sims, train, cfg).predict(0, 0) == pytest.approx(5.0)
+        assert CfPredictor(sims, train, 1).predict(0, 0) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("size", [1, 5, 20])
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
     def test_predict_many_equals_reference(self, shape, size):
         ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=shape[3]))
-        cfg = CfConfig(neighborhood_size=size)
         # every cell of the grid, test cells first
         grid = np.divmod(np.arange(ds.n_users * ds.n_items), ds.n_items)
         users = np.concatenate([test.users, grid[0]])
         items = np.concatenate([test.items, grid[1]])
         for kind in SimilarityKind:
             sims = item_similarities(train, kind)
-            got = CfPredictor(sims, train, cfg).predict_many(users, items)
+            got = CfPredictor(sims, train, size).predict_many(users, items)
             matrix = dense_scores(sims)
-            expected = [reference_predict(matrix, train, cfg, u, i)
+            expected = [reference_predict(matrix, train, size, u, i)
                         for u, i in zip(users.tolist(), items.tolist())]
             assert got.tolist() == expected
 
@@ -262,26 +266,25 @@ class TestCfPredict:
         users = np.array([0, 0, 0, 0, 1, 0, 2])
         items = np.array([0, 0, 5, 1, 0, 2, 5])
         for size in (1, 2, 3, 4, 20):
-            cfg = CfConfig(neighborhood_size=size)
-            got = CfPredictor(sims, train, cfg).predict_many(users, items)
-            expected = [reference_predict(matrix, train, cfg, u, i)
+            got = CfPredictor(sims, train, size).predict_many(users, items)
+            expected = [reference_predict(matrix, train, size, u, i)
                         for u, i in zip(users.tolist(), items.tolist())]
             assert got.tolist() == expected
         mean = train.global_mean()
-        one = CfPredictor(sims, train, CfConfig(neighborhood_size=1))
+        one = CfPredictor(sims, train, 1)
         # the tie goes to the lower item; no rows or no co-raters: the mean
         assert one.predict_many(users, items).tolist() == [5.0, 5.0, mean, 1.0,
                                                            mean, 1.0, mean]
         # the negative neighbor ranks last and pulls the average down:
         # (0.5*5 + 0.5*1 + 0.25*4 - 0.75*2) / (0.5 + 0.5 + 0.25 + 0.75)
-        four = CfPredictor(sims, train, CfConfig(neighborhood_size=4))
+        four = CfPredictor(sims, train, 4)
         assert four.predict(0, 0) == pytest.approx(2.5 / 2.0)
 
     def test_pair_blocks_do_not_change_predictions(self, monkeypatch):
         ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=41))
         predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE),
-                                train, CfConfig(neighborhood_size=5))
+                                train, neighborhood_size=5)
         whole = predictor.predict_many(test.users, test.items)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", 4)
         blocked = predictor.predict_many(test.users, test.items)
@@ -362,22 +365,22 @@ class TestMfTrain:
 class TestMfPredict:
     def test_dot_product(self):
         model = FactorModel(U=np.array([[2.0, 0.0]]),
-                            V=np.array([[1.5, 9.0]]), k=2)
+                            V=np.array([[1.5, 9.0]]))
         assert MfPredictor(model, 5).predict(0, 0) == pytest.approx(3.0)
 
     def test_upper_clamp(self):
-        model = FactorModel(U=np.array([[3.1]]), V=np.array([[2.0]]), k=1)
+        model = FactorModel(U=np.array([[3.1]]), V=np.array([[2.0]]))
         assert MfPredictor(model, 5).predict(0, 0) == 5.0
 
     def test_lower_clamp_on_zero_vector(self):
-        model = FactorModel(U=np.array([[0.0]]), V=np.array([[2.0]]), k=1)
+        model = FactorModel(U=np.array([[0.0]]), V=np.array([[2.0]]))
         assert MfPredictor(model, 5).predict(0, 0) == 1.0
 
     def test_predict_many_equals_per_cell_dot_products(self):
         # the oracle is one clamped U[u] @ V[i] per cell
         rng = np.random.default_rng(3)
         model = FactorModel(U=rng.uniform(0, 1, (9, 10)),
-                            V=rng.uniform(0, 1, (7, 10)), k=10)
+                            V=rng.uniform(0, 1, (7, 10)))
         users, items = np.divmod(np.arange(63), 7)
         got = MfPredictor(model, 5).predict_many(users, items)
         expected = [clamp_prediction(float(model.U[u] @ model.V[i]), 5)

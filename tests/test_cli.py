@@ -241,8 +241,16 @@ class TestBench:
         pytest.param(lambda c: {**c, "train": {"zeromat": {"samples_per_epoch": 0}}},
                      id="zero-samples-per-epoch"),
         pytest.param(lambda c: {**c, "sigma_u": 0}, id="zero-sigma"),
-        # json.loads accepts NaN, which would make the manifest invalid JSON
-        pytest.param(lambda c: {**c, "note": float("nan")}, id="nan-unread-key"),
+        # json.loads accepts NaN, which would make the manifest invalid JSON;
+        # fill_fraction is a known key that this config does not read
+        pytest.param(lambda c: {**c, "fill_fraction": float("nan")}, id="nan-unread-key"),
+        # keys and sections that nothing reads
+        pytest.param(lambda c: {**c, "neighbourhood_size": 1}, id="neighbourhood_size"),
+        pytest.param(lambda c: {**c, "dataset": {**c["dataset"], "fromat": "tab100k"}},
+                     id="dataset.fromat"),
+        pytest.param(lambda c: {**c, "split": {"sead": 5}}, id="split.sead"),
+        pytest.param(lambda c: {**c, "train": {"itemcf": {"epochs": 3}}}, id="train.itemcf"),
+        pytest.param(lambda c: {**c, "train": {"random": {"k": 2}}}, id="train.random"),
         # each would write no report, or pool two rows into one aggregate row
         pytest.param(lambda c: {**c, "repetitions": 0}, id="zero-repetitions"),
         pytest.param(lambda c: {**c, "repetitions": -3}, id="negative-repetitions"),
@@ -262,6 +270,83 @@ class TestBench:
         assert "error:" in result.output
         # CliRunner also maps an uncaught exception to exit code 1
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("edit, section", [
+        (lambda c: {**c, "train": {"poissonmat-hybrid": {"k": 0}}},
+         "train.poissonmat-hybrid: k must be >= 1"),
+        # a hybrid's MF stage reads train.mf
+        (lambda c: {**c, "train": {"mf": {"epochs": 0}}}, "train.mf: epochs must be >= 1"),
+        (lambda c: {**c, "split": {"test_fraction": 1.5}}, "split: test_fraction must be"),
+    ], ids=["hybrid-k", "hybrid-mf-stage-epochs", "test-fraction"])
+    def test_bad_value_fails_before_writing(self, runner, fixture_file, tmp_path,
+                                            edit, section):
+        path = bench_config(fixture_file, tmp_path, ["random", "poissonmat-hybrid"])
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {section}")
+        assert not (out / "manifest.json").exists()
+
+    def test_empty_split_side_names_the_split(self, runner, tmp_path):
+        data = tmp_path / "two.data"
+        data.write_text("1\t1\t4\t0\n2\t1\t3\t0\n")
+        config = bench_config(data, tmp_path, ["random", "mf"],
+                              split={"test_fraction": 0.8, "seed": 42})
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == ("error: split seed 42 with test_fraction 0.8 "
+                                 "leaves the train side empty\n")
+
+    def test_non_finite_context_exits_one(self, runner, comoda_file, tmp_path):
+        # bad input (exit 1), not a divergence of PowerMat (exit 2)
+        comoda_file.write_text(comoda_file.read_text() + "99,99,3,inf,1\n")
+        config = comoda_config(comoda_file, tmp_path, ["powermat"])
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "non-finite context value 'inf' in mood" in result.output
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["bench"],
+        ["generate", "--n-users", "x", "--n-items", "3", "--n-ratings", "2",
+         "--out", "x.data"],
+        ["analyze", "--mode", "bogus"],
+        [],
+    ], ids=["bench-without-config", "generate-non-integer", "analyze-bad-mode",
+            "no-command"])
+    def test_usage_error_is_one_error_line(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [["--help"], ["bench", "--help"]])
+    def test_help_exits_zero(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "Usage:" in result.output
+
+    def test_negative_rating_count_exits_one(self, runner, tmp_path):
+        out = tmp_path / "x.data"
+        result = runner.invoke(main, ["generate", "--n-users", "3", "--n-items", "3",
+                                      "--n-ratings", "-1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: n_ratings must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_not_standalone_raises_system_exit_on_error_only(self, fixture_file,
+                                                             tmp_path):
+        # how perfbench/tracing.py calls the group
+        config = bench_config(fixture_file, tmp_path, ["random"])
+        args = ["bench", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main.main(args=args, prog_name="reclab", standalone_mode=False) is None
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=["bench"], prog_name="reclab", standalone_mode=False)
+        assert exc.value.code == 1
 
 
 def assert_total(predictor, n_users, n_items, r_max=5):

@@ -44,21 +44,27 @@ class TestRatingsDataset:
 
 class TestFactorModel:
     def test_immutable_matrices(self):
-        model = FactorModel(U=np.ones((2, 2)), V=np.ones((2, 2)), k=2)
+        model = FactorModel(U=np.ones((2, 2)), V=np.ones((2, 2)))
         with pytest.raises(ValueError):
             model.U[0, 0] = 5.0
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("U, V", [
+        (np.ones((2, 3)), np.ones((2, 2))),
+        (np.ones(3), np.ones((2, 3))),
+        (np.ones((2, 3)), np.ones((2, 3, 1))),
+    ], ids=["row-lengths-differ", "1-d-U", "3-d-V"])
+    def test_shape_mismatch_rejected(self, U, V):
         with pytest.raises(ValueError):
-            FactorModel(U=np.ones((2, 3)), V=np.ones((2, 2)), k=3)
+            FactorModel(U=U, V=V)
 
 
 class TestPowerMatModel:
-    def test_rejects_nonpositive_sigma(self):
-        factors = FactorModel(U=np.ones((1, 1)), V=np.ones((1, 1)), k=1)
+    def test_alpha_is_read_only(self):
+        factors = FactorModel(U=np.ones((1, 1)), V=np.ones((1, 1)))
+        model = PowerMatModel(factors=factors, alpha=[0.5, 0.25], beta=0.0)
+        assert model.alpha.dtype == np.float64
         with pytest.raises(ValueError):
-            PowerMatModel(factors=factors, alpha=np.ones(1), beta=0.0,
-                          sigma_u=0.0)
+            model.alpha[0] = 1.0
 
 
 class TestTrainConfig:

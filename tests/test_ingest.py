@@ -92,6 +92,14 @@ class TestParseComoda:
         with pytest.raises(ParseError):
             parse_comoda(bad, ["mood"])
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_context_is_parse_error(self, text):
+        # float() accepts these; PowerMat would then diverge on them
+        bad = self.CSV + f"22,8,3,2,{text}\n"
+        with pytest.raises(ParseError, match=f"line 5: non-finite context value "
+                                             f"'{text}' in location"):
+            parse_comoda(bad, ["mood", "location"])
+
     def test_ids_remapped_dense(self):
         ds = parse_comoda(self.CSV, ["mood"]).dataset
         assert ds.n_users == 2 and ds.n_items == 2
@@ -221,6 +229,10 @@ class TestGenerateZipf:
     def test_infeasible_count_rejected(self):
         with pytest.raises(DatasetError):
             generate_zipf(10, 10, 101, 1.0, 5, seed=0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n_ratings must be >= 0"):
+            generate_zipf(3, 3, -1, 1.0, 5, seed=0)
 
     def test_dense_grid_fill(self):
         ds = generate_zipf(5, 5, 25, 1.0, 5, seed=0)

@@ -182,6 +182,11 @@ class TestPowerMat:
         with pytest.raises(ValueError):
             powermat_train(bad, _cfg())
 
+    @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (1.0, -2.0)])
+    def test_nonpositive_sigma_rejected(self, sigmas):
+        with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
+            powermat_train(self.contexts(), _cfg(), *sigmas)
+
     def test_alpha_length_matches_context_dim(self):
         model = powermat_train(self.contexts(d=5), _cfg(gamma=0.0005))
         assert model.alpha.shape == (5,)
@@ -191,7 +196,7 @@ class TestZeroShotPredict:
     def model(self):
         U = np.array([[1.0, 0.0], [0.5, 0.5]])
         V = np.array([[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]])
-        return FactorModel(U=U, V=V, k=2)
+        return FactorModel(U=U, V=V)
 
     def test_row_maximum_predicts_r_max(self):
         assert ZeroShotPredictor(self.model(), 5).predict(0, 0) == 5.0
@@ -201,7 +206,7 @@ class TestZeroShotPredict:
 
     def test_degenerate_equal_row(self):
         model = FactorModel(U=np.array([[1.0]]),
-                            V=np.array([[0.3], [0.3], [0.3]]), k=1)
+                            V=np.array([[0.3], [0.3], [0.3]]))
         predictor = ZeroShotPredictor(model, 5)
         for i in range(3):
             assert predictor.predict(0, i) == 5.0
@@ -260,7 +265,7 @@ class TestHybrid:
         train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
         cfg = _cfg(gamma=0.005, epochs=3)
         hybrid = hybrid_train(train, ZeroShotAlgo.DOTMAT, cfg,
-                              fill_fraction=1e-9)
+                              fill_fraction=1e-9, mf_cfg=cfg)
         plain = mf_train(train, cfg)
         assert np.array_equal(hybrid.U, plain.U)
         assert np.array_equal(hybrid.V, plain.V)
@@ -278,7 +283,7 @@ class TestHybrid:
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 hybrid_train(train, ZeroShotAlgo.ZEROMAT, _cfg(),
-                             fill_fraction=bad)
+                             fill_fraction=bad, mf_cfg=_cfg())
 
     def test_separate_mf_config_is_used(self):
         train = generate_zipf(20, 20, 150, 1.0, 5, seed=25)
