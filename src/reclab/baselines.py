@@ -250,6 +250,38 @@ def conflict_free_runs(users: np.ndarray, items: np.ndarray) -> List[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def dependency_levels(users: np.ndarray, items: np.ndarray, n_users: int,
+                      n_items: int) -> Tuple[np.ndarray, List[slice]]:
+    """Group a visit order into dependency levels.
+
+    A step depends on the latest earlier step with its user and the latest
+    earlier step with its item, and level(t) = 1 + max(level(prev_user(t)),
+    level(prev_item(t))), counting a missing predecessor as level 0. The
+    steps of one level share no user and no item, and every step's
+    predecessors lie at lower levels, so applying the levels in order, one
+    batched update each, does every step's arithmetic on the same values as
+    the step-by-step loop (level scheduling, Anderson & Saad 1989). The
+    levels are computed one `conflict_free_runs` run at a time, since the
+    steps of a run cannot depend on each other.
+
+    Returns a stable argsort of the levels and, for the order it gives, one
+    slice per level.
+    """
+    users, items = np.asarray(users), np.asarray(items)
+    # the level of each user's and each item's latest step so far
+    user_level = np.zeros(n_users, dtype=np.int64)
+    item_level = np.zeros(n_items, dtype=np.int64)
+    level = np.empty(len(users), dtype=np.int64)
+    for run in conflict_free_runs(users, items):
+        u, j = users[run], items[run]
+        l = np.maximum(user_level[u], item_level[j])
+        l += 1
+        level[run] = user_level[u] = item_level[j] = l
+    order = np.argsort(level, kind="stable")
+    bounds = np.cumsum(np.bincount(level)).tolist()
+    return order, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
                visit: Callable[[], tuple], step: Callable[..., tuple],
                stats: Optional[TrainStats] = None,
@@ -257,23 +289,35 @@ def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
     """The epoch loop of every SGD trainer; updates U and V in place.
 
     Each epoch, visit() returns the visit order as user and item columns
-    and a column of per-step data (a rating, a context row) or None. Each
-    run of `conflict_free_runs` over that order is one call
-    step(user_rows, item_rows, data_of_the_run), which returns the updated
-    rows and a mask of the steps whose dot product was clamped (or None).
-    state holds further arrays that step updates in place. After each epoch
-    every entry of U, V and state must be finite, or TrainingError names the
-    epoch. stats, if given, adds up the clamp masks and counts the epochs.
+    and a column of per-step data (a rating, a context row) or None. The
+    order is cut into batches of steps that share no user and no item, and
+    each batch is one call step(user_rows, item_rows, data_of_the_batch),
+    which returns the updated rows and a mask of the steps whose dot
+    product was clamped (or None). The batches are the `dependency_levels`
+    of the order, each a contiguous slice of the columns permuted once.
+    state holds further arrays that step updates in place and that every
+    step reads, which orders all steps; with state the batches are the
+    consecutive `conflict_free_runs` of the order instead. Either way each
+    step computes on the same values as in the step-by-step loop. After
+    each epoch every entry of U, V and state must be finite, or
+    TrainingError names the epoch. stats, if given, adds up the clamp masks
+    and counts the epochs.
     """
     for epoch in range(epochs):
         us, js, data = visit()
+        if state:
+            batches = conflict_free_runs(us, js)
+        else:
+            order, batches = dependency_levels(us, js, len(U), len(V))
+            us, js = us[order], js[order]
+            data = None if data is None else data[order]
         # overflow surfaces as non-finite entries, checked after each epoch
         with np.errstate(over="ignore", invalid="ignore"):
-            for run in conflict_free_runs(us, js):
-                u, j = us[run], js[run]
+            for batch in batches:
+                u, j = us[batch], js[batch]
                 # take: the same rows as U[u], gathered with less overhead
                 U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
-                                           None if data is None else data[run])
+                                           None if data is None else data[batch])
                 if stats is not None:
                     stats.clamp_activations += int(np.count_nonzero(clamped))
         if not all(np.isfinite(a).all() for a in (U, V, *state)):
@@ -288,9 +332,9 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     Visits the observed ratings once per epoch in a seed-derived shuffled
     order (independent of the input row order), applying
     U_i += gamma * 2e * V_j and V_j += gamma * 2e * U_i with
-    e = R_ij - U_i . V_j. No biases, no regularization. Each run of
-    `conflict_free_runs` over the order is one batched update, so the
-    factors equal those of visiting the ratings one at a time.
+    e = R_ij - U_i . V_j. No biases, no regularization. Each of the
+    order's `dependency_levels` is one batched update, so the factors equal
+    those of visiting the ratings one at a time, bit for bit.
     """
     if len(train) == 0:
         raise ValueError("train set is empty")

@@ -219,9 +219,19 @@ def _check_config(config) -> None:
         raise ValueError("config key 'context_columns' must list strings")
     if config.get("context_columns") == []:
         raise ValueError("config key 'context_columns' must name at least one column")
-    if config.get("repetitions", 1) < 1:
-        raise ValueError(f"config key 'repetitions' must be >= 1, "
-                         f"got {config['repetitions']}")
+    kinds = [kind.value for kind in SimilarityKind]
+    if config.get("similarity_kind", "cosine") not in kinds:
+        raise ValueError(f"config key 'similarity_kind' must be one of {kinds}, "
+                         f"got {config['similarity_kind']!r}")
+    for key in ("repetitions", "neighborhood_size"):
+        if config.get(key, 1) < 1:
+            raise ValueError(f"config key {key!r} must be >= 1, got {config[key]}")
+    for key in ("sigma_u", "sigma_v"):
+        if config.get(key, 1.0) <= 0:
+            raise ValueError(f"config key {key!r} must be positive, got {config[key]}")
+    if not 0 < config.get("fill_fraction", 1.0) <= 1:
+        raise ValueError(f"config key 'fill_fraction' must be in (0, 1], "
+                         f"got {config['fill_fraction']}")
     algorithms = config["algorithms"]
     if not algorithms:
         raise ValueError("config key 'algorithms' must name at least one algorithm")

@@ -112,10 +112,9 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
                    cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
     """Train ZeroMat, DotMat or PoissonMat from the matrix shape alone: each
     epoch applies the algorithm's step rule to samples_per_epoch uniformly
-    drawn grid cells, in draw order. Each run of `conflict_free_runs` over
-    the draws is one batched step, which matches stepping one cell at a time
-    up to the last bits of numpy's log and power; stats adds up the clamp
-    masks."""
+    drawn grid cells, in draw order. Each of the draws' `dependency_levels`
+    is one batched step, which matches stepping one cell at a time up to the
+    last bits of numpy's log and power; stats adds up the clamp masks."""
     rng, U, V = init_factors(n_users, n_items, cfg)
     rule = _STEP_FN[algo]
 

@@ -259,17 +259,25 @@ class TestBench:
                      id="repeated-algorithm"),
         pytest.param(lambda c: {**c, "context_columns": []},
                      id="empty-context-columns"),
+        # values checked whenever the key is present, whatever the
+        # algorithms: none of these configs lists itemcf or a hybrid
+        pytest.param(lambda c: {**c, "similarity_kind": "pearson"}, id="similarity_kind"),
+        pytest.param(lambda c: {**c, "neighborhood_size": 0}, id="neighborhood_size"),
+        pytest.param(lambda c: {**c, "sigma_v": -1.0}, id="sigma_v"),
+        pytest.param(lambda c: {**c, "fill_fraction": 1.5}, id="fill_fraction"),
+        pytest.param(lambda c: {**c, "fill_fraction": 0}, id="zero-fill_fraction"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
                              ["random", "mf", "zeromat", "powermat"])
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        result = runner.invoke(main, ["bench", "--config", str(path),
-                                      "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 1, result.output
-        assert "error:" in result.output
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
         # CliRunner also maps an uncaught exception to exit code 1
         assert isinstance(result.exception, SystemExit)
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("edit, section", [
         (lambda c: {**c, "train": {"poissonmat-hybrid": {"k": 0}}},

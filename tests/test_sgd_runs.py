@@ -1,6 +1,7 @@
-"""The conflict-free run kernel: `conflict_free_runs`, and `mf_train`,
-`train_zeroshot` and `powermat_train` against reference copies of the
-one-step-at-a-time loops they replace."""
+"""The SGD schedulers: `conflict_free_runs` and `dependency_levels`, and
+`mf_train`, `train_zeroshot` and `powermat_train` against reference copies of
+the one-step-at-a-time loops and of the run-scheduled epoch driver they
+replace."""
 
 import math
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reclab.baselines import conflict_free_runs, init_factors, mf_train
+from reclab import baselines, zeroshot
+from reclab.baselines import (conflict_free_runs, dependency_levels, init_factors,
+                              mf_train)
 from reclab.core import ContextSample, RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, ZeroShotAlgo, dotmat_step,
@@ -137,6 +140,36 @@ def reference_powermat_train(contexts, cfg, sigma_u=1.0, sigma_v=1.0):
     return U, V, alpha, beta, clamps, epochs_run
 
 
+def run_scheduled_sgd_epochs(name, U, V, epochs, visit, step, stats=None, state=()):
+    """The epoch driver as it was before dependency levels: one step call
+    per consecutive conflict-free run, for every trainer."""
+    for epoch in range(epochs):
+        us, js, data = visit()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in conflict_free_runs(us, js):
+                u, j = us[run], js[run]
+                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
+                                           None if data is None else data[run])
+                if stats is not None:
+                    stats.clamp_activations += int(np.count_nonzero(clamped))
+        if not all(np.isfinite(a).all() for a in (U, V, *state)):
+            raise TrainingError(f"{name} diverged at epoch {epoch}", epoch=epoch)
+        if stats is not None:
+            stats.epochs_run = epoch + 1
+
+
+@pytest.fixture
+def run_scheduled(monkeypatch):
+    """Call run_scheduled(fn, *args) to run a trainer on the run-scheduled
+    driver."""
+    def call(fn, *args):
+        with monkeypatch.context() as patch:
+            for module in (baselines, zeroshot):
+                patch.setattr(module, "sgd_epochs", run_scheduled_sgd_epochs)
+            return fn(*args)
+    return call
+
+
 # --- conflict_free_runs ----------------------------------------------------
 
 def check_runs(users, items):
@@ -191,6 +224,65 @@ class TestConflictFreeRuns:
         check_runs(users, items)
 
 
+# --- dependency_levels ------------------------------------------------------
+
+def check_levels(users, items):
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    n = len(users)
+    n_users = int(users.max()) + 1 if n else 0
+    n_items = int(items.max()) + 1 if n else 0
+    order, levels = dependency_levels(users, items, n_users, n_items)
+    # the slices cut the permutation into contiguous, non-empty levels
+    assert sorted(order.tolist()) == list(range(n))
+    bounds = [0] + [s.stop for s in levels]
+    assert levels == [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    assert bounds[-1] == n and all(a < b for a, b in zip(bounds, bounds[1:]))
+    level = np.empty(n, dtype=np.int64)
+    for number, s in enumerate(levels, start=1):
+        steps = order[s]
+        # stable: the steps of a level keep their visit order
+        assert (np.diff(steps) > 0).all()
+        u, j = users[steps].tolist(), items[steps].tolist()
+        assert len(set(u)) == len(u) and len(set(j)) == len(j)
+        level[steps] = number
+    # level(t) = 1 + max(level(prev_user(t)), level(prev_item(t))), exactly
+    latest_user, latest_item = {}, {}
+    for t in range(n):
+        prev = [p for p in (latest_user.get(users[t]), latest_item.get(items[t]))
+                if p is not None]
+        assert all(level[p] < level[t] for p in prev)
+        assert level[t] == 1 + max((level[p] for p in prev), default=0)
+        latest_user[users[t]] = latest_item[items[t]] = t
+    assert len(levels) <= len(conflict_free_runs(users, items))
+    return levels
+
+
+class TestDependencyLevels:
+    def test_empty(self):
+        assert check_levels([], []) == []
+
+    def test_single_row(self):
+        assert check_levels([3], [7]) == [slice(0, 1)]
+
+    def test_one_user_gives_single_steps(self):
+        levels = check_levels([2] * 5, [0, 1, 2, 3, 4])
+        assert [(s.start, s.stop) for s in levels] == [(i, i + 1) for i in range(5)]
+
+    def test_hand_levels(self):
+        # runs (0, 2), (2, 4), (4, 6); step 3 (user 3, item 2) depends on
+        # nothing and joins level 1, step 5 (user 0) only on step 0
+        users, items = [0, 1, 2, 3, 2, 0], [0, 1, 1, 2, 3, 4]
+        order, levels = dependency_levels(np.array(users), np.array(items), 4, 5)
+        assert order.tolist() == [0, 1, 3, 2, 5, 4]
+        assert [(s.start, s.stop) for s in levels] == [(0, 3), (3, 5), (5, 6)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n_ids: st.lists(
+        st.tuples(st.integers(0, n_ids), st.integers(0, n_ids)), max_size=60)))
+    def test_property(self, pairs):
+        check_levels([u for u, _ in pairs], [j for _, j in pairs])
+
+
 # --- batched step rules against row-by-row application --------------------
 
 rows = st.integers(1, 12).flatmap(lambda n: st.integers(1, 6).flatmap(
@@ -236,12 +328,14 @@ class TestMfMatchesReference:
         TrainConfig(gamma=0.01, k=5, epochs=4, seed=9),
         TrainConfig(gamma=0.002, k=10, epochs=3, seed=2, init_lo=1e-9, init_hi=1e-8),
     ], ids=["default-init", "tiny-init"])
-    def test_factors_match(self, make, cfg):
+    def test_factors_match(self, run_scheduled, make, cfg):
         train = make()
         ref_u, ref_v = reference_mf_train(train, cfg)
+        runs = run_scheduled(mf_train, train, cfg)
         model = mf_train(train, cfg)
-        np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
-        np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
+        for U, V in ((ref_u, ref_v), (runs.U, runs.V)):
+            assert np.array_equal(model.U, U)
+            assert np.array_equal(model.V, V)
 
     def test_zipf_runs_are_short(self):
         # the skewed fixture exercises many short runs, not a few long ones
@@ -250,6 +344,18 @@ class TestMfMatchesReference:
         order = np.random.default_rng(0).permutation(len(users))
         runs = conflict_free_runs(users[order], items[order])
         assert len(train) / len(runs) < 8
+
+    def test_uniform_levels_are_few(self):
+        # Without skew, dependency levels batch far more steps than runs do:
+        # 76 levels against 187 runs here. Each user holds 24 ratings on
+        # average, and a level holds at most one of them, which keeps this
+        # small fixture above a third.
+        train = uniform_dataset()
+        users, items, _ = train.arrays()
+        order = np.random.default_rng(0).permutation(len(users))
+        us, js = users[order], items[order]
+        _, levels = dependency_levels(us, js, train.n_users, train.n_items)
+        assert 2 * len(levels) < len(conflict_free_runs(us, js))
 
     def test_divergence_epoch_matches(self):
         train = uniform_dataset()
@@ -272,14 +378,14 @@ class TestZeroShotMatchesReference:
         ((30, 25, 1500), {"init_lo": 1e-9, "init_hi": 1e-8}),
         ((3, 200, 600), {}),
     ], ids=["default-init", "clamp-heavy", "few-users"])
-    def test_factors_and_counters_match(self, algo, shape, init):
+    def test_factors_and_counters_match(self, run_scheduled, algo, shape, init):
         n_users, n_items, samples = shape
         # two epochs: PoissonMat from the tiny init diverges in the third
         cfg = TrainConfig(gamma=ZS_GAMMA[algo], k=6, epochs=2, seed=11,
                           samples_per_epoch=samples, **init)
         ref_u, ref_v, ref_clamps, ref_epochs = reference_train_zeroshot(
             algo, n_users, n_items, cfg)
-        stats = TrainStats()
+        stats, run_stats = TrainStats(), TrainStats()
         model = train_zeroshot(algo, n_users, n_items, cfg, stats)
         np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
         np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
@@ -287,6 +393,11 @@ class TestZeroShotMatchesReference:
         assert stats.epochs_run == ref_epochs
         if init:
             assert ref_clamps > 0
+        # bit for bit against the run schedule, which batches the same rows
+        runs = run_scheduled(train_zeroshot, algo, n_users, n_items, cfg, run_stats)
+        assert np.array_equal(model.U, runs.U)
+        assert np.array_equal(model.V, runs.V)
+        assert stats == run_stats
 
     def test_divergence_epoch_matches(self):
         cfg = TrainConfig(gamma=50.0, k=4, epochs=5, seed=1, samples_per_epoch=400)
@@ -369,6 +480,19 @@ class TestPowerMatMatchesReference:
         users = np.array([c.user_id for c in contexts])
         items = np.array([c.item_id for c in contexts])
         assert len(conflict_free_runs(users, items)) == len(contexts)
+
+    def test_dense_input_keeps_run_order(self):
+        # Dependency levels would batch these steps far more widely than
+        # runs do, and so reorder the alpha and beta updates; PowerMat's
+        # epochs keep consecutive runs and stay bit-identical.
+        contexts = context_samples(8, 700, 2, 20, 40)
+        order = np.random.default_rng(0).permutation(len(contexts))
+        users = np.array([contexts[i].user_id for i in order])
+        items = np.array([contexts[i].item_id for i in order])
+        _, levels = dependency_levels(users, items, 20, 40)
+        assert 2 * len(levels) < len(conflict_free_runs(users, items))
+        cfg = TrainConfig(gamma=0.0005, k=6, epochs=3, seed=12)
+        self.check(contexts, cfg)
 
     def test_divergence_epoch_matches(self):
         contexts = context_samples(5, 300, 3, 20, 25)
