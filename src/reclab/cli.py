@@ -24,7 +24,7 @@ from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
                    TrainConfig, TrainingError)
 from .evaluation import Predictor
 from .ingest import MovieLensFormat, ParseResult, SplitSpec
-from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, hybrid_train,
+from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, augment_with_zeroshot,
                        powermat_train, train_zeroshot)
 
 EXIT_INPUT_ERROR = 1
@@ -87,7 +87,8 @@ def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
 
 def _fit_shape_only(algo, config, train, contexts, seed) -> Predictor:
     cfg = _train_config(config, algo, seed, len(train))
-    model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
+    model = train_zeroshot(ZeroShotAlgo(algo.removesuffix("-hybrid")),
+                           train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
 
@@ -110,11 +111,11 @@ def _fit_powermat(algo, config, train, contexts, seed) -> Predictor:
 
 
 def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
-    base = ZeroShotAlgo(algo[: -len("-hybrid")])
-    model = hybrid_train(train, base, _train_config(config, algo, seed, len(train)),
-                         fill_fraction=config.get("fill_fraction", 1.0),
-                         mf_cfg=_train_config(config, "mf", seed, len(train)))
-    return MfPredictor(model, train.r_max)
+    # the zero-shot stage reads train.<hybrid>, not train.<base>; the MF stage train.mf
+    zero_shot = _fit_shape_only(algo, config, train, contexts, seed)
+    augmented = augment_with_zeroshot(train, zero_shot, seed,
+                                      config.get("fill_fraction", 1.0))
+    return _fit_mf("mf", config, augmented, contexts, seed)
 
 
 class Algorithm(NamedTuple):

@@ -103,6 +103,8 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
         if not (1 <= value <= 5):
             raise DatasetError(f"line {line_no}: rating {value} outside [1, 5]")
+        if not (raw_user and raw_item):
+            raise ParseError(f"empty {'item' if raw_user else 'user'} id", line_no)
         user = user_index.setdefault(raw_user, len(user_index))
         item = item_index.setdefault(raw_item, len(item_index))
         cell = (user, item)
@@ -145,15 +147,24 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     cell_to_row: dict = {}
     duplicates = 0
 
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
+        if None in row or None in row.values():  # DictReader's extra, missing fields
+            n = len(reader.fieldnames)
+            got = n + len(row.get(None, ())) - list(row.values()).count(None)
+            raise ParseError(f"expected {n} fields, got {got}", line_no)
         try:
             value = int(row[COMODA_RATING])
-        except (TypeError, ValueError):
-            raise ParseError(f"non-numeric rating {row.get(COMODA_RATING)!r}",
+        except ValueError:
+            raise ParseError(f"non-numeric rating {row[COMODA_RATING]!r}",
                              line_no) from None
+        if not (1 <= value <= COMODA_R_MAX):
+            raise DatasetError(f"line {line_no}: rating {value} outside [1, {COMODA_R_MAX}]")
+        if not (row[COMODA_USER] and row[COMODA_ITEM]):
+            raise ParseError(f"empty {'item' if row[COMODA_USER] else 'user'} id", line_no)
         context = []
         for col in context_columns:
-            cell_text = (row[col] or "").strip()
+            cell_text = row[col].strip()
             try:
                 code = float(cell_text) if cell_text else 0.0
             except ValueError:

@@ -1,9 +1,11 @@
 """Data-free cold-start trainers: ZeroMat, DotMat, PoissonMat, PowerMat,
-plus the hybrid composition with matrix factorization.
+their predictor, and the fill step of the hybrids.
 
 None of the trainers here ever reads a rating value. The three context-free
 ones consume only the matrix shape; PowerMat additionally consumes context
-vectors.
+vectors. `augment_with_zeroshot` densifies a train split with a fitted
+predictor's fills; `reclab.cli` composes a hybrid from the base algorithm's
+fit, that fill and the `mf` fit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import TrainStats, init_factors, mf_train, sgd_epochs
+from .baselines import TrainStats, init_factors, sgd_epochs
 from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
                    TrainConfig)
 from .evaluation import Predictor
@@ -194,22 +196,18 @@ class ZeroShotPredictor(Predictor):
         return np.clip(raw, 1.0, self.r_max)
 
 
-def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
-                          cfg: TrainConfig,
+def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
                           fill_fraction: float = 1.0) -> RatingsDataset:
-    """Densify the training matrix: add rounded zero-shot predictions for a
-    seed-determined uniform sample of round(fill_fraction * |train|)
+    """Densify the training matrix: add predictor's rounded predictions for
+    a seed-determined uniform sample of round(fill_fraction * |train|)
     unobserved cells."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if not (0.0 < fill_fraction <= 1.0):
         raise ValueError("fill_fraction must be in (0, 1]")
-    zs_model = train_zeroshot(algo, train.n_users, train.n_items, cfg)
-    predictor = ZeroShotPredictor(zs_model, train.r_max, cfg.eps_floor)
-
     n_fill = int(round(fill_fraction * len(train)))
     n_fill = min(n_fill, train.n_users * train.n_items - len(train))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     taken = set(train.keys().tolist())
     users, items = [], []
     while len(users) < n_fill:
@@ -229,16 +227,3 @@ def augment_with_zeroshot(train: RatingsDataset, algo: ZeroShotAlgo,
     values = np.concatenate([train.values, values])
     return RatingsDataset.from_columns(users, items, values, train.n_users,
                                        train.n_items, train.r_max)
-
-
-def hybrid_train(train: RatingsDataset, algo: ZeroShotAlgo, cfg: TrainConfig,
-                 fill_fraction: float = 1.0, *, mf_cfg: TrainConfig) -> FactorModel:
-    """Sparsity-mitigation hybrid: densify the training matrix with
-    zero-shot predictions, then fit plain matrix factorization on the
-    augmented data.
-
-    cfg drives the zero-shot stage and mf_cfg the MF stage. The stages want
-    different learning rates, PoissonMat especially.
-    """
-    augmented = augment_with_zeroshot(train, algo, cfg, fill_fraction)
-    return mf_train(augmented, mf_cfg)

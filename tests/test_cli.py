@@ -16,6 +16,8 @@ from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import ContextSample, Rating, RatingsDataset
 from reclab.ingest import generate_zipf, write_movielens
 
+HYBRIDS = [a for a in ALGORITHMS if a.endswith("-hybrid")]
+
 
 @pytest.fixture
 def runner():
@@ -393,6 +395,59 @@ class TestRegistry:
                             lambda ctx, *args, **kw: passed.append(ctx) or real(ctx, *args, **kw))
         REGISTRY["powermat"].fit("powermat", {}, train, contexts, 3)
         assert [(c.user_id, c.item_id) for c in passed[0]] == [(0, 3), (2, 1)]
+
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    def test_vanishing_fill_equals_plain_mf(self, hybrid):
+        train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
+        config = {"fill_fraction": 1e-9, "train": {"mf": {"k": 4, "epochs": 3}}}
+        model = REGISTRY[hybrid].fit(hybrid, config, train, None, 5).model
+        plain = REGISTRY["mf"].fit("mf", config, train, None, 5).model
+        assert np.array_equal(model.U, plain.U)
+        assert np.array_equal(model.V, plain.V)
+
+    def test_train_sections_drive_their_stages(self, monkeypatch):
+        train = generate_zipf(20, 20, 150, 1.0, 5, seed=25)
+        hybrid = "poissonmat-hybrid"
+        configs = []  # the TrainConfig, the last argument, of each stage's trainer
+
+        def recording(real):
+            return lambda *args: configs.append(args[-1]) or real(*args)
+
+        for name in ("train_zeroshot", "mf_train"):
+            monkeypatch.setattr(reclab.cli, name, recording(getattr(reclab.cli, name)))
+
+        def factors(sections):
+            model = REGISTRY[hybrid].fit(hybrid, {"train": sections}, train, None, 5).model
+            return np.concatenate([model.U, model.V])
+
+        sections = {hybrid: {"epochs": 1}, "mf": {"gamma": 0.01, "epochs": 4}}
+        base = factors(sections)
+        zs_cfg, mf_cfg = configs
+        assert (zs_cfg.gamma, zs_cfg.epochs) == (2e-5, 1)  # the hybrid's defaults
+        assert (mf_cfg.gamma, mf_cfg.epochs) == (0.01, 4)
+        # the base algorithm's own section is not read by its hybrid
+        assert np.array_equal(factors({**sections, "poissonmat": {"epochs": 9}}), base)
+        assert not np.array_equal(factors({**sections, hybrid: {"k": 2}}), base)
+        assert not np.array_equal(factors({**sections, "mf": {"epochs": 4}}), base)
+
+    @pytest.mark.parametrize("hybrid", HYBRIDS)
+    def test_fills_come_from_the_base_fit(self, hybrid, monkeypatch):
+        train = generate_zipf(20, 25, 150, 1.0, 5, seed=27)
+        base = hybrid.removesuffix("-hybrid")
+        section = {"gamma": 2e-5 if base == "poissonmat" else 0.004, "epochs": 2, "k": 3}
+        # a base section that a wrong composition would read instead
+        config = {"fill_fraction": 0.6, "train": {hybrid: section, base: {"k": 5}}}
+        passed = []
+        real = reclab.cli.augment_with_zeroshot
+        monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
+                            lambda *args: passed.append(args) or real(*args))
+        REGISTRY[hybrid].fit(hybrid, config, train, None, 11)
+        (filled_train, predictor, seed, fill_fraction), = passed
+        expected = REGISTRY[base].fit(base, {"train": {base: section}}, train, None, 11)
+        users, items = np.divmod(np.arange(20 * 25), 25)
+        assert filled_train is train and (seed, fill_fraction) == (11, 0.6)
+        assert np.array_equal(predictor.predict_many(users, items),
+                              expected.predict_many(users, items))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["cosine", "adjusted_cosine"]),

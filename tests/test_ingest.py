@@ -39,6 +39,13 @@ class TestParseMovielens:
         with pytest.raises(ParseError):
             parse_movielens("1\t2\t5\tnoon\n", MovieLensFormat.TAB_100K)
 
+    @pytest.mark.parametrize("text, line_no, side", [
+        ("\t\t5\t0\n1\t2\t3\t0\n", 1, "user"),
+        ("1\t2\t3\t0\n3\t\t5\t0\n", 2, "item")], ids=["user", "item"])
+    def test_empty_id_is_parse_error(self, text, line_no, side):
+        with pytest.raises(ParseError, match=f"^line {line_no}: empty {side} id$"):
+            parse_movielens(text, MovieLensFormat.TAB_100K)
+
     def test_binary_stream_and_crlf(self):
         result = parse_movielens(io.BytesIO(b"1\t2\t4\t0\r\n3\t2\t2\t0\r\n"),
                                  MovieLensFormat.TAB_100K)
@@ -99,6 +106,29 @@ class TestParseComoda:
         with pytest.raises(ParseError, match=f"line 5: non-finite context value "
                                              f"'{text}' in location"):
             parse_comoda(bad, ["mood", "location"])
+
+    @pytest.mark.parametrize("row, side", [(",,4,1,1", "user"), ("15,,4,1,1", "item")],
+                             ids=["user", "item"])
+    def test_empty_id_is_parse_error(self, row, side):
+        with pytest.raises(ParseError, match=f"^line 5: empty {side} id$"):
+            parse_comoda(self.CSV + row + "\n", ["mood", "location"])
+
+    @pytest.mark.parametrize("tail, line_no", [
+        ("22,8,7,2,1\n", 5),
+        # a later duplicate of the bad cell does not hide it
+        ("15,3,7,2,1\n15,3,4,2,1\n", 5),
+        # a blank line counts as a line
+        ("\n22,8,0,2,1\n", 6)], ids=["bad", "replaced", "after-blank"])
+    def test_rating_out_of_range_names_the_line(self, tail, line_no):
+        value = tail.strip().split(",")[2]
+        with pytest.raises(DatasetError,
+                           match=rf"^line {line_no}: rating {value} outside \[1, 5\]$"):
+            parse_comoda(self.CSV + tail, ["mood", "location"])
+
+    @pytest.mark.parametrize("row, got", [("1,2,4", 3), ("1,2,4,1", 4), ("1,2,4,1,1,9", 6)])
+    def test_wrong_field_count_is_parse_error(self, row, got):
+        with pytest.raises(ParseError, match=f"^line 5: expected 5 fields, got {got}$"):
+            parse_comoda(self.CSV + row + "\n", ["mood", "location"])
 
     def test_ids_remapped_dense(self):
         ds = parse_comoda(self.CSV, ["mood"]).dataset

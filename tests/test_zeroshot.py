@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from reclab.baselines import mf_train
 from reclab.core import (ContextSample, FactorModel, Rating, RatingsDataset,
                          TrainConfig)
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (TrainStats, ZeroShotAlgo, ZeroShotPredictor,
-                             augment_with_zeroshot, dotmat_step, hybrid_train,
+                             augment_with_zeroshot, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
                              train_zeroshot, zeromat_step)
 
@@ -230,10 +229,18 @@ class TestZeroShotPredict:
 
 
 class TestHybrid:
+    """augment_with_zeroshot fills from a fitted predictor; the hybrids'
+    composition is tested through the registry in test_cli.py."""
+
+    @staticmethod
+    def _predictor(train, algo, cfg):
+        model = train_zeroshot(algo, train.n_users, train.n_items, cfg)
+        return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
+
     def test_augmented_size_arithmetic(self):
         train = generate_zipf(30, 30, 300, 1.0, 5, seed=21)
-        augmented = augment_with_zeroshot(train, ZeroShotAlgo.ZEROMAT,
-                                          _cfg(), fill_fraction=0.5)
+        predictor = self._predictor(train, ZeroShotAlgo.ZEROMAT, _cfg())
+        augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=0.5)
         assert len(augmented) == 300 + 150
         assert set(train.keys().tolist()) <= set(augmented.keys().tolist())
 
@@ -242,9 +249,9 @@ class TestHybrid:
         # the oracle draws, rejects and scores one cell at a time
         train = generate_zipf(25, 30, 400, 1.0, 5, seed=26)
         cfg = _cfg(gamma={ZeroShotAlgo.POISSONMAT: 2e-5}.get(algo, 0.005))
-        augmented = augment_with_zeroshot(train, algo, cfg, fill_fraction=0.8)
         predictor = ZeroShotPredictor(
             train_zeroshot(algo, train.n_users, train.n_items, cfg), 5, cfg.eps_floor)
+        augmented = augment_with_zeroshot(train, predictor, cfg.seed, fill_fraction=0.8)
         rng = np.random.default_rng(cfg.seed)
         taken = set(train.keys().tolist())
         filled = []
@@ -261,36 +268,17 @@ class TestHybrid:
         assert np.array_equal(augmented.items, np.concatenate([train.items, items]))
         assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
 
-    def test_vanishing_fill_equals_plain_mf(self):
-        train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
-        cfg = _cfg(gamma=0.005, epochs=3)
-        hybrid = hybrid_train(train, ZeroShotAlgo.DOTMAT, cfg,
-                              fill_fraction=1e-9, mf_cfg=cfg)
-        plain = mf_train(train, cfg)
-        assert np.array_equal(hybrid.U, plain.U)
-        assert np.array_equal(hybrid.V, plain.V)
-
     def test_filled_values_are_integers_on_scale(self):
         train = generate_zipf(20, 20, 150, 1.0, 5, seed=23)
-        augmented = augment_with_zeroshot(train, ZeroShotAlgo.POISSONMAT,
-                                          _cfg(gamma=2e-5), fill_fraction=1.0)
+        predictor = self._predictor(train, ZeroShotAlgo.POISSONMAT, _cfg(gamma=2e-5))
+        augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=1.0)
         new = set(augmented.ratings) - set(train.ratings)
         assert len(new) == 150
         assert all(1 <= r.value <= 5 for r in new)
 
     def test_bad_fill_fraction_rejected(self):
         train = generate_zipf(10, 10, 50, 1.0, 5, seed=24)
+        predictor = self._predictor(train, ZeroShotAlgo.ZEROMAT, _cfg())
         for bad in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                hybrid_train(train, ZeroShotAlgo.ZEROMAT, _cfg(),
-                             fill_fraction=bad, mf_cfg=_cfg())
-
-    def test_separate_mf_config_is_used(self):
-        train = generate_zipf(20, 20, 150, 1.0, 5, seed=25)
-        zs_cfg = _cfg(gamma=2e-5, epochs=1)
-        mf_cfg = _cfg(gamma=0.01, epochs=4)
-        a = hybrid_train(train, ZeroShotAlgo.POISSONMAT, zs_cfg, 1.0,
-                         mf_cfg=mf_cfg)
-        b = hybrid_train(train, ZeroShotAlgo.POISSONMAT, zs_cfg, 1.0,
-                         mf_cfg=mf_cfg)
-        assert np.array_equal(a.U, b.U)
+            with pytest.raises(ValueError, match="fill_fraction"):
+                augment_with_zeroshot(train, predictor, 5, fill_fraction=bad)
