@@ -216,6 +216,8 @@ def _check_config(config) -> None:
             if not ok or isinstance(value, bool):
                 raise ValueError(f"config key {path!r} must be "
                                  f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    if "path" not in config["dataset"]:
+        raise ValueError("config missing required key 'dataset.path'")
     if not all(isinstance(c, str) for c in config.get("context_columns", [])):
         raise ValueError("config key 'context_columns' must list strings")
     if config.get("context_columns") == []:
@@ -286,7 +288,7 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
 
     out_dir = out_dir or Path(config.get("out_dir", "reclab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {**config, "split": config.get("split", _DEFAULT_SPLIT)}
+    manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
     _write_json(out_dir / "manifest.json", manifest)
 
     reports = []
@@ -377,7 +379,7 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     if mode == "zipf":
         if dataset_path is None:
             raise ValueError("zipf mode requires --dataset")
-        parsed = _load_dataset(dataset_path, fmt, None)
+        parsed = _load_dataset(dataset_path, fmt, [])  # the histogram reads no context
         hist = analysis.rating_histogram(parsed.dataset)
         fit = analysis.fit_power_law(
             [(v, c) for v, c in sorted(hist.counts.items()) if c > 0])

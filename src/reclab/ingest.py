@@ -8,6 +8,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,11 +67,19 @@ def _text_lines(source) -> Iterable[str]:
     return io.TextIOWrapper(source, encoding="utf-8")
 
 
-def _dataset(rows: dict, n_users: int, n_items: int, r_max: int) -> RatingsDataset:
-    """Dataset of a (user, item) -> value dict's rows, in the dict's order."""
-    cells = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
-    return RatingsDataset.from_columns(cells[:, 0], cells[:, 1], list(rows.values()),
-                                       n_users, n_items, r_max)
+def _dataset(users: list, items: list, values: list, r_max: int) -> Tuple[ParseResult, np.ndarray]:
+    """The parse of rows (raw user id, raw item id, value): dense ids in order
+    of first appearance, and each repeated cell at its first position with its
+    last row. Also returns the source row of each dataset row."""
+    user_ids = dict(zip(dict.fromkeys(users), count()))
+    item_ids = dict(zip(dict.fromkeys(items), count()))
+    u = np.fromiter(map(user_ids.__getitem__, users), np.int64, len(users))
+    i = np.fromiter(map(item_ids.__getitem__, items), np.int64, len(items))
+    last_row = dict(zip((u * len(item_ids) + i).tolist(), count()))
+    rows = np.fromiter(last_row.values(), np.int64, len(last_row))
+    dataset = RatingsDataset.from_columns(u[rows], i[rows], np.asarray(values, np.int64)[rows],
+                                          len(user_ids), len(item_ids), r_max)
+    return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
 
 
 def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
@@ -78,15 +87,12 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
 
     Accepts a path-opened binary stream, a text stream, or raw str/bytes.
     Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp must
-    be an integer but is not kept. Duplicate cells keep the last occurrence
-    (counted in duplicates_replaced) at the position of the first.
+    be an integer but is not kept. Ids are compared without surrounding
+    whitespace. Duplicate cells keep the last occurrence (counted in
+    duplicates_replaced) at the position of the first.
     """
     sep = fmt.value
-    user_index: dict = {}
-    item_index: dict = {}
-    cell_to_value: dict = {}
-    duplicates = 0
-
+    users, items, values = [], [], []
     for line_no, raw_line in enumerate(_text_lines(source), start=1):
         line = raw_line.rstrip("\r\n")
         if not line:
@@ -103,17 +109,14 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
         if not (1 <= value <= 5):
             raise DatasetError(f"line {line_no}: rating {value} outside [1, 5]")
-        if not (raw_user and raw_item):
-            raise ParseError(f"empty {'item' if raw_user else 'user'} id", line_no)
-        user = user_index.setdefault(raw_user, len(user_index))
-        item = item_index.setdefault(raw_item, len(item_index))
-        cell = (user, item)
-        if cell in cell_to_value:
-            duplicates += 1
-        cell_to_value[cell] = value
+        user, item = raw_user.strip(), raw_item.strip()
+        if not (user and item):
+            raise ParseError(f"empty {'item' if user else 'user'} id", line_no)
+        users.append(user)
+        items.append(item)
+        values.append(value)
 
-    dataset = _dataset(cell_to_value, len(user_index), len(item_index), r_max=5)
-    return ParseResult(dataset=dataset, duplicates_replaced=duplicates)
+    return _dataset(users, items, values, r_max=5)[0]
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
@@ -130,41 +133,40 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
     ratings on a 1-5 scale) into a dataset plus context samples.
 
-    Context columns hold integer category codes; missing markers (-1, empty)
-    are encoded as 0. Every context vector has dimension len(context_columns).
+    Ids are compared without surrounding whitespace. Context columns hold
+    integer category codes; missing markers (-1, empty) are encoded as 0.
+    Every context vector has dimension len(context_columns).
     """
-    reader = csv.DictReader(_text_lines(source))
-    if reader.fieldnames is None:
+    reader = csv.reader(_text_lines(source))
+    header = next(reader, None)
+    if header is None:
         raise SchemaError("empty input: no header row")
-    header = set(reader.fieldnames)
     required = [COMODA_USER, COMODA_ITEM, COMODA_RATING, *context_columns]
     missing = [c for c in required if c not in header]
-    if missing:
-        raise SchemaError(f"missing columns: {missing}")
-
-    user_index: dict = {}
-    item_index: dict = {}
-    cell_to_row: dict = {}
-    duplicates = 0
-
+    repeated = [c for c in dict.fromkeys(required) if header.count(c) > 1]
+    if missing or repeated:
+        raise SchemaError(f"missing columns: {missing}" if missing
+                          else f"columns named more than once: {repeated}")
+    user_col, item_col, rating_col, *context_cols = map(header.index, required)
+    users, items, values, contexts = [], [], [], []
     for row in reader:
+        if not row:  # a blank line
+            continue
         line_no = reader.line_num
-        if None in row or None in row.values():  # DictReader's extra, missing fields
-            n = len(reader.fieldnames)
-            got = n + len(row.get(None, ())) - list(row.values()).count(None)
-            raise ParseError(f"expected {n} fields, got {got}", line_no)
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
         try:
-            value = int(row[COMODA_RATING])
+            value = int(row[rating_col])
         except ValueError:
-            raise ParseError(f"non-numeric rating {row[COMODA_RATING]!r}",
-                             line_no) from None
+            raise ParseError(f"non-numeric rating {row[rating_col]!r}", line_no) from None
         if not (1 <= value <= COMODA_R_MAX):
             raise DatasetError(f"line {line_no}: rating {value} outside [1, {COMODA_R_MAX}]")
-        if not (row[COMODA_USER] and row[COMODA_ITEM]):
-            raise ParseError(f"empty {'item' if row[COMODA_USER] else 'user'} id", line_no)
+        user, item = row[user_col].strip(), row[item_col].strip()
+        if not (user and item):
+            raise ParseError(f"empty {'item' if user else 'user'} id", line_no)
         context = []
-        for col in context_columns:
-            cell_text = row[col].strip()
+        for col, k in zip(context_columns, context_cols):
+            cell_text = row[k].strip()
             try:
                 code = float(cell_text) if cell_text else 0.0
             except ValueError:
@@ -174,19 +176,16 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
                 raise ParseError(f"non-finite context value {cell_text!r} in {col}",
                                  line_no)
             context.append(max(code, 0.0))  # missing marker (-1 or blank) -> 0
-        user = user_index.setdefault(row[COMODA_USER], len(user_index))
-        item = item_index.setdefault(row[COMODA_ITEM], len(item_index))
-        cell = (user, item)
-        if cell in cell_to_row:
-            duplicates += 1
-        cell_to_row[cell] = (value, context)
+        users.append(user)
+        items.append(item)
+        values.append(value)
+        contexts.append(context)
 
-    contexts = [ContextSample(u, i, value, tuple(context))
-                for (u, i), (value, context) in cell_to_row.items()]
-    values = {cell: value for cell, (value, _) in cell_to_row.items()}
-    dataset = _dataset(values, len(user_index), len(item_index), r_max=COMODA_R_MAX)
-    return ParseResult(dataset=dataset, duplicates_replaced=duplicates,
-                       contexts=contexts)
+    result, rows = _dataset(users, items, values, r_max=COMODA_R_MAX)
+    dataset = result.dataset
+    result.contexts = [ContextSample(u, i, v, contexts[r]) for u, i, v, r in zip(
+        dataset.users.tolist(), dataset.items.tolist(), dataset.values.tolist(), rows.tolist())]
+    return result
 
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:

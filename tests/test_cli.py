@@ -115,6 +115,21 @@ class TestBench:
         manifest = json.loads((tmp_path / "direct" / "manifest.json").read_text())
         assert manifest["split"] == {"test_fraction": 0.2, "seed": 42}
 
+    def test_manifest_records_the_resolved_split(self, fixture_file, tmp_path):
+        config = json.loads(bench_config(fixture_file, tmp_path, ["random"]).read_text())
+        run_bench({**config, "split": {"seed": 5}}, tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["split"] == {"test_fraction": 0.2, "seed": 5}
+        assert (tmp_path / "out" / "report_seed5.json").exists()
+
+    def test_dataset_without_path_names_the_key(self, runner, fixture_file, tmp_path):
+        path = bench_config(fixture_file, tmp_path, ["random"], dataset={"format": "tab100k"})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: config missing required key 'dataset.path'\n"
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, runner, fixture_file, tmp_path):
         config = bench_config(fixture_file, tmp_path,
                               ["random", "mf", "zeromat"])
@@ -481,6 +496,15 @@ class TestAnalyze:
         assert fit["r_squared"] >= 0.9
         hist = json.loads((out / "histogram.json").read_text())
         assert sum(hist.values()) == 10000
+
+    def test_zipf_mode_reads_no_context_column(self, runner, tmp_path):
+        data = tmp_path / "ratings.csv"
+        data.write_text("userID,itemID,rating\n1,1,5\n1,2,4\n2,1,5\n2,3,3\n3,2,5\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--mode", "zipf", "--format", "comoda",
+                                      "--dataset", str(data), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "histogram.json").read_text()) == {"3": 1, "4": 1, "5": 3}
 
     def test_diversity_mode_values(self, runner, tmp_path):
         inp = tmp_path / "groups.json"

@@ -1,11 +1,14 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from reclab.analysis import fit_power_law
-from reclab.core import DatasetError
+from reclab.core import ContextSample, DatasetError
 from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            _cdf, generate_zipf, parse_comoda, parse_movielens, split,
                            write_movielens)
@@ -45,6 +48,14 @@ class TestParseMovielens:
     def test_empty_id_is_parse_error(self, text, line_no, side):
         with pytest.raises(ParseError, match=f"^line {line_no}: empty {side} id$"):
             parse_movielens(text, MovieLensFormat.TAB_100K)
+
+    def test_ids_compared_without_surrounding_whitespace(self):
+        result = parse_movielens("1\t 2\t5\t0\n1\t2\t4\t0\n", MovieLensFormat.TAB_100K)
+        assert (result.dataset.n_users, result.dataset.n_items) == (1, 1)
+        assert result.duplicates_replaced == 1
+        assert [r.value for r in result.dataset.ratings] == [4]
+        with pytest.raises(ParseError, match="^line 2: empty user id$"):
+            parse_movielens("1\t2\t5\t0\n \t2\t4\t0\n", MovieLensFormat.TAB_100K)
 
     def test_binary_stream_and_crlf(self):
         result = parse_movielens(io.BytesIO(b"1\t2\t4\t0\r\n3\t2\t2\t0\r\n"),
@@ -130,6 +141,24 @@ class TestParseComoda:
         with pytest.raises(ParseError, match=f"^line 5: expected 5 fields, got {got}$"):
             parse_comoda(self.CSV + row + "\n", ["mood", "location"])
 
+    def test_ids_compared_without_surrounding_whitespace(self):
+        result = parse_comoda("userID,itemID,rating,mood\n1,3,4,1\n1, 3,5,1\n", ["mood"])
+        assert (result.dataset.n_users, result.dataset.n_items) == (1, 1)
+        assert result.duplicates_replaced == 1
+        assert result.contexts == [ContextSample(0, 0, 5, (1.0,))]
+        with pytest.raises(ParseError, match="^line 5: empty item id$"):
+            parse_comoda(self.CSV + "15,  ,4,1,1\n", ["mood", "location"])
+
+    @pytest.mark.parametrize("column", ["userID", "itemID", "rating", "mood"])
+    def test_repeated_read_column_is_schema_error(self, column):
+        header = "userID,itemID,rating,mood,location"
+        with pytest.raises(SchemaError, match=f"named more than once: \\['{column}'\\]"):
+            parse_comoda(f"{header},{column}\n1,3,4,1,2,2\n", ["mood"])
+
+    def test_repeated_unread_column_is_allowed(self):
+        result = parse_comoda("userID,itemID,rating,mood,note,note\n1,3,4,1,a,b\n", ["mood"])
+        assert result.contexts == [ContextSample(0, 0, 4, (1.0,))]
+
     def test_ids_remapped_dense(self):
         ds = parse_comoda(self.CSV, ["mood"]).dataset
         assert ds.n_users == 2 and ds.n_items == 2
@@ -137,6 +166,103 @@ class TestParseComoda:
     def test_shared_context_dimension(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
         assert {len(c.context) for c in result.contexts} == {2}
+
+
+# The dict-based parsers that preceded the shared row-to-cell path, as an
+# oracle for well-formed input: an id dict per side and one cell dict whose
+# insertion order is each cell's first position and whose value is its last
+# row. Ids are stripped of surrounding whitespace, as the parsers now do.
+
+def dict_parse_movielens(text, sep):
+    user_index, item_index, cell_to_value = {}, {}, {}
+    duplicates = 0
+    for line in io.StringIO(text):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        raw_user, raw_item, raw_value, _ = line.split(sep)
+        user = user_index.setdefault(raw_user.strip(), len(user_index))
+        item = item_index.setdefault(raw_item.strip(), len(item_index))
+        duplicates += (user, item) in cell_to_value
+        cell_to_value[user, item] = int(raw_value)
+    rows = [(u, i, v) for (u, i), v in cell_to_value.items()]
+    return rows, len(user_index), len(item_index), duplicates, []
+
+
+def dict_parse_comoda(text, context_columns):
+    user_index, item_index, cell_to_row = {}, {}, {}
+    duplicates = 0
+    for row in csv.DictReader(io.StringIO(text)):
+        context = []
+        for col in context_columns:
+            cell_text = row[col].strip()
+            context.append(max(float(cell_text) if cell_text else 0.0, 0.0))
+        user = user_index.setdefault(row["userID"].strip(), len(user_index))
+        item = item_index.setdefault(row["itemID"].strip(), len(item_index))
+        duplicates += (user, item) in cell_to_row
+        cell_to_row[user, item] = (int(row["rating"]), context)
+    rows = [(u, i, v) for (u, i), (v, _) in cell_to_row.items()]
+    contexts = [ContextSample(u, i, v, tuple(c)) for (u, i), (v, c) in cell_to_row.items()]
+    return rows, len(user_index), len(item_index), duplicates, contexts
+
+
+# a few ids, so that cells repeat; some with surrounding spaces
+_ids = st.sampled_from(["1", "2", "17", "300", " 2", "17 ", " 300 "])
+_ratings = st.integers(1, 5).map(str)
+_context_codes = st.sampled_from(["-1", "", " ", "0", "1", "2", " 3", "7"])
+_newlines = st.sampled_from(["\n", "\r\n"])
+
+
+def _lines(draw, rows, header=None):
+    """Rows joined with drawn line ends, with blank lines between some."""
+    lines = [] if header is None else [header + draw(_newlines)]
+    for row in rows:
+        lines += [draw(_newlines)] * draw(st.integers(0, 1))
+        lines.append(row + draw(_newlines))
+    return "".join(lines)
+
+
+@st.composite
+def movielens_files(draw):
+    fmt = draw(st.sampled_from(list(MovieLensFormat)))
+    rows = draw(st.lists(st.tuples(_ids, _ids, _ratings, st.integers(0, 10**9).map(str)),
+                         max_size=30))
+    return _lines(draw, [fmt.value.join(row) for row in rows]), fmt
+
+
+@st.composite
+def comoda_files(draw):
+    contexts = draw(st.lists(st.sampled_from(["mood", "location", "weather"]),
+                             min_size=1, max_size=3, unique=True))
+    extra = draw(st.lists(st.sampled_from(["time", "note"]), max_size=2, unique=True))
+    header = draw(st.permutations(["userID", "itemID", "rating", *contexts, *extra]))
+    read = draw(st.permutations(contexts))
+    cells = {"userID": _ids, "itemID": _ids, "rating": _ratings}
+    rows = draw(st.lists(st.tuples(*(cells.get(col, _context_codes) for col in header)),
+                         max_size=30))
+    return _lines(draw, [",".join(row) for row in rows], ",".join(header)), read
+
+
+def _parsed(result):
+    ds = result.dataset
+    rows = list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()))
+    return rows, ds.n_users, ds.n_items, result.duplicates_replaced, result.contexts
+
+
+class TestParsersMatchDictOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(movielens_files(), st.booleans())
+    def test_movielens(self, file, as_bytes):
+        text, fmt = file
+        result = parse_movielens(text.encode() if as_bytes else text, fmt)
+        assert _parsed(result) == dict_parse_movielens(text, fmt.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(comoda_files(), st.booleans())
+    def test_comoda(self, file, as_bytes):
+        text, context_columns = file
+        result = parse_comoda(text.encode() if as_bytes else text, context_columns)
+        assert _parsed(result) == dict_parse_comoda(text, context_columns)
 
 
 class TestSplit:
