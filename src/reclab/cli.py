@@ -275,6 +275,30 @@ def _check_config(config) -> None:
         raise ValueError(f"split: {exc}") from None
 
 
+def _diversity_input(obj) -> analysis.DiversityInput:
+    """The `analyze --mode diversity` input from its parsed JSON; a ValueError
+    names the first part of the wrong shape."""
+    if not isinstance(obj, dict):
+        raise ValueError("diversity input must be a JSON object with keys "
+                         "'groups' and 'n_market'")
+    for key in ("groups", "n_market"):
+        if key not in obj:
+            raise ValueError(f"diversity input missing required key {key!r}")
+    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    groups, n_market = obj["groups"], obj["n_market"]
+    if not isinstance(groups, list):
+        raise ValueError(f"diversity input 'groups' must be a list of [K, M] "
+                         f"pairs, got {json.dumps(groups)}")
+    for group in groups:
+        if not (isinstance(group, list) and len(group) == 2 and all(map(is_int, group))):
+            raise ValueError(f"diversity input group {json.dumps(group)} is not "
+                             f"a [K, M] pair of integers")
+    if not is_int(n_market):
+        raise ValueError(f"diversity input 'n_market' must be an integer, "
+                         f"got {json.dumps(n_market)}")
+    return analysis.DiversityInput(groups=tuple(map(tuple, groups)), n_market=n_market)
+
+
 def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     """Full benchmark: ingest, split, train and score every configured
     algorithm, once per repetition seed. Writes per-seed and aggregate
@@ -389,10 +413,7 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     else:
         if input_path is None:
             raise ValueError("diversity mode requires --input")
-        obj = json.loads(Path(input_path).read_text(encoding="utf-8"))
-        inp = analysis.DiversityInput(
-            groups=tuple((g[0], g[1]) for g in obj["groups"]),
-            n_market=int(obj["n_market"]))
+        inp = _diversity_input(json.loads(Path(input_path).read_text(encoding="utf-8")))
         ordered = analysis.diversity_ordered(inp)
         invariant = analysis.diversity_order_invariant(
             inp, per_group_factorial=per_group_factorial)

@@ -67,19 +67,81 @@ def _text_lines(source) -> Iterable[str]:
     return io.TextIOWrapper(source, encoding="utf-8")
 
 
-def _dataset(users: list, items: list, values: list, r_max: int) -> Tuple[ParseResult, np.ndarray]:
-    """The parse of rows (raw user id, raw item id, value): dense ids in order
-    of first appearance, and each repeated cell at its first position with its
-    last row. Also returns the source row of each dataset row."""
-    user_ids = dict(zip(dict.fromkeys(users), count()))
-    item_ids = dict(zip(dict.fromkeys(items), count()))
-    u = np.fromiter(map(user_ids.__getitem__, users), np.int64, len(users))
-    i = np.fromiter(map(item_ids.__getitem__, items), np.int64, len(items))
-    last_row = dict(zip((u * len(item_ids) + i).tolist(), count()))
-    rows = np.fromiter(last_row.values(), np.int64, len(last_row))
-    dataset = RatingsDataset.from_columns(u[rows], i[rows], np.asarray(values, np.int64)[rows],
-                                          len(user_ids), len(item_ids), r_max)
+def _kept_rows(keys: np.ndarray) -> np.ndarray:
+    """Of rows with these cell keys, in file order, the rows a parse keeps:
+    each cell's last row, at the position of the cell's first row."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    run_start = np.ones(len(keys), dtype=bool)
+    run_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return order[np.roll(run_start, -1)][np.argsort(order[run_start])]
+
+
+def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int], values,
+             r_max: int) -> Tuple[ParseResult, np.ndarray]:
+    """The parse of rows (user id, item id, value), with users and items given
+    as (dense ids, id count): each repeated cell at its first position with
+    its last row. Also returns the source row of each dataset row."""
+    (users, n_users), (items, n_items) = users, items
+    values = np.asarray(values, dtype=np.int64)
+    rows = _kept_rows(users * n_items + items)
+    dataset = RatingsDataset.from_columns(users[rows], items[rows], values[rows],
+                                          n_users, n_items, r_max)
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
+
+
+def _dense_ids(raw: list) -> Tuple[np.ndarray, int]:
+    """Dense ids of raw id strings, numbered in order of first appearance."""
+    ids = dict(zip(dict.fromkeys(raw), count()))
+    return np.fromiter(map(ids.__getitem__, raw), np.int64, len(raw)), len(ids)
+
+
+def _dense_int_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ids of integer raw ids, numbered in order of first appearance."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)], len(first)
+
+
+_TO_SPACE = bytes.maketrans(b"\t:\r\n", b"    ")
+
+
+def _integer_fields(data: bytes, sep: str) -> Optional[np.ndarray]:
+    """The fields of MovieLens `data` as an (n, 4) int64 array, or None
+    unless every byte and line fits a grammar that the line loop reads the
+    same way. Lines end in LF or CR LF, and blank lines are allowed. Every
+    other line is four fields split by `sep`, each of 1 to 18 ASCII digits
+    (so it fits in int64). An id has no leading zero, since `01` and `1`
+    are two ids, and a rating is one digit from 1 to 5."""
+    sep_char = sep[0].encode()
+    if data.translate(None, b"0123456789\r\n" + sep_char):
+        return None
+    # a lone CR ends a line only when read through a TextIOWrapper
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = b - np.uint8(ord("0")) < 10  # uint8 wraps below "0"
+    # per line: start and end of each field, as [s0, e0, s1, e1, s2, e2, s3, e3]
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    if len(edges) == 0 or len(edges) % 8:
+        return None
+    edges = edges.reshape(-1, 8)
+    widths = np.diff(edges, axis=1)  # field, gap, field, gap, field, gap, field
+    starts, inner = edges[:, 0::2], edges[:, 1:7:2]
+    ratings = b[starts[:, 2]]
+    if (widths[:, 0::2].max() > 18 or (widths[:, 4] != 1).any()
+            or ((b[starts[:, :2]] == ord("0")) & (widths[:, 0:3:2] > 1)).any()
+            or (ratings < ord("1")).any() or (ratings > ord("5")).any()):
+        return None
+    # The three gaps inside each line must be exactly `sep`. When they hold
+    # every separator character of the file, the other gaps hold line ends only.
+    if ((widths[:, 1::2] != len(sep)).any()
+            or any((b[inner + k] != sep_char[0]).any() for k in range(len(sep)))
+            or np.count_nonzero(b == sep_char[0]) != inner.size * len(sep)):
+        return None
+    return np.fromstring(data.translate(_TO_SPACE), dtype=np.int64, count=starts.size,
+                         sep=" ").reshape(-1, 4)
 
 
 def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
@@ -90,8 +152,20 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     be an integer but is not kept. Ids are compared without surrounding
     whitespace. Duplicate cells keep the last occurrence (counted in
     duplicates_replaced) at the position of the first.
+
+    Bytes and binary streams whose every line is plain ASCII integers (see
+    `_integer_fields`) are parsed in numpy; all other input line by line.
+    Both give the same dataset, duplicate count and errors.
     """
     sep = fmt.value
+    if not isinstance(source, (str, io.TextIOBase)):
+        data = source if isinstance(source, bytes) else source.read()
+        fields = _integer_fields(data, sep)
+        if fields is not None:
+            return _dataset(_dense_int_ids(fields[:, 0]), _dense_int_ids(fields[:, 1]),
+                            fields[:, 2], r_max=5)[0]
+        if not isinstance(source, bytes):
+            source = io.BytesIO(data)  # read again as a stream, with its line ends
     users, items, values = [], [], []
     for line_no, raw_line in enumerate(_text_lines(source), start=1):
         line = raw_line.rstrip("\r\n")
@@ -116,7 +190,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
         items.append(item)
         values.append(value)
 
-    return _dataset(users, items, values, r_max=5)[0]
+    return _dataset(_dense_ids(users), _dense_ids(items), values, r_max=5)[0]
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
@@ -181,7 +255,8 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
         values.append(value)
         contexts.append(context)
 
-    result, rows = _dataset(users, items, values, r_max=COMODA_R_MAX)
+    result, rows = _dataset(_dense_ids(users), _dense_ids(items), values,
+                            r_max=COMODA_R_MAX)
     dataset = result.dataset
     result.contexts = [ContextSample(u, i, v, contexts[r]) for u, i, v, r in zip(
         dataset.users.tolist(), dataset.items.tolist(), dataset.values.tolist(), rows.tolist())]

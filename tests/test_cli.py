@@ -518,6 +518,21 @@ class TestAnalyze:
         assert values["invariant_ln"] == pytest.approx(1.38629, abs=1e-4)
         assert values["difference_ln"] == pytest.approx(0.69315, abs=1e-4)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"groups": [[1]], "n_market": 2}',
+         "diversity input group [1] is not a [K, M] pair of integers"),
+        ('{"groups": [[1, 3]]}', "diversity input missing required key 'n_market'"),
+        ("[1]", "diversity input must be a JSON object with keys 'groups' and 'n_market'"),
+    ], ids=["short-group", "no-n_market", "not-an-object"])
+    def test_diversity_input_of_wrong_shape_names_the_problem(self, runner, tmp_path,
+                                                               text, message):
+        inp = tmp_path / "groups.json"
+        inp.write_text(text)
+        result = runner.invoke(main, ["analyze", "--mode", "diversity",
+                                      "--input", str(inp), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
+
     def test_missing_input_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--mode", "diversity",
                                       "--input", str(tmp_path / "nope.json"),

@@ -14,6 +14,15 @@ from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            write_movielens)
 
 
+# parse_movielens reads bytes and binary streams of plain integer lines in
+# numpy, and everything else line by line
+SOURCE_KINDS = ["str", "bytes", "stream"]
+
+
+def source_of(kind, text):
+    return {"str": text, "bytes": text.encode(), "stream": io.BytesIO(text.encode())}[kind]
+
+
 class TestParseMovielens:
     def test_tab_format_first_ids_map_to_zero(self):
         result = parse_movielens("1\t2\t5\t0\n", MovieLensFormat.TAB_100K)
@@ -61,6 +70,47 @@ class TestParseMovielens:
         result = parse_movielens(io.BytesIO(b"1\t2\t4\t0\r\n3\t2\t2\t0\r\n"),
                                  MovieLensFormat.TAB_100K)
         assert len(result.dataset) == 2
+
+    def test_binary_stream_splits_lines_at_lone_cr(self):
+        data = b"1\t2\t4\t0\r3\t2\t2\t0\r"
+        result = parse_movielens(io.BytesIO(data), MovieLensFormat.TAB_100K)
+        assert len(result.dataset) == 2
+        # raw bytes are split at LF only, so the two rows are one line
+        with pytest.raises(ParseError, match="^line 1: expected 4 fields"):
+            parse_movielens(data, MovieLensFormat.TAB_100K)
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_line_number_after_many_good_lines(self, kind):
+        text = "1\t2\t5\t0\n" * 5000 + "1\t2\tx\t0\n"
+        with pytest.raises(ParseError, match="^line 5001: non-integer rating or timestamp"):
+            parse_movielens(source_of(kind, text), MovieLensFormat.TAB_100K)
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @pytest.mark.parametrize("text, message", [
+        ("1\t2\t5\t0\nbadline\n", "line 2: expected 4 fields separated by '\\t', got 1"),
+        ("1\t2\t5\t0\t\n", "line 1: expected 4 fields separated by '\\t', got 5"),
+        ("1\t2\n3\t4\t\n", "line 1: expected 4 fields separated by '\\t', got 2"),
+        ("1::2::5::0\n", "line 1: expected 4 fields separated by '\\t', got 1"),
+        ("1\t2\t9\t0\n", "line 1: rating 9 outside [1, 5]"),
+        ("\r\n1\t2\t0\t0\r\n", "line 2: rating 0 outside [1, 5]"),
+        ("1\t2\t5\t\n", "line 1: non-integer rating or timestamp: "
+                        "invalid literal for int() with base 10: ''"),
+        ("1\t2\t5\t0\n\n1\t\t5\t0\n", "line 3: empty item id"),
+    ])
+    def test_errors_do_not_depend_on_the_source_kind(self, kind, text, message):
+        with pytest.raises((ParseError, DatasetError)) as exc:
+            parse_movielens(source_of(kind, text), MovieLensFormat.TAB_100K)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @pytest.mark.parametrize("text", [
+        "01\t1\t5\t0\n1\t1\t4\t0\n",
+        "0\t1\t5\t0\n00\t1\t4\t0\n",
+        "99999999999999999999\t1\t5\t0\n99999999999999999998\t1\t4\t0\n",  # beyond int64
+    ], ids=["leading-zero", "zeros", "long"])
+    def test_ids_are_compared_as_text(self, kind, text):
+        result = parse_movielens(source_of(kind, text), MovieLensFormat.TAB_100K)
+        assert (result.dataset.n_users, result.duplicates_replaced) == (2, 0)
 
     def test_duplicate_cell_last_wins(self):
         text = "1\t2\t5\t0\n1\t2\t3\t9\n"
@@ -222,11 +272,24 @@ def _lines(draw, rows, header=None):
     return "".join(lines)
 
 
+# MovieLens fields: plain ASCII integers, which bytes input parses in numpy,
+# and valid fields that put the whole file on the line loop: ids with
+# surrounding spaces or leading zeros, a 19-digit id, and ratings and
+# timestamps that int() reads but that are not plain digits
+_plain_ml_fields = (st.sampled_from(["0", "1", "2", "17", "300"]),) * 2 + (
+    _ratings, st.one_of(st.integers(0, 10**18 - 1).map(str), st.just("0042")))
+_odd_id = st.sampled_from(["00", "01", " 2", "17 ", " 300 ", "9999999999999999999"])
+_odd_ml_fields = (_odd_id, _odd_id, st.sampled_from(["05", "+5"]),
+                  st.sampled_from(["9999999999999999999", "-1"]))
+
+
 @st.composite
 def movielens_files(draw):
     fmt = draw(st.sampled_from(list(MovieLensFormat)))
-    rows = draw(st.lists(st.tuples(_ids, _ids, _ratings, st.integers(0, 10**9).map(str)),
-                         max_size=30))
+    rows = draw(st.lists(st.tuples(*_plain_ml_fields).map(list), max_size=30))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        rows[row][col] = draw(_odd_ml_fields[col])
     return _lines(draw, [fmt.value.join(row) for row in rows]), fmt
 
 
@@ -251,10 +314,10 @@ def _parsed(result):
 
 class TestParsersMatchDictOracle:
     @settings(max_examples=200, deadline=None)
-    @given(movielens_files(), st.booleans())
-    def test_movielens(self, file, as_bytes):
+    @given(movielens_files(), st.sampled_from(SOURCE_KINDS))
+    def test_movielens(self, file, kind):
         text, fmt = file
-        result = parse_movielens(text.encode() if as_bytes else text, fmt)
+        result = parse_movielens(source_of(kind, text), fmt)
         assert _parsed(result) == dict_parse_movielens(text, fmt.value)
 
     @settings(max_examples=200, deadline=None)
