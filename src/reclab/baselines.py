@@ -24,6 +24,19 @@ class SimilarityKind(Enum):
 PAIR_BLOCK = 1 << 14
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """value itself if it is a read-only ndarray of dtype that owns its
+    data (a read-only view may have a writable base); else a read-only
+    copy. Passing a read-only array hands it over: the caller keeps no
+    writable view of it."""
+    if (isinstance(value, np.ndarray) and value.dtype == dtype
+            and value.flags.owndata and not value.flags.writeable):
+        return value
+    value = np.array(value, dtype=dtype)
+    value.setflags(write=False)
+    return value
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Symmetric item-item similarity scores of the co-rated pairs.
@@ -31,7 +44,8 @@ class SimilarityMatrix:
     scores[k] belongs to the pair (i, j) with keys[k] = i * n_items + j.
     The keys are strictly increasing and only nonzero scores are stored;
     every absent pair scores 0. The diagonal is never used for neighbor
-    selection.
+    selection. Read-only int64 keys and float64 scores that own their data
+    are kept as given; anything else is copied into read-only arrays.
     """
 
     n_items: int
@@ -39,15 +53,13 @@ class SimilarityMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        keys = np.array(self.keys, dtype=np.int64)
-        scores = np.array(self.scores, dtype=np.float64)
+        keys, scores = _frozen(self.keys, np.int64), _frozen(self.scores, np.float64)
         if keys.ndim != 1 or keys.shape != scores.shape:
             raise ValueError("keys and scores must be 1-d and of one length")
-        if (np.diff(keys) <= 0).any():
+        if (keys[1:] <= keys[:-1]).any():
             raise ValueError("keys must be strictly increasing")
-        for name, value in (("keys", keys), ("scores", scores)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "scores", scores)
 
     def lookup(self, i, j) -> np.ndarray:
         """The scores of the pairs (i[k], j[k]); 0.0 for a pair not stored."""
@@ -114,7 +126,11 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     item_bounds = np.searchsorted(items[anchors], np.arange(n_items + 1))
     pairs_per_item = np.bincount(items, weights=degree[users], minlength=n_items)
 
-    all_keys, all_scores = [], []
+    # The store grows block by block in its final arrays. resize
+    # reallocates, in place where the allocator can (glibc remaps a large
+    # block's pages), so the store is not held twice.
+    keys = np.empty(0, dtype=np.int64)
+    scores = np.empty(0, dtype=np.float64)
     for block in _blocks(pairs_per_item, PAIR_BLOCK):
         anchor = anchors[item_bounds[block.start]:item_bounds[block.stop]]
         owner, partner = _expand(bounds[users[anchor]], degree[users[anchor]])
@@ -129,23 +145,29 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
         local = (items[anchor] - block.start) * n_items + items[partner]
         local, pos = np.divmod(np.sort(local * m + np.arange(m)), m)
         starts = np.flatnonzero(np.concatenate(([True], local[1:] != local[:-1])))
-        keys = local[starts] + block.start * n_items
+        block_keys = local[starts] + block.start * n_items
         x, y = values[anchor], values[partner]
         num = np.add.reduceat((x * y)[pos], starts)
         with np.errstate(divide="ignore", invalid="ignore"):
             if adjusted:
-                scores = num / np.sqrt(np.add.reduceat((x * x)[pos], starts)
-                                       * np.add.reduceat((y * y)[pos], starts))
+                block_scores = num / np.sqrt(np.add.reduceat((x * x)[pos], starts)
+                                             * np.add.reduceat((y * y)[pos], starts))
             else:
-                i, j = np.divmod(keys, n_items)
-                scores = num / (norms[i] * norms[j])
-        scores[~np.isfinite(scores)] = 0.0
-        np.clip(scores, -1.0, 1.0, out=scores)
-        stored = scores != 0.0
-        all_keys.append(keys[stored])
-        all_scores.append(scores[stored])
-    return SimilarityMatrix(n_items=n_items, keys=np.concatenate(all_keys),
-                            scores=np.concatenate(all_scores))
+                i, j = np.divmod(block_keys, n_items)
+                block_scores = num / (norms[i] * norms[j])
+        block_scores[~np.isfinite(block_scores)] = 0.0
+        np.clip(block_scores, -1.0, 1.0, out=block_scores)
+        stored = block_scores != 0.0
+        n = len(keys)
+        size = n + int(np.count_nonzero(stored))
+        # no view of keys or scores exists, so no reference check is needed
+        keys.resize(size, refcheck=False)
+        scores.resize(size, refcheck=False)
+        keys[n:] = block_keys[stored]
+        scores[n:] = block_scores[stored]
+    keys.setflags(write=False)
+    scores.setflags(write=False)
+    return SimilarityMatrix(n_items=n_items, keys=keys, scores=scores)
 
 
 class CfPredictor(Predictor):

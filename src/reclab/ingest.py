@@ -63,8 +63,10 @@ def _text_lines(source) -> Iterable[str]:
         return io.StringIO(data)
     if isinstance(source, io.TextIOBase):
         return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8")
+    # A binary stream is read through a copy of its bytes: a TextIOWrapper
+    # closes the stream it wraps when it is collected, and this one belongs
+    # to the caller.
+    return io.TextIOWrapper(io.BytesIO(source.read()), encoding="utf-8")
 
 
 def _kept_rows(keys: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,9 +180,64 @@ class TestItemSimilarities:
         assert sims.lookup(0, 1) == 0.0
         assert len(sims.keys) == 0 and sims.lookup(1, 1) == 0.0
 
+    def test_all_zero_adjusted_cosine_stores_nothing(self, monkeypatch):
+        # every user rates all their items alike, so every centered
+        # vector is zero; small blocks make many empty ones
+        ds = generate_zipf(40, 30, 300, 1.0, 5, seed=3)
+        users, items, _ = ds.arrays()
+        flat = RatingsDataset.from_columns(users, items, 1 + users % 5,
+                                           ds.n_users, ds.n_items, ds.r_max)
+        monkeypatch.setattr(baselines, "PAIR_BLOCK", 50)
+        sims = item_similarities(flat, SimilarityKind.ADJUSTED_COSINE)
+        assert len(sims.keys) == len(sims.scores) == 0
+        assert not dense_scores(sims).any()
+
+    def test_store_is_built_once(self):
+        # the traced peak is the store plus one block's work, not the store
+        # held several times over
+        ds = generate_zipf(800, 600, 50_000, 1.0, 5, seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sims = item_similarities(ds, SimilarityKind.COSINE)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        store = sims.keys.nbytes + sims.scores.nbytes
+        assert store >= 4_000_000
+        assert peak <= 2 * store
+
     def test_unsorted_keys_rejected(self):
         with pytest.raises(ValueError):
             SimilarityMatrix(n_items=2, keys=[3, 1], scores=[0.5, 0.5])
+
+
+class TestSimilarityMatrix:
+    def test_read_only_arrays_are_kept(self):
+        keys, scores = np.array([1, 3]), np.array([0.5, -0.25])
+        keys.setflags(write=False)
+        scores.setflags(write=False)
+        sims = SimilarityMatrix(n_items=2, keys=keys, scores=scores)
+        assert np.shares_memory(sims.keys, keys)
+        assert np.shares_memory(sims.scores, scores)
+        assert not sims.keys.flags.writeable and not sims.scores.flags.writeable
+
+    @pytest.mark.parametrize("given", ["writable", "list", "read-only view"])
+    def test_other_inputs_are_copied(self, given):
+        keys, scores = np.array([1, 3]), np.array([0.5, -0.25])
+        if given == "list":
+            passed = keys.tolist(), scores.tolist()
+        elif given == "writable":
+            passed = keys, scores
+        else:
+            # a view is read-only, but its base can still be written
+            passed = keys[:], scores[:]
+            for view in passed:
+                view.setflags(write=False)
+        sims = SimilarityMatrix(n_items=2, keys=passed[0], scores=passed[1])
+        keys[0], scores[:] = 2, 0.75
+        assert sims.lookup([0, 1, 1], [1, 0, 1]).tolist() == [0.5, 0.0, -0.25]
+        assert not sims.keys.flags.writeable and not sims.scores.flags.writeable
 
 
 class TestCfPredict:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 
 import numpy as np
@@ -154,6 +155,17 @@ class TestParseComoda:
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_comoda(self.CSV, ["mood", "weather"])
+
+    def test_caller_stream_stays_open(self, tmp_path):
+        path = tmp_path / "comoda.csv"
+        path.write_text(self.CSV)
+        with open(path, "rb") as fh:
+            result = parse_comoda(fh, ["mood", "location"])
+            gc.collect()
+            assert not fh.closed
+            fh.seek(0)
+            assert fh.read() == self.CSV.encode()
+        assert len(result.dataset) == 3
 
     def test_non_numeric_rating_is_parse_error(self):
         bad = "userID,itemID,rating,mood\n1,2,good,1\n"
