@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FactorModel, RatingsDataset, TrainConfig, TrainingError
+from .core import FactorModel, RatingsDataset, TrainConfig, TrainingError, _readonly
 from .evaluation import Predictor
 
 
@@ -22,19 +22,6 @@ class SimilarityKind(Enum):
 # when it builds similarities and when it predicts. It bounds memory, not
 # results: each block's outputs are final.
 PAIR_BLOCK = 1 << 14
-
-
-def _frozen(value, dtype) -> np.ndarray:
-    """value itself if it is a read-only ndarray of dtype that owns its
-    data (a read-only view may have a writable base); else a read-only
-    copy. Passing a read-only array hands it over: the caller keeps no
-    writable view of it."""
-    if (isinstance(value, np.ndarray) and value.dtype == dtype
-            and value.flags.owndata and not value.flags.writeable):
-        return value
-    value = np.array(value, dtype=dtype)
-    value.setflags(write=False)
-    return value
 
 
 @dataclass(frozen=True)
@@ -53,7 +40,7 @@ class SimilarityMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        keys, scores = _frozen(self.keys, np.int64), _frozen(self.scores, np.float64)
+        keys, scores = _readonly(self.keys, np.int64), _readonly(self.scores)
         if keys.ndim != 1 or keys.shape != scores.shape:
             raise ValueError("keys and scores must be 1-d and of one length")
         if (keys[1:] <= keys[:-1]).any():

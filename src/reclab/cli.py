@@ -47,13 +47,11 @@ def _write_json(path: Path, obj) -> None:
 
 def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
     if fmt in _FORMATS:
-        with open(path, "rb") as fh:
-            return ingest.parse_movielens(fh, _FORMATS[fmt])
+        return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt])
     if fmt == "comoda":
-        with open(path, "rb") as fh:
-            if context_columns is None:
-                context_columns = ["mood", "location"]
-            return ingest.parse_comoda(fh, context_columns)
+        if context_columns is None:
+            context_columns = ["mood", "location"]
+        return ingest.parse_comoda(path.read_bytes(), context_columns)
     raise ValueError(f"unknown dataset format {fmt!r}; expected one of "
                      f"{sorted(_FORMATS) + ['comoda']}")
 
@@ -177,7 +175,7 @@ _CONFIG_TYPES = {
     "split": dict, "split.test_fraction": float, "split.seed": int,
     "train": dict, "algorithms": list, "context_columns": list,
     "similarity_kind": str, "neighborhood_size": int, "sigma_u": float,
-    "sigma_v": float, "fill_fraction": float, "repetitions": int, "out_dir": str,
+    "sigma_v": float, "fill_fraction": float, "repetitions": int,
 }
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
                     int: "an integer", float: "a number"}
@@ -258,13 +256,12 @@ def _check_config(config) -> None:
         if unknown:
             raise ValueError(f"unknown keys {unknown} in train.{section}; "
                              f"expected some of {_TRAIN_KEYS}")
-    # Build every TrainConfig and SplitSpec the run reads, so that a bad value
-    # fails before anything is written. samples_per_epoch defaults to the size
-    # of a train split not drawn yet; 1 stands in for it.
-    trained = [a for a in algorithms if REGISTRY[a].defaults is not None]
-    if any(a.endswith("-hybrid") for a in algorithms):
-        trained.append("mf")  # a hybrid's MF stage reads train.mf
-    for algo in trained:
+    # Build the TrainConfig of every trainer, the listed ones first, and the
+    # SplitSpec, so that a bad value in any section fails before anything is
+    # written. samples_per_epoch defaults to a train split's size; 1 stands in.
+    for algo in dict.fromkeys([*algorithms, *REGISTRY]):
+        if REGISTRY[algo].defaults is None:
+            continue
         try:
             _train_config(config, algo, 0, 1)
         except ValueError as exc:
@@ -302,15 +299,15 @@ def _diversity_input(obj) -> analysis.DiversityInput:
 def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     """Full benchmark: ingest, split, train and score every configured
     algorithm, once per repetition seed. Writes per-seed and aggregate
-    reports plus a manifest into out_dir (default: the config's `out_dir`,
-    else `reclab-out`). The config itself is left unchanged."""
+    reports plus a manifest into out_dir (default `reclab-out`). The config
+    itself is left unchanged."""
     _check_config(config)
     parsed = _load_dataset(Path(config["dataset"]["path"]),
                            config["dataset"].get("format", "tab100k"),
                            config.get("context_columns"))
     repetitions = config.get("repetitions", 1)
 
-    out_dir = out_dir or Path(config.get("out_dir", "reclab-out"))
+    out_dir = out_dir or Path("reclab-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
     _write_json(out_dir / "manifest.json", manifest)

@@ -24,6 +24,12 @@ class TrainingError(RuntimeError):
 
 
 def _readonly(a, dtype=np.float64) -> np.ndarray:
+    """a itself if it is a read-only ndarray of dtype that owns its data (a
+    read-only view may have a writable base); else a read-only copy. Passing
+    a read-only array hands it over: the caller keeps no writable view of it."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,16 +57,26 @@ class ParseResult:
     contexts: List[ContextSample] = field(default_factory=list)
 
 
-def _text_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, bytes)):
-        data = source.decode("utf-8") if isinstance(source, bytes) else source
-        return io.StringIO(data)
-    if isinstance(source, io.TextIOBase):
-        return source
-    # A binary stream is read through a copy of its bytes: a TextIOWrapper
-    # closes the stream it wraps when it is collected, and this one belongs
-    # to the caller.
-    return io.TextIOWrapper(io.BytesIO(source.read()), encoding="utf-8")
+def _bytes(source) -> bytes:
+    """The UTF-8 bytes of a str, bytes, text stream or binary stream."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    return data.encode("utf-8") if isinstance(data, str) else data
+
+
+def _lines(data: bytes) -> Iterable[str]:
+    """The lines of UTF-8 `data`; LF, CR LF and a lone CR each end a line."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def _csv_rows(data: bytes) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, row) of each CSV row of `data`; a csv.Error (a field
+    over csv.field_size_limit(), say) is a ParseError that names the line."""
+    reader = csv.reader(_lines(data))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def _kept_rows(keys: np.ndarray) -> np.ndarray:
@@ -119,7 +129,7 @@ def _integer_fields(data: bytes, sep: str) -> Optional[np.ndarray]:
     sep_char = sep[0].encode()
     if data.translate(None, b"0123456789\r\n" + sep_char):
         return None
-    # a lone CR ends a line only when read through a TextIOWrapper
+    # a lone CR ends a line too, and is left to the line loop
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     b = np.frombuffer(data, dtype=np.uint8)
@@ -149,28 +159,25 @@ def _integer_fields(data: bytes, sep: str) -> Optional[np.ndarray]:
 def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     """Parse a MovieLens ratings file into a dataset with dense 0-based ids.
 
-    Accepts a path-opened binary stream, a text stream, or raw str/bytes.
-    Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp must
-    be an integer but is not kept. Ids are compared without surrounding
+    Accepts str, bytes, a text stream or a binary stream, read as UTF-8
+    bytes. Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp
+    must be an integer but is not kept. Ids are compared without surrounding
     whitespace. Duplicate cells keep the last occurrence (counted in
     duplicates_replaced) at the position of the first.
 
-    Bytes and binary streams whose every line is plain ASCII integers (see
-    `_integer_fields`) are parsed in numpy; all other input line by line.
-    Both give the same dataset, duplicate count and errors.
+    Input whose every line is plain ASCII integers (see `_integer_fields`)
+    is parsed in numpy; all other input line by line. Both give the same
+    dataset, duplicate count and errors.
     """
     sep = fmt.value
-    if not isinstance(source, (str, io.TextIOBase)):
-        data = source if isinstance(source, bytes) else source.read()
-        fields = _integer_fields(data, sep)
-        if fields is not None:
-            return _dataset(_dense_int_ids(fields[:, 0]), _dense_int_ids(fields[:, 1]),
-                            fields[:, 2], r_max=5)[0]
-        if not isinstance(source, bytes):
-            source = io.BytesIO(data)  # read again as a stream, with its line ends
+    data = _bytes(source)
+    fields = _integer_fields(data, sep)
+    if fields is not None:
+        return _dataset(_dense_int_ids(fields[:, 0]), _dense_int_ids(fields[:, 1]),
+                        fields[:, 2], r_max=5)[0]
     users, items, values = [], [], []
-    for line_no, raw_line in enumerate(_text_lines(source), start=1):
-        line = raw_line.rstrip("\r\n")
+    for line_no, raw_line in enumerate(_lines(data), start=1):
+        line = raw_line.rstrip("\n")
         if not line:
             continue
         fields = line.split(sep)
@@ -207,14 +214,15 @@ def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFor
 
 def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
-    ratings on a 1-5 scale) into a dataset plus context samples.
+    ratings on a 1-5 scale), from any source `parse_movielens` accepts, into
+    a dataset plus context samples.
 
     Ids are compared without surrounding whitespace. Context columns hold
     integer category codes; missing markers (-1, empty) are encoded as 0.
     Every context vector has dimension len(context_columns).
     """
-    reader = csv.reader(_text_lines(source))
-    header = next(reader, None)
+    rows = _csv_rows(_bytes(source))
+    _, header = next(rows, (0, None))
     if header is None:
         raise SchemaError("empty input: no header row")
     required = [COMODA_USER, COMODA_ITEM, COMODA_RATING, *context_columns]
@@ -225,10 +233,9 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
                           else f"columns named more than once: {repeated}")
     user_col, item_col, rating_col, *context_cols = map(header.index, required)
     users, items, values, contexts = [], [], [], []
-    for row in reader:
+    for line_no, row in rows:
         if not row:  # a blank line
             continue
-        line_no = reader.line_num
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
         try:

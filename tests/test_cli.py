@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -283,6 +284,14 @@ class TestBench:
         pytest.param(lambda c: {**c, "sigma_v": -1.0}, id="sigma_v"),
         pytest.param(lambda c: {**c, "fill_fraction": 1.5}, id="fill_fraction"),
         pytest.param(lambda c: {**c, "fill_fraction": 0}, id="zero-fill_fraction"),
+        # every train section is checked, whether or not a listed algorithm reads it
+        pytest.param(lambda c: {**c, "algorithms": ["random"],
+                                "train": {"default": {"epochs": "x"}}},
+                     id="unread-train-default"),
+        pytest.param(lambda c: {**c, "algorithms": ["zeromat"], "train": {"mf": {"k": 0}}},
+                     id="unread-train-mf"),
+        # --out is the one way to name the output directory
+        pytest.param(lambda c: {**c, "out_dir": "elsewhere"}, id="out_dir"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -332,6 +341,18 @@ class TestBench:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "non-finite context value 'inf' in mood" in result.output
+
+
+    def test_field_over_the_csv_limit_exits_one(self, runner, comoda_file, tmp_path):
+        long_field = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        comoda_file.write_text(comoda_file.read_text() + f"99,99,3,{long_field},1\n")
+        config = comoda_config(comoda_file, tmp_path, ["random", "powermat"])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: line ") and result.output.count("\n") == 1
+        assert "field larger than field limit" in result.output
+        assert not (out / "manifest.json").exists()
 
 
 class TestExitCodes:

@@ -58,6 +58,22 @@ class TestFactorModel:
             FactorModel(U=U, V=V)
 
 
+@pytest.mark.parametrize("writable", [False, True], ids=["read-only", "writable"])
+def test_read_only_owning_arrays_are_kept(writable):
+    # a dataset's columns and a model's factors are kept as given when they
+    # are read-only and own their data, and copied when they are writable
+    columns = np.array([0, 1]), np.array([1, 0]), np.array([4, 2])
+    factors = np.ones((2, 3)), np.full((2, 3), 0.5)
+    for given in (*columns, *factors):
+        given.setflags(write=writable)
+    ds = RatingsDataset.from_columns(*columns, n_users=2, n_items=2)
+    model = FactorModel(*factors)
+    kept = ds.users, ds.items, ds.values, model.U, model.V
+    assert [np.shares_memory(k, given) for k, given in zip(kept, (*columns, *factors))] \
+        == [not writable] * 5
+    assert not any(k.flags.writeable for k in kept)
+
+
 class TestPowerMatModel:
     def test_alpha_is_read_only(self):
         factors = FactorModel(U=np.ones((1, 1)), V=np.ones((1, 1)))

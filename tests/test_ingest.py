@@ -15,13 +15,14 @@ from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            write_movielens)
 
 
-# parse_movielens reads bytes and binary streams of plain integer lines in
-# numpy, and everything else line by line
-SOURCE_KINDS = ["str", "bytes", "stream"]
+# both parsers read every source kind as its UTF-8 bytes, so each kind
+# parses alike
+SOURCE_KINDS = ["str", "bytes", "text", "stream"]
 
 
 def source_of(kind, text):
-    return {"str": text, "bytes": text.encode(), "stream": io.BytesIO(text.encode())}[kind]
+    return {"str": text, "bytes": text.encode(), "text": io.StringIO(text),
+            "stream": io.BytesIO(text.encode())}[kind]
 
 
 class TestParseMovielens:
@@ -72,13 +73,11 @@ class TestParseMovielens:
                                  MovieLensFormat.TAB_100K)
         assert len(result.dataset) == 2
 
-    def test_binary_stream_splits_lines_at_lone_cr(self):
-        data = b"1\t2\t4\t0\r3\t2\t2\t0\r"
-        result = parse_movielens(io.BytesIO(data), MovieLensFormat.TAB_100K)
-        assert len(result.dataset) == 2
-        # raw bytes are split at LF only, so the two rows are one line
-        with pytest.raises(ParseError, match="^line 1: expected 4 fields"):
-            parse_movielens(data, MovieLensFormat.TAB_100K)
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_every_source_kind_splits_lines_at_lone_cr(self, kind):
+        text = "1\t2\t4\t0\r3\t2\t2\t0\r"
+        result = parse_movielens(source_of(kind, text), MovieLensFormat.TAB_100K)
+        assert _parsed(result)[:4] == ([(0, 0, 4), (1, 0, 2)], 2, 1, 0)
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     def test_line_number_after_many_good_lines(self, kind):
@@ -221,6 +220,22 @@ class TestParseComoda:
         result = parse_comoda("userID,itemID,rating,mood,note,note\n1,3,4,1,a,b\n", ["mood"])
         assert result.contexts == [ContextSample(0, 0, 4, (1.0,))]
 
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @pytest.mark.parametrize("where, line_no", [("header", 1), ("row", 5)])
+    def test_field_over_the_csv_limit_names_the_line(self, kind, where, line_no):
+        long_field = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        text = (self.CSV.replace("location", long_field) if where == "header"
+                else self.CSV + f"22,8,3,2,{long_field}\n")
+        with pytest.raises(ParseError,
+                           match=f"^line {line_no}: field larger than field limit"):
+            parse_comoda(source_of(kind, text), ["mood", "location"])
+
+    def test_nul_byte_names_the_line(self):
+        # csv rejects a NUL byte before Python 3.11, and keeps it in the field after
+        with pytest.raises(ParseError) as exc:
+            parse_comoda(self.CSV + "22,8,3\x00,2,1\n", ["mood", "location"])
+        assert exc.value.line_no == 5
+
     def test_ids_remapped_dense(self):
         ds = parse_comoda(self.CSV, ["mood"]).dataset
         assert ds.n_users == 2 and ds.n_items == 2
@@ -230,15 +245,44 @@ class TestParseComoda:
         assert {len(c.context) for c in result.contexts} == {2}
 
 
+# One file of each format with LF, CR LF and lone-CR line ends mixed, blank
+# lines among them, and one repeated cell; its parse; and a bad last row
+# with the error it gives
+MIXED_LINE_ENDS = [
+    (lambda source: parse_movielens(source, MovieLensFormat.TAB_100K),
+     "1\t2\t4\t0\r\n3\t2\t2\t0\r\r\n1\t2\t5\t0\n\n7\t1\t3\t0\r",
+     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1, []),
+     "\r1\t2\t9\t0\n", "line 8: rating 9 outside [1, 5]"),
+    (lambda source: parse_comoda(source, ["mood"]),
+     "userID,itemID,rating,mood\r1,2,4,1\r\n3,2,2,-1\n\r1,2,5,2\r\r\n7,1,3,1\n",
+     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1,
+      [ContextSample(0, 0, 5, (2.0,)), ContextSample(1, 0, 2, (0.0,)),
+       ContextSample(2, 1, 3, (1.0,))]),
+     "\r7,2,0,1\n", "line 9: rating 0 outside [1, 5]"),
+]
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+@pytest.mark.parametrize("parse, text, parsed, bad_tail, error", MIXED_LINE_ENDS,
+                         ids=["movielens", "comoda"])
+def test_every_source_kind_reads_mixed_line_ends_alike(kind, parse, text, parsed,
+                                                        bad_tail, error):
+    assert _parsed(parse(source_of(kind, text))) == parsed
+    with pytest.raises((ParseError, DatasetError)) as exc:
+        parse(source_of(kind, text + bad_tail))
+    assert str(exc.value) == error
+
+
 # The dict-based parsers that preceded the shared row-to-cell path, as an
 # oracle for well-formed input: an id dict per side and one cell dict whose
 # insertion order is each cell's first position and whose value is its last
-# row. Ids are stripped of surrounding whitespace, as the parsers now do.
+# row. Ids are stripped of surrounding whitespace, as the parsers now do, and
+# LF, CR LF and a lone CR each end a line.
 
 def dict_parse_movielens(text, sep):
     user_index, item_index, cell_to_value = {}, {}, {}
     duplicates = 0
-    for line in io.StringIO(text):
+    for line in io.StringIO(text, newline=None):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -254,7 +298,7 @@ def dict_parse_movielens(text, sep):
 def dict_parse_comoda(text, context_columns):
     user_index, item_index, cell_to_row = {}, {}, {}
     duplicates = 0
-    for row in csv.DictReader(io.StringIO(text)):
+    for row in csv.DictReader(io.StringIO(text, newline=None)):
         context = []
         for col in context_columns:
             cell_text = row[col].strip()
@@ -272,7 +316,7 @@ def dict_parse_comoda(text, context_columns):
 _ids = st.sampled_from(["1", "2", "17", "300", " 2", "17 ", " 300 "])
 _ratings = st.integers(1, 5).map(str)
 _context_codes = st.sampled_from(["-1", "", " ", "0", "1", "2", " 3", "7"])
-_newlines = st.sampled_from(["\n", "\r\n"])
+_newlines = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 def _lines(draw, rows, header=None):
@@ -284,7 +328,7 @@ def _lines(draw, rows, header=None):
     return "".join(lines)
 
 
-# MovieLens fields: plain ASCII integers, which bytes input parses in numpy,
+# MovieLens fields: plain ASCII integers, which parse in numpy,
 # and valid fields that put the whole file on the line loop: ids with
 # surrounding spaces or leading zeros, a 19-digit id, and ratings and
 # timestamps that int() reads but that are not plain digits
@@ -333,10 +377,10 @@ class TestParsersMatchDictOracle:
         assert _parsed(result) == dict_parse_movielens(text, fmt.value)
 
     @settings(max_examples=200, deadline=None)
-    @given(comoda_files(), st.booleans())
-    def test_comoda(self, file, as_bytes):
+    @given(comoda_files(), st.sampled_from(SOURCE_KINDS))
+    def test_comoda(self, file, kind):
         text, context_columns = file
-        result = parse_comoda(text.encode() if as_bytes else text, context_columns)
+        result = parse_comoda(source_of(kind, text), context_columns)
         assert _parsed(result) == dict_parse_comoda(text, context_columns)
 
 
