@@ -85,8 +85,7 @@ def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
 
 def _fit_shape_only(algo, config, train, contexts, seed) -> Predictor:
     cfg = _train_config(config, algo, seed, len(train))
-    model = train_zeroshot(ZeroShotAlgo(algo.removesuffix("-hybrid")),
-                           train.n_users, train.n_items, cfg)
+    model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
 
@@ -109,8 +108,8 @@ def _fit_powermat(algo, config, train, contexts, seed) -> Predictor:
 
 
 def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
-    # the zero-shot stage reads train.<hybrid>, not train.<base>; the MF stage train.mf
-    zero_shot = _fit_shape_only(algo, config, train, contexts, seed)
+    base = algo.removesuffix("-hybrid")
+    zero_shot = REGISTRY[base].fit(base, config, train, contexts, seed)
     augmented = augment_with_zeroshot(train, zero_shot, seed,
                                       config.get("fill_fraction", 1.0))
     return _fit_mf("mf", config, augmented, contexts, seed)
@@ -128,22 +127,18 @@ class Algorithm(NamedTuple):
 
 # Stable starting points per trainer. ZeroMat collapses to a uniform fixed
 # point if over-trained, and PoissonMat's gradient coefficient is strictly
-# positive, so both only tolerate a small step budget. A hybrid's zero-shot
-# stage starts where its base trainer does.
-_ZEROMAT = {"gamma": 0.002, "epochs": 2}
-_DOTMAT = {"gamma": 0.005, "epochs": 5}
-_POISSONMAT = {"gamma": 2e-5, "epochs": 2}
-
+# positive, so both only tolerate a small step budget. A hybrid takes no
+# settings of its own: its stages read train.<base> and train.mf.
 REGISTRY: Dict[str, Algorithm] = {
     "itemcf": Algorithm(None, _fit_itemcf),
     "mf": Algorithm({}, _fit_mf),
-    "zeromat": Algorithm(_ZEROMAT, _fit_shape_only),
-    "dotmat": Algorithm(_DOTMAT, _fit_shape_only),
-    "poissonmat": Algorithm(_POISSONMAT, _fit_shape_only),
+    "zeromat": Algorithm({"gamma": 0.002, "epochs": 2}, _fit_shape_only),
+    "dotmat": Algorithm({"gamma": 0.005, "epochs": 5}, _fit_shape_only),
+    "poissonmat": Algorithm({"gamma": 2e-5, "epochs": 2}, _fit_shape_only),
     "powermat": Algorithm({"gamma": 0.0005, "epochs": 5}, _fit_powermat),
-    "zeromat-hybrid": Algorithm(_ZEROMAT, _fit_hybrid),
-    "dotmat-hybrid": Algorithm(_DOTMAT, _fit_hybrid),
-    "poissonmat-hybrid": Algorithm(_POISSONMAT, _fit_hybrid),
+    "zeromat-hybrid": Algorithm(None, _fit_hybrid),
+    "dotmat-hybrid": Algorithm(None, _fit_hybrid),
+    "poissonmat-hybrid": Algorithm(None, _fit_hybrid),
     "random": Algorithm(None, None),
 }
 
@@ -248,8 +243,9 @@ def _check_config(config) -> None:
             raise ValueError(f"unknown train section {section!r}; expected "
                              f"'default' or one of {ALGORITHMS}")
         if section != "default" and REGISTRY[section].defaults is None:
-            raise ValueError(f"config key 'train.{section}' is not read: "
-                             f"{section} takes no training settings")
+            reads = ("takes no training settings" if REGISTRY[section].fit is not _fit_hybrid
+                     else f"trains with train.{section.removesuffix('-hybrid')} and train.mf")
+            raise ValueError(f"config key 'train.{section}' is not read: {section} {reads}")
         if not isinstance(keys, dict):
             raise ValueError(f"config key 'train.{section}' must be an object")
         unknown = sorted(set(keys) - set(_TRAIN_KEYS))
@@ -265,7 +261,14 @@ def _check_config(config) -> None:
         try:
             _train_config(config, algo, 0, 1)
         except ValueError as exc:
-            raise ValueError(f"train.{algo}: {exc}") from None
+            # blame train.default when the trainer's own section is valid alone
+            own = {"train": {algo: config.get("train", {}).get(algo, {})}}
+            try:
+                _train_config(own, algo, 0, 1)
+                section = "default"
+            except ValueError:
+                section = algo
+            raise ValueError(f"train.{section}: {exc}") from None
     try:
         _split_spec(config)
     except ValueError as exc:
@@ -328,17 +331,11 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
         _atomic_write(out_dir / f"report_seed{spec.seed}.json", report.to_json() + "\n")
         _atomic_write(out_dir / f"report_seed{spec.seed}.csv", report.to_csv())
 
-    by_algo: Dict[str, List[float]] = {}
-    for report in reports:
-        for entry in report.entries:
-            by_algo.setdefault(entry.algorithm, []).append(entry.mae)
-    aggregate = {
-        "repetitions": repetitions,
-        "rows": [{"algo": algo,
-                  "mae_mean": float(np.mean(vals)),
-                  "mae_std": float(np.std(vals))}
-                 for algo, vals in by_algo.items()],
-    }
+    # every report has one entry per listed algorithm, in the listed order
+    maes = zip(*[[entry.mae for entry in report.entries] for report in reports])
+    aggregate = {"repetitions": repetitions, "rows": [
+        {"algo": algo, "mae_mean": float(np.mean(vals)), "mae_std": float(np.std(vals))}
+        for algo, vals in zip(config["algorithms"], maes)]}
     _write_json(out_dir / "aggregate.json", aggregate)
     return reports
 
@@ -426,13 +423,11 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
 @click.option("--n-items", type=int, required=True)
 @click.option("--n-ratings", type=int, required=True)
 @click.option("--exponent", type=float, default=1.0)
-@click.option("--r-max", type=int, default=5)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-def generate(n_users, n_items, n_ratings, exponent, r_max, seed, out_path):
-    """Write a synthetic Zipf dataset in MovieLens tab format."""
-    dataset = ingest.generate_zipf(n_users, n_items, n_ratings,
-                                   exponent, r_max, seed)
+def generate(n_users, n_items, n_ratings, exponent, seed, out_path):
+    """Write a synthetic Zipf dataset in MovieLens tab format, rated 1-5."""
+    dataset = ingest.generate_zipf(n_users, n_items, n_ratings, exponent, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_path, ingest.write_movielens(dataset))
 

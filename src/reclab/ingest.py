@@ -221,6 +221,9 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     integer category codes; missing markers (-1, empty) are encoded as 0.
     Every context vector has dimension len(context_columns).
     """
+    not_context = [c for c in context_columns if c in (COMODA_USER, COMODA_ITEM, COMODA_RATING)]
+    if not_context:  # a rating read as context would reach the data-free PowerMat
+        raise SchemaError(f"context columns may not name {not_context}")
     rows = _csv_rows(_bytes(source))
     _, header = next(rows, (0, None))
     if header is None:
@@ -305,8 +308,8 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     Item j (popularity rank j+1) is drawn with weight (j+1)^-exponent; the
     rating value v is drawn with probability v / sum(1..r_max).
     """
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    if not (0 < exponent < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"exponent must be positive and finite, got {exponent}")
     if n_ratings < 0:
         raise ValueError(f"n_ratings must be >= 0, got {n_ratings}")
     if n_ratings > n_users * n_items:

@@ -207,23 +207,23 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
         raise ValueError("fill_fraction must be in (0, 1]")
     n_fill = int(round(fill_fraction * len(train)))
     n_fill = min(n_fill, train.n_users * train.n_items - len(train))
+    # m draws against [n_users, n_items] tiled m times are the stream of m
+    # alternating scalar (user, item) draws. A cell is kept at its first draw
+    # unless it is in train or kept already; the first n_fill kept are filled.
     rng = np.random.default_rng(seed)
-    taken = set(train.keys().tolist())
-    users, items = [], []
-    while len(users) < n_fill:
-        u = int(rng.integers(0, train.n_users))
-        j = int(rng.integers(0, train.n_items))
-        key = u * train.n_items + j
-        if key in taken:
-            continue
-        taken.add(key)
-        users.append(u)
-        items.append(j)
-    users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    taken = np.sort(train.keys())
+    kept = np.empty(0, dtype=np.int64)
+    while len(kept) < n_fill:
+        m = max(2 * (n_fill - len(kept)), 1024)
+        u, j = rng.integers(0, np.tile([train.n_users, train.n_items], m)).reshape(m, 2).T
+        drawn = u * train.n_items + j
+        cells, first = np.unique(drawn, return_index=True)  # the sort path, not hashing
+        new = taken[np.minimum(np.searchsorted(taken, cells), len(taken) - 1)] != cells
+        kept = np.concatenate([kept, drawn[np.sort(first[new])]])
+        taken = np.sort(np.concatenate([taken, cells[new]]))
+    users, items = np.divmod(np.concatenate([train.keys(), kept[:n_fill]]), train.n_items)
     # predictions lie in [1, r_max]; rint rounds halves to even, as round() does
-    values = np.rint(predictor.predict_many(users, items)).astype(np.int64)
-    users = np.concatenate([train.users, users])
-    items = np.concatenate([train.items, items])
-    values = np.concatenate([train.values, values])
+    fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
+    values = np.concatenate([train.values, fills.astype(np.int64)])
     return RatingsDataset.from_columns(users, items, values, train.n_users,
                                        train.n_items, train.r_max)

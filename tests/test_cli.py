@@ -85,6 +85,17 @@ class TestGenerate:
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args", [["--exponent", "nan"], ["--exponent", "inf"],
+                                      ["--r-max", "7"]], ids=["nan", "inf", "r-max"])
+    def test_unreadable_file_is_not_written(self, runner, tmp_path, args):
+        # bench reads every dataset on a 1-5 scale, so generate takes no --r-max
+        out = tmp_path / "x.data"
+        result = runner.invoke(main, ["generate", "--n-users", "10", "--n-items", "10",
+                                      "--n-ratings", "20", "--out", str(out), *args])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert not out.exists()
+
     def test_infeasible_count_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--n-users", "100",
                                       "--n-items", "50", "--n-ratings",
@@ -292,6 +303,12 @@ class TestBench:
                      id="unread-train-mf"),
         # --out is the one way to name the output directory
         pytest.param(lambda c: {**c, "out_dir": "elsewhere"}, id="out_dir"),
+        # a hybrid trains with train.<base> and train.mf, and has no section
+        pytest.param(lambda c: {**c, "train": {"zeromat-hybrid": {"epochs": 1}}},
+                     id="train.zeromat-hybrid"),
+        # PowerMat is data-free: a rating is never a context column
+        pytest.param(lambda c: {**c, "context_columns": ["rating"]},
+                     id="rating-context-column"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -306,12 +323,29 @@ class TestBench:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("edit, section", [
-        (lambda c: {**c, "train": {"poissonmat-hybrid": {"k": 0}}},
-         "train.poissonmat-hybrid: k must be >= 1"),
+        # a hybrid's zero-shot stage reads train.<base>
+        (lambda c: {**c, "train": {"poissonmat": {"k": 0}}},
+         "train.poissonmat: k must be >= 1"),
         # a hybrid's MF stage reads train.mf
         (lambda c: {**c, "train": {"mf": {"epochs": 0}}}, "train.mf: epochs must be >= 1"),
         (lambda c: {**c, "split": {"test_fraction": 1.5}}, "split: test_fraction must be"),
-    ], ids=["hybrid-k", "hybrid-mf-stage-epochs", "test-fraction"])
+        # the message names the section that holds the bad value
+        (lambda c: {**c, "algorithms": ["random"], "train": {"default": {"epochs": "x"}}},
+         "train.default: epochs must be an integer, got 'x'\n"),
+        (lambda c: {**c, "train": {"default": {"k": 4}, "mf": {"epochs": "3"}}},
+         "train.mf: epochs must be an integer, got '3'\n"),
+        # init_lo 0.95 is valid only next to an init_hi above it in each trainer's section
+        (lambda c: {**c, "train": {"default": {"init_lo": 0.95}}},
+         "train.default: need 0 < init_lo < init_hi\n"),
+        # the bad value is poissonmat's own, whatever train.default holds
+        (lambda c: {**c, "algorithms": ["poissonmat"],
+                    "train": {"default": {"init_lo": 0.95}, "poissonmat": {"k": 0}}},
+         "train.poissonmat: k must be >= 1\n"),
+        (lambda c: {**c, "train": {"poissonmat-hybrid": {"epochs": 1}}},
+         "config key 'train.poissonmat-hybrid' is not read: "
+         "poissonmat-hybrid trains with train.poissonmat and train.mf\n"),
+    ], ids=["hybrid-k", "hybrid-mf-stage-epochs", "test-fraction", "default", "trainer",
+            "default-pair", "trainer-next-to-bad-default", "hybrid-section"])
     def test_bad_value_fails_before_writing(self, runner, fixture_file, tmp_path,
                                             edit, section):
         path = bench_config(fixture_file, tmp_path, ["random", "poissonmat-hybrid"])
@@ -320,7 +354,18 @@ class TestBench:
         result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 1
         assert result.output.startswith(f"error: {section}")
+        assert result.output.count("\n") == 1
         assert not (out / "manifest.json").exists()
+
+    def test_default_and_trainer_sections_may_combine(self, runner, fixture_file, tmp_path):
+        # init_lo 0.95 is valid only with each trainer's init_hi above it
+        trainers = [a for a in ALGORITHMS if REGISTRY[a].defaults is not None]
+        train = {"default": {"init_lo": 0.95, "k": 2, "epochs": 1},
+                 **{a: {"init_hi": 0.99} for a in trainers}}
+        config = bench_config(fixture_file, tmp_path, ["random", "zeromat"], train=train)
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
 
     def test_empty_split_side_names_the_split(self, runner, tmp_path):
         data = tmp_path / "two.data"
@@ -443,7 +488,7 @@ class TestRegistry:
 
     def test_train_sections_drive_their_stages(self, monkeypatch):
         train = generate_zipf(20, 20, 150, 1.0, 5, seed=25)
-        hybrid = "poissonmat-hybrid"
+        hybrid, base = "poissonmat-hybrid", "poissonmat"
         configs = []  # the TrainConfig, the last argument, of each stage's trainer
 
         def recording(real):
@@ -456,30 +501,31 @@ class TestRegistry:
             model = REGISTRY[hybrid].fit(hybrid, {"train": sections}, train, None, 5).model
             return np.concatenate([model.U, model.V])
 
-        sections = {hybrid: {"epochs": 1}, "mf": {"gamma": 0.01, "epochs": 4}}
-        base = factors(sections)
+        sections = {base: {"epochs": 1}, "mf": {"gamma": 0.01, "epochs": 4}}
+        reference = factors(sections)
         zs_cfg, mf_cfg = configs
-        assert (zs_cfg.gamma, zs_cfg.epochs) == (2e-5, 1)  # the hybrid's defaults
+        assert (zs_cfg.gamma, zs_cfg.epochs) == (2e-5, 1)  # the base's defaults and section
         assert (mf_cfg.gamma, mf_cfg.epochs) == (0.01, 4)
-        # the base algorithm's own section is not read by its hybrid
-        assert np.array_equal(factors({**sections, "poissonmat": {"epochs": 9}}), base)
-        assert not np.array_equal(factors({**sections, hybrid: {"k": 2}}), base)
-        assert not np.array_equal(factors({**sections, "mf": {"epochs": 4}}), base)
+        # the zero-shot stage trains as the base algorithm's own fit does
+        REGISTRY[base].fit(base, {"train": sections}, train, None, 5)
+        assert configs[-1] == zs_cfg
+        assert not np.array_equal(factors({**sections, base: {"k": 2}}), reference)
+        assert not np.array_equal(factors({**sections, "mf": {"epochs": 4}}), reference)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_fills_come_from_the_base_fit(self, hybrid, monkeypatch):
         train = generate_zipf(20, 25, 150, 1.0, 5, seed=27)
         base = hybrid.removesuffix("-hybrid")
         section = {"gamma": 2e-5 if base == "poissonmat" else 0.004, "epochs": 2, "k": 3}
-        # a base section that a wrong composition would read instead
-        config = {"fill_fraction": 0.6, "train": {hybrid: section, base: {"k": 5}}}
+        # train.mf, which a wrong composition would give the zero-shot stage
+        config = {"fill_fraction": 0.6, "train": {base: section, "mf": {"k": 5}}}
         passed = []
         real = reclab.cli.augment_with_zeroshot
         monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
                             lambda *args: passed.append(args) or real(*args))
         REGISTRY[hybrid].fit(hybrid, config, train, None, 11)
         (filled_train, predictor, seed, fill_fraction), = passed
-        expected = REGISTRY[base].fit(base, {"train": {base: section}}, train, None, 11)
+        expected = REGISTRY[base].fit(base, config, train, None, 11)
         users, items = np.divmod(np.arange(20 * 25), 25)
         assert filled_train is train and (seed, fill_fraction) == (11, 0.6)
         assert np.array_equal(predictor.predict_many(users, items),

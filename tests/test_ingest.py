@@ -216,6 +216,13 @@ class TestParseComoda:
         with pytest.raises(SchemaError, match=f"named more than once: \\['{column}'\\]"):
             parse_comoda(f"{header},{column}\n1,3,4,1,2,2\n", ["mood"])
 
+    @pytest.mark.parametrize("column", ["userID", "itemID", "rating"])
+    def test_id_or_rating_context_column_is_schema_error(self, column):
+        # a rating read as context would reach PowerMat, which is data-free
+        with pytest.raises(SchemaError,
+                           match=f"^context columns may not name \\['{column}'\\]$"):
+            parse_comoda(self.CSV, ["mood", column])
+
     def test_repeated_unread_column_is_allowed(self):
         result = parse_comoda("userID,itemID,rating,mood,note,note\n1,3,4,1,a,b\n", ["mood"])
         assert result.contexts == [ContextSample(0, 0, 4, (1.0,))]
@@ -508,6 +515,11 @@ class TestGenerateZipf:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="n_ratings must be >= 0"):
             generate_zipf(3, 3, -1, 1.0, 5, seed=0)
+
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            generate_zipf(10, 10, 20, exponent, 5, seed=0)
 
     def test_dense_grid_fill(self):
         ds = generate_zipf(5, 5, 25, 1.0, 5, seed=0)

@@ -228,9 +228,63 @@ class TestZeroShotPredict:
                 assert 1.0 <= predictor.predict(u, i) <= 5.0
 
 
+def loop_fill(train, predictor, seed, fill_fraction):
+    """The fill one scalar (user, item) draw pair at a time: a cell is kept
+    at its first draw unless it is in train or kept already."""
+    n_fill = min(int(round(fill_fraction * len(train))),
+                 train.n_users * train.n_items - len(train))
+    rng = np.random.default_rng(seed)
+    taken = set(train.keys().tolist())
+    users, items = [], []
+    while len(users) < n_fill:
+        u = int(rng.integers(0, train.n_users))
+        j = int(rng.integers(0, train.n_items))
+        if u * train.n_items + j in taken:
+            continue
+        taken.add(u * train.n_items + j)
+        users.append(u)
+        items.append(j)
+    users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    return users, items, np.rint(predictor.predict_many(users, items)).astype(np.int64)
+
+
+class CellPredictor:
+    """A stand-in predictor: a fixed score in [1, 5] per cell, no grid-sized state."""
+
+    def predict_many(self, users, items):
+        return 1.0 + (users * 7 + items * 3) % 9 / 2.0
+
+
+def _grid_train(n_users, n_items, cells):
+    users, items = np.divmod(np.asarray(cells, dtype=np.int64), n_items)
+    return RatingsDataset.from_columns(users, items, np.full(len(users), 3),
+                                       n_users, n_items, 5)
+
+
 class TestHybrid:
     """augment_with_zeroshot fills from a fitted predictor; the hybrids'
     composition is tested through the registry in test_cli.py."""
+
+    @pytest.mark.parametrize("train, fill_fraction", [
+        pytest.param(generate_zipf(60, 80, 300, 1.0, 5, seed=41), 1.0, id="sparse"),
+        # every free cell is filled, over several chunks of draws
+        pytest.param(_grid_train(40, 40, [c for c in range(1600) if c % 5]), 1.0,
+                     id="dense"),
+        pytest.param(_grid_train(7, 3, range(0, 21, 2)), 1.0, id="dense-7x3"),
+        pytest.param(generate_zipf(50, 40, 600, 1.0, 5, seed=42), 0.3, id="fraction"),
+        pytest.param(generate_zipf(3, 500, 400, 1.0, 5, seed=43), 1.0, id="non-square"),
+        # a bound of 1 draws nothing from the stream
+        pytest.param(_grid_train(1, 40, range(0, 40, 3)), 1.0, id="one-user"),
+        # a bound above 2**31 draws from the same stream
+        pytest.param(_grid_train(2, 2**31 + 5, [0, 2**31 + 9]), 1.0, id="wide"),
+    ])
+    def test_fill_equals_the_scalar_draw_loop(self, train, fill_fraction):
+        augmented = augment_with_zeroshot(train, CellPredictor(), 17, fill_fraction)
+        users, items, values = loop_fill(train, CellPredictor(), 17, fill_fraction)
+        assert len(augmented) == len(train) + len(users) > len(train)
+        assert np.array_equal(augmented.users, np.concatenate([train.users, users]))
+        assert np.array_equal(augmented.items, np.concatenate([train.items, items]))
+        assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
 
     @staticmethod
     def _predictor(train, algo, cfg):
