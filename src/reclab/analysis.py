@@ -3,8 +3,8 @@ fits, and the two global-diversity counts evaluated in log space."""
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -20,25 +20,12 @@ class RatingHistogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def to_json(self) -> str:
-        return json.dumps({str(v): c for v, c in sorted(self.counts.items())})
-
-    def to_csv(self) -> str:
-        lines = ["value,count"]
-        lines.extend(f"{v},{c}" for v, c in sorted(self.counts.items()))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
     exponent: float
     log_intercept: float
     r_squared: float
-
-    def to_json(self) -> str:
-        return json.dumps({"exponent": self.exponent,
-                           "log_intercept": self.log_intercept,
-                           "r_squared": self.r_squared})
 
 
 @dataclass(frozen=True)
@@ -50,16 +37,24 @@ class DiversityInput:
     n_market: int
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple((int(k), int(m)) for k, m in self.groups))
-        if self.n_market < 1:
-            raise ValueError("n_market must be >= 1")
-        for k, m in self.groups:
-            if k < 1:
-                raise ValueError("every group needs K >= 1 people")
-            if m < 0:
-                raise ValueError("movies watched must be >= 0")
+        object.__setattr__(self, "n_market", _count("n_market", self.n_market, 1))
         if not self.groups:
             raise ValueError("need at least one group")
+        object.__setattr__(self, "groups", tuple(
+            (_count(f"group {i}: K", k, 1), _count(f"group {i}: M", m, 0))
+            for i, (k, m) in enumerate(self.groups)))
+
+
+def _count(name: str, x, low: int) -> int:
+    """x as an int: an integer >= low, not a bool, small enough that its
+    float and ln(x!) are finite, since the counts are computed in floats."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    try:
+        math.lgamma(x + 1)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to compute with in floats") from None
+    return int(x)
 
 
 def rating_histogram(dataset: RatingsDataset) -> RatingHistogram:
@@ -72,10 +67,10 @@ def rating_histogram(dataset: RatingsDataset) -> RatingHistogram:
 def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     """Ordinary least squares of ln y on ln x; the slope is the fitted
     exponent."""
-    if len(points) < 2:
-        raise ValueError("need at least 2 points to fit")
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
+    if np.unique(xs).size < 2:  # else the slope is undetermined
+        raise ValueError("need at least 2 points with distinct x to fit")
     if (xs <= 0).any() or (ys <= 0).any():
         raise ValueError("all coordinates must be strictly positive")
     lx, ly = np.log(xs), np.log(ys)
@@ -88,10 +83,15 @@ def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
                        r_squared=min(r_squared, 1.0))
 
 
+def _log_terms(inp: DiversityInput) -> list:
+    """ln(K_i * N^{M_i}) per group. A count may exceed int64, so its log is
+    taken of its float."""
+    return [np.log(float(k)) + m * np.log(float(inp.n_market)) for k, m in inp.groups]
+
+
 def diversity_ordered(inp: DiversityInput) -> float:
     """ln of sum over groups of K_i * N^{M_i}, via log-sum-exp."""
-    terms = [np.log(k) + m * np.log(inp.n_market) for k, m in inp.groups]
-    return float(np.logaddexp.reduce(terms))
+    return float(np.logaddexp.reduce(_log_terms(inp)))
 
 
 def diversity_order_invariant(inp: DiversityInput,
@@ -103,7 +103,6 @@ def diversity_order_invariant(inp: DiversityInput,
     it is offered for exploration only and is never the default.
     """
     if per_group_factorial:
-        terms = [np.log(k) + m * np.log(inp.n_market) - math.lgamma(m + 1)
-                 for k, m in inp.groups]
+        terms = [t - math.lgamma(m + 1) for t, (_, m) in zip(_log_terms(inp), inp.groups)]
         return float(np.logaddexp.reduce(terms))
     return diversity_ordered(inp) - math.lgamma(inp.n_market + 1)

@@ -39,10 +39,20 @@ def _atomic_write(path: Path, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, obj) -> None:
-    # a NaN or infinity is an error, never written as invalid JSON
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
-                                   allow_nan=False) + "\n")
+def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
+    """obj as JSON with sorted keys and one trailing newline. A NaN or
+    infinity is an error naming the file, never written as invalid JSON.
+    Every output file but generate's dataset goes through this or _write_csv."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path.name}: {exc}") from None
+    _atomic_write(path, text + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """The header, then each row, as one line of str() values joined by commas."""
+    _atomic_write(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
@@ -284,19 +294,16 @@ def _diversity_input(obj) -> analysis.DiversityInput:
     for key in ("groups", "n_market"):
         if key not in obj:
             raise ValueError(f"diversity input missing required key {key!r}")
-    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
-    groups, n_market = obj["groups"], obj["n_market"]
+    groups = obj["groups"]
     if not isinstance(groups, list):
         raise ValueError(f"diversity input 'groups' must be a list of [K, M] "
                          f"pairs, got {json.dumps(groups)}")
     for group in groups:
-        if not (isinstance(group, list) and len(group) == 2 and all(map(is_int, group))):
+        if not (isinstance(group, list) and len(group) == 2):
             raise ValueError(f"diversity input group {json.dumps(group)} is not "
                              f"a [K, M] pair of integers")
-    if not is_int(n_market):
-        raise ValueError(f"diversity input 'n_market' must be an integer, "
-                         f"got {json.dumps(n_market)}")
-    return analysis.DiversityInput(groups=tuple(map(tuple, groups)), n_market=n_market)
+    # DiversityInput checks the counts themselves
+    return analysis.DiversityInput(groups=tuple(groups), n_market=obj["n_market"])
 
 
 def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
@@ -313,7 +320,7 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     out_dir = out_dir or Path("reclab-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(out_dir / "manifest.json", manifest, indent=2)
 
     reports = []
     for rep in range(repetitions):
@@ -328,21 +335,26 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
         report = EvalReport(entries=tuple(entries),
                             split_ratio=spec.test_fraction, seed=spec.seed)
         reports.append(report)
-        _atomic_write(out_dir / f"report_seed{spec.seed}.json", report.to_json() + "\n")
-        _atomic_write(out_dir / f"report_seed{spec.seed}.csv", report.to_csv())
+        columns = ("algo", "mae", "n")
+        rows = [(e.algorithm, e.mae, e.n_test_predictions) for e in entries]
+        _write_json(out_dir / f"report_seed{spec.seed}.json", {
+            "split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
+            "rows": [dict(zip(columns, row)) for row in rows]})
+        _write_csv(out_dir / f"report_seed{spec.seed}.csv", columns, rows)
 
     # every report has one entry per listed algorithm, in the listed order
     maes = zip(*[[entry.mae for entry in report.entries] for report in reports])
     aggregate = {"repetitions": repetitions, "rows": [
         {"algo": algo, "mae_mean": float(np.mean(vals)), "mae_std": float(np.std(vals))}
         for algo, vals in zip(config["algorithms"], maes)]}
-    _write_json(out_dir / "aggregate.json", aggregate)
+    _write_json(out_dir / "aggregate.json", aggregate, indent=2)
     return reports
 
 
 class _ExitDoor(click.Group):
     """The one exit of every subcommand: divergence (TrainingError) exits 2,
-    and a usage, input or config error prints one `error:` line and exits 1.
+    and a usage, input or config error, or running out of memory, prints one
+    `error:` line and exits 1.
     With standalone_mode=False an error still raises SystemExit, and
     success returns instead of exiting."""
 
@@ -352,8 +364,10 @@ class _ExitDoor(click.Group):
         except TrainingError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DIVERGENCE)
-        except (click.ClickException, OSError, ValueError, KeyError, TypeError) as exc:
-            message = exc.format_message() if isinstance(exc, click.ClickException) else exc
+        except (click.ClickException, OSError, ValueError, KeyError, TypeError,
+                MemoryError) as exc:
+            message = (exc.format_message() if isinstance(exc, click.ClickException)
+                       else str(exc) or type(exc).__name__)
             click.echo(f"error: {message}", err=True)
             sys.exit(EXIT_INPUT_ERROR)
         except click.Abort:
@@ -401,9 +415,10 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
         hist = analysis.rating_histogram(parsed.dataset)
         fit = analysis.fit_power_law(
             [(v, c) for v, c in sorted(hist.counts.items()) if c > 0])
-        _atomic_write(out_dir / "histogram.json", hist.to_json() + "\n")
-        _atomic_write(out_dir / "histogram.csv", hist.to_csv())
-        _atomic_write(out_dir / "fit.json", fit.to_json() + "\n")
+        # rating values are 1-5, so sorting their string keys keeps numeric order
+        _write_json(out_dir / "histogram.json", {str(v): c for v, c in hist.counts.items()})
+        _write_csv(out_dir / "histogram.csv", ("value", "count"), sorted(hist.counts.items()))
+        _write_json(out_dir / "fit.json", dataclasses.asdict(fit))
     else:
         if input_path is None:
             raise ValueError("diversity mode requires --input")
@@ -411,17 +426,14 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
         ordered = analysis.diversity_ordered(inp)
         invariant = analysis.diversity_order_invariant(
             inp, per_group_factorial=per_group_factorial)
-        _atomic_write(out_dir / "diversity.json", json.dumps({
-            "ordered_ln": ordered,
-            "invariant_ln": invariant,
-            "difference_ln": ordered - invariant,
-        }, sort_keys=True) + "\n")
+        _write_json(out_dir / "diversity.json", {"ordered_ln": ordered, "invariant_ln": invariant,
+                                                 "difference_ln": ordered - invariant})
 
 
 @main.command()
-@click.option("--n-users", type=int, required=True)
-@click.option("--n-items", type=int, required=True)
-@click.option("--n-ratings", type=int, required=True)
+@click.option("--n-users", type=click.IntRange(min=1), required=True)
+@click.option("--n-items", type=click.IntRange(min=1), required=True)
+@click.option("--n-ratings", type=click.IntRange(min=1), required=True)
 @click.option("--exponent", type=float, default=1.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -239,18 +238,3 @@ class EvalReport:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    def to_dict(self) -> dict:
-        return {
-            "split": {"test_fraction": self.split_ratio, "seed": self.seed},
-            "rows": [{"algo": e.algorithm, "mae": e.mae, "n": e.n_test_predictions}
-                     for e in self.entries],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
-    def to_csv(self) -> str:
-        lines = ["algo,mae,n"]
-        lines.extend(f"{e.algorithm},{e.mae},{e.n_test_predictions}" for e in self.entries)
-        return "\n".join(lines) + "\n"

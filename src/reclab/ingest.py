@@ -312,6 +312,8 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         raise ValueError(f"exponent must be positive and finite, got {exponent}")
     if n_ratings < 0:
         raise ValueError(f"n_ratings must be >= 0, got {n_ratings}")
+    if n_users * n_items >= 2 ** 63:  # checked before any array is allocated
+        raise ValueError(f"a {n_users}x{n_items} grid overflows int64 cell keys")
     if n_ratings > n_users * n_items:
         raise DatasetError(
             f"cannot place {n_ratings} distinct ratings on a "

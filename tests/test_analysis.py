@@ -47,12 +47,6 @@ class TestRatingHistogram:
         for lo, hi in zip(counts, counts[1:]):
             assert hi >= lo * 0.9
 
-    def test_csv_and_json_emission(self):
-        ds = RatingsDataset(ratings=(Rating(0, 0, 2),), n_users=1, n_items=1)
-        hist = rating_histogram(ds)
-        assert hist.to_csv() == "value,count\n2,1\n"
-        assert '"2": 1' in hist.to_json()
-
 
 class TestFitPowerLaw:
     def test_identity_line(self):
@@ -75,9 +69,13 @@ class TestFitPowerLaw:
             assert fit.exponent == pytest.approx(exponent, abs=1e-9)
             assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
-            fit_power_law([(1.0, 1.0)])
+    @pytest.mark.parametrize("points", [[(1.0, 1.0)], [(1, 1), (1, 2)]],
+                             ids=["single-point", "one-distinct-x"])
+    def test_too_few_points_rejected(self, points, capfd):
+        # one distinct x leaves the slope undetermined; LAPACK is never asked
+        with pytest.raises(ValueError, match="at least 2"):
+            fit_power_law(points)
+        assert capfd.readouterr() == ("", "")
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -168,12 +166,32 @@ class TestDiversity:
             assert diversity_order_invariant(inp, per_group_factorial=True) == \
                 pytest.approx(per_group, **close)
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            DiversityInput(groups=(), n_market=5)
-        with pytest.raises(ValueError):
-            DiversityInput(groups=((0, 3),), n_market=5)
-        with pytest.raises(ValueError):
-            DiversityInput(groups=((1, -1),), n_market=5)
-        with pytest.raises(ValueError):
-            DiversityInput(groups=((1, 2),), n_market=0)
+    def test_numpy_and_big_integers_are_counts(self):
+        inp = DiversityInput(groups=((np.int64(3), np.int32(2)), (2 ** 70, 1)),
+                             n_market=np.int64(10))
+        assert inp.groups == ((3, 2), (2 ** 70, 1)) and type(inp.n_market) is int
+        assert all(type(x) is int for group in inp.groups for x in group)
+        assert diversity_ordered(inp) == pytest.approx(
+            exact_ln_diversity(inp.groups, 10), abs=1e-9)
+
+    @pytest.mark.parametrize("groups, n_market, message", [
+        ((), 5, "need at least one group"),
+        (((0, 3),), 5, "group 0: K must be an integer >= 1, got 0"),
+        (((1, -1),), 5, "group 0: M must be an integer >= 0, got -1"),
+        (((1, 2),), 0, "n_market must be an integer >= 1, got 0"),
+        (((1.5, 2),), 5, "group 0: K must be an integer >= 1, got 1.5"),
+        (((1, 2), (2, 2.0)), 5, "group 1: M must be an integer >= 0, got 2.0"),
+        (((True, 2),), 5, "group 0: K must be an integer >= 1, got True"),
+        (((1, 2),), 2.5, "n_market must be an integer >= 1, got 2.5"),
+        (((1, 2),), True, "n_market must be an integer >= 1, got True"),
+        (((1, 10 ** 400),), 5, "group 0: M is too large to compute with in floats"),
+        (((10 ** 400, 1),), 5, "group 0: K is too large to compute with in floats"),
+        (((1, 10 ** 308),), 100, "group 0: M is too large to compute with in floats"),
+        (((1, 2),), 10 ** 400, "n_market is too large to compute with in floats"),
+    ], ids=["no-groups", "no-people", "negative-m", "no-market", "float-count",
+            "second-group", "bool-count", "float-market", "bool-market", "huge-m",
+            "huge-k", "overflowing-m", "huge-market"])
+    def test_invalid_inputs_rejected(self, groups, n_market, message):
+        # never truncated to an integer, never an OverflowError
+        with pytest.raises(ValueError, match=message):
+            DiversityInput(groups=groups, n_market=n_market)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reclab
+from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import ContextSample, Rating, RatingsDataset
 from reclab.ingest import generate_zipf, write_movielens
@@ -85,15 +86,32 @@ class TestGenerate:
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("args", [["--exponent", "nan"], ["--exponent", "inf"],
-                                      ["--r-max", "7"]], ids=["nan", "inf", "r-max"])
+    @pytest.mark.parametrize("args", [
+        ["--exponent", "nan"], ["--exponent", "inf"], ["--r-max", "7"],
+        ["--n-ratings", "0"], ["--n-users", "0"], ["--n-items", "-1"],
+        ["--n-users", "-1", "--n-ratings", "0"],
+        ["--n-users", "3000000000", "--n-items", "4000000000", "--n-ratings", "1"],
+    ], ids=["nan", "inf", "r-max", "no-ratings", "no-users", "negative-items",
+            "negative-users", "int64-overflow"])
     def test_unreadable_file_is_not_written(self, runner, tmp_path, args):
-        # bench reads every dataset on a 1-5 scale, so generate takes no --r-max
+        # bench reads every dataset on a 1-5 scale, so generate takes no --r-max;
+        # nor does it read an empty file. Later options override earlier ones.
         out = tmp_path / "x.data"
         result = runner.invoke(main, ["generate", "--n-users", "10", "--n-items", "10",
                                       "--n-ratings", "20", "--out", str(out), *args])
         assert result.exit_code == 1
         assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.8 GiB for an array")
+        monkeypatch.setattr(cli.ingest, "generate_zipf", no_memory)
+        out = tmp_path / "x.data"
+        result = runner.invoke(main, ["generate", "--n-users", "10", "--n-items", "10",
+                                      "--n-ratings", "20", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: Unable to allocate 29.8 GiB for an array\n"
         assert not out.exists()
 
     def test_infeasible_count_exits_one(self, runner, tmp_path):
@@ -426,7 +444,8 @@ class TestExitCodes:
         result = runner.invoke(main, ["generate", "--n-users", "3", "--n-items", "3",
                                       "--n-ratings", "-1", "--out", str(out)])
         assert result.exit_code == 1
-        assert result.output == "error: n_ratings must be >= 0, got -1\n"
+        assert result.output == ("error: Invalid value for '--n-ratings': "
+                                 "-1 is not in the range x>=1.\n")
         assert not out.exists()
 
     def test_not_standalone_raises_system_exit_on_error_only(self, fixture_file,
@@ -590,7 +609,23 @@ class TestAnalyze:
          "diversity input group [1] is not a [K, M] pair of integers"),
         ('{"groups": [[1, 3]]}', "diversity input missing required key 'n_market'"),
         ("[1]", "diversity input must be a JSON object with keys 'groups' and 'n_market'"),
-    ], ids=["short-group", "no-n_market", "not-an-object"])
+        ('{"groups": [[1, 3], [1.5, 2]], "n_market": 2}',
+         "group 1: K must be an integer >= 1, got 1.5"),
+        ('{"groups": [[true, 2]], "n_market": 2}',
+         "group 0: K must be an integer >= 1, got True"),
+        ('{"groups": [[1, 3]], "n_market": 2.5}',
+         "n_market must be an integer >= 1, got 2.5"),
+        ('{"groups": [[1, 1e400]], "n_market": 2}',
+         "group 0: M must be an integer >= 0, got inf"),
+        ('{"groups": [[1, 3], [1, 1%s]], "n_market": 100}' % ("0" * 400),
+         "group 1: M is too large to compute with in floats"),
+        ('{"groups": [[1, 1%s]], "n_market": 100}' % ("0" * 308),
+         "group 0: M is too large to compute with in floats"),
+        ('{"groups": [[1, 3]], "n_market": 1%s}' % ("0" * 400),
+         "n_market is too large to compute with in floats"),
+    ], ids=["short-group", "no-n_market", "not-an-object", "float-count",
+            "bool-count", "float-n_market", "infinite-count", "huge-count",
+            "overflowing-count", "huge-n_market"])
     def test_diversity_input_of_wrong_shape_names_the_problem(self, runner, tmp_path,
                                                                text, message):
         inp = tmp_path / "groups.json"
@@ -599,6 +634,7 @@ class TestAnalyze:
                                       "--input", str(inp), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "out" / "diversity.json").exists()
 
     def test_missing_input_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--mode", "diversity",
@@ -610,3 +646,104 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--mode", "zipf",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def strict_json(path):
+    """Parse a file as strict JSON: NaN, Infinity and -Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON constant {token}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    """The inputs the files under tests/golden were written from, in the
+    working directory, so the manifest records relative paths."""
+    monkeypatch.chdir(tmp_path)
+    Path("ratings.data").write_text(write_movielens(generate_zipf(20, 15, 120, 1.0, 5, seed=4)))
+    Path("ratings.csv").write_text("userID,itemID,rating\n1,1,5\n1,2,4\n2,1,5\n"
+                                   "2,3,3\n3,2,5\n3,3,4\n4,1,2\n")
+    Path("config.json").write_text(json.dumps({
+        "dataset": {"path": "ratings.data"}, "algorithms": ["random", "itemcf"],
+        "repetitions": 2, "split": {"test_fraction": 0.25, "seed": 5}}))
+    Path("groups.json").write_text(json.dumps({"groups": [[1, 3], [2, 4]], "n_market": 5}))
+    return tmp_path
+
+
+GOLDEN_RUNS = {
+    "bench": ["bench", "--config", "config.json", "--out", "bench"],
+    "zipf-tab100k": ["analyze", "--mode", "zipf", "--dataset", "ratings.data",
+                     "--out", "zipf-tab100k"],
+    "zipf-comoda": ["analyze", "--mode", "zipf", "--format", "comoda",
+                    "--dataset", "ratings.csv", "--out", "zipf-comoda"],
+    "diversity": ["analyze", "--mode", "diversity", "--input", "groups.json",
+                  "--out", "diversity"],
+}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("run", list(GOLDEN_RUNS))
+    def test_files_equal_their_golden_bytes(self, runner, golden_inputs, run):
+        result = runner.invoke(main, GOLDEN_RUNS[run])
+        assert result.exit_code == 0, result.output
+        written = sorted(p.name for p in (golden_inputs / run).iterdir())
+        assert written == sorted(p.name for p in (GOLDEN / run).iterdir())
+        for name in written:
+            assert (golden_inputs / run / name).read_bytes() == \
+                (GOLDEN / run / name).read_bytes(), name
+
+    def test_every_json_file_is_strict_json(self, runner, golden_inputs):
+        for args in GOLDEN_RUNS.values():
+            assert runner.invoke(main, args).exit_code == 0
+        files = sorted(golden_inputs.glob("*/*.json"))
+        assert {p.name for p in files} >= {
+            "manifest.json", "report_seed5.json", "aggregate.json",
+            "histogram.json", "fit.json", "diversity.json"}
+        for path in files:
+            strict_json(path)
+            assert path.read_text(encoding="utf-8").endswith("}\n")
+
+    def test_report_json_and_csv_shapes(self, runner, fixture_file, tmp_path):
+        config = bench_config(fixture_file, tmp_path, ["random", "itemcf"])
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["bench", "--config", str(config),
+                                    "--out", str(out)]).exit_code == 0
+        report = strict_json(out / "report_seed42.json")
+        assert report["split"] == {"seed": 42, "test_fraction": 0.2}
+        assert [sorted(row) for row in report["rows"]] == [["algo", "mae", "n"]] * 2
+        lines = (out / "report_seed42.csv").read_text().splitlines()
+        assert lines[0] == "algo,mae,n"
+        assert lines[1:] == [f"{r['algo']},{r['mae']},{r['n']}" for r in report["rows"]]
+
+    def test_histogram_csv_and_json_emission(self, runner, tmp_path):
+        data = tmp_path / "ratings.csv"
+        data.write_text("userID,itemID,rating\n1,1,2\n1,2,3\n2,1,3\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--mode", "zipf", "--format", "comoda",
+                                      "--dataset", str(data), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "histogram.csv").read_text() == "value,count\n2,1\n3,2\n"
+        assert (out / "histogram.json").read_text() == '{"2": 1, "3": 2}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_json_refuses_nan(self, tmp_path, value):
+        # a value that skipped every earlier check still never becomes "NaN"
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="cannot write report.json"):
+            cli._write_json(path, {"rows": [{"mae": value}]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_result_is_not_written(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.analysis, "diversity_ordered", lambda inp: float("nan"))
+        inp = tmp_path / "groups.json"
+        inp.write_text(json.dumps({"groups": [[1, 3]], "n_market": 2}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--mode", "diversity",
+                                      "--input", str(inp), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: cannot write diversity.json: ")
+        assert result.output.count("\n") == 1
+        assert list(out.iterdir()) == []

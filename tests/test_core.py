@@ -1,11 +1,8 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from reclab.core import (ContextSample, DatasetError, EvalEntry, EvalReport,
-                         FactorModel, PowerMatModel, Rating, RatingsDataset,
-                         TrainConfig)
+from reclab.core import (ContextSample, DatasetError, EvalEntry, FactorModel,
+                         PowerMatModel, Rating, RatingsDataset, TrainConfig)
 
 
 class TestRatingsDataset:
@@ -117,16 +114,3 @@ class TestEvalReport:
         # NaN passes a plain `mae < 0` check
         with pytest.raises(ValueError, match="finite"):
             EvalEntry("mf", mae, 3)
-
-    def test_to_json_refuses_nan(self):
-        # an entry that skipped EvalEntry's check still never becomes "NaN"
-        entry = SimpleNamespace(algorithm="mf", mae=float("nan"), n_test_predictions=3)
-        with pytest.raises(ValueError):
-            EvalReport((entry,), 0.2, 1).to_json()
-
-    def test_json_and_csv_shapes(self):
-        report = EvalReport(entries=(EvalEntry("mf", 0.8, 100),),
-                            split_ratio=0.2, seed=1)
-        d = report.to_dict()
-        assert d["rows"] == [{"algo": "mf", "mae": 0.8, "n": 100}]
-        assert report.to_csv().splitlines()[0] == "algo,mae,n"

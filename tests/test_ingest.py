@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,18 @@ class TestGenerateZipf:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="n_ratings must be >= 0"):
             generate_zipf(3, 3, -1, 1.0, 5, seed=0)
+
+    @pytest.mark.parametrize("n_users, n_items", [(3 * 10 ** 9, 4 * 10 ** 9),
+                                                  (1, 2 ** 63), (2 ** 32, 2 ** 31)])
+    def test_grid_beyond_int64_keys_rejected_before_allocating(self, n_users, n_items):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid overflows int64 cell keys"):
+                generate_zipf(n_users, n_items, 1, 1.0, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_exponent_rejected(self, exponent):
