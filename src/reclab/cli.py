@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -34,6 +34,9 @@ _FORMATS = {"tab100k": MovieLensFormat.TAB_100K,
             "colons1m": MovieLensFormat.COLONS_1M}
 
 def _atomic_write(path: Path, content: str) -> None:
+    """Write content to path, making its directory only now, so that a run
+    that fails before its first write leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
@@ -76,53 +79,53 @@ def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> T
     return TrainConfig(**fields)
 
 
-# Fit functions: fit(name, config, train, contexts, seed) trains the named
-# algorithm on a train split and returns its predictor. They look trainers and
+# Fit functions: fit(name, config, train, parsed, seed) trains the named
+# algorithm on a train split of the ParseResult `parsed` (None: no parse to
+# draw contexts from) and returns its predictor. They look trainers and
 # predictor classes up by this module's names at call time, never through
 # references stored in REGISTRY, so wrappers installed on those names
 # (perfbench/tracing.py) see every call.
 
-def _fit_itemcf(algo, config, train, contexts, seed) -> Predictor:
+def _fit_itemcf(algo, config, train, parsed, seed) -> Predictor:
     kind = SimilarityKind(config.get("similarity_kind", "cosine"))
     return CfPredictor(item_similarities(train, kind), train,
                        config.get("neighborhood_size", 20))
 
 
-def _fit_mf(algo, config, train, contexts, seed) -> Predictor:
+def _fit_mf(algo, config, train, parsed, seed) -> Predictor:
     model = mf_train(train, _train_config(config, algo, seed, len(train)))
     return MfPredictor(model, train.r_max)
 
 
-def _fit_shape_only(algo, config, train, contexts, seed) -> Predictor:
+def _fit_shape_only(algo, config, train, parsed, seed) -> Predictor:
     cfg = _train_config(config, algo, seed, len(train))
     model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
 
-def _fit_powermat(algo, config, train, contexts, seed) -> Predictor:
-    if not contexts:
+def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
+    if parsed is None or parsed.contexts is None:
         raise ValueError("powermat: context required (use a comoda dataset)")
     cfg = _train_config(config, algo, seed, len(train))
-    keys = np.fromiter((c.user_id * train.n_items + c.item_id for c in contexts),
-                       dtype=np.int64, count=len(contexts))
+    dataset = parsed.dataset
     # a lookup table of at most n_users * n_items bools: an eighth of the
     # score matrix ZeroShotPredictor builds, and no sort
-    in_train = np.isin(keys, train.keys(), kind="table")
-    train_contexts = list(compress(contexts, in_train))
+    in_train = np.isin(dataset.keys(), train.keys(), kind="table")
     # sized by the dataset, not by the train ids, so test-only ids stay in range
-    model = powermat_train(train_contexts, cfg,
+    model = powermat_train(dataset.users[in_train], dataset.items[in_train],
+                           parsed.contexts[in_train], cfg,
+                           n_users=train.n_users, n_items=train.n_items,
                            sigma_u=config.get("sigma_u", 1.0),
-                           sigma_v=config.get("sigma_v", 1.0),
-                           n_users=train.n_users, n_items=train.n_items)
+                           sigma_v=config.get("sigma_v", 1.0))
     return ZeroShotPredictor(model.factors, train.r_max, cfg.eps_floor)
 
 
-def _fit_hybrid(algo, config, train, contexts, seed) -> Predictor:
+def _fit_hybrid(algo, config, train, parsed, seed) -> Predictor:
     base = algo.removesuffix("-hybrid")
-    zero_shot = REGISTRY[base].fit(base, config, train, contexts, seed)
+    zero_shot = REGISTRY[base].fit(base, config, train, parsed, seed)
     augmented = augment_with_zeroshot(train, zero_shot, seed,
                                       config.get("fill_fraction", 1.0))
-    return _fit_mf("mf", config, augmented, contexts, seed)
+    return _fit_mf("mf", config, augmented, parsed, seed)
 
 
 class Algorithm(NamedTuple):
@@ -156,7 +159,8 @@ ALGORITHMS = tuple(REGISTRY)
 
 
 def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
-                        test: RatingsDataset, contexts, seed: int) -> EvalEntry:
+                        test: RatingsDataset, parsed: Optional[ParseResult],
+                        seed: int) -> EvalEntry:
     """Fit one registered algorithm on train and score its MAE on test."""
     if algo not in REGISTRY:
         raise ValueError(f"unknown algorithm {algo!r}; registry: {ALGORITHMS}")
@@ -164,7 +168,7 @@ def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
         mae = evaluation.random_baseline_mae(test, seed)
     else:
         try:
-            predictor = REGISTRY[algo].fit(algo, config, train, contexts, seed)
+            predictor = REGISTRY[algo].fit(algo, config, train, parsed, seed)
         except TrainingError as exc:
             # name the registered algorithm and the seed; exc names the stage
             raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
@@ -318,7 +322,6 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     repetitions = config.get("repetitions", 1)
 
     out_dir = out_dir or Path("reclab-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
     _write_json(out_dir / "manifest.json", manifest, indent=2)
 
@@ -330,7 +333,7 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
             side = "test" if len(train) else "train"
             raise DatasetError(f"split seed {spec.seed} with test_fraction "
                                f"{spec.test_fraction} leaves the {side} side empty")
-        entries = [_evaluate_algorithm(a, config, train, test, parsed.contexts, spec.seed)
+        entries = [_evaluate_algorithm(a, config, train, test, parsed, spec.seed)
                    for a in config["algorithms"]]
         report = EvalReport(entries=tuple(entries),
                             split_ratio=spec.test_fraction, seed=spec.seed)
@@ -407,7 +410,6 @@ def bench(config_path: Path, out_dir: Optional[Path]):
               default=Path("reclab-out"))
 def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     """Zipf proportionality check or log-space diversity computation."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "zipf":
         if dataset_path is None:
             raise ValueError("zipf mode requires --dataset")
@@ -426,8 +428,11 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
         ordered = analysis.diversity_ordered(inp)
         invariant = analysis.diversity_order_invariant(
             inp, per_group_factorial=per_group_factorial)
+        # ln N! exactly: the rounded ordered count would cancel it when large
+        difference = (ordered - invariant if per_group_factorial
+                      else math.lgamma(inp.n_market + 1))
         _write_json(out_dir / "diversity.json", {"ordered_ln": ordered, "invariant_ln": invariant,
-                                                 "difference_ln": ordered - invariant})
+                                                 "difference_ln": difference})
 
 
 @main.command()
@@ -440,7 +445,6 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
 def generate(n_users, n_items, n_ratings, exponent, seed, out_path):
     """Write a synthetic Zipf dataset in MovieLens tab format, rated 1-5."""
     dataset = ingest.generate_zipf(n_users, n_items, n_ratings, exponent, seed=seed)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_path, ingest.write_movielens(dataset))
 
 

@@ -133,20 +133,6 @@ class RatingsDataset:
 
 
 @dataclass(frozen=True)
-class ContextSample:
-    """A rating event carrying a fixed-length context feature vector
-    (encoded categorical attributes such as mood or location)."""
-
-    user_id: int
-    item_id: int
-    value: int
-    context: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "context", tuple(float(c) for c in self.context))
-
-
-@dataclass(frozen=True)
 class FactorModel:
     """Latent factor matrices: row U[i] is user i's vector, V[j] item j's."""
 

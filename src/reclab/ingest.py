@@ -6,14 +6,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContextSample, DatasetError, RatingsDataset
+from .core import DatasetError, RatingsDataset
 
 # CoMoDa's id and rating columns, and its rating scale
 COMODA_USER, COMODA_ITEM, COMODA_RATING = "userID", "itemID", "rating"
@@ -50,11 +50,12 @@ class SplitSpec:
 @dataclass
 class ParseResult:
     """A parsed dataset, the number of duplicate cells the parser replaced,
-    and (CoMoDa only) one context sample per cell."""
+    and (CoMoDa only, else None) a read-only float64 array of contexts
+    whose row k is the context of dataset row k."""
 
     dataset: RatingsDataset
     duplicates_replaced: int = 0
-    contexts: List[ContextSample] = field(default_factory=list)
+    contexts: Optional[np.ndarray] = None
 
 
 def _bytes(source) -> bytes:
@@ -215,15 +216,17 @@ def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFor
 def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
     ratings on a 1-5 scale), from any source `parse_movielens` accepts, into
-    a dataset plus context samples.
+    a dataset plus its contexts, of shape (len(dataset), len(context_columns)).
 
     Ids are compared without surrounding whitespace. Context columns hold
     integer category codes; missing markers (-1, empty) are encoded as 0.
-    Every context vector has dimension len(context_columns).
     """
     not_context = [c for c in context_columns if c in (COMODA_USER, COMODA_ITEM, COMODA_RATING)]
     if not_context:  # a rating read as context would reach the data-free PowerMat
         raise SchemaError(f"context columns may not name {not_context}")
+    twice = [c for c in dict.fromkeys(context_columns) if context_columns.count(c) > 1]
+    if twice:  # PowerMat would read one feature as two
+        raise SchemaError(f"context columns named more than once: {twice}")
     rows = _csv_rows(_bytes(source))
     _, header = next(rows, (0, None))
     if header is None:
@@ -269,9 +272,9 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
 
     result, rows = _dataset(_dense_ids(users), _dense_ids(items), values,
                             r_max=COMODA_R_MAX)
-    dataset = result.dataset
-    result.contexts = [ContextSample(u, i, v, contexts[r]) for u, i, v, r in zip(
-        dataset.users.tolist(), dataset.items.tolist(), dataset.values.tolist(), rows.tolist())]
+    result.contexts = np.array(contexts, dtype=np.float64).reshape(
+        len(contexts), len(context_columns))[rows]
+    result.contexts.flags.writeable = False
     return result
 
 

@@ -1,23 +1,23 @@
 """Data-free cold-start trainers: ZeroMat, DotMat, PoissonMat, PowerMat,
 their predictor, and the fill step of the hybrids.
 
-None of the trainers here ever reads a rating value. The three context-free
-ones consume only the matrix shape; PowerMat additionally consumes context
-vectors. `augment_with_zeroshot` densifies a train split with a fitted
-predictor's fills; `reclab.cli` composes a hybrid from the base algorithm's
-fit, that fill and the `mf` fit.
+None of the trainers here can read a rating value: no entry point takes
+one. The three context-free ones consume only the matrix shape; PowerMat
+consumes the id columns of its train rows and their context array.
+`augment_with_zeroshot` densifies a train split with a fitted predictor's
+fills; `reclab.cli` composes a hybrid from the base algorithm's fit, that
+fill and the `mf` fit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .baselines import TrainStats, init_factors, sgd_epochs
-from .core import (ContextSample, FactorModel, PowerMatModel, RatingsDataset,
-                   TrainConfig)
+from .core import FactorModel, PowerMatModel, RatingsDataset, TrainConfig
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -131,40 +131,34 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
     return FactorModel(U=U, V=V)
 
 
-def powermat_train(contexts: Sequence[ContextSample], cfg: TrainConfig,
+def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
+                   cfg: TrainConfig, n_users: int, n_items: int,
                    sigma_u: float = 1.0, sigma_v: float = 1.0,
-                   stats: Optional[TrainStats] = None,
-                   n_users: Optional[int] = None,
-                   n_items: Optional[int] = None) -> PowerMatModel:
-    """Train PowerMat from (user, item, context) triples; rating values in
-    the samples are never read. n_users / n_items default to one past the
-    largest id in contexts; pass the dataset's sizes to cover every id.
+                   stats: Optional[TrainStats] = None) -> PowerMatModel:
+    """Train PowerMat on an n_users x n_items grid from the id columns of
+    its rows and their contexts, an array with one row per (user, item)
+    pair. No rating reaches it.
 
-    Each epoch visits the samples in a seed-derived shuffled order. Each
+    Each epoch visits the rows in a seed-derived shuffled order. Each
     run of `conflict_free_runs` over it is one `powermat_step`, so U, V,
-    alpha and beta equal those of visiting the samples one at a time."""
-    if not contexts:
+    alpha and beta equal those of visiting the rows one at a time."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    ctx = np.asarray(contexts, dtype=np.float64)
+    if not len(users):
         raise ValueError("contexts is empty")
     if sigma_u <= 0 or sigma_v <= 0:
         raise ValueError("sigma_u and sigma_v must be positive")
-    d_c = len(contexts[0].context)
-    if any(len(c.context) != d_c for c in contexts):
-        raise ValueError("context vectors must share one dimensionality")
-    users = np.array([c.user_id for c in contexts], dtype=np.int64)
-    items = np.array([c.item_id for c in contexts], dtype=np.int64)
-    ctx = np.array([c.context for c in contexts], dtype=np.float64)
+    if ctx.ndim != 2 or not len(users) == len(items) == len(ctx):
+        raise ValueError("contexts must be one row per (user, item) pair")
     # canonical (user, item) order keeps training invariant to input row
     # order; lexsort is stable, so equal keys keep their input order
     order = np.lexsort((items, users))
     users, items, ctx = users[order], items[order], ctx[order]
-    if n_users is None:
-        n_users = int(users.max()) + 1
-    if n_items is None:
-        n_items = int(items.max()) + 1
 
     rng, U, V = init_factors(n_users, n_items, cfg)
     # alpha and beta in one array: step writes both in place after each run
-    alpha_beta = np.append(rng.uniform(0.0, cfg.init_lo, size=d_c), cfg.init_lo)
+    alpha_beta = np.append(rng.uniform(0.0, cfg.init_lo, size=ctx.shape[1]), cfg.init_lo)
 
     def visit():
         order = rng.permutation(len(users))

@@ -17,9 +17,10 @@ from reclab.analysis import (DiversityInput, diversity_order_invariant,
                              diversity_ordered, fit_power_law,
                              rating_histogram)
 from reclab.baselines import mf_gradients, mf_loss
-from reclab.cli import _evaluate_algorithm, run_bench
-from reclab.core import ContextSample, Rating, RatingsDataset, TrainConfig
-from reclab.ingest import SplitSpec, generate_zipf, split, write_movielens
+from reclab.cli import REGISTRY, _evaluate_algorithm, run_bench
+from reclab.core import Rating, RatingsDataset, TrainConfig
+from reclab.ingest import (SplitSpec, generate_zipf, parse_comoda, split,
+                           write_movielens)
 from reclab.zeroshot import (dotmat_step, poissonmat_step, powermat_step,
                              powermat_train, train_zeroshot, zeromat_step,
                              ZeroShotAlgo, ZeroShotPredictor)
@@ -105,25 +106,31 @@ def test_criterion_4_data_freedom(report):
         a = train_zeroshot(algo, 30, 40, cfg)
         b = train_zeroshot(algo, 30, 40, cfg)
         ok = ok and np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+    # PowerMat: one CoMoDa file, and the same file with every rating v
+    # turned into 6 - v, fit through the registry, predict alike everywhere
     rng = np.random.default_rng(6)
-    base = []
+    rows = []
     seen = set()
-    while len(base) < 80:
+    while len(rows) < 80:
         u, j = int(rng.integers(0, 15)), int(rng.integers(0, 20))
         if (u, j) in seen:
             continue
         seen.add((u, j))
-        ctx = tuple(float(rng.integers(0, 4)) for _ in range(3))
-        base.append(ContextSample(u, j, int(rng.integers(1, 6)), ctx))
-    mutated = [ContextSample(c.user_id, c.item_id, 6 - c.value, c.context)
-               for c in base]
-    pm_cfg = TrainConfig(gamma=0.0005, k=4, epochs=3, seed=5,
-                         samples_per_epoch=80)
-    pa = powermat_train(base, pm_cfg)
-    pb = powermat_train(mutated, pm_cfg)
-    ok = (ok and np.array_equal(pa.factors.U, pb.factors.U)
-          and np.array_equal(pa.factors.V, pb.factors.V)
-          and np.array_equal(pa.alpha, pb.alpha) and pa.beta == pb.beta)
+        ctx = [int(rng.integers(0, 4)) for _ in range(3)]
+        rows.append((u, j, int(rng.integers(1, 6)), ctx))
+    config = {"train": {"powermat": {"gamma": 0.0005, "k": 4, "epochs": 3,
+                                     "samples_per_epoch": 80}}}
+    predictions = []
+    for flip in (False, True):
+        text = "userID,itemID,rating,mood,location,weather\n" + "".join(
+            f"{u},{j},{6 - v if flip else v},{','.join(map(str, ctx))}\n"
+            for u, j, v, ctx in rows)
+        parsed = parse_comoda(text, ["mood", "location", "weather"])
+        ds = parsed.dataset
+        predictor = REGISTRY["powermat"].fit("powermat", config, ds, parsed, 5)
+        users, items = np.divmod(np.arange(ds.n_users * ds.n_items), ds.n_items)
+        predictions.append(predictor.predict_many(users, items))
+    ok = ok and np.array_equal(*predictions)
     assert report("4 data-freedom suite", ok)
 
 
@@ -142,15 +149,15 @@ def test_criterion_5_time_order_invariance(report):
         b = _evaluate_algorithm(algo, config, permuted, test, None, 7).mae
         results[algo] = (a, b)
 
-    # powermat sees (user, item, context) rows; reverse those as well
-    contexts = [ContextSample(r.user_id, r.item_id, r.value,
-                              (float(r.user_id % 4), float(r.item_id % 3)))
-                for r in train.ratings]
+    # powermat sees (user, item, context) columns; reverse those as well
+    users, items = train.users, train.items
+    contexts = np.column_stack([users % 4, items % 3]).astype(np.float64)
     cfg = TrainConfig(gamma=0.0005, k=4, epochs=2, seed=7,
-                      samples_per_epoch=len(contexts))
+                      samples_per_epoch=len(users))
     from reclab.evaluation import mae
-    for ctx in (contexts, list(reversed(contexts))):
-        model = powermat_train(ctx, cfg)
+    for rows in (slice(None), slice(None, None, -1)):
+        model = powermat_train(users[rows], items[rows], contexts[rows], cfg,
+                               train.n_users, train.n_items)
         predictor = ZeroShotPredictor(model.factors, train.r_max)
         results.setdefault("powermat", []).append(mae(predictor, test))
     pm_a, pm_b = results.pop("powermat")

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import reclab
 from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
-from reclab.core import ContextSample, Rating, RatingsDataset
-from reclab.ingest import generate_zipf, write_movielens
+from reclab.core import Rating, RatingsDataset
+from reclab.ingest import ParseResult, generate_zipf, write_movielens
 
 HYBRIDS = [a for a in ALGORITHMS if a.endswith("-hybrid")]
 
@@ -327,6 +328,9 @@ class TestBench:
         # PowerMat is data-free: a rating is never a context column
         pytest.param(lambda c: {**c, "context_columns": ["rating"]},
                      id="rating-context-column"),
+        # nor reads one feature twice
+        pytest.param(lambda c: {**c, "context_columns": ["mood", "mood"]},
+                     id="repeated-context-column"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -338,7 +342,7 @@ class TestBench:
         assert result.output.startswith("error:") and result.output.count("\n") == 1
         # CliRunner also maps an uncaught exception to exit code 1
         assert isinstance(result.exception, SystemExit)
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, section", [
         # a hybrid's zero-shot stage reads train.<base>
@@ -477,24 +481,27 @@ class TestRegistry:
         # user 5 and item 6, the largest ids, are rated only in the test split
         cells = [(u, i) for u in range(6) for i in range(7) if (u + i) % 3]
         ratings = [Rating(u, i, 1 + (u * 7 + i) % 5) for u, i in cells]
-        contexts = [ContextSample(r.user_id, r.item_id, r.value,
-                                  (float(r.user_id % 2), float(r.item_id % 3)))
-                    for r in ratings]
+        parsed = ParseResult(RatingsDataset(ratings=ratings, n_users=6, n_items=7),
+                             contexts=np.array([(u % 2, i % 3) for u, i in cells], float))
         in_test = [r.user_id == 5 or r.item_id == 6 for r in ratings]
         train = RatingsDataset(ratings=[r for r, t in zip(ratings, in_test) if not t],
                                n_users=6, n_items=7)
-        predictor = REGISTRY[algo].fit(algo, {}, train, contexts, 3)
+        predictor = REGISTRY[algo].fit(algo, {}, train, parsed, 3)
         assert_total(predictor, 6, 7)
 
     def test_powermat_trains_on_the_train_cells_only(self, monkeypatch):
-        contexts = [ContextSample(u, i, 3, (float(u),)) for u in range(3) for i in range(4)]
+        users, items = np.divmod(np.arange(12), 4)
+        parsed = ParseResult(RatingsDataset.from_columns(users, items, [3] * 12, 3, 4),
+                             contexts=users[:, None].astype(float))
         train = RatingsDataset.from_columns([2, 0], [1, 3], [4, 5], 3, 4)
         passed = []
         real = reclab.cli.powermat_train
         monkeypatch.setattr(reclab.cli, "powermat_train",
-                            lambda ctx, *args, **kw: passed.append(ctx) or real(ctx, *args, **kw))
-        REGISTRY["powermat"].fit("powermat", {}, train, contexts, 3)
-        assert [(c.user_id, c.item_id) for c in passed[0]] == [(0, 3), (2, 1)]
+                            lambda *args, **kw: passed.append(args[:3]) or real(*args, **kw))
+        REGISTRY["powermat"].fit("powermat", {}, train, parsed, 3)
+        users, items, contexts = passed[0]
+        assert list(zip(users.tolist(), items.tolist())) == [(0, 3), (2, 1)]
+        assert contexts.tolist() == [[0.0], [2.0]]
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_vanishing_fill_equals_plain_mf(self, hybrid):
@@ -634,18 +641,36 @@ class TestAnalyze:
                                       "--input", str(inp), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert result.output == f"error: {message}\n"
-        assert not (tmp_path / "out" / "diversity.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--mode", "diversity",
                                       "--input", str(tmp_path / "nope.json"),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
+        assert not (tmp_path / "out").exists()
 
     def test_zipf_without_dataset_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--mode", "zipf",
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, difference", [
+        # the published form divides by N!, so the difference is ln N! exactly
+        ([], math.lgamma(101)),
+        # one group's M! divisor, computed as ordered - invariant
+        (["--per-group-factorial"], pytest.approx(math.lgamma(10.0 ** 74 + 1), rel=1e-12))],
+        ids=["published", "per-group"])
+    def test_large_ordered_count_keeps_the_difference(self, runner, tmp_path, flag,
+                                                      difference):
+        inp = tmp_path / "groups.json"
+        inp.write_text(json.dumps({"groups": [[1, 10 ** 74]], "n_market": 100}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--mode", "diversity", "--input", str(inp),
+                                      *flag, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert strict_json(out / "diversity.json")["difference_ln"] == difference
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -746,4 +771,4 @@ class TestOutputFiles:
         assert result.exit_code == 1
         assert result.output.startswith("error: cannot write diversity.json: ")
         assert result.output.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reclab.core import (ContextSample, DatasetError, EvalEntry, FactorModel,
-                         PowerMatModel, Rating, RatingsDataset, TrainConfig)
+from reclab.core import (DatasetError, EvalEntry, FactorModel, PowerMatModel,
+                         Rating, RatingsDataset, TrainConfig)
 
 
 class TestRatingsDataset:
@@ -95,13 +95,6 @@ class TestTrainConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-
-class TestContextSample:
-    def test_context_coerced_to_floats(self):
-        sample = ContextSample(0, 1, 4, (2, 1))
-        assert sample.context == (2.0, 1.0)
-        assert all(type(c) is float for c in sample.context)
 
 
 class TestEvalReport:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from reclab.analysis import fit_power_law
-from reclab.core import ContextSample, DatasetError
+from reclab.core import DatasetError
 from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            _cdf, generate_zipf, parse_comoda, parse_movielens, split,
                            write_movielens)
@@ -144,13 +145,23 @@ class TestParseComoda:
 
     def test_context_codes_pass_through(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        sample = result.contexts[0]
-        assert sample.value == 4
-        assert sample.context == (2.0, 1.0)
+        assert result.dataset.values[0] == 4
+        assert result.contexts[0].tolist() == [2.0, 1.0]
 
     def test_missing_marker_becomes_zero(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        assert result.contexts[1].context == (0.0, 1.0)
+        assert result.contexts[1].tolist() == [0.0, 1.0]
+
+    def test_contexts_are_a_read_only_float_array(self):
+        result = parse_comoda(self.CSV, ["mood", "location"])
+        assert result.contexts.dtype == np.float64
+        assert result.contexts.shape == (len(result.dataset), 2)
+        assert not result.contexts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            result.contexts[0, 0] = 9.0
+
+    def test_movielens_parse_has_no_contexts(self):
+        assert parse_movielens("1\t2\t4\t0\n", MovieLensFormat.TAB_100K).contexts is None
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -207,7 +218,7 @@ class TestParseComoda:
         result = parse_comoda("userID,itemID,rating,mood\n1,3,4,1\n1, 3,5,1\n", ["mood"])
         assert (result.dataset.n_users, result.dataset.n_items) == (1, 1)
         assert result.duplicates_replaced == 1
-        assert result.contexts == [ContextSample(0, 0, 5, (1.0,))]
+        assert result.contexts.tolist() == [[1.0]]
         with pytest.raises(ParseError, match="^line 5: empty item id$"):
             parse_comoda(self.CSV + "15,  ,4,1,1\n", ["mood", "location"])
 
@@ -226,7 +237,7 @@ class TestParseComoda:
 
     def test_repeated_unread_column_is_allowed(self):
         result = parse_comoda("userID,itemID,rating,mood,note,note\n1,3,4,1,a,b\n", ["mood"])
-        assert result.contexts == [ContextSample(0, 0, 4, (1.0,))]
+        assert result.contexts.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     @pytest.mark.parametrize("where, line_no", [("header", 1), ("row", 5)])
@@ -250,7 +261,16 @@ class TestParseComoda:
 
     def test_shared_context_dimension(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        assert {len(c.context) for c in result.contexts} == {2}
+        assert result.contexts.shape == (3, 2)
+
+    @pytest.mark.parametrize("columns, twice", [
+        (["mood", "mood"], ["mood"]),
+        (["location", "mood", "location", "mood"], ["location", "mood"])])
+    def test_repeated_context_column_is_schema_error(self, columns, twice):
+        # PowerMat would read one feature as two
+        with pytest.raises(SchemaError,
+                           match=f"^context columns named more than once: {re.escape(str(twice))}$"):
+            parse_comoda(self.CSV, columns)
 
 
 # One file of each format with LF, CR LF and lone-CR line ends mixed, blank
@@ -259,13 +279,12 @@ class TestParseComoda:
 MIXED_LINE_ENDS = [
     (lambda source: parse_movielens(source, MovieLensFormat.TAB_100K),
      "1\t2\t4\t0\r\n3\t2\t2\t0\r\r\n1\t2\t5\t0\n\n7\t1\t3\t0\r",
-     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1, []),
+     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1, None),
      "\r1\t2\t9\t0\n", "line 8: rating 9 outside [1, 5]"),
     (lambda source: parse_comoda(source, ["mood"]),
      "userID,itemID,rating,mood\r1,2,4,1\r\n3,2,2,-1\n\r1,2,5,2\r\r\n7,1,3,1\n",
      ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1,
-      [ContextSample(0, 0, 5, (2.0,)), ContextSample(1, 0, 2, (0.0,)),
-       ContextSample(2, 1, 3, (1.0,))]),
+      [(2.0,), (0.0,), (1.0,)]),
      "\r7,2,0,1\n", "line 9: rating 0 outside [1, 5]"),
 ]
 
@@ -300,7 +319,7 @@ def dict_parse_movielens(text, sep):
         duplicates += (user, item) in cell_to_value
         cell_to_value[user, item] = int(raw_value)
     rows = [(u, i, v) for (u, i), v in cell_to_value.items()]
-    return rows, len(user_index), len(item_index), duplicates, []
+    return rows, len(user_index), len(item_index), duplicates, None
 
 
 def dict_parse_comoda(text, context_columns):
@@ -316,7 +335,7 @@ def dict_parse_comoda(text, context_columns):
         duplicates += (user, item) in cell_to_row
         cell_to_row[user, item] = (int(row["rating"]), context)
     rows = [(u, i, v) for (u, i), (v, _) in cell_to_row.items()]
-    contexts = [ContextSample(u, i, v, tuple(c)) for (u, i), (v, c) in cell_to_row.items()]
+    contexts = [tuple(c) for _, c in cell_to_row.values()]
     return rows, len(user_index), len(item_index), duplicates, contexts
 
 
@@ -373,7 +392,9 @@ def comoda_files(draw):
 def _parsed(result):
     ds = result.dataset
     rows = list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()))
-    return rows, ds.n_users, ds.n_items, result.duplicates_replaced, result.contexts
+    contexts = result.contexts
+    return (rows, ds.n_users, ds.n_items, result.duplicates_replaced,
+            None if contexts is None else list(map(tuple, contexts.tolist())))
 
 
 class TestParsersMatchDictOracle:
@@ -390,6 +411,7 @@ class TestParsersMatchDictOracle:
         text, context_columns = file
         result = parse_comoda(source_of(kind, text), context_columns)
         assert _parsed(result) == dict_parse_comoda(text, context_columns)
+        assert result.contexts.shape == (len(result.dataset), len(context_columns))
 
 
 class TestSplit:

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from reclab import baselines, zeroshot
 from reclab.baselines import (conflict_free_runs, dependency_levels, init_factors,
                               mf_train)
-from reclab.core import ContextSample, RatingsDataset, TrainConfig, TrainingError
+from reclab.core import RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, ZeroShotAlgo, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
@@ -112,18 +112,16 @@ def scalar_powermat_step(u_vec, v_vec, alpha, beta, context, gamma,
     return new_u, new_v, new_alpha, new_beta, clamped
 
 
-def reference_powermat_train(contexts, cfg, sigma_u=1.0, sigma_v=1.0):
-    d_c = len(contexts[0].context)
-    n_users = max(c.user_id for c in contexts) + 1
-    n_items = max(c.item_id for c in contexts) + 1
+def reference_powermat_train(users, items, contexts, cfg, n_users, n_items,
+                             sigma_u=1.0, sigma_v=1.0):
+    d_c = len(contexts[0])
     rng, U, V = init_factors(n_users, n_items, cfg)
     alpha = rng.uniform(0.0, cfg.init_lo, size=d_c)
     beta = cfg.init_lo
-    order = sorted(range(len(contexts)),
-                   key=lambda i: (contexts[i].user_id, contexts[i].item_id))
-    ctx_arrays = [np.asarray(contexts[i].context, dtype=np.float64) for i in order]
-    users = [contexts[i].user_id for i in order]
-    items = [contexts[i].item_id for i in order]
+    order = sorted(range(len(users)), key=lambda i: (users[i], items[i]))
+    ctx_arrays = [np.asarray(contexts[i], dtype=np.float64) for i in order]
+    users = [int(users[i]) for i in order]
+    items = [int(items[i]) for i in order]
     clamps = epochs_run = 0
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -440,20 +438,27 @@ class TestPowerMatStep:
         assert new_beta == beta
 
 
-def context_samples(seed, n, d, n_users, n_items):
+def context_columns(seed, n, d, n_users, n_items):
+    """(users, items, contexts, n_users, n_items) of n distinct random cells;
+    the sizes are one past the largest ids."""
     rng = np.random.default_rng(seed)
     cells = rng.choice(n_users * n_items, size=n, replace=False)
-    return [ContextSample(int(c // n_items), int(c % n_items), int(rng.integers(1, 6)),
-                          tuple(float(x) for x in rng.integers(0, 4, size=d)))
-            for c in cells]
+    contexts = np.empty((n, d))
+    for row in range(n):
+        rng.integers(1, 6)  # a rating draw, never passed on: PowerMat takes none
+        contexts[row] = rng.integers(0, 4, size=d)
+    users, items = np.divmod(cells, n_items)
+    return users, items, contexts, int(users.max()) + 1, int(items.max()) + 1
 
 
 class TestPowerMatMatchesReference:
-    def check(self, contexts, cfg, sigma_u=1.0, sigma_v=1.0):
-        ref_u, ref_v, ref_alpha, ref_beta, ref_clamps, ref_epochs = \
-            reference_powermat_train(contexts, cfg, sigma_u, sigma_v)
+    def check(self, columns, cfg, sigma_u=1.0, sigma_v=1.0):
+        users, items, contexts, n_users, n_items = columns
+        ref_u, ref_v, ref_alpha, ref_beta, ref_clamps, ref_epochs = reference_powermat_train(
+            users, items, contexts, cfg, n_users, n_items, sigma_u, sigma_v)
         stats = TrainStats()
-        model = powermat_train(contexts, cfg, sigma_u, sigma_v, stats)
+        model = powermat_train(users, items, contexts, cfg, n_users, n_items,
+                               sigma_u, sigma_v, stats)
         assert np.array_equal(model.factors.U, ref_u)
         assert np.array_equal(model.factors.V, ref_v)
         assert np.array_equal(model.alpha, ref_alpha)
@@ -465,42 +470,40 @@ class TestPowerMatMatchesReference:
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_context_dimensions(self, d):
         cfg = TrainConfig(gamma=0.0005, k=6, epochs=4, seed=d)
-        self.check(context_samples(d, 500, d, 30, 40), cfg, sigma_v=2.0)
+        self.check(context_columns(d, 500, d, 30, 40), cfg, sigma_v=2.0)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_clamp_heavy_init(self, d):
         cfg = TrainConfig(gamma=0.0005, k=6, epochs=3, seed=7,
                           init_lo=1e-9, init_hi=1e-8)
-        assert self.check(context_samples(d + 10, 400, d, 25, 30), cfg) > 0
+        assert self.check(context_columns(d + 10, 400, d, 25, 30), cfg) > 0
 
     def test_one_user_runs_are_single_steps(self):
-        contexts = context_samples(3, 60, 2, 1, 80)
+        columns = context_columns(3, 60, 2, 1, 80)
         cfg = TrainConfig(gamma=0.0005, k=4, epochs=3, seed=4)
-        self.check(contexts, cfg)
-        users = np.array([c.user_id for c in contexts])
-        items = np.array([c.item_id for c in contexts])
-        assert len(conflict_free_runs(users, items)) == len(contexts)
+        self.check(columns, cfg)
+        users, items = columns[:2]
+        assert len(conflict_free_runs(users, items)) == len(users)
 
     def test_dense_input_keeps_run_order(self):
         # Dependency levels would batch these steps far more widely than
         # runs do, and so reorder the alpha and beta updates; PowerMat's
         # epochs keep consecutive runs and stay bit-identical.
-        contexts = context_samples(8, 700, 2, 20, 40)
-        order = np.random.default_rng(0).permutation(len(contexts))
-        users = np.array([contexts[i].user_id for i in order])
-        items = np.array([contexts[i].item_id for i in order])
+        columns = context_columns(8, 700, 2, 20, 40)
+        order = np.random.default_rng(0).permutation(len(columns[0]))
+        users, items = columns[0][order], columns[1][order]
         _, levels = dependency_levels(users, items, 20, 40)
         assert 2 * len(levels) < len(conflict_free_runs(users, items))
         cfg = TrainConfig(gamma=0.0005, k=6, epochs=3, seed=12)
-        self.check(contexts, cfg)
+        self.check(columns, cfg)
 
     def test_divergence_epoch_matches(self):
-        contexts = context_samples(5, 300, 3, 20, 25)
+        users, items, contexts, n_users, n_items = context_columns(5, 300, 3, 20, 25)
         cfg = TrainConfig(gamma=0.005, k=4, epochs=6, seed=1)
         with pytest.raises(TrainingError) as ref:
-            reference_powermat_train(contexts, cfg)
+            reference_powermat_train(users, items, contexts, cfg, n_users, n_items)
         with pytest.raises(TrainingError) as got:
-            powermat_train(contexts, cfg)
+            powermat_train(users, items, contexts, cfg, n_users, n_items)
         # a later epoch: the epochs before it must match too
         assert ref.value.epoch > 0
         assert got.value.epoch == ref.value.epoch

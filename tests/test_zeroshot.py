@@ -1,11 +1,12 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from reclab.core import (ContextSample, FactorModel, Rating, RatingsDataset,
-                         TrainConfig)
-from reclab.ingest import generate_zipf
+from reclab import cli
+from reclab.core import FactorModel, Rating, RatingsDataset, TrainConfig
+from reclab.ingest import ParseResult, generate_zipf
 from reclab.zeroshot import (TrainStats, ZeroShotAlgo, ZeroShotPredictor,
                              augment_with_zeroshot, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
@@ -128,23 +129,33 @@ class TestTrainers:
 
 
 class TestPowerMat:
-    def contexts(self, seed=0, n=60, d=3, n_users=10, n_items=12):
+    N_USERS, N_ITEMS = 10, 12
+
+    def columns(self, seed=0, n=60, d=3):
+        """(users, items, contexts) of n distinct random cells, and the
+        ratings that go with them in a parse."""
         rng = np.random.default_rng(seed)
-        out = []
+        users, items, contexts, values = [], [], [], []
         seen = set()
-        while len(out) < n:
-            u = int(rng.integers(0, n_users))
-            j = int(rng.integers(0, n_items))
+        while len(users) < n:
+            u = int(rng.integers(0, self.N_USERS))
+            j = int(rng.integers(0, self.N_ITEMS))
             if (u, j) in seen:
                 continue
             seen.add((u, j))
-            ctx = tuple(float(rng.integers(0, 4)) for _ in range(d))
-            out.append(ContextSample(u, j, int(rng.integers(1, 6)), ctx))
-        return out
+            users.append(u)
+            items.append(j)
+            contexts.append([float(rng.integers(0, 4)) for _ in range(d)])
+            values.append(int(rng.integers(1, 6)))
+        return np.array(users), np.array(items), np.array(contexts), np.array(values)
+
+    def train(self, users, items, contexts, cfg, **kwargs):
+        return powermat_train(users, items, contexts, cfg, self.N_USERS, self.N_ITEMS,
+                              **kwargs)
 
     def test_zero_gamma_keeps_initialization(self):
         cfg = _cfg(gamma=0.0)
-        model = powermat_train(self.contexts(), cfg)
+        model = self.train(*self.columns()[:3], cfg)
         rng = np.random.default_rng(cfg.seed)
         expected_u = rng.uniform(cfg.init_lo, cfg.init_hi, size=(10, 4)) / 2.0
         expected_v = rng.uniform(cfg.init_lo, cfg.init_hi, size=(12, 4)) / 2.0
@@ -154,14 +165,24 @@ class TestPowerMat:
         assert np.array_equal(model.alpha, expected_alpha)
         assert model.beta == cfg.init_lo
 
-    def test_rating_values_never_read(self):
-        cfg = _cfg(gamma=0.0005, epochs=3)
-        base = self.contexts()
-        mutated = [ContextSample(c.user_id, c.item_id,
-                                 1 + (c.value % 5), c.context)
-                   for c in base]
-        a = powermat_train(base, cfg)
-        b = powermat_train(mutated, cfg)
+    def test_rating_values_never_read(self, monkeypatch):
+        # no parameter can carry a rating: ids, contexts, sizes and settings
+        assert list(inspect.signature(powermat_train).parameters) == [
+            "users", "items", "contexts", "cfg", "n_users", "n_items",
+            "sigma_u", "sigma_v", "stats"]
+        # and the registry's fit passes none on: two parses that differ only
+        # in their ratings train one model
+        users, items, contexts, values = self.columns()
+        models = []
+        monkeypatch.setattr(cli, "powermat_train",
+                            lambda *a, **kw: models.append(powermat_train(*a, **kw)) or models[-1])
+        for vals in (values, 1 + (values % 5)):
+            dataset = RatingsDataset.from_columns(users, items, vals, self.N_USERS,
+                                                  self.N_ITEMS)
+            parsed = ParseResult(dataset, contexts=contexts)
+            cli.REGISTRY["powermat"].fit("powermat", {"train": {"powermat": {"epochs": 3}}},
+                                         dataset, parsed, 7)
+        a, b = models
         assert np.array_equal(a.factors.U, b.factors.U)
         assert np.array_equal(a.factors.V, b.factors.V)
         assert np.array_equal(a.alpha, b.alpha)
@@ -169,25 +190,25 @@ class TestPowerMat:
 
     def test_invariant_to_context_row_order(self):
         cfg = _cfg(gamma=0.0005, epochs=2)
-        base = self.contexts()
-        a = powermat_train(base, cfg)
-        b = powermat_train(list(reversed(base)), cfg)
+        users, items, contexts, _ = self.columns()
+        a = self.train(users, items, contexts, cfg)
+        b = self.train(users[::-1], items[::-1], contexts[::-1], cfg)
         assert np.array_equal(a.factors.U, b.factors.U)
         assert a.beta == b.beta
 
-    def test_context_dimension_mismatch_rejected(self):
-        bad = [ContextSample(0, 0, 3, (1.0, 2.0)),
-               ContextSample(0, 1, 4, (1.0,))]
-        with pytest.raises(ValueError):
-            powermat_train(bad, _cfg())
+    @pytest.mark.parametrize("contexts", [np.ones((1, 2)), np.ones(2), np.ones((2, 1, 1))],
+                             ids=["one-row-short", "one-dimensional", "three-dimensional"])
+    def test_context_dimension_mismatch_rejected(self, contexts):
+        with pytest.raises(ValueError, match="one row per"):
+            self.train(np.array([0, 0]), np.array([0, 1]), contexts, _cfg())
 
     @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (1.0, -2.0)])
     def test_nonpositive_sigma_rejected(self, sigmas):
         with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
-            powermat_train(self.contexts(), _cfg(), *sigmas)
+            self.train(*self.columns()[:3], _cfg(), sigma_u=sigmas[0], sigma_v=sigmas[1])
 
     def test_alpha_length_matches_context_dim(self):
-        model = powermat_train(self.contexts(d=5), _cfg(gamma=0.0005))
+        model = self.train(*self.columns(d=5)[:3], _cfg(gamma=0.0005))
         assert model.alpha.shape == (5,)
 
 
