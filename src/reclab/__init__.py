@@ -1,13 +1,12 @@
 """Recommender benchmark harness: classic baselines, data-free cold-start
 trainers, MAE evaluation, and Zipf/diversity analysis."""
 
-from .core import (DatasetError, EvalEntry, EvalReport, FactorModel,
-                   PowerMatModel, Rating, RatingsDataset, TrainConfig,
-                   TrainingError)
+from .core import (DatasetError, FactorModel, PowerMatModel, Rating,
+                   RatingsDataset, TrainConfig, TrainingError)
 
 __all__ = [
-    "DatasetError", "EvalEntry", "EvalReport", "FactorModel", "PowerMatModel",
-    "Rating", "RatingsDataset", "TrainConfig", "TrainingError",
+    "DatasetError", "FactorModel", "PowerMatModel", "Rating", "RatingsDataset",
+    "TrainConfig", "TrainingError",
 ]
 
 __version__ = "0.1.0"

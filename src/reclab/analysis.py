@@ -14,14 +14,6 @@ from .core import DatasetError, RatingsDataset
 
 
 @dataclass(frozen=True)
-class RatingHistogram:
-    counts: Dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
 class PowerLawFit:
     exponent: float
     log_intercept: float
@@ -57,11 +49,12 @@ def _count(name: str, x, low: int) -> int:
     return int(x)
 
 
-def rating_histogram(dataset: RatingsDataset) -> RatingHistogram:
+def rating_histogram(dataset: RatingsDataset) -> Dict[int, int]:
+    """{rating value: count} over the values that occur, in ascending order."""
     if len(dataset) == 0:
         raise DatasetError("empty dataset")
     values, counts = np.unique(dataset.values, return_counts=True)
-    return RatingHistogram(counts=dict(zip(values.tolist(), counts.tolist())))
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:

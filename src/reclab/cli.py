@@ -6,13 +6,15 @@ Exit codes: 0 success, 1 input/config error, 2 numerical divergence.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import click
 import numpy as np
@@ -20,12 +22,11 @@ import numpy as np
 from . import analysis, evaluation, ingest
 from .baselines import (CfPredictor, MfPredictor, SimilarityKind,
                         item_similarities, mf_train)
-from .core import (DatasetError, EvalEntry, EvalReport, RatingsDataset,
-                   TrainConfig, TrainingError)
+from .core import DatasetError, RatingsDataset, TrainConfig, TrainingError
 from .evaluation import Predictor
 from .ingest import MovieLensFormat, ParseResult, SplitSpec
-from .zeroshot import (ZeroShotAlgo, ZeroShotPredictor, augment_with_zeroshot,
-                       powermat_train, train_zeroshot)
+from .zeroshot import (ZeroShotPredictor, augment_with_zeroshot, dotmat_step,
+                       poissonmat_step, powermat_train, train_zeroshot, zeromat_step)
 
 EXIT_INPUT_ERROR = 1
 EXIT_DIVERGENCE = 2
@@ -35,11 +36,17 @@ _FORMATS = {"tab100k": MovieLensFormat.TAB_100K,
 
 def _atomic_write(path: Path, content: str) -> None:
     """Write content to path, making its directory only now, so that a run
-    that fails before its first write leaves nothing behind."""
+    that fails before its first write leaves nothing behind. A failed write
+    or rename removes its temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
@@ -82,8 +89,8 @@ def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> T
 # Fit functions: fit(name, config, train, parsed, seed) trains the named
 # algorithm on a train split of the ParseResult `parsed` (None: no parse to
 # draw contexts from) and returns its predictor. They look trainers and
-# predictor classes up by this module's names at call time, never through
-# references stored in REGISTRY, so wrappers installed on those names
+# predictor classes up by this module's names at call time (REGISTRY holds
+# fits and step rules only), so wrappers installed on those names
 # (perfbench/tracing.py) see every call.
 
 def _fit_itemcf(algo, config, train, parsed, seed) -> Predictor:
@@ -97,9 +104,9 @@ def _fit_mf(algo, config, train, parsed, seed) -> Predictor:
     return MfPredictor(model, train.r_max)
 
 
-def _fit_shape_only(algo, config, train, parsed, seed) -> Predictor:
+def _fit_shape_only(rule, algo, config, train, parsed, seed) -> Predictor:
     cfg = _train_config(config, algo, seed, len(train))
-    model = train_zeroshot(ZeroShotAlgo(algo), train.n_users, train.n_items, cfg)
+    model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
 
@@ -145,9 +152,10 @@ class Algorithm(NamedTuple):
 REGISTRY: Dict[str, Algorithm] = {
     "itemcf": Algorithm(None, _fit_itemcf),
     "mf": Algorithm({}, _fit_mf),
-    "zeromat": Algorithm({"gamma": 0.002, "epochs": 2}, _fit_shape_only),
-    "dotmat": Algorithm({"gamma": 0.005, "epochs": 5}, _fit_shape_only),
-    "poissonmat": Algorithm({"gamma": 2e-5, "epochs": 2}, _fit_shape_only),
+    "zeromat": Algorithm({"gamma": 0.002, "epochs": 2}, partial(_fit_shape_only, zeromat_step)),
+    "dotmat": Algorithm({"gamma": 0.005, "epochs": 5}, partial(_fit_shape_only, dotmat_step)),
+    "poissonmat": Algorithm({"gamma": 2e-5, "epochs": 2},
+                            partial(_fit_shape_only, poissonmat_step)),
     "powermat": Algorithm({"gamma": 0.0005, "epochs": 5}, _fit_powermat),
     "zeromat-hybrid": Algorithm(None, _fit_hybrid),
     "dotmat-hybrid": Algorithm(None, _fit_hybrid),
@@ -160,8 +168,8 @@ ALGORITHMS = tuple(REGISTRY)
 
 def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
                         test: RatingsDataset, parsed: Optional[ParseResult],
-                        seed: int) -> EvalEntry:
-    """Fit one registered algorithm on train and score its MAE on test."""
+                        seed: int) -> float:
+    """Fit one registered algorithm on train and return its MAE on test."""
     if algo not in REGISTRY:
         raise ValueError(f"unknown algorithm {algo!r}; registry: {ALGORITHMS}")
     if algo == "random":
@@ -173,7 +181,9 @@ def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
             # name the registered algorithm and the seed; exc names the stage
             raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
         mae = evaluation.mae(predictor, test)
-    return EvalEntry(algo, mae, len(test))
+    if not (math.isfinite(mae) and mae >= 0):
+        raise ValueError(f"{algo}: mae must be finite and >= 0, got {mae}")
+    return mae
 
 
 # Every config key `reclab bench` reads, by dotted path, with its JSON type.
@@ -252,6 +262,8 @@ def _check_config(config) -> None:
     repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
     if repeated:
         raise ValueError(f"algorithms listed more than once: {repeated}")
+    if "powermat" in algorithms and config["dataset"].get("format", "tab100k") in _FORMATS:
+        raise ValueError("powermat: context required (use a comoda dataset)")
     for section, keys in config.get("train", {}).items():
         if section != "default" and section not in REGISTRY:
             raise ValueError(f"unknown train section {section!r}; expected "
@@ -310,11 +322,11 @@ def _diversity_input(obj) -> analysis.DiversityInput:
     return analysis.DiversityInput(groups=tuple(groups), n_market=obj["n_market"])
 
 
-def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
+def run_bench(config: dict, out_dir: Optional[Path] = None) -> None:
     """Full benchmark: ingest, split, train and score every configured
     algorithm, once per repetition seed. Writes per-seed and aggregate
-    reports plus a manifest into out_dir (default `reclab-out`). The config
-    itself is left unchanged."""
+    reports plus a manifest into out_dir (default `reclab-out`); these files
+    are its result. The config itself is left unchanged."""
     _check_config(config)
     parsed = _load_dataset(Path(config["dataset"]["path"]),
                            config["dataset"].get("format", "tab100k"),
@@ -325,7 +337,9 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
     manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
     _write_json(out_dir / "manifest.json", manifest, indent=2)
 
-    reports = []
+    algorithms = config["algorithms"]
+    columns = ("algo", "mae", "n")
+    maes = []  # one list per repetition, in the listed order
     for rep in range(repetitions):
         spec = _split_spec(config, rep)
         train, test = ingest.split(parsed.dataset, spec)
@@ -333,25 +347,18 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> List[EvalReport]:
             side = "test" if len(train) else "train"
             raise DatasetError(f"split seed {spec.seed} with test_fraction "
                                f"{spec.test_fraction} leaves the {side} side empty")
-        entries = [_evaluate_algorithm(a, config, train, test, parsed, spec.seed)
-                   for a in config["algorithms"]]
-        report = EvalReport(entries=tuple(entries),
-                            split_ratio=spec.test_fraction, seed=spec.seed)
-        reports.append(report)
-        columns = ("algo", "mae", "n")
-        rows = [(e.algorithm, e.mae, e.n_test_predictions) for e in entries]
+        maes.append([_evaluate_algorithm(a, config, train, test, parsed, spec.seed)
+                     for a in algorithms])
+        rows = [(algo, mae, len(test)) for algo, mae in zip(algorithms, maes[-1])]
         _write_json(out_dir / f"report_seed{spec.seed}.json", {
             "split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
             "rows": [dict(zip(columns, row)) for row in rows]})
         _write_csv(out_dir / f"report_seed{spec.seed}.csv", columns, rows)
 
-    # every report has one entry per listed algorithm, in the listed order
-    maes = zip(*[[entry.mae for entry in report.entries] for report in reports])
     aggregate = {"repetitions": repetitions, "rows": [
         {"algo": algo, "mae_mean": float(np.mean(vals)), "mae_std": float(np.std(vals))}
-        for algo, vals in zip(config["algorithms"], maes)]}
+        for algo, vals in zip(algorithms, zip(*maes))]}
     _write_json(out_dir / "aggregate.json", aggregate, indent=2)
-    return reports
 
 
 class _ExitDoor(click.Group):
@@ -415,11 +422,10 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
             raise ValueError("zipf mode requires --dataset")
         parsed = _load_dataset(dataset_path, fmt, [])  # the histogram reads no context
         hist = analysis.rating_histogram(parsed.dataset)
-        fit = analysis.fit_power_law(
-            [(v, c) for v, c in sorted(hist.counts.items()) if c > 0])
+        fit = analysis.fit_power_law([(v, c) for v, c in sorted(hist.items()) if c > 0])
         # rating values are 1-5, so sorting their string keys keeps numeric order
-        _write_json(out_dir / "histogram.json", {str(v): c for v, c in hist.counts.items()})
-        _write_csv(out_dir / "histogram.csv", ("value", "count"), sorted(hist.counts.items()))
+        _write_json(out_dir / "histogram.json", {str(v): c for v, c in hist.items()})
+        _write_csv(out_dir / "histogram.csv", ("value", "count"), sorted(hist.items()))
         _write_json(out_dir / "fit.json", dataclasses.asdict(fit))
     else:
         if input_path is None:

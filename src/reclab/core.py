@@ -1,4 +1,4 @@
-"""Shared domain types: ratings, datasets, factor models, configs, reports."""
+"""Shared domain types: ratings, datasets, factor models and configs."""
 
 from __future__ import annotations
 
@@ -200,27 +200,3 @@ class TrainConfig:
             raise ValueError("eps_floor must be positive")
         if not (0 < self.init_lo < self.init_hi):
             raise ValueError("need 0 < init_lo < init_hi")
-
-
-@dataclass(frozen=True)
-class EvalEntry:
-    algorithm: str
-    mae: float
-    n_test_predictions: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mae) and self.mae >= 0):
-            raise ValueError(f"{self.algorithm}: mae must be finite and >= 0, "
-                             f"got {self.mae}")
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-algorithm MAE results for one train/test split."""
-
-    entries: tuple
-    split_ratio: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))

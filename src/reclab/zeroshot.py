@@ -11,22 +11,15 @@ fill and the `mf` fit.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .baselines import TrainStats, init_factors, sgd_epochs
-from .core import FactorModel, PowerMatModel, RatingsDataset, TrainConfig
+from .core import FactorModel, PowerMatModel, RatingsDataset, TrainConfig, _check_range
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
-
-
-class ZeroShotAlgo(Enum):
-    ZEROMAT = "zeromat"
-    DOTMAT = "dotmat"
-    POISSONMAT = "poissonmat"
 
 
 # The three shape-only step rules take matching rows u_vec, v_vec of shape
@@ -103,22 +96,15 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     return new_u, new_v, seen[-1, :-1], seen[-1, -1], clamped
 
 
-_STEP_FN = {
-    ZeroShotAlgo.ZEROMAT: zeromat_step,
-    ZeroShotAlgo.DOTMAT: dotmat_step,
-    ZeroShotAlgo.POISSONMAT: poissonmat_step,
-}
-
-
-def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
+def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
                    cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
     """Train ZeroMat, DotMat or PoissonMat from the matrix shape alone: each
-    epoch applies the algorithm's step rule to samples_per_epoch uniformly
-    drawn grid cells, in draw order. Each of the draws' `dependency_levels`
-    is one batched step, which matches stepping one cell at a time up to the
-    last bits of numpy's log and power; stats adds up the clamp masks."""
+    epoch applies the step rule (`zeromat_step`, `dotmat_step` or
+    `poissonmat_step`) to samples_per_epoch uniformly drawn grid cells, in
+    draw order. Each of the draws' `dependency_levels` is one batched step,
+    which matches stepping one cell at a time up to the last bits of numpy's
+    log and power; stats adds up the clamp masks."""
     rng, U, V = init_factors(n_users, n_items, cfg)
-    rule = _STEP_FN[algo]
 
     def visit():
         return (rng.integers(0, n_users, size=cfg.samples_per_epoch),
@@ -127,7 +113,7 @@ def train_zeroshot(algo: ZeroShotAlgo, n_users: int, n_items: int,
     def step(u_rows, v_rows, _):
         return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
 
-    sgd_epochs(algo.value, U, V, cfg.epochs, visit, step, stats)
+    sgd_epochs("train_zeroshot", U, V, cfg.epochs, visit, step, stats)
     return FactorModel(U=U, V=V)
 
 
@@ -151,6 +137,8 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
         raise ValueError("sigma_u and sigma_v must be positive")
     if ctx.ndim != 2 or not len(users) == len(items) == len(ctx):
         raise ValueError("contexts must be one row per (user, item) pair")
+    _check_range("user_id", users, 0, n_users - 1)
+    _check_range("item_id", items, 0, n_items - 1)
     # canonical (user, item) order keeps training invariant to input row
     # order; lexsort is stable, so equal keys keep their input order
     order = np.lexsort((items, users))

@@ -28,11 +28,11 @@ class TestRatingHistogram:
                                      Rating(1, 0, 3)),
                             n_users=2, n_items=2)
         hist = rating_histogram(ds)
-        assert hist.counts == {5: 2, 3: 1}
+        assert hist == {5: 2, 3: 1}
 
     def test_total_equals_dataset_size(self):
         ds = generate_zipf(40, 40, 700, 1.0, 5, seed=0)
-        assert rating_histogram(ds).total() == 700
+        assert sum(rating_histogram(ds).values()) == 700
 
     def test_empty_rejected(self):
         empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
@@ -42,7 +42,7 @@ class TestRatingHistogram:
     def test_zipf_counts_grow_with_value(self):
         ds = generate_zipf(200, 200, 10000, 1.0, 5, seed=1)
         hist = rating_histogram(ds)
-        counts = [hist.counts.get(v, 0) for v in range(1, 6)]
+        counts = [hist.get(v, 0) for v in range(1, 6)]
         # monotone in expectation; allow small-sample slack
         for lo, hi in zip(counts, counts[1:]):
             assert hi >= lo * 0.9
@@ -86,7 +86,7 @@ class TestFitPowerLaw:
     def test_zipf_generator_proportionality(self):
         ds = generate_zipf(300, 300, 10000, 1.0, 5, seed=3)
         hist = rating_histogram(ds)
-        points = [(float(v), float(c)) for v, c in sorted(hist.counts.items())]
+        points = [(float(v), float(c)) for v, c in sorted(hist.items())]
         fit = fit_power_law(points)
         assert fit.r_squared >= 0.9
 

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 import reclab
 from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
-from reclab.core import Rating, RatingsDataset
-from reclab.ingest import ParseResult, generate_zipf, write_movielens
+from reclab.core import Rating, RatingsDataset, TrainConfig
+from reclab.evaluation import Predictor
+from reclab.ingest import ParseResult, SplitSpec, generate_zipf, split, write_movielens
+from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
 
 HYBRIDS = [a for a in ALGORITHMS if a.endswith("-hybrid")]
 
@@ -115,6 +117,16 @@ class TestGenerate:
         assert result.output == "error: Unable to allocate 29.8 GiB for an array\n"
         assert not out.exists()
 
+    def test_failed_rename_leaves_no_temporary_file(self, runner, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()
+        result = runner.invoke(main, ["generate", "--n-users", "5", "--n-items", "5",
+                                      "--n-ratings", "5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(out.iterdir()) == []
+
     def test_infeasible_count_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--n-users", "100",
                                       "--n-items", "50", "--n-ratings",
@@ -194,11 +206,13 @@ class TestBench:
 
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
-        config = bench_config(fixture_file, tmp_path, ["powermat"])
+        # rejected with the config, before random trains or anything is written
+        config = bench_config(fixture_file, tmp_path, ["random", "powermat"])
         result = runner.invoke(main, ["bench", "--config", str(config),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
-        assert "context required" in result.output
+        assert result.output == "error: powermat: context required (use a comoda dataset)\n"
+        assert not (tmp_path / "out").exists()
 
     def test_powermat_on_comoda(self, runner, comoda_file, tmp_path):
         config = comoda_config(comoda_file, tmp_path, ["powermat", "random"])
@@ -221,6 +235,16 @@ class TestBench:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert result.output == "error: mf (seed 42): mf_train diverged at epoch 0\n"
+
+    def test_shape_only_divergence_names_the_algorithm(self, runner, fixture_file,
+                                                       tmp_path):
+        config = bench_config(fixture_file, tmp_path, ["zeromat"],
+                              train={"zeromat": {"gamma": 50.0, "epochs": 5}})
+        result = runner.invoke(main, ["bench", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == ("error: zeromat (seed 42): "
+                                 "train_zeroshot diverged at epoch 1\n")
 
     def test_hybrid_divergence_names_the_hybrid(self, runner, fixture_file, tmp_path):
         # the MF stage diverges; the message names the registered hybrid
@@ -331,6 +355,9 @@ class TestBench:
         # nor reads one feature twice
         pytest.param(lambda c: {**c, "context_columns": ["mood", "mood"]},
                      id="repeated-context-column"),
+        # powermat reads contexts, which no MovieLens format has
+        pytest.param(lambda c: {**c, "dataset": {**c["dataset"], "format": "tab100k"}},
+                     id="powermat-on-tab100k"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -475,6 +502,39 @@ def assert_total(predictor, n_users, n_items, r_max=5):
                               for u, i in zip(users.tolist(), items.tolist())]
 
 
+class ConstantPredictor(Predictor):
+    def __init__(self, value):
+        self.value = value
+
+    def predict_many(self, users, items):
+        return np.full(len(users), self.value)
+
+
+class TestEvaluateAlgorithm:
+    @staticmethod
+    def train_test():
+        return split(generate_zipf(20, 20, 100, 1.0, 5, seed=8), SplitSpec(0.2, 8))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_mae_rejected(self, value, monkeypatch):
+        # NaN passes a plain `mae < 0` check
+        monkeypatch.setitem(REGISTRY, "mf",
+                            cli.Algorithm({}, lambda *args: ConstantPredictor(value)))
+        with pytest.raises(ValueError, match=f"^mf: mae must be finite and >= 0, got {value}$"):
+            cli._evaluate_algorithm("mf", {}, *self.train_test(), None, 8)
+
+    def test_negative_mae_rejected(self, monkeypatch):
+        monkeypatch.setattr(cli.evaluation, "mae", lambda predictor, test: -0.1)
+        with pytest.raises(ValueError, match="^mf: mae must be finite and >= 0, got -0.1$"):
+            cli._evaluate_algorithm("mf", {"train": {"mf": {"epochs": 1}}},
+                                    *self.train_test(), None, 8)
+
+    def test_returns_the_mae_as_a_float(self):
+        train, test = self.train_test()
+        mae = cli._evaluate_algorithm("random", {}, train, test, None, 8)
+        assert type(mae) is float and mae == cli.evaluation.random_baseline_mae(test, 8)
+
+
 class TestRegistry:
     @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "random"])
     def test_predictor_is_total_over_the_id_range(self, algo):
@@ -488,6 +548,22 @@ class TestRegistry:
                                n_users=6, n_items=7)
         predictor = REGISTRY[algo].fit(algo, {}, train, parsed, 3)
         assert_total(predictor, 6, 7)
+
+    @pytest.mark.parametrize("algo, rule", [("zeromat", zeromat_step),
+                                            ("dotmat", dotmat_step),
+                                            ("poissonmat", poissonmat_step)])
+    def test_shape_only_fit_trains_with_its_step_rule(self, algo, rule, monkeypatch):
+        train = generate_zipf(20, 25, 150, 1.0, 5, seed=28)
+        models = []
+        monkeypatch.setattr(reclab.cli, "train_zeroshot",
+                            lambda *args: models.append(train_zeroshot(*args)) or models[-1])
+        REGISTRY[algo].fit(algo, {"train": {"default": {"k": 3}}}, train, None, 4)
+        cfg = TrainConfig(**{**REGISTRY[algo].defaults, "k": 3}, seed=4,
+                          samples_per_epoch=len(train))
+        expected = train_zeroshot(rule, 20, 25, cfg)
+        model, = models
+        assert np.array_equal(model.U, expected.U)
+        assert np.array_equal(model.V, expected.V)
 
     def test_powermat_trains_on_the_train_cells_only(self, monkeypatch):
         users, items = np.divmod(np.arange(12), 4)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reclab.core import (DatasetError, EvalEntry, FactorModel, PowerMatModel,
-                         Rating, RatingsDataset, TrainConfig)
+from reclab.core import (DatasetError, FactorModel, PowerMatModel, Rating,
+                         RatingsDataset, TrainConfig)
 
 
 class TestRatingsDataset:
@@ -95,15 +95,3 @@ class TestTrainConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-
-class TestEvalReport:
-    def test_negative_mae_rejected(self):
-        with pytest.raises(ValueError):
-            EvalEntry("x", -0.1, 10)
-
-    @pytest.mark.parametrize("mae", [float("nan"), float("inf")])
-    def test_non_finite_mae_rejected(self, mae):
-        # NaN passes a plain `mae < 0` check
-        with pytest.raises(ValueError, match="finite"):
-            EvalEntry("mf", mae, 3)

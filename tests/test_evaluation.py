@@ -117,14 +117,16 @@ class TestRandomBaseline:
 
 
 def bench_reports(tmp_path, ds, algorithms, seed):
-    """Run the bench comparison on ds with a 0.2 test split; return its
-    reports and the test split's size."""
+    """Run the bench comparison on ds with a 0.2 test split; return the
+    parsed report files, which are its result, and the test split's size."""
     path = tmp_path / "ratings.data"
     path.write_text(write_movielens(ds))
     config = {"dataset": {"path": str(path), "format": "tab100k"},
               "split": {"test_fraction": 0.2, "seed": seed},
               "algorithms": algorithms}
-    reports = run_bench(config, tmp_path / "out")
+    assert run_bench(config, tmp_path / "out") is None
+    reports = [json.loads(p.read_text())
+               for p in sorted((tmp_path / "out").glob("report_seed*.json"))]
     with open(path, "rb") as fh:
         parsed = parse_movielens(fh, MovieLensFormat.TAB_100K)
     _, test = split(parsed.dataset, SplitSpec(test_fraction=0.2, seed=seed))
@@ -136,18 +138,16 @@ class TestCompare:
         ds = generate_zipf(20, 20, 100, 1.0, 5, seed=8)
         reports, _ = bench_reports(tmp_path, ds, ["random"], seed=8)
         assert len(reports) == 1
-        assert len(reports[0].entries) == 1
-        assert reports[0].entries[0].algorithm == "random"
+        assert len(reports[0]["rows"]) == 1
+        assert reports[0]["rows"][0]["algo"] == "random"
 
     def test_row_contract(self, tmp_path):
         ds = generate_zipf(20, 20, 100, 1.0, 5, seed=9)
         algorithms = ["zeromat", "random", "dotmat"]
         reports, n_test = bench_reports(tmp_path, ds, algorithms, seed=9)
-        report = reports[0]
-        assert [e.algorithm for e in report.entries] == algorithms
-        assert report.split_ratio == 0.2 and report.seed == 9
-        for entry in report.entries:
-            assert entry.mae >= 0.0
-            assert entry.n_test_predictions == n_test
-        rows = json.loads((tmp_path / "out" / "report_seed9.json").read_text())["rows"]
-        assert [row["algo"] for row in rows] == algorithms
+        report, = reports
+        assert [row["algo"] for row in report["rows"]] == algorithms
+        assert report["split"] == {"test_fraction": 0.2, "seed": 9}
+        for row in report["rows"]:
+            assert row["mae"] >= 0.0
+            assert row["n"] == n_test

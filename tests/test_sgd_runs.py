@@ -16,7 +16,7 @@ from reclab.baselines import (conflict_free_runs, dependency_levels, init_factor
                               mf_train)
 from reclab.core import RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import generate_zipf
-from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, ZeroShotAlgo, dotmat_step,
+from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
                              train_zeroshot, zeromat_step)
 
@@ -68,21 +68,17 @@ def scalar_poissonmat_step(u_vec, v_vec, gamma, eps_floor):
     return u_vec - coef * v_vec, v_vec - coef * u_vec, clamped
 
 
+# each batched step rule and its one-pair reference
 SCALAR_STEP = {
-    ZeroShotAlgo.ZEROMAT: scalar_zeromat_step,
-    ZeroShotAlgo.DOTMAT: scalar_dotmat_step,
-    ZeroShotAlgo.POISSONMAT: scalar_poissonmat_step,
-}
-BATCHED_STEP = {
-    ZeroShotAlgo.ZEROMAT: zeromat_step,
-    ZeroShotAlgo.DOTMAT: dotmat_step,
-    ZeroShotAlgo.POISSONMAT: poissonmat_step,
+    zeromat_step: scalar_zeromat_step,
+    dotmat_step: scalar_dotmat_step,
+    poissonmat_step: scalar_poissonmat_step,
 }
 
 
-def reference_train_zeroshot(algo, n_users, n_items, cfg):
+def reference_train_zeroshot(rule, n_users, n_items, cfg):
     rng, U, V = init_factors(n_users, n_items, cfg)
-    step = SCALAR_STEP[algo]
+    step = SCALAR_STEP[rule]
     clamps = epochs_run = 0
     for epoch in range(cfg.epochs):
         us = rng.integers(0, n_users, size=cfg.samples_per_epoch)
@@ -92,7 +88,7 @@ def reference_train_zeroshot(algo, n_users, n_items, cfg):
                 U[u], V[j], clamped = step(U[u], V[j], cfg.gamma, cfg.eps_floor)
                 clamps += bool(clamped)
         if not (np.isfinite(U).all() and np.isfinite(V).all()):
-            raise TrainingError(f"{algo.value} diverged at epoch {epoch}", epoch=epoch)
+            raise TrainingError(f"train_zeroshot diverged at epoch {epoch}", epoch=epoch)
         epochs_run = epoch + 1
     return U, V, clamps, epochs_run
 
@@ -289,18 +285,18 @@ rows = st.integers(1, 12).flatmap(lambda n: st.integers(1, 6).flatmap(
 
 
 class TestBatchedStepRules:
-    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
+    @pytest.mark.parametrize("rule", list(SCALAR_STEP))
     @settings(max_examples=100, deadline=None)
     @given(batch=rows, gamma=st.floats(0.0, 0.1),
            eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
-    def test_batch_equals_rows(self, algo, batch, gamma, eps_floor):
+    def test_batch_equals_rows(self, rule, batch, gamma, eps_floor):
         U, V = batch
-        new_u, new_v, clamped = BATCHED_STEP[algo](U, V, gamma, eps_floor)
+        new_u, new_v, clamped = rule(U, V, gamma, eps_floor)
         assert new_u.shape == U.shape and new_v.shape == V.shape
         assert clamped.shape == (U.shape[0],)
         for i in range(U.shape[0]):
-            for rule in (BATCHED_STEP[algo], SCALAR_STEP[algo]):
-                row_u, row_v, row_clamped = rule(U[i], V[i], gamma, eps_floor)
+            for row_rule in (rule, SCALAR_STEP[rule]):
+                row_u, row_v, row_clamped = row_rule(U[i], V[i], gamma, eps_floor)
                 np.testing.assert_allclose(new_u[i], row_u, rtol=TOL, atol=TOL)
                 np.testing.assert_allclose(new_v[i], row_v, rtol=TOL, atol=TOL)
                 assert bool(clamped[i]) == bool(row_clamped)
@@ -365,26 +361,25 @@ class TestMfMatchesReference:
         assert got.value.epoch == ref.value.epoch
 
 
-ZS_GAMMA = {ZeroShotAlgo.ZEROMAT: 0.002, ZeroShotAlgo.DOTMAT: 0.005,
-            ZeroShotAlgo.POISSONMAT: 2e-5}
+ZS_GAMMA = {zeromat_step: 0.002, dotmat_step: 0.005, poissonmat_step: 2e-5}
 
 
 class TestZeroShotMatchesReference:
-    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
+    @pytest.mark.parametrize("rule", list(SCALAR_STEP))
     @pytest.mark.parametrize("shape,init", [
         ((40, 60, 2000), {}),
         ((30, 25, 1500), {"init_lo": 1e-9, "init_hi": 1e-8}),
         ((3, 200, 600), {}),
     ], ids=["default-init", "clamp-heavy", "few-users"])
-    def test_factors_and_counters_match(self, run_scheduled, algo, shape, init):
+    def test_factors_and_counters_match(self, run_scheduled, rule, shape, init):
         n_users, n_items, samples = shape
         # two epochs: PoissonMat from the tiny init diverges in the third
-        cfg = TrainConfig(gamma=ZS_GAMMA[algo], k=6, epochs=2, seed=11,
+        cfg = TrainConfig(gamma=ZS_GAMMA[rule], k=6, epochs=2, seed=11,
                           samples_per_epoch=samples, **init)
         ref_u, ref_v, ref_clamps, ref_epochs = reference_train_zeroshot(
-            algo, n_users, n_items, cfg)
+            rule, n_users, n_items, cfg)
         stats, run_stats = TrainStats(), TrainStats()
-        model = train_zeroshot(algo, n_users, n_items, cfg, stats)
+        model = train_zeroshot(rule, n_users, n_items, cfg, stats)
         np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
         np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
         assert stats.clamp_activations == ref_clamps
@@ -392,7 +387,7 @@ class TestZeroShotMatchesReference:
         if init:
             assert ref_clamps > 0
         # bit for bit against the run schedule, which batches the same rows
-        runs = run_scheduled(train_zeroshot, algo, n_users, n_items, cfg, run_stats)
+        runs = run_scheduled(train_zeroshot, rule, n_users, n_items, cfg, run_stats)
         assert np.array_equal(model.U, runs.U)
         assert np.array_equal(model.V, runs.V)
         assert stats == run_stats
@@ -400,9 +395,9 @@ class TestZeroShotMatchesReference:
     def test_divergence_epoch_matches(self):
         cfg = TrainConfig(gamma=50.0, k=4, epochs=5, seed=1, samples_per_epoch=400)
         with pytest.raises(TrainingError) as ref:
-            reference_train_zeroshot(ZeroShotAlgo.ZEROMAT, 20, 20, cfg)
+            reference_train_zeroshot(zeromat_step, 20, 20, cfg)
         with pytest.raises(TrainingError) as got:
-            train_zeroshot(ZeroShotAlgo.ZEROMAT, 20, 20, cfg)
+            train_zeroshot(zeromat_step, 20, 20, cfg)
         assert got.value.epoch == ref.value.epoch
 
 

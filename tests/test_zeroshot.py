@@ -7,7 +7,7 @@ import pytest
 from reclab import cli
 from reclab.core import FactorModel, Rating, RatingsDataset, TrainConfig
 from reclab.ingest import ParseResult, generate_zipf
-from reclab.zeroshot import (TrainStats, ZeroShotAlgo, ZeroShotPredictor,
+from reclab.zeroshot import (TrainStats, ZeroShotPredictor,
                              augment_with_zeroshot, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
                              train_zeroshot, zeromat_step)
@@ -84,24 +84,24 @@ def _cfg(**kw):
 
 
 class TestTrainers:
-    @pytest.mark.parametrize("algo", [
-        pytest.param(ZeroShotAlgo.ZEROMAT, id="zeromat_train"),
-        pytest.param(ZeroShotAlgo.DOTMAT, id="dotmat_train"),
-        pytest.param(ZeroShotAlgo.POISSONMAT, id="poissonmat_train")])
-    def test_zero_gamma_keeps_initialization(self, algo):
+    @pytest.mark.parametrize("rule", [
+        pytest.param(zeromat_step, id="zeromat_train"),
+        pytest.param(dotmat_step, id="dotmat_train"),
+        pytest.param(poissonmat_step, id="poissonmat_train")])
+    def test_zero_gamma_keeps_initialization(self, rule):
         cfg = _cfg(gamma=0.0)
-        model = train_zeroshot(algo, 30, 20, cfg)
+        model = train_zeroshot(rule, 30, 20, cfg)
         rng = np.random.default_rng(cfg.seed)
         expected_u = rng.uniform(cfg.init_lo, cfg.init_hi, size=(30, 4)) / 2.0
         expected_v = rng.uniform(cfg.init_lo, cfg.init_hi, size=(20, 4)) / 2.0
         assert np.array_equal(model.U, expected_u)
         assert np.array_equal(model.V, expected_v)
 
-    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
-    def test_equal_seeds_bit_identical(self, algo):
-        cfg = _cfg(gamma=2e-5 if algo is ZeroShotAlgo.POISSONMAT else 0.002)
-        a = train_zeroshot(algo, 25, 30, cfg)
-        b = train_zeroshot(algo, 25, 30, cfg)
+    @pytest.mark.parametrize("rule", [zeromat_step, dotmat_step, poissonmat_step])
+    def test_equal_seeds_bit_identical(self, rule):
+        cfg = _cfg(gamma=2e-5 if rule is poissonmat_step else 0.002)
+        a = train_zeroshot(rule, 25, 30, cfg)
+        b = train_zeroshot(rule, 25, 30, cfg)
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.V, b.V)
 
@@ -109,22 +109,21 @@ class TestTrainers:
         # trainers only see the shape, so two datasets differing in every
         # rating value produce the same model
         cfg = _cfg()
-        a = train_zeroshot(ZeroShotAlgo.ZEROMAT, 25, 30, cfg)
-        b = train_zeroshot(ZeroShotAlgo.ZEROMAT, 25, 30, cfg)
+        a = train_zeroshot(zeromat_step, 25, 30, cfg)
+        b = train_zeroshot(zeromat_step, 25, 30, cfg)
         assert np.array_equal(a.U, b.U)
 
     def test_clamp_counter_records_floor_hits(self):
         cfg = _cfg(gamma=0.0, init_lo=1e-9, init_hi=1e-8)
         stats = TrainStats()
-        train_zeroshot(ZeroShotAlgo.ZEROMAT, 10, 10, cfg, stats)
+        train_zeroshot(zeromat_step, 10, 10, cfg, stats)
         assert stats.clamp_activations == 2 * 500
         assert stats.epochs_run == 2
 
     def test_positive_factors_stay_finite(self):
-        for algo, gamma in ((ZeroShotAlgo.ZEROMAT, 0.002),
-                            (ZeroShotAlgo.DOTMAT, 0.005),
-                            (ZeroShotAlgo.POISSONMAT, 2e-5)):
-            model = train_zeroshot(algo, 40, 50, _cfg(gamma=gamma, epochs=3))
+        for rule, gamma in ((zeromat_step, 0.002), (dotmat_step, 0.005),
+                            (poissonmat_step, 2e-5)):
+            model = train_zeroshot(rule, 40, 50, _cfg(gamma=gamma, epochs=3))
             assert np.isfinite(model.U).all() and np.isfinite(model.V).all()
 
 
@@ -202,6 +201,15 @@ class TestPowerMat:
         with pytest.raises(ValueError, match="one row per"):
             self.train(np.array([0, 0]), np.array([0, 1]), contexts, _cfg())
 
+    @pytest.mark.parametrize("column, bad", [("user_id", -1), ("user_id", N_USERS),
+                                             ("item_id", -1), ("item_id", N_ITEMS)])
+    def test_id_off_the_grid_rejected(self, column, bad):
+        # neither wraps around (-1) nor is an IndexError (n_users)
+        users, items, contexts, _ = self.columns(n=5)
+        (users if column == "user_id" else items)[3] = bad
+        with pytest.raises(ValueError, match=rf"^{column} {bad} outside \[0, \d+\] at row 3$"):
+            self.train(users, items, contexts, _cfg())
+
     @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (1.0, -2.0)])
     def test_nonpositive_sigma_rejected(self, sigmas):
         with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
@@ -242,7 +250,7 @@ class TestZeroShotPredict:
                 assert predictor.predict(u, i) == expected[i]
 
     def test_output_always_on_scale(self):
-        model = train_zeroshot(ZeroShotAlgo.DOTMAT, 20, 30, _cfg(gamma=0.005))
+        model = train_zeroshot(dotmat_step, 20, 30, _cfg(gamma=0.005))
         predictor = ZeroShotPredictor(model, 5)
         for u in range(20):
             for i in range(30):
@@ -308,24 +316,24 @@ class TestHybrid:
         assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
 
     @staticmethod
-    def _predictor(train, algo, cfg):
-        model = train_zeroshot(algo, train.n_users, train.n_items, cfg)
+    def _predictor(train, rule, cfg):
+        model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
         return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
     def test_augmented_size_arithmetic(self):
         train = generate_zipf(30, 30, 300, 1.0, 5, seed=21)
-        predictor = self._predictor(train, ZeroShotAlgo.ZEROMAT, _cfg())
+        predictor = self._predictor(train, zeromat_step, _cfg())
         augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=0.5)
         assert len(augmented) == 300 + 150
         assert set(train.keys().tolist()) <= set(augmented.keys().tolist())
 
-    @pytest.mark.parametrize("algo", list(ZeroShotAlgo))
-    def test_augmented_columns_equal_per_cell_reference(self, algo):
+    @pytest.mark.parametrize("rule", [zeromat_step, dotmat_step, poissonmat_step])
+    def test_augmented_columns_equal_per_cell_reference(self, rule):
         # the oracle draws, rejects and scores one cell at a time
         train = generate_zipf(25, 30, 400, 1.0, 5, seed=26)
-        cfg = _cfg(gamma={ZeroShotAlgo.POISSONMAT: 2e-5}.get(algo, 0.005))
+        cfg = _cfg(gamma={poissonmat_step: 2e-5}.get(rule, 0.005))
         predictor = ZeroShotPredictor(
-            train_zeroshot(algo, train.n_users, train.n_items, cfg), 5, cfg.eps_floor)
+            train_zeroshot(rule, train.n_users, train.n_items, cfg), 5, cfg.eps_floor)
         augmented = augment_with_zeroshot(train, predictor, cfg.seed, fill_fraction=0.8)
         rng = np.random.default_rng(cfg.seed)
         taken = set(train.keys().tolist())
@@ -345,7 +353,7 @@ class TestHybrid:
 
     def test_filled_values_are_integers_on_scale(self):
         train = generate_zipf(20, 20, 150, 1.0, 5, seed=23)
-        predictor = self._predictor(train, ZeroShotAlgo.POISSONMAT, _cfg(gamma=2e-5))
+        predictor = self._predictor(train, poissonmat_step, _cfg(gamma=2e-5))
         augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=1.0)
         new = set(augmented.ratings) - set(train.ratings)
         assert len(new) == 150
@@ -353,7 +361,7 @@ class TestHybrid:
 
     def test_bad_fill_fraction_rejected(self):
         train = generate_zipf(10, 10, 50, 1.0, 5, seed=24)
-        predictor = self._predictor(train, ZeroShotAlgo.ZEROMAT, _cfg())
+        predictor = self._predictor(train, zeromat_step, _cfg())
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="fill_fraction"):
                 augment_with_zeroshot(train, predictor, 5, fill_fraction=bad)
