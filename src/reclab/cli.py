@@ -65,6 +65,15 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
+def _read_json(path: Path):
+    """The JSON value in path. Nesting deeper than the parser's recursion
+    limit is a ValueError naming the file, not a RecursionError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
     if fmt in _FORMATS:
         return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt])
@@ -217,6 +226,8 @@ def _check_config(config) -> None:
         json.dumps(config, allow_nan=False)
     except ValueError:
         raise ValueError("config must not contain NaN or infinity") from None
+    except RecursionError:  # nested just short of _read_json's limit
+        raise ValueError("config nested too deeply") from None
     for key in ("dataset", "algorithms"):
         if key not in config:
             raise ValueError(f"config missing required key {key!r}")
@@ -401,8 +412,7 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None)
 def bench(config_path: Path, out_dir: Optional[Path]):
     """Run the configured benchmark and write JSON/CSV reports."""
-    config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    run_bench(config, out_dir)
+    run_bench(_read_json(config_path), out_dir)
 
 
 @main.command()
@@ -430,7 +440,7 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
     else:
         if input_path is None:
             raise ValueError("diversity mode requires --input")
-        inp = _diversity_input(json.loads(Path(input_path).read_text(encoding="utf-8")))
+        inp = _diversity_input(_read_json(input_path))
         ordered = analysis.diversity_ordered(inp)
         invariant = analysis.diversity_order_invariant(
             inp, per_group_factorial=per_group_factorial)
@@ -446,7 +456,7 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
 @click.option("--n-items", type=click.IntRange(min=1), required=True)
 @click.option("--n-ratings", type=click.IntRange(min=1), required=True)
 @click.option("--exponent", type=float, default=1.0)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def generate(n_users, n_items, n_ratings, exponent, seed, out_path):
     """Write a synthetic Zipf dataset in MovieLens tab format, rated 1-5."""

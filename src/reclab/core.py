@@ -1,10 +1,10 @@
-"""Shared domain types: ratings, datasets, factor models and configs."""
+"""Shared domain types: datasets, factor models and configs."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,24 +34,16 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Rating:
-    """A single user-item rating."""
-
-    user_id: int
-    item_id: int
-    value: int
-
-
 def _check_range(name: str, column: np.ndarray, lo: int, hi: int) -> None:
     bad = np.flatnonzero((column < lo) | (column > hi))
     if bad.size:
         raise DatasetError(f"{name} {column[bad[0]]} outside [{lo}, {hi}] at row {bad[0]}")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class RatingsDataset:
-    """Sparse integer rating triples with scale bounds.
+    """Sparse integer rating triples with scale bounds: row k is
+    (users[k], items[k], values[k]).
 
     The rows are stored once, as three read-only int64 columns `users`,
     `items` and `values`, in the order they were given. Duplicate
@@ -65,26 +57,15 @@ class RatingsDataset:
     values: np.ndarray
     n_users: int
     n_items: int
-    r_max: int
+    r_max: int = 5
 
-    def __init__(self, ratings, n_users: int, n_items: int, r_max: int = 5):
-        rows = np.array([(r.user_id, r.item_id, r.value) for r in ratings])
-        rows = rows.reshape(-1, 3)
-        self._set_columns(rows[:, 0], rows[:, 1], rows[:, 2], n_users, n_items, r_max)
-
-    @classmethod
-    def from_columns(cls, users, items, values, n_users, n_items, r_max=5):
-        """A dataset whose row k is (users[k], items[k], values[k])."""
-        dataset = cls.__new__(cls)
-        dataset._set_columns(users, items, values, n_users, n_items, r_max)
-        return dataset
-
-    def _set_columns(self, users, items, values, n_users, n_items, r_max):
+    def __post_init__(self):
+        n_users, n_items, r_max = self.n_users, self.n_items, self.r_max
         if n_users < 0 or n_items < 0:
             raise DatasetError("n_users and n_items must be nonnegative")
         if r_max < 1:
             raise DatasetError(f"r_max must be >= 1, got {r_max}")
-        columns = [np.asarray(c) for c in (users, items, values)]
+        columns = [np.asarray(c) for c in (self.users, self.items, self.values)]
         if len({c.size for c in columns}) > 1:
             raise DatasetError("user, item and value columns differ in length")
         if any(c.size and c.dtype.kind not in "iu" for c in columns):
@@ -97,20 +78,14 @@ class RatingsDataset:
         if (counts > 1).any():
             key = int(keys[counts > 1][0])
             raise DatasetError(f"duplicate rating for cell {divmod(key, n_items)}")
-        row = (users, items, values, n_users, n_items, r_max)
-        for field, value in zip(fields(self), row):
-            object.__setattr__(self, field.name, value)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "values", values)
 
     def __reduce__(self):
         # copy and pickle rebuild through the validator, so columns stay read-only
-        return (RatingsDataset.from_columns, (self.users, self.items, self.values,
-                                              self.n_users, self.n_items, self.r_max))
-
-    @property
-    def ratings(self) -> tuple:
-        """The rows as Rating objects, in storage order."""
-        return tuple(map(Rating, self.users.tolist(), self.items.tolist(),
-                         self.values.tolist()))
+        return (RatingsDataset, (self.users, self.items, self.values,
+                                 self.n_users, self.n_items, self.r_max))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -194,6 +169,8 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be >= 1")
         if self.eps_floor <= 0:

@@ -12,15 +12,11 @@ from .core import DatasetError, RatingsDataset
 
 class Predictor(ABC):
     """Uniform prediction interface: total over in-range (u, i) and always
-    within [1, r_max]. A predictor implements `predict_many`; `predict` is
-    the one-cell case of it."""
+    within [1, r_max]."""
 
     @abstractmethod
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Float predictions for the cells (users[k], items[k])."""
-
-    def predict(self, u: int, i: int) -> float:
-        return float(self.predict_many(np.array([u]), np.array([i]))[0])
 
 
 def mae(predictor: Predictor, test: RatingsDataset) -> float:

@@ -45,6 +45,8 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -98,8 +100,7 @@ def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int], value
     (users, n_users), (items, n_items) = users, items
     values = np.asarray(values, dtype=np.int64)
     rows = _kept_rows(users * n_items + items)
-    dataset = RatingsDataset.from_columns(users[rows], items[rows], values[rows],
-                                          n_users, n_items, r_max)
+    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items, r_max)
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
 
 
@@ -288,7 +289,7 @@ def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, Rat
     rng = np.random.default_rng(spec.seed)
     in_test = np.zeros(n, dtype=bool)
     in_test[rng.permutation(n)[:n_test]] = True
-    make = lambda mask: RatingsDataset.from_columns(
+    make = lambda mask: RatingsDataset(
         dataset.users[mask], dataset.items[mask], dataset.values[mask],
         dataset.n_users, dataset.n_items, dataset.r_max)
     return make(~in_test), make(in_test)
@@ -346,5 +347,4 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         keys = np.concatenate([keys, free])
         free_values = np.searchsorted(values_cum, rng.random(len(free))) + 1
         values = np.concatenate([values, free_values])
-    return RatingsDataset.from_columns(keys // n_items, keys % n_items, values,
-                                       n_users, n_items, r_max)
+    return RatingsDataset(keys // n_items, keys % n_items, values, n_users, n_items, r_max)

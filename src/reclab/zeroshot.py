@@ -207,5 +207,4 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
     # predictions lie in [1, r_max]; rint rounds halves to even, as round() does
     fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
     values = np.concatenate([train.values, fills.astype(np.int64)])
-    return RatingsDataset.from_columns(users, items, values, train.n_users,
-                                       train.n_items, train.r_max)
+    return RatingsDataset(users, items, values, train.n_users, train.n_items, train.r_max)

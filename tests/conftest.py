@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from reclab.core import Rating, RatingsDataset
+from reclab.core import RatingsDataset
 from reclab.ingest import MovieLensFormat, parse_movielens
 
 
@@ -24,10 +24,18 @@ def make_structured_dataset(n_users=600, n_items=800, n_ratings=40000,
            + np.einsum("ij,ij->i", user_lat[us], item_lat[js])
            + rng.normal(0, noise, n_ratings))
     vals = np.clip(np.rint(raw), 1, 5).astype(int)
-    ratings = tuple(Rating(int(u), int(j), int(v))
-                    for u, j, v in zip(us, js, vals))
-    return RatingsDataset(ratings=ratings, n_users=n_users, n_items=n_items,
-                          r_max=5)
+    return RatingsDataset(us, js, vals, n_users, n_items, r_max=5)
+
+
+def from_rows(rows, n_users, n_items, r_max=5) -> RatingsDataset:
+    """The dataset whose row k is the (user, item, value) triple rows[k]."""
+    users, items, values = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return RatingsDataset(users, items, values, n_users, n_items, r_max)
+
+
+def rows_of(ds: RatingsDataset) -> list:
+    """ds's rows as (user, item, value) tuples, in storage order."""
+    return list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from reclab.analysis import (DiversityInput, diversity_order_invariant,
                              rating_histogram)
 from reclab.baselines import mf_gradients, mf_loss
 from reclab.cli import REGISTRY, _evaluate_algorithm, run_bench
-from reclab.core import Rating, RatingsDataset, TrainConfig
+from reclab.core import RatingsDataset, TrainConfig
 from reclab.ingest import (SplitSpec, generate_zipf, parse_comoda, split,
                            write_movielens)
 from reclab.zeroshot import (dotmat_step, poissonmat_step, powermat_step,
@@ -70,9 +70,9 @@ def test_criterion_1_tuned_baseline_band(harness, report):
 def test_criterion_2_random_baseline_band(harness, report):
     rand = harness["maes"]["random"]
     rng = np.random.default_rng(3)
-    ratings = tuple(Rating(u, i, int(rng.integers(1, 6)))
-                    for u in range(400) for i in range(250))
-    uniform = RatingsDataset(ratings=ratings, n_users=400, n_items=250)
+    users, items = np.divmod(np.arange(400 * 250), 250)
+    values = [int(rng.integers(1, 6)) for _ in range(400 * 250)]
+    uniform = RatingsDataset(users, items, values, n_users=400, n_items=250)
     from reclab.evaluation import random_baseline_mae
     uniform_mae = random_baseline_mae(uniform, 4)
     ok = 1.3 <= rand <= 1.9 and abs(uniform_mae - 1.6) <= 0.05
@@ -137,7 +137,7 @@ def test_criterion_5_time_order_invariance(report):
     ds = make_structured_dataset(n_users=80, n_items=90, n_ratings=2000,
                                  seed=19)
     train, test = split(ds, SplitSpec(0.2, 7))
-    permuted = RatingsDataset(ratings=tuple(reversed(train.ratings)),
+    permuted = RatingsDataset(train.users[::-1], train.items[::-1], train.values[::-1],
                               n_users=train.n_users, n_items=train.n_items,
                               r_max=train.r_max)
     config = {"train": {"default": {"epochs": 3}}}

@@ -7,7 +7,7 @@ from scipy.special import gammaln, logsumexp
 
 from reclab.analysis import (DiversityInput, PowerLawFit, diversity_order_invariant,
                              diversity_ordered, fit_power_law, rating_histogram)
-from reclab.core import DatasetError, Rating, RatingsDataset
+from reclab.core import DatasetError, RatingsDataset
 from reclab.ingest import generate_zipf
 
 
@@ -24,9 +24,7 @@ def exact_ln_diversity(groups, n_market, order_invariant=False):
 
 class TestRatingHistogram:
     def test_counting(self):
-        ds = RatingsDataset(ratings=(Rating(0, 0, 5), Rating(0, 1, 5),
-                                     Rating(1, 0, 3)),
-                            n_users=2, n_items=2)
+        ds = RatingsDataset([0, 0, 1], [0, 1, 0], [5, 5, 3], n_users=2, n_items=2)
         hist = rating_histogram(ds)
         assert hist == {5: 2, 3: 1}
 
@@ -35,7 +33,7 @@ class TestRatingHistogram:
         assert sum(rating_histogram(ds).values()) == 700
 
     def test_empty_rejected(self):
-        empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
             rating_histogram(empty)
 

@@ -8,14 +8,10 @@ from reclab import baselines
 from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
-from reclab.core import (FactorModel, Rating, RatingsDataset, TrainConfig,
-                         TrainingError)
+from reclab.core import FactorModel, RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import SplitSpec, generate_zipf, split
 
-
-def dataset(triples, n_users, n_items, r_max=5):
-    return RatingsDataset(ratings=tuple(Rating(u, i, v) for u, i, v in triples),
-                          n_users=n_users, n_items=n_items, r_max=r_max)
+from conftest import from_rows, rows_of
 
 
 def clamp_prediction(raw, r_max):
@@ -102,19 +98,19 @@ ORACLE_DATASETS = [
 
 class TestItemSimilarities:
     def test_identical_ratings_give_one(self):
-        ds = dataset([(0, 0, 4), (0, 1, 4), (1, 0, 2), (1, 1, 2),
+        ds = from_rows([(0, 0, 4), (0, 1, 4), (1, 0, 2), (1, 1, 2),
                       (2, 0, 5), (2, 1, 5)], 3, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         assert sims.lookup(0, 1) == pytest.approx(1.0)
 
     def test_no_common_rater_gives_zero(self):
-        ds = dataset([(0, 0, 4), (1, 1, 3)], 2, 2)
+        ds = from_rows([(0, 0, 4), (1, 1, 3)], 2, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         assert sims.lookup(0, 1) == 0.0
 
     def test_hand_computed_cross_pair(self):
         # items rated (1,5) and (5,1) by the same two users
-        ds = dataset([(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)], 2, 2)
+        ds = from_rows([(0, 0, 1), (0, 1, 5), (1, 0, 5), (1, 1, 1)], 2, 2)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         assert sims.lookup(0, 1) == pytest.approx(10.0 / 26.0)
 
@@ -175,7 +171,7 @@ class TestItemSimilarities:
     def test_adjusted_cosine_centers_users(self):
         # one user rating both items identically: centered vector is zero,
         # so the pair is degenerate and scores 0
-        ds = dataset([(0, 0, 4), (0, 1, 4)], 1, 2)
+        ds = from_rows([(0, 0, 4), (0, 1, 4)], 1, 2)
         sims = item_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
         assert sims.lookup(0, 1) == 0.0
         assert len(sims.keys) == 0 and sims.lookup(1, 1) == 0.0
@@ -185,8 +181,7 @@ class TestItemSimilarities:
         # vector is zero; small blocks make many empty ones
         ds = generate_zipf(40, 30, 300, 1.0, 5, seed=3)
         users, items, _ = ds.arrays()
-        flat = RatingsDataset.from_columns(users, items, 1 + users % 5,
-                                           ds.n_users, ds.n_items, ds.r_max)
+        flat = RatingsDataset(users, items, 1 + users % 5, ds.n_users, ds.n_items, ds.r_max)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", 50)
         sims = item_similarities(flat, SimilarityKind.ADJUSTED_COSINE)
         assert len(sims.keys) == len(sims.scores) == 0
@@ -245,24 +240,24 @@ class TestCfPredict:
         return sims_from_dense(matrix)
 
     def test_single_neighbor(self):
-        train = dataset([(0, 1, 4)], 1, 2)
+        train = from_rows([(0, 1, 4)], 1, 2)
         sims = self.sims([[1.0, 0.8], [0.8, 1.0]])
-        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_equal_weights_average(self):
-        train = dataset([(0, 1, 5), (0, 2, 3)], 1, 3)
+        train = from_rows([(0, 1, 5), (0, 2, 3)], 1, 3)
         sims = self.sims([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
-        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_hand_computed_weighted_average(self):
-        train = dataset([(0, 1, 5), (0, 2, 2)], 1, 3)
+        train = from_rows([(0, 1, 5), (0, 2, 2)], 1, 3)
         sims = self.sims([[1, 0.5, 0.25], [0.5, 1, 0], [0.25, 0, 1]])
-        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_fallback_is_global_mean(self):
-        train = dataset([(0, 1, 5), (1, 0, 3)], 2, 2)
+        train = from_rows([(0, 1, 5), (1, 0, 3)], 2, 2)
         sims = self.sims([[1, 0], [0, 1]])  # no cross-similarity
-        assert CfPredictor(sims, train).predict(0, 0) == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_prediction_within_neighbor_range(self):
         ds = generate_zipf(40, 25, 600, 1.0, 5, seed=10)
@@ -270,27 +265,27 @@ class TestCfPredict:
         predictor = CfPredictor(sims, ds, neighborhood_size=5)
         rng = np.random.default_rng(0)
         by_user = {}
-        for r in ds.ratings:
-            by_user.setdefault(r.user_id, []).append(r.value)
+        for u, i, v in rows_of(ds):
+            by_user.setdefault(u, []).append(v)
         for _ in range(100):
             u = int(rng.integers(0, 40))
             i = int(rng.integers(0, 25))
-            pred = predictor.predict(u, i)
+            pred = predictor.predict_many([u], [i])[0]
             values = by_user.get(u)
             if values:  # nonneg similarities: weighted average of some subset
                 assert 1.0 <= pred <= 5.0
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_nonpositive_neighborhood_size_rejected(self, size):
-        train = dataset([(0, 1, 5), (0, 2, 1)], 1, 3)
+        train = from_rows([(0, 1, 5), (0, 2, 1)], 1, 3)
         with pytest.raises(ValueError, match="neighborhood_size must be >= 1"):
             CfPredictor(self.sims(np.eye(3)), train, size)
 
     def test_neighborhood_size_limits_neighbors(self):
-        train = dataset([(0, 1, 5), (0, 2, 1)], 1, 3)
+        train = from_rows([(0, 1, 5), (0, 2, 1)], 1, 3)
         sims = self.sims([[1, 0.9, 0.5], [0.9, 1, 0], [0.5, 0, 1]])
         # only the most similar neighbor (item 1) is used
-        assert CfPredictor(sims, train, 1).predict(0, 0) == pytest.approx(5.0)
+        assert CfPredictor(sims, train, 1).predict_many([0], [0])[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("size", [1, 5, 20])
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
@@ -312,7 +307,7 @@ class TestCfPredict:
     def test_predict_many_handles_ties_negatives_and_fallbacks(self):
         # user 0 rated items 1-4; user 1 rated nothing; item 5 has no
         # co-raters; items 1 and 2 tie for item 0, item 3 scores negative
-        train = dataset([(0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 4),
+        train = from_rows([(0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 4),
                          (2, 0, 3)], 3, 6)
         matrix = np.zeros((6, 6))
         for i, j, s in [(0, 1, 0.5), (0, 2, 0.5), (0, 3, -0.75), (0, 4, 0.25),
@@ -334,7 +329,7 @@ class TestCfPredict:
         # the negative neighbor ranks last and pulls the average down:
         # (0.5*5 + 0.5*1 + 0.25*4 - 0.75*2) / (0.5 + 0.5 + 0.25 + 0.75)
         four = CfPredictor(sims, train, 4)
-        assert four.predict(0, 0) == pytest.approx(2.5 / 2.0)
+        assert four.predict_many([0], [0])[0] == pytest.approx(2.5 / 2.0)
 
     def test_pair_blocks_do_not_change_predictions(self, monkeypatch):
         ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
@@ -349,14 +344,14 @@ class TestCfPredict:
 
 class TestMfTrain:
     def test_scalar_fixed_point(self):
-        train = dataset([(0, 0, 4)], 1, 1)
+        train = from_rows([(0, 0, 4)], 1, 1)
         cfg = TrainConfig(k=1, gamma=0.05, epochs=400, seed=0,
                           init_lo=0.5, init_hi=0.9)
         model = mf_train(train, cfg)
         assert float(model.U[0] @ model.V[0]) == pytest.approx(4.0, abs=1e-3)
 
     def test_zero_gamma_keeps_initialization(self):
-        train = dataset([(0, 0, 4), (1, 1, 2)], 2, 2)
+        train = from_rows([(0, 0, 4), (1, 1, 2)], 2, 2)
         cfg = TrainConfig(k=3, gamma=0.0, epochs=5, seed=12)
         model = mf_train(train, cfg)
         rng = np.random.default_rng(12)
@@ -398,7 +393,7 @@ class TestMfTrain:
 
     def test_invariant_to_input_row_order(self):
         ds = generate_zipf(20, 15, 150, 1.0, 5, seed=17)
-        shuffled = RatingsDataset(ratings=tuple(reversed(ds.ratings)),
+        shuffled = RatingsDataset(ds.users[::-1], ds.items[::-1], ds.values[::-1],
                                   n_users=20, n_items=15, r_max=5)
         cfg = TrainConfig(k=4, gamma=0.01, epochs=3, seed=18)
         a = mf_train(ds, cfg)
@@ -413,7 +408,7 @@ class TestMfTrain:
         assert exc.value.epoch is not None
 
     def test_empty_train_rejected(self):
-        empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(ValueError):
             mf_train(empty, TrainConfig())
 
@@ -422,15 +417,15 @@ class TestMfPredict:
     def test_dot_product(self):
         model = FactorModel(U=np.array([[2.0, 0.0]]),
                             V=np.array([[1.5, 9.0]]))
-        assert MfPredictor(model, 5).predict(0, 0) == pytest.approx(3.0)
+        assert MfPredictor(model, 5).predict_many([0], [0])[0] == pytest.approx(3.0)
 
     def test_upper_clamp(self):
         model = FactorModel(U=np.array([[3.1]]), V=np.array([[2.0]]))
-        assert MfPredictor(model, 5).predict(0, 0) == 5.0
+        assert MfPredictor(model, 5).predict_many([0], [0])[0] == 5.0
 
     def test_lower_clamp_on_zero_vector(self):
         model = FactorModel(U=np.array([[0.0]]), V=np.array([[2.0]]))
-        assert MfPredictor(model, 5).predict(0, 0) == 1.0
+        assert MfPredictor(model, 5).predict_many([0], [0])[0] == 1.0
 
     def test_predict_many_equals_per_cell_dot_products(self):
         # the oracle is one clamped U[u] @ V[i] per cell

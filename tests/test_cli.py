@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reclab
 from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
-from reclab.core import Rating, RatingsDataset, TrainConfig
+from reclab.core import RatingsDataset, TrainConfig
 from reclab.evaluation import Predictor
 from reclab.ingest import ParseResult, SplitSpec, generate_zipf, split, write_movielens
 from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
@@ -104,6 +104,15 @@ class TestGenerate:
                                       "--n-ratings", "20", "--out", str(out), *args])
         assert result.exit_code == 1
         assert result.output.startswith("error:") and result.output.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "x.data"
+        result = runner.invoke(main, ["generate", "--n-users", "10", "--n-items", "10",
+                                      "--n-ratings", "20", "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == ("error: Invalid value for '--seed': "
+                                 "-1 is not in the range x>=0.\n")
         assert not out.exists()
 
     def test_out_of_memory_is_one_error_line(self, runner, tmp_path, monkeypatch):
@@ -358,6 +367,8 @@ class TestBench:
         # powermat reads contexts, which no MovieLens format has
         pytest.param(lambda c: {**c, "dataset": {**c["dataset"], "format": "tab100k"}},
                      id="powermat-on-tab100k"),
+        # numpy would reject it only after the manifest is written
+        pytest.param(lambda c: {**c, "split": {"seed": -1}}, id="negative-split-seed"),
     ])
     def test_config_error_exits_one(self, runner, comoda_file, tmp_path, edit):
         path = comoda_config(comoda_file, tmp_path,
@@ -370,6 +381,23 @@ class TestBench:
         # CliRunner also maps an uncaught exception to exit code 1
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+    def test_deeply_nested_config_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        out = tmp_path / "out"
+        path.write_text("[" * 100000 + "]" * 100000)
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {path}: JSON nested too deeply\n"
+        # just short of the parser's limit, the config check may reach the
+        # limit instead; either way the run ends in one error: line
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 10):
+            path.write_text('{"dataset": {"path": "x"}, "algorithms": [%s]}'
+                            % ("[" * depth + "]" * depth))
+            result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+            assert result.exit_code == 1 and result.output.count("\n") == 1, depth
+            assert result.output.startswith("error:") and not out.exists()
 
     @pytest.mark.parametrize("edit, section", [
         # a hybrid's zero-shot stage reads train.<base>
@@ -393,8 +421,9 @@ class TestBench:
         (lambda c: {**c, "train": {"poissonmat-hybrid": {"epochs": 1}}},
          "config key 'train.poissonmat-hybrid' is not read: "
          "poissonmat-hybrid trains with train.poissonmat and train.mf\n"),
+        (lambda c: {**c, "split": {"seed": -1}}, "split: seed must be >= 0, got -1\n"),
     ], ids=["hybrid-k", "hybrid-mf-stage-epochs", "test-fraction", "default", "trainer",
-            "default-pair", "trainer-next-to-bad-default", "hybrid-section"])
+            "default-pair", "trainer-next-to-bad-default", "hybrid-section", "split-seed"])
     def test_bad_value_fails_before_writing(self, runner, fixture_file, tmp_path,
                                             edit, section):
         path = bench_config(fixture_file, tmp_path, ["random", "poissonmat-hybrid"])
@@ -492,14 +521,14 @@ class TestExitCodes:
 
 def assert_total(predictor, n_users, n_items, r_max=5):
     """predict_many over the whole grid is finite, within [1, r_max], and
-    equals predict cell by cell."""
+    equals predict_many of each cell alone."""
     users, items = np.divmod(np.arange(n_users * n_items), n_items)
     preds = predictor.predict_many(users, items)
     assert preds.shape == (n_users * n_items,)
     assert np.isfinite(preds).all()
     assert ((preds >= 1.0) & (preds <= r_max)).all()
-    assert preds.tolist() == [predictor.predict(u, i)
-                              for u, i in zip(users.tolist(), items.tolist())]
+    assert preds.tolist() == [predictor.predict_many(users[k:k + 1], items[k:k + 1])[0]
+                              for k in range(len(users))]
 
 
 class ConstantPredictor(Predictor):
@@ -540,11 +569,12 @@ class TestRegistry:
     def test_predictor_is_total_over_the_id_range(self, algo):
         # user 5 and item 6, the largest ids, are rated only in the test split
         cells = [(u, i) for u in range(6) for i in range(7) if (u + i) % 3]
-        ratings = [Rating(u, i, 1 + (u * 7 + i) % 5) for u, i in cells]
-        parsed = ParseResult(RatingsDataset(ratings=ratings, n_users=6, n_items=7),
+        users, items = np.array(cells).T
+        values = 1 + (users * 7 + items) % 5
+        parsed = ParseResult(RatingsDataset(users, items, values, n_users=6, n_items=7),
                              contexts=np.array([(u % 2, i % 3) for u, i in cells], float))
-        in_test = [r.user_id == 5 or r.item_id == 6 for r in ratings]
-        train = RatingsDataset(ratings=[r for r, t in zip(ratings, in_test) if not t],
+        in_train = (users != 5) & (items != 6)
+        train = RatingsDataset(users[in_train], items[in_train], values[in_train],
                                n_users=6, n_items=7)
         predictor = REGISTRY[algo].fit(algo, {}, train, parsed, 3)
         assert_total(predictor, 6, 7)
@@ -567,9 +597,9 @@ class TestRegistry:
 
     def test_powermat_trains_on_the_train_cells_only(self, monkeypatch):
         users, items = np.divmod(np.arange(12), 4)
-        parsed = ParseResult(RatingsDataset.from_columns(users, items, [3] * 12, 3, 4),
+        parsed = ParseResult(RatingsDataset(users, items, [3] * 12, 3, 4),
                              contexts=users[:, None].astype(float))
-        train = RatingsDataset.from_columns([2, 0], [1, 3], [4, 5], 3, 4)
+        train = RatingsDataset([2, 0], [1, 3], [4, 5], 3, 4)
         passed = []
         real = reclab.cli.powermat_train
         monkeypatch.setattr(reclab.cli, "powermat_train",
@@ -644,8 +674,7 @@ class TestRegistry:
         values = data.draw(st.lists(st.integers(1, r_max), min_size=len(cells),
                                     max_size=len(cells)), label="values")
         users, items = np.divmod(np.array(cells), n_items)
-        train = RatingsDataset.from_columns(users, items, values, n_users,
-                                            n_items, r_max)
+        train = RatingsDataset(users, items, values, n_users, n_items, r_max)
         config = {"similarity_kind": kind, "neighborhood_size": size}
         predictor = REGISTRY["itemcf"].fit("itemcf", config, train, None, 0)
         assert_total(predictor, n_users, n_items, r_max)
@@ -718,6 +747,16 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.output == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_input_is_one_error_line(self, runner, tmp_path):
+        inp = tmp_path / "deep.json"
+        inp.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--mode", "diversity",
+                                      "--input", str(inp), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {inp}: JSON nested too deeply\n"
+        assert not out.exists()
 
     def test_missing_input_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--mode", "diversity",

@@ -1,38 +1,34 @@
 import numpy as np
 import pytest
 
-from reclab.core import (DatasetError, FactorModel, PowerMatModel, Rating,
-                         RatingsDataset, TrainConfig)
+from reclab.core import (DatasetError, FactorModel, PowerMatModel, RatingsDataset,
+                         TrainConfig)
 
 
 class TestRatingsDataset:
     def test_valid_construction(self):
-        ds = RatingsDataset(ratings=(Rating(0, 0, 5), Rating(0, 1, 3)),
-                            n_users=1, n_items=2)
+        ds = RatingsDataset([0, 0], [0, 1], [5, 3], n_users=1, n_items=2)
         assert len(ds) == 2
         assert ds.global_mean() == 4.0
 
     def test_rejects_out_of_range_value(self):
         with pytest.raises(DatasetError):
-            RatingsDataset(ratings=(Rating(0, 0, 6),), n_users=1, n_items=1)
+            RatingsDataset([0], [0], [6], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
-            RatingsDataset(ratings=(Rating(0, 0, 0),), n_users=1, n_items=1)
+            RatingsDataset([0], [0], [0], n_users=1, n_items=1)
 
     def test_rejects_duplicate_cell(self):
         with pytest.raises(DatasetError):
-            RatingsDataset(ratings=(Rating(0, 0, 3), Rating(0, 0, 4)),
-                           n_users=1, n_items=1)
+            RatingsDataset([0, 0], [0, 0], [3, 4], n_users=1, n_items=1)
 
     def test_rejects_index_out_of_bounds(self):
         with pytest.raises(DatasetError):
-            RatingsDataset(ratings=(Rating(2, 0, 3),), n_users=2, n_items=1)
+            RatingsDataset([2], [0], [3], n_users=2, n_items=1)
         with pytest.raises(DatasetError):
-            RatingsDataset(ratings=(Rating(0, 5, 3),), n_users=1, n_items=5)
+            RatingsDataset([0], [5], [3], n_users=1, n_items=5)
 
     def test_arrays_are_canonically_ordered(self):
-        ds = RatingsDataset(ratings=(Rating(1, 0, 2), Rating(0, 1, 3),
-                                     Rating(0, 0, 4)),
-                            n_users=2, n_items=2)
+        ds = RatingsDataset([1, 0, 0], [0, 1, 0], [2, 3, 4], n_users=2, n_items=2)
         users, items, values = ds.arrays()
         assert users.tolist() == [0, 0, 1]
         assert items.tolist() == [0, 1, 0]
@@ -63,7 +59,7 @@ def test_read_only_owning_arrays_are_kept(writable):
     factors = np.ones((2, 3)), np.full((2, 3), 0.5)
     for given in (*columns, *factors):
         given.setflags(write=writable)
-    ds = RatingsDataset.from_columns(*columns, n_users=2, n_items=2)
+    ds = RatingsDataset(*columns, n_users=2, n_items=2)
     model = FactorModel(*factors)
     kept = ds.users, ds.items, ds.values, model.U, model.V
     assert [np.shares_memory(k, given) for k, given in zip(kept, (*columns, *factors))] \
@@ -91,6 +87,7 @@ class TestTrainConfig:
         {"eps_floor": 0.0},
         {"init_lo": 0.9, "init_hi": 0.1},
         {"init_lo": 0.0},
+        {"seed": -1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from reclab.cli import run_bench
-from reclab.core import DatasetError, Rating, RatingsDataset
+from reclab.core import DatasetError, RatingsDataset
 from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
 
-
-def dataset(triples, n_users, n_items, r_max=5):
-    return RatingsDataset(ratings=tuple(Rating(u, i, v) for u, i, v in triples),
-                          n_users=n_users, n_items=n_items, r_max=r_max)
+from conftest import from_rows, rows_of
 
 
 class CellPredictor(Predictor):
@@ -36,38 +33,37 @@ def uniform_dataset(n_cells, r_max=5, seed=0):
         for i in range(n_items):
             if count >= n_cells:
                 break
-            ratings.append(Rating(u, i, int(rng.integers(1, r_max + 1))))
+            ratings.append((u, i, int(rng.integers(1, r_max + 1))))
             count += 1
-    return RatingsDataset(ratings=tuple(ratings), n_users=n_users,
-                          n_items=n_items, r_max=r_max)
+    return from_rows(ratings, n_users, n_items, r_max)
 
 
 class TestMae:
     def test_exact_truth_gives_zero(self):
-        ds = dataset([(0, 0, 3), (0, 1, 5)], 1, 2)
-        truth = {(r.user_id, r.item_id): r.value for r in ds.ratings}
+        ds = from_rows([(0, 0, 3), (0, 1, 5)], 1, 2)
+        truth = {(u, i): v for u, i, v in rows_of(ds)}
         predictor = CellPredictor(lambda u, i: float(truth[(u, i)]))
         assert mae(predictor, ds) == 0.0
 
     def test_constant_offset(self):
-        ds = dataset([(0, 0, 2), (0, 1, 4), (1, 0, 3)], 2, 2)
-        truth = {(r.user_id, r.item_id): r.value for r in ds.ratings}
+        ds = from_rows([(0, 0, 2), (0, 1, 4), (1, 0, 3)], 2, 2)
+        truth = {(u, i): v for u, i, v in rows_of(ds)}
         predictor = CellPredictor(lambda u, i: truth[(u, i)] + 1.0)
         assert mae(predictor, ds) == pytest.approx(1.0)
 
     def test_hand_sum(self):
-        ds = dataset([(0, 0, 3), (0, 1, 5)], 1, 2)
+        ds = from_rows([(0, 0, 3), (0, 1, 5)], 1, 2)
         predictor = CellPredictor(lambda u, i: 4.0)
         assert mae(predictor, ds) == pytest.approx(1.0)
 
     def test_empty_test_rejected(self):
-        empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
             mae(CellPredictor(lambda u, i: 3.0), empty)
 
     def test_permutation_invariant_over_test_rows(self):
         ds = generate_zipf(30, 30, 300, 1.0, 5, seed=1)
-        rev = RatingsDataset(ratings=tuple(reversed(ds.ratings)),
+        rev = RatingsDataset(ds.users[::-1], ds.items[::-1], ds.values[::-1],
                              n_users=30, n_items=30, r_max=5)
         predictor = CellPredictor(lambda u, i: 3.0)
         assert mae(predictor, ds) == mae(predictor, rev)
@@ -80,7 +76,8 @@ class TestMae:
         predictor = CellPredictor(lambda u, i: float(table[u, i]))
         total = 0.0
         for u, i, v in zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()):
-            total += abs(predictor.predict(u, i) - v)
+            one_cell = predictor.predict_many(np.array([u]), np.array([i]))
+            total += abs(float(one_cell[0]) - v)
         assert mae(predictor, ds) == total / len(ds)
 
     def test_bounded_for_clamped_predictor(self):
@@ -91,7 +88,7 @@ class TestMae:
 
 class TestRandomBaseline:
     def test_single_value_scale_gives_zero(self):
-        ds = dataset([(0, 0, 1), (0, 1, 1)], 1, 2, r_max=1)
+        ds = from_rows([(0, 0, 1), (0, 1, 1)], 1, 2, r_max=1)
         assert random_baseline_mae(ds, 7) == 0.0
 
     def test_uniform_truth_expectation(self):
@@ -101,8 +98,8 @@ class TestRandomBaseline:
 
     def test_constant_truth_expectation(self):
         # truth 3 on a 1..5 scale: (2+1+0+1+2)/5 = 1.2
-        ratings = tuple(Rating(u, i, 3) for u in range(250) for i in range(400))
-        ds = RatingsDataset(ratings=ratings, n_users=250, n_items=400)
+        ratings = [(u, i, 3) for u in range(250) for i in range(400)]
+        ds = from_rows(ratings, 250, 400)
         assert random_baseline_mae(ds, 5) == pytest.approx(1.2, abs=0.05)
 
     def test_concentrates_over_seeds(self):
@@ -111,7 +108,7 @@ class TestRandomBaseline:
         assert np.mean(maes) == pytest.approx(1.6, abs=0.02)
 
     def test_empty_rejected(self):
-        empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
             random_baseline_mae(empty, 0)
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from reclab.analysis import fit_power_law
-from reclab.core import DatasetError
+from reclab.core import DatasetError, RatingsDataset
 from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            _cdf, generate_zipf, parse_comoda, parse_movielens, split,
                            write_movielens)
+
+from conftest import rows_of
 
 
 # both parsers read every source kind as its UTF-8 bytes, so each kind
@@ -30,13 +32,11 @@ def source_of(kind, text):
 class TestParseMovielens:
     def test_tab_format_first_ids_map_to_zero(self):
         result = parse_movielens("1\t2\t5\t0\n", MovieLensFormat.TAB_100K)
-        [r] = result.dataset.ratings
-        assert (r.user_id, r.item_id, r.value) == (0, 0, 5)
+        assert rows_of(result.dataset) == [(0, 0, 5)]
 
     def test_colons_format(self):
         result = parse_movielens("7::9::3::123\n", MovieLensFormat.COLONS_1M)
-        [r] = result.dataset.ratings
-        assert r.value == 3
+        assert result.dataset.values.tolist() == [3]
 
     def test_rating_above_scale_rejected(self):
         with pytest.raises(DatasetError):
@@ -66,7 +66,7 @@ class TestParseMovielens:
         result = parse_movielens("1\t 2\t5\t0\n1\t2\t4\t0\n", MovieLensFormat.TAB_100K)
         assert (result.dataset.n_users, result.dataset.n_items) == (1, 1)
         assert result.duplicates_replaced == 1
-        assert [r.value for r in result.dataset.ratings] == [4]
+        assert result.dataset.values.tolist() == [4]
         with pytest.raises(ParseError, match="^line 2: empty user id$"):
             parse_movielens("1\t2\t5\t0\n \t2\t4\t0\n", MovieLensFormat.TAB_100K)
 
@@ -118,14 +118,13 @@ class TestParseMovielens:
         text = "1\t2\t5\t0\n1\t2\t3\t9\n"
         result = parse_movielens(text, MovieLensFormat.TAB_100K)
         assert result.duplicates_replaced == 1
-        [r] = result.dataset.ratings
-        assert r.value == 3
+        assert result.dataset.values.tolist() == [3]
 
     def test_remapped_ids_are_dense(self):
         text = "10\t200\t5\t0\n99\t200\t4\t0\n10\t7\t1\t0\n"
         ds = parse_movielens(text, MovieLensFormat.TAB_100K).dataset
-        assert {r.user_id for r in ds.ratings} == {0, 1}
-        assert {r.item_id for r in ds.ratings} == {0, 1}
+        assert set(ds.users.tolist()) == {0, 1}
+        assert set(ds.items.tolist()) == {0, 1}
         assert ds.n_users == 2 and ds.n_items == 2
 
     def test_parse_write_parse_is_idempotent(self):
@@ -133,7 +132,7 @@ class TestParseMovielens:
         first = parse_movielens(raw, MovieLensFormat.TAB_100K).dataset
         text = write_movielens(first)
         second = parse_movielens(text, MovieLensFormat.TAB_100K).dataset
-        assert second.ratings == first.ratings
+        assert rows_of(second) == rows_of(first)
         assert write_movielens(second) == text
 
 
@@ -424,15 +423,14 @@ class TestSplit:
         ds = generate_zipf(50, 50, 500, 1.0, 5, seed=0)
         a = split(ds, SplitSpec(0.3, 9))
         b = split(ds, SplitSpec(0.3, 9))
-        assert a[0].ratings == b[0].ratings
-        assert a[1].ratings == b[1].ratings
+        assert rows_of(a[0]) == rows_of(b[0])
+        assert rows_of(a[1]) == rows_of(b[1])
 
     def test_partition_property(self):
         ds = generate_zipf(50, 50, 500, 1.0, 5, seed=0)
         train, test = split(ds, SplitSpec(0.25, 5))
-        combined = sorted(train.ratings + test.ratings,
-                          key=lambda r: (r.user_id, r.item_id))
-        assert combined == sorted(ds.ratings, key=lambda r: (r.user_id, r.item_id))
+        # distinct cells, so (user, item) decides the order
+        assert sorted(rows_of(train) + rows_of(test)) == sorted(rows_of(ds))
         assert set(train.keys().tolist()).isdisjoint(test.keys().tolist())
 
     def test_metadata_carried_over(self):
@@ -445,9 +443,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(1.0, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SplitSpec(0.2, -1)
+
     def test_empty_dataset_rejected(self):
-        from reclab.core import RatingsDataset
-        empty = RatingsDataset(ratings=(), n_users=1, n_items=1)
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
             split(empty, SplitSpec(0.2, 0))
 
@@ -489,8 +490,7 @@ class TestGenerateZipf:
     ])
     def test_matches_sequential_reference(self, args):
         ds = generate_zipf(*args)
-        assert [(r.user_id, r.item_id, r.value) for r in ds.ratings] == \
-            sequential_zipf(*args)
+        assert rows_of(ds) == sequential_zipf(*args)
 
     def test_cdf_last_bin_takes_every_draw_below_one(self):
         # 10 items at exponent 1.2: the plain cumulative sum rounds down to
@@ -503,8 +503,8 @@ class TestGenerateZipf:
     def test_value_counts_proportional_to_value(self):
         ds = generate_zipf(300, 200, 15000, 1.0, 5, seed=2)
         counts = np.zeros(5)
-        for r in ds.ratings:
-            counts[r.value - 1] += 1
+        for v in ds.values.tolist():
+            counts[v - 1] += 1
         expected = np.arange(1, 6) / 15.0 * 15000
         # chi-square against the value-proportional law
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -514,8 +514,8 @@ class TestGenerateZipf:
         # plenty of users so the head items do not saturate their user pool
         ds = generate_zipf(6000, 1000, 20000, 1.0, 5, seed=4)
         item_counts = np.zeros(1000)
-        for r in ds.ratings:
-            item_counts[r.item_id] += 1
+        for i in ds.items.tolist():
+            item_counts[i] += 1
         # popularity rank j+1 carries weight (j+1)^-1; fit the well-sampled head
         points = [(j + 1.0, c) for j, c in enumerate(item_counts[:100]) if c > 0]
         fit = fit_power_law(points)
@@ -524,7 +524,7 @@ class TestGenerateZipf:
     def test_deterministic_per_seed(self):
         a = generate_zipf(40, 40, 400, 1.2, 5, seed=9)
         b = generate_zipf(40, 40, 400, 1.2, 5, seed=9)
-        assert a.ratings == b.ratings
+        assert rows_of(a) == rows_of(b)
 
     def test_no_duplicate_cells_and_exact_count(self):
         ds = generate_zipf(30, 30, 800, 1.0, 5, seed=1)

@@ -311,8 +311,7 @@ def zipf_dataset(seed=3):
 def uniform_dataset(seed=4):
     rng = np.random.default_rng(seed)
     cells = rng.choice(50 * 70, size=1200, replace=False)
-    return RatingsDataset.from_columns(cells // 70, cells % 70,
-                                       rng.integers(1, 6, size=1200), 50, 70, 5)
+    return RatingsDataset(cells // 70, cells % 70, rng.integers(1, 6, size=1200), 50, 70, 5)
 
 
 class TestMfMatchesReference:

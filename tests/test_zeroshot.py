@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from reclab import cli
-from reclab.core import FactorModel, Rating, RatingsDataset, TrainConfig
+from reclab.core import FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import ParseResult, generate_zipf
 from reclab.zeroshot import (TrainStats, ZeroShotPredictor,
                              augment_with_zeroshot, dotmat_step,
                              poissonmat_step, powermat_step, powermat_train,
                              train_zeroshot, zeromat_step)
+
+from conftest import rows_of
 
 EPS = 1e-6
 
@@ -176,8 +178,7 @@ class TestPowerMat:
         monkeypatch.setattr(cli, "powermat_train",
                             lambda *a, **kw: models.append(powermat_train(*a, **kw)) or models[-1])
         for vals in (values, 1 + (values % 5)):
-            dataset = RatingsDataset.from_columns(users, items, vals, self.N_USERS,
-                                                  self.N_ITEMS)
+            dataset = RatingsDataset(users, items, vals, self.N_USERS, self.N_ITEMS)
             parsed = ParseResult(dataset, contexts=contexts)
             cli.REGISTRY["powermat"].fit("powermat", {"train": {"powermat": {"epochs": 3}}},
                                          dataset, parsed, 7)
@@ -227,17 +228,18 @@ class TestZeroShotPredict:
         return FactorModel(U=U, V=V)
 
     def test_row_maximum_predicts_r_max(self):
-        assert ZeroShotPredictor(self.model(), 5).predict(0, 0) == 5.0
+        assert ZeroShotPredictor(self.model(), 5).predict_many([0], [0])[0] == 5.0
 
     def test_half_of_row_maximum(self):
-        assert ZeroShotPredictor(self.model(), 5).predict(0, 1) == pytest.approx(2.5)
+        predictor = ZeroShotPredictor(self.model(), 5)
+        assert predictor.predict_many([0], [1])[0] == pytest.approx(2.5)
 
     def test_degenerate_equal_row(self):
         model = FactorModel(U=np.array([[1.0]]),
                             V=np.array([[0.3], [0.3], [0.3]]))
         predictor = ZeroShotPredictor(model, 5)
         for i in range(3):
-            assert predictor.predict(0, i) == 5.0
+            assert predictor.predict_many([0], [i])[0] == 5.0
 
     def test_class_matches_function(self):
         # oracle: r_max * (U_u . V_i) / max(max_j U_u . V_j, eps), clamped
@@ -247,14 +249,14 @@ class TestZeroShotPredict:
             row = model.U[u] @ model.V.T
             expected = np.clip(5 * row / max(row.max(), EPS), 1.0, 5.0)
             for i in range(3):
-                assert predictor.predict(u, i) == expected[i]
+                assert predictor.predict_many([u], [i])[0] == expected[i]
 
     def test_output_always_on_scale(self):
         model = train_zeroshot(dotmat_step, 20, 30, _cfg(gamma=0.005))
         predictor = ZeroShotPredictor(model, 5)
         for u in range(20):
             for i in range(30):
-                assert 1.0 <= predictor.predict(u, i) <= 5.0
+                assert 1.0 <= predictor.predict_many([u], [i])[0] <= 5.0
 
 
 def loop_fill(train, predictor, seed, fill_fraction):
@@ -286,8 +288,7 @@ class CellPredictor:
 
 def _grid_train(n_users, n_items, cells):
     users, items = np.divmod(np.asarray(cells, dtype=np.int64), n_items)
-    return RatingsDataset.from_columns(users, items, np.full(len(users), 3),
-                                       n_users, n_items, 5)
+    return RatingsDataset(users, items, np.full(len(users), 3), n_users, n_items, 5)
 
 
 class TestHybrid:
@@ -344,7 +345,7 @@ class TestHybrid:
             if u * train.n_items + j in taken:
                 continue
             taken.add(u * train.n_items + j)
-            value = int(round(predictor.predict(u, j)))
+            value = int(round(predictor.predict_many([u], [j])[0]))
             filled.append((u, j, min(max(value, 1), 5)))
         users, items, values = np.array(filled).T
         assert np.array_equal(augmented.users, np.concatenate([train.users, users]))
@@ -355,9 +356,9 @@ class TestHybrid:
         train = generate_zipf(20, 20, 150, 1.0, 5, seed=23)
         predictor = self._predictor(train, poissonmat_step, _cfg(gamma=2e-5))
         augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=1.0)
-        new = set(augmented.ratings) - set(train.ratings)
+        new = set(rows_of(augmented)) - set(rows_of(train))
         assert len(new) == 150
-        assert all(1 <= r.value <= 5 for r in new)
+        assert all(1 <= v <= 5 for u, i, v in new)
 
     def test_bad_fill_fraction_rejected(self):
         train = generate_zipf(10, 10, 50, 1.0, 5, seed=24)
