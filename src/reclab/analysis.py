@@ -87,15 +87,6 @@ def diversity_ordered(inp: DiversityInput) -> float:
     return float(np.logaddexp.reduce(_log_terms(inp)))
 
 
-def diversity_order_invariant(inp: DiversityInput,
-                              per_group_factorial: bool = False) -> float:
-    """ln of sum over groups of K_i * N^{M_i} / N!.
-
-    The N! divisor is the published form. per_group_factorial=True divides
-    each term by M_i! instead, the form permutation counting would give;
-    it is offered for exploration only and is never the default.
-    """
-    if per_group_factorial:
-        terms = [t - math.lgamma(m + 1) for t, (_, m) in zip(_log_terms(inp), inp.groups)]
-        return float(np.logaddexp.reduce(terms))
+def diversity_order_invariant(inp: DiversityInput) -> float:
+    """ln of sum over groups of K_i * N^{M_i} / N!, the published form."""
     return diversity_ordered(inp) - math.lgamma(inp.n_market + 1)

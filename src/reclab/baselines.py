@@ -163,7 +163,7 @@ class CfPredictor(Predictor):
     no neighbor qualifies."""
 
     def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
-                 neighborhood_size: int = 20):
+                 neighborhood_size: int):
         if neighborhood_size < 1:
             raise ValueError("neighborhood_size must be >= 1")
         self.sims = sims

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, evaluation, ingest
 from .baselines import (CfPredictor, MfPredictor, SimilarityKind,
                         item_similarities, mf_train)
-from .core import DatasetError, RatingsDataset, TrainConfig, TrainingError
+from .core import RatingsDataset, TrainConfig, TrainingError
 from .evaluation import Predictor
 from .ingest import MovieLensFormat, ParseResult, SplitSpec
 from .zeroshot import (ZeroShotPredictor, augment_with_zeroshot, dotmat_step,
@@ -78,43 +78,30 @@ def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
     if fmt in _FORMATS:
         return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt])
     if fmt == "comoda":
-        if context_columns is None:
-            context_columns = ["mood", "location"]
         return ingest.parse_comoda(path.read_bytes(), context_columns)
     raise ValueError(f"unknown dataset format {fmt!r}; expected one of "
                      f"{sorted(_FORMATS) + ['comoda']}")
 
 
-def _train_config(config: dict, algo: str, seed: int, default_samples: int) -> TrainConfig:
-    fields = dict(REGISTRY[algo].defaults)
-    train_section = config.get("train", {})
-    fields.update(train_section.get("default", {}))
-    fields.update(train_section.get(algo, {}))
-    fields.setdefault("samples_per_epoch", default_samples)
-    fields["seed"] = seed
-    return TrainConfig(**fields)
-
-
 # Fit functions: fit(name, config, train, parsed, seed) trains the named
-# algorithm on a train split of the ParseResult `parsed` (None: no parse to
-# draw contexts from) and returns its predictor. They look trainers and
-# predictor classes up by this module's names at call time (REGISTRY holds
-# fits and step rules only), so wrappers installed on those names
-# (perfbench/tracing.py) see every call.
+# algorithm with the settings of BenchConfig `config` and split seed `seed` on
+# a train split of the ParseResult `parsed` (None: no contexts), and returns
+# its predictor. They look trainers and predictor classes up by this module's
+# names at call time (REGISTRY holds fits and step rules only), so wrappers
+# installed on those names (perfbench/tracing.py) see every call.
 
 def _fit_itemcf(algo, config, train, parsed, seed) -> Predictor:
-    kind = SimilarityKind(config.get("similarity_kind", "cosine"))
-    return CfPredictor(item_similarities(train, kind), train,
-                       config.get("neighborhood_size", 20))
+    return CfPredictor(item_similarities(train, config.similarity_kind), train,
+                       config.neighborhood_size)
 
 
 def _fit_mf(algo, config, train, parsed, seed) -> Predictor:
-    model = mf_train(train, _train_config(config, algo, seed, len(train)))
+    model = mf_train(train, config.train_config(algo, seed, len(train)))
     return MfPredictor(model, train.r_max)
 
 
 def _fit_shape_only(rule, algo, config, train, parsed, seed) -> Predictor:
-    cfg = _train_config(config, algo, seed, len(train))
+    cfg = config.train_config(algo, seed, len(train))
     model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
 
@@ -122,7 +109,7 @@ def _fit_shape_only(rule, algo, config, train, parsed, seed) -> Predictor:
 def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
     if parsed is None or parsed.contexts is None:
         raise ValueError("powermat: context required (use a comoda dataset)")
-    cfg = _train_config(config, algo, seed, len(train))
+    cfg = config.train_config(algo, seed, len(train))
     dataset = parsed.dataset
     # a lookup table of at most n_users * n_items bools: an eighth of the
     # score matrix ZeroShotPredictor builds, and no sort
@@ -131,16 +118,14 @@ def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
     model = powermat_train(dataset.users[in_train], dataset.items[in_train],
                            parsed.contexts[in_train], cfg,
                            n_users=train.n_users, n_items=train.n_items,
-                           sigma_u=config.get("sigma_u", 1.0),
-                           sigma_v=config.get("sigma_v", 1.0))
+                           sigma_u=config.sigma_u, sigma_v=config.sigma_v)
     return ZeroShotPredictor(model.factors, train.r_max, cfg.eps_floor)
 
 
 def _fit_hybrid(algo, config, train, parsed, seed) -> Predictor:
     base = algo.removesuffix("-hybrid")
     zero_shot = REGISTRY[base].fit(base, config, train, parsed, seed)
-    augmented = augment_with_zeroshot(train, zero_shot, seed,
-                                      config.get("fill_fraction", 1.0))
+    augmented = augment_with_zeroshot(train, zero_shot, seed, config.fill_fraction)
     return _fit_mf("mf", config, augmented, parsed, seed)
 
 
@@ -175,12 +160,9 @@ REGISTRY: Dict[str, Algorithm] = {
 ALGORITHMS = tuple(REGISTRY)
 
 
-def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
-                        test: RatingsDataset, parsed: Optional[ParseResult],
-                        seed: int) -> float:
+def _evaluate_algorithm(algo: str, config: BenchConfig, train: RatingsDataset,
+                        test: RatingsDataset, parsed: Optional[ParseResult], seed: int) -> float:
     """Fit one registered algorithm on train and return its MAE on test."""
-    if algo not in REGISTRY:
-        raise ValueError(f"unknown algorithm {algo!r}; registry: {ALGORITHMS}")
     if algo == "random":
         mae = evaluation.random_baseline_mae(test, seed)
     else:
@@ -197,119 +179,145 @@ def _evaluate_algorithm(algo: str, config: dict, train: RatingsDataset,
 
 # Every config key `reclab bench` reads, by dotted path, with its JSON type.
 # No other key is accepted at the top level or inside `dataset` and `split`.
-# A float key takes any number; none may be NaN or infinite.
+# A _NUMBER key takes any number; none may be NaN or infinite.
+_NUMBER = (int, float)
 _CONFIG_TYPES = {
     "dataset": dict, "dataset.path": str, "dataset.format": str,
-    "split": dict, "split.test_fraction": float, "split.seed": int,
+    "split": dict, "split.test_fraction": _NUMBER, "split.seed": int,
     "train": dict, "algorithms": list, "context_columns": list,
-    "similarity_kind": str, "neighborhood_size": int, "sigma_u": float,
-    "sigma_v": float, "fill_fraction": float, "repetitions": int,
+    "similarity_kind": str, "neighborhood_size": int, "sigma_u": _NUMBER,
+    "sigma_v": _NUMBER, "fill_fraction": _NUMBER, "repetitions": int,
 }
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
-                    int: "an integer", float: "a number"}
+                    int: "an integer", _NUMBER: "a number"}
 # every TrainConfig field but `seed`, which is always the repetition's split seed
 _TRAIN_KEYS = sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-_DEFAULT_SPLIT = {"test_fraction": 0.2, "seed": 42}
 
 
-def _split_spec(config: dict, rep: int = 0) -> SplitSpec:
-    """The split of repetition rep: the configured split seed plus rep."""
-    split = {**_DEFAULT_SPLIT, **config.get("split", {})}
-    return SplitSpec(test_fraction=split["test_fraction"], seed=split["seed"] + rep)
-
-
-def _check_config(config) -> None:
-    """Raise ValueError for a malformed bench config, before any work."""
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
+def _train_error(fields: dict) -> Optional[ValueError]:
+    """Why TrainConfig rejects fields, or None; an unset samples_per_epoch is 1."""
     try:
-        json.dumps(config, allow_nan=False)
-    except ValueError:
-        raise ValueError("config must not contain NaN or infinity") from None
-    except RecursionError:  # nested just short of _read_json's limit
-        raise ValueError("config nested too deeply") from None
-    for key in ("dataset", "algorithms"):
-        if key not in config:
-            raise ValueError(f"config missing required key {key!r}")
-    # the top level first, so `dataset` and `split` are known to be objects
-    for parent in ("", "dataset", "split"):
-        section = config.get(parent, {}) if parent else config
-        for key, value in section.items():
-            path = f"{parent}.{key}" if parent else key
-            if path not in _CONFIG_TYPES:
-                raise ValueError(f"unknown config key {path!r}; the README lists "
-                                 f"every key reclab bench reads")
-            kind = _CONFIG_TYPES[path]
-            ok = isinstance(value, (int, float) if kind is float else kind)
-            if not ok or isinstance(value, bool):
-                raise ValueError(f"config key {path!r} must be "
-                                 f"{_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    if "path" not in config["dataset"]:
-        raise ValueError("config missing required key 'dataset.path'")
-    if not all(isinstance(c, str) for c in config.get("context_columns", [])):
-        raise ValueError("config key 'context_columns' must list strings")
-    if config.get("context_columns") == []:
-        raise ValueError("config key 'context_columns' must name at least one column")
-    kinds = [kind.value for kind in SimilarityKind]
-    if config.get("similarity_kind", "cosine") not in kinds:
-        raise ValueError(f"config key 'similarity_kind' must be one of {kinds}, "
-                         f"got {config['similarity_kind']!r}")
-    for key in ("repetitions", "neighborhood_size"):
-        if config.get(key, 1) < 1:
-            raise ValueError(f"config key {key!r} must be >= 1, got {config[key]}")
-    for key in ("sigma_u", "sigma_v"):
-        if config.get(key, 1.0) <= 0:
-            raise ValueError(f"config key {key!r} must be positive, got {config[key]}")
-    if not 0 < config.get("fill_fraction", 1.0) <= 1:
-        raise ValueError(f"config key 'fill_fraction' must be in (0, 1], "
-                         f"got {config['fill_fraction']}")
-    algorithms = config["algorithms"]
-    if not algorithms:
-        raise ValueError("config key 'algorithms' must name at least one algorithm")
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ValueError(f"unknown algorithms {unknown}; registry: {ALGORITHMS}")
-    # the aggregate pools a report's rows by name, so a repeat would merge two rows
-    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
-    if repeated:
-        raise ValueError(f"algorithms listed more than once: {repeated}")
-    if "powermat" in algorithms and config["dataset"].get("format", "tab100k") in _FORMATS:
-        raise ValueError("powermat: context required (use a comoda dataset)")
-    for section, keys in config.get("train", {}).items():
-        if section != "default" and section not in REGISTRY:
-            raise ValueError(f"unknown train section {section!r}; expected "
-                             f"'default' or one of {ALGORITHMS}")
-        if section != "default" and REGISTRY[section].defaults is None:
-            reads = ("takes no training settings" if REGISTRY[section].fit is not _fit_hybrid
-                     else f"trains with train.{section.removesuffix('-hybrid')} and train.mf")
-            raise ValueError(f"config key 'train.{section}' is not read: {section} {reads}")
-        if not isinstance(keys, dict):
-            raise ValueError(f"config key 'train.{section}' must be an object")
-        unknown = sorted(set(keys) - set(_TRAIN_KEYS))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in train.{section}; "
-                             f"expected some of {_TRAIN_KEYS}")
-    # Build the TrainConfig of every trainer, the listed ones first, and the
-    # SplitSpec, so that a bad value in any section fails before anything is
-    # written. samples_per_epoch defaults to a train split's size; 1 stands in.
-    for algo in dict.fromkeys([*algorithms, *REGISTRY]):
-        if REGISTRY[algo].defaults is None:
-            continue
-        try:
-            _train_config(config, algo, 0, 1)
-        except ValueError as exc:
-            # blame train.default when the trainer's own section is valid alone
-            own = {"train": {algo: config.get("train", {}).get(algo, {})}}
-            try:
-                _train_config(own, algo, 0, 1)
-                section = "default"
-            except ValueError:
-                section = algo
-            raise ValueError(f"train.{section}: {exc}") from None
-    try:
-        _split_spec(config)
+        TrainConfig(**{"samples_per_epoch": 1, **fields, "seed": 0})
     except ValueError as exc:
-        raise ValueError(f"split: {exc}") from None
+        return exc
+
+
+@dataclasses.dataclass(frozen=True)
+class BenchConfig:
+    """A `reclab bench` config resolved from its JSON object `raw`, which is
+    kept only for the manifest. Building it is the check: a bad config is a
+    ValueError naming its key or section. Each default is written here once."""
+
+    raw: dict
+    dataset_path: Path = dataclasses.field(init=False)
+    dataset_format: str = dataclasses.field(init=False)
+    context_columns: list = dataclasses.field(init=False)  # read by comoda datasets only
+    split: SplitSpec = dataclasses.field(init=False)  # repetition r adds r to its seed
+    repetitions: int = dataclasses.field(init=False)
+    algorithms: tuple = dataclasses.field(init=False)
+    train: Dict[str, Dict] = dataclasses.field(init=False)  # TrainConfig fields but seed
+    similarity_kind: SimilarityKind = dataclasses.field(init=False)
+    neighborhood_size: int = dataclasses.field(init=False)
+    sigma_u: float = dataclasses.field(init=False)
+    sigma_v: float = dataclasses.field(init=False)
+    fill_fraction: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        config = self.raw
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        try:
+            json.dumps(config, allow_nan=False)
+        except ValueError:
+            raise ValueError("config must not contain NaN or infinity") from None
+        except RecursionError:  # nested just short of _read_json's limit
+            raise ValueError("config nested too deeply") from None
+        for key in ("dataset", "algorithms"):
+            if key not in config:
+                raise ValueError(f"config missing required key {key!r}")
+        # the top level first, so `dataset` and `split` are known to be objects
+        for parent in ("", "dataset", "split"):
+            for key, value in (config.get(parent, {}) if parent else config).items():
+                path = f"{parent}.{key}" if parent else key
+                if path not in _CONFIG_TYPES:
+                    raise ValueError(f"unknown config key {path!r}; the README lists "
+                                     f"every key reclab bench reads")
+                if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[path]):
+                    raise ValueError(f"config key {path!r} must be "
+                                     f"{_JSON_TYPE_NAMES[_CONFIG_TYPES[path]]}, got {value!r}")
+        dataset, split = config["dataset"], config.get("split", {})
+        sections = config.get("train", {})
+        if "path" not in dataset:
+            raise ValueError("config missing required key 'dataset.path'")
+        columns = config.get("context_columns", ["mood", "location"])
+        if not all(isinstance(c, str) for c in columns):
+            raise ValueError("config key 'context_columns' must list strings")
+        if not columns:
+            raise ValueError("config key 'context_columns' must name at least one column")
+        kind, kinds = config.get("similarity_kind", "cosine"), [k.value for k in SimilarityKind]
+        if kind not in kinds:
+            raise ValueError(f"config key 'similarity_kind' must be one of {kinds}, got {kind!r}")
+        values = {}  # each number key: its default, and the range its value must lie in
+        for key, default, ok, wanted in (
+                ("repetitions", 1, lambda v: v >= 1, ">= 1"),
+                ("neighborhood_size", 20, lambda v: v >= 1, ">= 1"),
+                ("sigma_u", 1.0, lambda v: v > 0, "positive"),
+                ("sigma_v", 1.0, lambda v: v > 0, "positive"),
+                ("fill_fraction", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")):
+            values[key] = config.get(key, default)
+            if not ok(values[key]):
+                raise ValueError(f"config key {key!r} must be {wanted}, got {values[key]}")
+        algorithms = tuple(config["algorithms"])
+        if not algorithms:
+            raise ValueError("config key 'algorithms' must name at least one algorithm")
+        unknown = [a for a in algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}; registry: {ALGORITHMS}")
+        # the aggregate pools a report's rows by name, so a repeat would merge two rows
+        repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithms listed more than once: {repeated}")
+        fmt = dataset.get("format", "tab100k")
+        if "powermat" in algorithms and fmt in _FORMATS:
+            raise ValueError("powermat: context required (use a comoda dataset)")
+        for section, keys in sections.items():
+            if section != "default" and section not in REGISTRY:
+                raise ValueError(f"unknown train section {section!r}; expected "
+                                 f"'default' or one of {ALGORITHMS}")
+            if section != "default" and REGISTRY[section].defaults is None:
+                reads = ("takes no training settings" if REGISTRY[section].fit is not _fit_hybrid
+                         else f"trains with train.{section.removesuffix('-hybrid')} and train.mf")
+                raise ValueError(f"config key 'train.{section}' is not read: {section} {reads}")
+            if not isinstance(keys, dict):
+                raise ValueError(f"config key 'train.{section}' must be an object")
+            unknown = sorted(set(keys) - set(_TRAIN_KEYS))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown} in train.{section}; "
+                                 f"expected some of {_TRAIN_KEYS}")
+        # every trainer's settings, the listed ones first: its registry
+        # defaults, then train.default, then train.<name>
+        train = {}
+        for algo in dict.fromkeys([*algorithms, *REGISTRY]):
+            if REGISTRY[algo].defaults is not None:
+                defaults, own = REGISTRY[algo].defaults, sections.get(algo, {})
+                train[algo] = {**defaults, **sections.get("default", {}), **own}
+                if exc := _train_error(train[algo]):
+                    # blame train.default when the trainer's own section is valid alone
+                    section = algo if _train_error({**defaults, **own}) else "default"
+                    raise ValueError(f"train.{section}: {exc}")
+        try:
+            spec = SplitSpec(split.get("test_fraction", 0.2), split.get("seed", 42))
+        except ValueError as exc:
+            raise ValueError(f"split: {exc}") from None
+        for name, value in dict(values, dataset_path=Path(dataset["path"]), dataset_format=fmt,
+                                context_columns=columns, split=spec, algorithms=algorithms,
+                                train=train, similarity_kind=SimilarityKind(kind)).items():
+            object.__setattr__(self, name, value)
+
+    def train_config(self, algo: str, seed: int, n_train: int) -> TrainConfig:
+        """algo's TrainConfig for one repetition: seed is its split seed, and
+        samples_per_epoch, where no section sets it, the train split's size."""
+        return TrainConfig(**{"samples_per_epoch": n_train, **self.train[algo], "seed": seed})
 
 
 def _diversity_input(obj) -> analysis.DiversityInput:
@@ -338,37 +346,32 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> None:
     algorithm, once per repetition seed. Writes per-seed and aggregate
     reports plus a manifest into out_dir (default `reclab-out`); these files
     are its result. The config itself is left unchanged."""
-    _check_config(config)
-    parsed = _load_dataset(Path(config["dataset"]["path"]),
-                           config["dataset"].get("format", "tab100k"),
-                           config.get("context_columns"))
-    repetitions = config.get("repetitions", 1)
+    bench = BenchConfig(config)
+    parsed = _load_dataset(bench.dataset_path, bench.dataset_format, bench.context_columns)
+    # split before the first write: every repetition's sides have these sizes
+    train, test = ingest.split(parsed.dataset, bench.split)
 
     out_dir = out_dir or Path("reclab-out")
-    manifest = {**config, "split": dataclasses.asdict(_split_spec(config))}
-    _write_json(out_dir / "manifest.json", manifest, indent=2)
+    _write_json(out_dir / "manifest.json", {**config, "split": dataclasses.asdict(bench.split)},
+                indent=2)
 
-    algorithms = config["algorithms"]
     columns = ("algo", "mae", "n")
     maes = []  # one list per repetition, in the listed order
-    for rep in range(repetitions):
-        spec = _split_spec(config, rep)
-        train, test = ingest.split(parsed.dataset, spec)
-        if not (len(train) and len(test)):
-            side = "test" if len(train) else "train"
-            raise DatasetError(f"split seed {spec.seed} with test_fraction "
-                               f"{spec.test_fraction} leaves the {side} side empty")
-        maes.append([_evaluate_algorithm(a, config, train, test, parsed, spec.seed)
-                     for a in algorithms])
-        rows = [(algo, mae, len(test)) for algo, mae in zip(algorithms, maes[-1])]
+    for rep in range(bench.repetitions):
+        spec = SplitSpec(bench.split.test_fraction, bench.split.seed + rep)
+        if rep:
+            train, test = ingest.split(parsed.dataset, spec)
+        maes.append([_evaluate_algorithm(a, bench, train, test, parsed, spec.seed)
+                     for a in bench.algorithms])
+        rows = [(algo, mae, len(test)) for algo, mae in zip(bench.algorithms, maes[-1])]
         _write_json(out_dir / f"report_seed{spec.seed}.json", {
             "split": {"test_fraction": spec.test_fraction, "seed": spec.seed},
             "rows": [dict(zip(columns, row)) for row in rows]})
         _write_csv(out_dir / f"report_seed{spec.seed}.csv", columns, rows)
 
-    aggregate = {"repetitions": repetitions, "rows": [
+    aggregate = {"repetitions": bench.repetitions, "rows": [
         {"algo": algo, "mae_mean": float(np.mean(vals)), "mae_std": float(np.std(vals))}
-        for algo, vals in zip(algorithms, zip(*maes))]}
+        for algo, vals in zip(bench.algorithms, zip(*maes))]}
     _write_json(out_dir / "aggregate.json", aggregate, indent=2)
 
 
@@ -421,11 +424,9 @@ def bench(config_path: Path, out_dir: Optional[Path]):
 @click.option("--format", "fmt", default="tab100k")
 @click.option("--input", "input_path", type=click.Path(path_type=Path),
               help="diversity mode: JSON with groups [[K, M], ...] and n_market")
-@click.option("--per-group-factorial", is_flag=True, default=False,
-              help="diversity mode: divide each term by M_i! instead of N!")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path),
               default=Path("reclab-out"))
-def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
+def analyze(mode, dataset_path, fmt, input_path, out_dir):
     """Zipf proportionality check or log-space diversity computation."""
     if mode == "zipf":
         if dataset_path is None:
@@ -441,14 +442,12 @@ def analyze(mode, dataset_path, fmt, input_path, per_group_factorial, out_dir):
         if input_path is None:
             raise ValueError("diversity mode requires --input")
         inp = _diversity_input(_read_json(input_path))
-        ordered = analysis.diversity_ordered(inp)
-        invariant = analysis.diversity_order_invariant(
-            inp, per_group_factorial=per_group_factorial)
-        # ln N! exactly: the rounded ordered count would cancel it when large
-        difference = (ordered - invariant if per_group_factorial
-                      else math.lgamma(inp.n_market + 1))
-        _write_json(out_dir / "diversity.json", {"ordered_ln": ordered, "invariant_ln": invariant,
-                                                 "difference_ln": difference})
+        # difference_ln is ln N! exactly: the rounded ordered count would
+        # cancel it when large
+        _write_json(out_dir / "diversity.json", {
+            "ordered_ln": analysis.diversity_ordered(inp),
+            "invariant_ln": analysis.diversity_order_invariant(inp),
+            "difference_ln": math.lgamma(inp.n_market + 1)})
 
 
 @main.command()

@@ -281,11 +281,14 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:
     """Seeded random partition into (train, test); both sides keep the
-    parent's n_users / n_items / r_max."""
+    parent's n_users / n_items / r_max. A side left empty is a DatasetError."""
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")
     n_test = int(round(spec.test_fraction * n))
+    if n_test in (0, n):
+        raise DatasetError(f"split seed {spec.seed} with test_fraction {spec.test_fraction} "
+                           f"leaves the {'test' if n_test == 0 else 'train'} side empty")
     rng = np.random.default_rng(spec.seed)
     in_test = np.zeros(n, dtype=bool)
     in_test[rng.permutation(n)[:n_test]] = True

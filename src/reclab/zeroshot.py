@@ -179,7 +179,7 @@ class ZeroShotPredictor(Predictor):
 
 
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
-                          fill_fraction: float = 1.0) -> RatingsDataset:
+                          fill_fraction: float) -> RatingsDataset:
     """Densify the training matrix: add predictor's rounded predictions for
     a seed-determined uniform sample of round(fill_fraction * |train|)
     unobserved cells."""

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from reclab.cli import BenchConfig
 from reclab.core import RatingsDataset
 from reclab.ingest import MovieLensFormat, parse_movielens
 
@@ -31,6 +32,12 @@ def from_rows(rows, n_users, n_items, r_max=5) -> RatingsDataset:
     """The dataset whose row k is the (user, item, value) triple rows[k]."""
     users, items, values = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     return RatingsDataset(users, items, values, n_users, n_items, r_max)
+
+
+def fit_config(**keys) -> BenchConfig:
+    """The BenchConfig of a bench config with these top-level keys, to call a
+    fit with: its dataset and algorithm list, which no fit reads, are stand-ins."""
+    return BenchConfig({"dataset": {"path": "unused"}, "algorithms": ["random"], **keys})
 
 
 def rows_of(ds: RatingsDataset) -> list:

@@ -25,7 +25,7 @@ from reclab.zeroshot import (dotmat_step, poissonmat_step, powermat_step,
                              powermat_train, train_zeroshot, zeromat_step,
                              ZeroShotPredictor)
 
-from conftest import make_structured_dataset
+from conftest import fit_config, make_structured_dataset
 
 SPLIT_SEED = 42
 ALGOS = ("itemcf", "mf", "random", "zeromat", "dotmat", "poissonmat",
@@ -39,7 +39,7 @@ def harness(benchmark_dataset):
     seconds = {}
     for algo in ALGOS:
         start = time.perf_counter()
-        maes[algo] = _evaluate_algorithm(algo, {}, train, test, None, SPLIT_SEED)
+        maes[algo] = _evaluate_algorithm(algo, fit_config(), train, test, None, SPLIT_SEED)
         seconds[algo] = time.perf_counter() - start
     return {"maes": maes, "seconds": seconds}
 
@@ -117,8 +117,8 @@ def test_criterion_4_data_freedom(report):
         seen.add((u, j))
         ctx = [int(rng.integers(0, 4)) for _ in range(3)]
         rows.append((u, j, int(rng.integers(1, 6)), ctx))
-    config = {"train": {"powermat": {"gamma": 0.0005, "k": 4, "epochs": 3,
-                                     "samples_per_epoch": 80}}}
+    config = fit_config(train={"powermat": {"gamma": 0.0005, "k": 4, "epochs": 3,
+                                            "samples_per_epoch": 80}})
     predictions = []
     for flip in (False, True):
         text = "userID,itemID,rating,mood,location,weather\n" + "".join(
@@ -140,7 +140,7 @@ def test_criterion_5_time_order_invariance(report):
     permuted = RatingsDataset(train.users[::-1], train.items[::-1], train.values[::-1],
                               n_users=train.n_users, n_items=train.n_items,
                               r_max=train.r_max)
-    config = {"train": {"default": {"epochs": 3}}}
+    config = fit_config(train={"default": {"epochs": 3}})
     results = {}
     for algo in ("itemcf", "mf", "zeromat", "dotmat", "poissonmat",
                  "dotmat-hybrid"):

@@ -131,13 +131,6 @@ class TestDiversity:
         expected = exact_ln_diversity([(1, 5)], 10, order_invariant=True)
         assert diversity_order_invariant(inp) == pytest.approx(expected, abs=1e-9)
 
-    def test_per_group_factorial_mode(self):
-        inp = DiversityInput(groups=((1, 3), (2, 4)), n_market=5)
-        expected = math.log(5 ** 3 / math.factorial(3)
-                            + 2 * 5 ** 4 / math.factorial(4))
-        assert diversity_order_invariant(inp, per_group_factorial=True) == \
-            pytest.approx(expected, abs=1e-9)
-
     def test_huge_inputs_stay_finite(self):
         inp = DiversityInput(groups=((1000, 5000), (20, 30)), n_market=100000)
         assert math.isfinite(diversity_ordered(inp))
@@ -154,15 +147,11 @@ class TestDiversity:
                            for _ in range(int(rng.integers(1, 8))))
             inp = DiversityInput(groups=groups, n_market=n_market)
             terms = np.array([math.log(k) + m * math.log(n_market) for k, m in groups])
-            watched = np.array([m for _, m in groups])
             ordered = float(logsumexp(terms))
             invariant = ordered - float(gammaln(n_market + 1))
-            per_group = float(logsumexp(terms - gammaln(watched + 1)))
             close = dict(rel=1e-12, abs=1e-12)
             assert diversity_ordered(inp) == pytest.approx(ordered, **close)
             assert diversity_order_invariant(inp) == pytest.approx(invariant, **close)
-            assert diversity_order_invariant(inp, per_group_factorial=True) == \
-                pytest.approx(per_group, **close)
 
     def test_numpy_and_big_integers_are_counts(self):
         inp = DiversityInput(groups=((np.int64(3), np.int32(2)), (2 ** 70, 1)),

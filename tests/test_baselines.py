@@ -242,22 +242,22 @@ class TestCfPredict:
     def test_single_neighbor(self):
         train = from_rows([(0, 1, 4)], 1, 2)
         sims = self.sims([[1.0, 0.8], [0.8, 1.0]])
-        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train, 2).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_equal_weights_average(self):
         train = from_rows([(0, 1, 5), (0, 2, 3)], 1, 3)
         sims = self.sims([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
-        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train, 3).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_hand_computed_weighted_average(self):
         train = from_rows([(0, 1, 5), (0, 2, 2)], 1, 3)
         sims = self.sims([[1, 0.5, 0.25], [0.5, 1, 0], [0.25, 0, 1]])
-        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train, 3).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_fallback_is_global_mean(self):
         train = from_rows([(0, 1, 5), (1, 0, 3)], 2, 2)
         sims = self.sims([[1, 0], [0, 1]])  # no cross-similarity
-        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train, 2).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_prediction_within_neighbor_range(self):
         ds = generate_zipf(40, 25, 600, 1.0, 5, seed=10)

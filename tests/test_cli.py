@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from reclab.core import RatingsDataset, TrainConfig
 from reclab.evaluation import Predictor
 from reclab.ingest import ParseResult, SplitSpec, generate_zipf, split, write_movielens
 from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
+
+from conftest import fit_config
 
 HYBRIDS = [a for a in ALGORITHMS if a.endswith("-hybrid")]
 
@@ -450,11 +453,12 @@ class TestBench:
         data.write_text("1\t1\t4\t0\n2\t1\t3\t0\n")
         config = bench_config(data, tmp_path, ["random", "mf"],
                               split={"test_fraction": 0.8, "seed": 42})
-        result = runner.invoke(main, ["bench", "--config", str(config),
-                                      "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == ("error: split seed 42 with test_fraction 0.8 "
                                  "leaves the train side empty\n")
+        assert not out.exists()
 
     def test_non_finite_context_exits_one(self, runner, comoda_file, tmp_path):
         # bad input (exit 1), not a divergence of PowerMat (exit 2)
@@ -476,6 +480,54 @@ class TestBench:
         assert result.output.startswith("error: line ") and result.output.count("\n") == 1
         assert "field larger than field limit" in result.output
         assert not (out / "manifest.json").exists()
+
+
+def readme_config_table():
+    """{key: stated default} from the README's bench config table; a row that
+    names two keys states one default for both."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | value | default | read by |") + 2  # past the rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys, _, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        table.update(dict.fromkeys((key.strip("`") for key in keys.split(", ")), default))
+    return table
+
+
+def with_key(config, path, value):
+    """config with the dotted key path set to value."""
+    *parent, key = path.split(".")
+    if parent:
+        return {**config, parent[0]: {**config.get(parent[0], {}), key: value}}
+    return {**config, key: value}
+
+
+class TestConfigTable:
+    MINIMAL = {"dataset": {"path": "u.data"}, "algorithms": ["random"]}
+
+    def test_lists_every_key_the_config_accepts(self):
+        # `dataset` and `split` are sections, listed by their keys
+        assert set(readme_config_table()) | {"dataset", "split"} == set(cli._CONFIG_TYPES)
+
+    @pytest.mark.parametrize("key, default", readme_config_table().items())
+    def test_stated_default_is_the_one_filled_in(self, key, default):
+        if default == "required":
+            config = copy.deepcopy(self.MINIMAL)
+            *parent, last = key.split(".")
+            del (config[parent[0]] if parent else config)[last]
+            with pytest.raises(ValueError, match=f"^config missing required key '{key}'$"):
+                cli.BenchConfig(config)
+            return
+        try:
+            value = json.loads(default.strip("`"))
+        except ValueError:
+            value = default.strip("`")
+        typed = lambda config: [getattr(config, f.name) for f in dataclasses.fields(config)
+                                if f.name != "raw"]
+        stated = cli.BenchConfig(with_key(self.MINIMAL, key, value))
+        assert typed(stated) == typed(cli.BenchConfig(self.MINIMAL))
 
 
 class TestExitCodes:
@@ -550,17 +602,17 @@ class TestEvaluateAlgorithm:
         monkeypatch.setitem(REGISTRY, "mf",
                             cli.Algorithm({}, lambda *args: ConstantPredictor(value)))
         with pytest.raises(ValueError, match=f"^mf: mae must be finite and >= 0, got {value}$"):
-            cli._evaluate_algorithm("mf", {}, *self.train_test(), None, 8)
+            cli._evaluate_algorithm("mf", fit_config(), *self.train_test(), None, 8)
 
     def test_negative_mae_rejected(self, monkeypatch):
         monkeypatch.setattr(cli.evaluation, "mae", lambda predictor, test: -0.1)
         with pytest.raises(ValueError, match="^mf: mae must be finite and >= 0, got -0.1$"):
-            cli._evaluate_algorithm("mf", {"train": {"mf": {"epochs": 1}}},
+            cli._evaluate_algorithm("mf", fit_config(train={"mf": {"epochs": 1}}),
                                     *self.train_test(), None, 8)
 
     def test_returns_the_mae_as_a_float(self):
         train, test = self.train_test()
-        mae = cli._evaluate_algorithm("random", {}, train, test, None, 8)
+        mae = cli._evaluate_algorithm("random", fit_config(), train, test, None, 8)
         assert type(mae) is float and mae == cli.evaluation.random_baseline_mae(test, 8)
 
 
@@ -576,7 +628,7 @@ class TestRegistry:
         in_train = (users != 5) & (items != 6)
         train = RatingsDataset(users[in_train], items[in_train], values[in_train],
                                n_users=6, n_items=7)
-        predictor = REGISTRY[algo].fit(algo, {}, train, parsed, 3)
+        predictor = REGISTRY[algo].fit(algo, fit_config(), train, parsed, 3)
         assert_total(predictor, 6, 7)
 
     @pytest.mark.parametrize("algo, rule", [("zeromat", zeromat_step),
@@ -587,7 +639,7 @@ class TestRegistry:
         models = []
         monkeypatch.setattr(reclab.cli, "train_zeroshot",
                             lambda *args: models.append(train_zeroshot(*args)) or models[-1])
-        REGISTRY[algo].fit(algo, {"train": {"default": {"k": 3}}}, train, None, 4)
+        REGISTRY[algo].fit(algo, fit_config(train={"default": {"k": 3}}), train, None, 4)
         cfg = TrainConfig(**{**REGISTRY[algo].defaults, "k": 3}, seed=4,
                           samples_per_epoch=len(train))
         expected = train_zeroshot(rule, 20, 25, cfg)
@@ -604,7 +656,7 @@ class TestRegistry:
         real = reclab.cli.powermat_train
         monkeypatch.setattr(reclab.cli, "powermat_train",
                             lambda *args, **kw: passed.append(args[:3]) or real(*args, **kw))
-        REGISTRY["powermat"].fit("powermat", {}, train, parsed, 3)
+        REGISTRY["powermat"].fit("powermat", fit_config(), train, parsed, 3)
         users, items, contexts = passed[0]
         assert list(zip(users.tolist(), items.tolist())) == [(0, 3), (2, 1)]
         assert contexts.tolist() == [[0.0], [2.0]]
@@ -612,7 +664,7 @@ class TestRegistry:
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_vanishing_fill_equals_plain_mf(self, hybrid):
         train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
-        config = {"fill_fraction": 1e-9, "train": {"mf": {"k": 4, "epochs": 3}}}
+        config = fit_config(fill_fraction=1e-9, train={"mf": {"k": 4, "epochs": 3}})
         model = REGISTRY[hybrid].fit(hybrid, config, train, None, 5).model
         plain = REGISTRY["mf"].fit("mf", config, train, None, 5).model
         assert np.array_equal(model.U, plain.U)
@@ -630,7 +682,7 @@ class TestRegistry:
             monkeypatch.setattr(reclab.cli, name, recording(getattr(reclab.cli, name)))
 
         def factors(sections):
-            model = REGISTRY[hybrid].fit(hybrid, {"train": sections}, train, None, 5).model
+            model = REGISTRY[hybrid].fit(hybrid, fit_config(train=sections), train, None, 5).model
             return np.concatenate([model.U, model.V])
 
         sections = {base: {"epochs": 1}, "mf": {"gamma": 0.01, "epochs": 4}}
@@ -639,7 +691,7 @@ class TestRegistry:
         assert (zs_cfg.gamma, zs_cfg.epochs) == (2e-5, 1)  # the base's defaults and section
         assert (mf_cfg.gamma, mf_cfg.epochs) == (0.01, 4)
         # the zero-shot stage trains as the base algorithm's own fit does
-        REGISTRY[base].fit(base, {"train": sections}, train, None, 5)
+        REGISTRY[base].fit(base, fit_config(train=sections), train, None, 5)
         assert configs[-1] == zs_cfg
         assert not np.array_equal(factors({**sections, base: {"k": 2}}), reference)
         assert not np.array_equal(factors({**sections, "mf": {"epochs": 4}}), reference)
@@ -650,7 +702,7 @@ class TestRegistry:
         base = hybrid.removesuffix("-hybrid")
         section = {"gamma": 2e-5 if base == "poissonmat" else 0.004, "epochs": 2, "k": 3}
         # train.mf, which a wrong composition would give the zero-shot stage
-        config = {"fill_fraction": 0.6, "train": {base: section, "mf": {"k": 5}}}
+        config = fit_config(fill_fraction=0.6, train={base: section, "mf": {"k": 5}})
         passed = []
         real = reclab.cli.augment_with_zeroshot
         monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
@@ -675,7 +727,7 @@ class TestRegistry:
                                     max_size=len(cells)), label="values")
         users, items = np.divmod(np.array(cells), n_items)
         train = RatingsDataset(users, items, values, n_users, n_items, r_max)
-        config = {"similarity_kind": kind, "neighborhood_size": size}
+        config = fit_config(similarity_kind=kind, neighborhood_size=size)
         predictor = REGISTRY["itemcf"].fit("itemcf", config, train, None, 0)
         assert_total(predictor, n_users, n_items, r_max)
 
@@ -773,10 +825,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag, difference", [
         # the published form divides by N!, so the difference is ln N! exactly
-        ([], math.lgamma(101)),
-        # one group's M! divisor, computed as ordered - invariant
-        (["--per-group-factorial"], pytest.approx(math.lgamma(10.0 ** 74 + 1), rel=1e-12))],
-        ids=["published", "per-group"])
+        ([], math.lgamma(101))],
+        ids=["published"])
     def test_large_ordered_count_keeps_the_difference(self, runner, tmp_path, flag,
                                                       difference):
         inp = tmp_path / "groups.json"

@@ -58,8 +58,15 @@ def test_constructor_from_lists_and_from_arrays(case):
 def test_split_partitions_rows_in_order(case, fraction, seed):
     rows, n_users, n_items, r_max = case
     ds = from_rows(rows, n_users, n_items, r_max)
+    n_test = int(round(fraction * len(ds)))
+    if n_test in (0, len(ds)):  # a side would be empty: an error naming the split
+        side = "test" if n_test == 0 else "train"
+        with pytest.raises(DatasetError, match=f"^split seed {seed} with test_fraction "
+                                               f".* leaves the {side} side empty$"):
+            split(ds, SplitSpec(fraction, seed))
+        return
     train, test = split(ds, SplitSpec(fraction, seed))
-    assert len(test) == int(round(fraction * len(ds)))
+    assert len(test) == n_test
     assert len(train) + len(test) == len(ds)
     position = {key: k for k, key in enumerate(ds.keys().tolist())}
     for part in (train, test):

@@ -12,7 +12,7 @@ from reclab.zeroshot import (TrainStats, ZeroShotPredictor,
                              poissonmat_step, powermat_step, powermat_train,
                              train_zeroshot, zeromat_step)
 
-from conftest import rows_of
+from conftest import fit_config, rows_of
 
 EPS = 1e-6
 
@@ -180,7 +180,7 @@ class TestPowerMat:
         for vals in (values, 1 + (values % 5)):
             dataset = RatingsDataset(users, items, vals, self.N_USERS, self.N_ITEMS)
             parsed = ParseResult(dataset, contexts=contexts)
-            cli.REGISTRY["powermat"].fit("powermat", {"train": {"powermat": {"epochs": 3}}},
+            cli.REGISTRY["powermat"].fit("powermat", fit_config(train={"powermat": {"epochs": 3}}),
                                          dataset, parsed, 7)
         a, b = models
         assert np.array_equal(a.factors.U, b.factors.U)
