@@ -313,7 +313,9 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     counts proportional to the value itself.
 
     Item j (popularity rank j+1) is drawn with weight (j+1)^-exponent; the
-    rating value v is drawn with probability v / sum(1..r_max).
+    rating value v is drawn with probability v / sum(1..r_max). A cell keeps
+    its first draw; if 200 rounds of draws leave cells to place, the rest are
+    the first free cells in row-major order.
     """
     if not (0 < exponent < math.inf):  # NaN fails both comparisons
         raise ValueError(f"exponent must be positive and finite, got {exponent}")
@@ -346,7 +348,7 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         keys = keys[first]
         values = values[first]
     if len(keys) < n_ratings:
-        free = np.setdiff1d(np.arange(n_users * n_items), keys)[:n_ratings - len(keys)]
+        free = np.setdiff1d(np.arange(n_ratings), keys)[:n_ratings - len(keys)]
         keys = np.concatenate([keys, free])
         free_values = np.searchsorted(values_cum, rng.random(len(free))) + 1
         values = np.concatenate([values, free_values])

@@ -181,29 +181,27 @@ class ZeroShotPredictor(Predictor):
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
                           fill_fraction: float) -> RatingsDataset:
     """Densify the training matrix: add predictor's rounded predictions for
-    a seed-determined uniform sample of round(fill_fraction * |train|)
-    unobserved cells."""
+    min(round(fill_fraction * |train|), free cells) unobserved cells, the
+    first draws of untaken cells from the stream seeded with `seed`."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if not (0.0 < fill_fraction <= 1.0):
         raise ValueError("fill_fraction must be in (0, 1]")
-    n_fill = int(round(fill_fraction * len(train)))
-    n_fill = min(n_fill, train.n_users * train.n_items - len(train))
+    grid = train.n_users * train.n_items
+    n = len(train) + min(int(round(fill_fraction * len(train))), grid - len(train))
     # m draws against [n_users, n_items] tiled m times are the stream of m
-    # alternating scalar (user, item) draws. A cell is kept at its first draw
-    # unless it is in train or kept already; the first n_fill kept are filled.
+    # alternating scalar (user, item) draws. A cell keeps its first draw, as
+    # in generate_zipf; train's distinct keys come first, so they keep their
+    # rows. Sizing m by the untaken share keeps dense trains to a few rounds.
     rng = np.random.default_rng(seed)
-    taken = np.sort(train.keys())
-    kept = np.empty(0, dtype=np.int64)
-    while len(kept) < n_fill:
-        m = max(2 * (n_fill - len(kept)), 1024)
+    keys = train.keys()
+    while len(keys) < n:
+        m = max(-(-2 * (n - len(keys)) * grid // (grid - len(keys))), 1024)
         u, j = rng.integers(0, np.tile([train.n_users, train.n_items], m)).reshape(m, 2).T
-        drawn = u * train.n_items + j
-        cells, first = np.unique(drawn, return_index=True)  # the sort path, not hashing
-        new = taken[np.minimum(np.searchsorted(taken, cells), len(taken) - 1)] != cells
-        kept = np.concatenate([kept, drawn[np.sort(first[new])]])
-        taken = np.sort(np.concatenate([taken, cells[new]]))
-    users, items = np.divmod(np.concatenate([train.keys(), kept[:n_fill]]), train.n_items)
+        keys = np.concatenate([keys, u * train.n_items + j])
+        first = np.sort(np.unique(keys, return_index=True)[1])[:n]
+        keys = keys[first]
+    users, items = np.divmod(keys, train.n_items)
     # predictions lie in [1, r_max]; rint rounds halves to even, as round() does
     fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
     values = np.concatenate([train.values, fills.astype(np.int64)])

@@ -487,6 +487,8 @@ class TestGenerateZipf:
         (40, 40, 400, 1.2, 4, 9),
         # the tail items are never drawn, so the row-major fill completes the grid
         (3, 40, 120, 8.0, 5, 1),
+        # 35 cells drawn, 65 completed row-major inside a 20,000-cell grid
+        (10, 2000, 100, 8.0, 5, 4),
     ])
     def test_matches_sequential_reference(self, args):
         ds = generate_zipf(*args)
@@ -550,6 +552,17 @@ class TestGenerateZipf:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    def test_row_major_completion_allocates_no_grid(self):
+        # the 10**7-cell grid's free cells would take 80 MB; the completion reads 1,000
+        tracemalloc.start()
+        try:
+            ds = generate_zipf(100, 10 ** 5, 1000, 8.0, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 1000
+        assert peak < 20_000_000
 
     @pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_exponent_rejected(self, exponent):

@@ -301,6 +301,10 @@ class TestHybrid:
         pytest.param(_grid_train(40, 40, [c for c in range(1600) if c % 5]), 1.0,
                      id="dense"),
         pytest.param(_grid_train(7, 3, range(0, 21, 2)), 1.0, id="dense-7x3"),
+        # half the grid taken: every free cell is filled
+        pytest.param(_grid_train(60, 60, range(0, 3600, 2)), 1.0, id="half-60x60"),
+        # 1,799 of the 1,800 free cells are filled
+        pytest.param(_grid_train(59, 61, range(0, 3598, 2)), 1.0, id="all-but-one-59x61"),
         pytest.param(generate_zipf(50, 40, 600, 1.0, 5, seed=42), 0.3, id="fraction"),
         pytest.param(generate_zipf(3, 500, 400, 1.0, 5, seed=43), 1.0, id="non-square"),
         # a bound of 1 draws nothing from the stream
