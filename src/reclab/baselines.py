@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FactorModel, RatingsDataset, TrainConfig, TrainingError, _readonly
+from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError, _readonly
 from .evaluation import Predictor
 
 
@@ -168,7 +168,6 @@ class CfPredictor(Predictor):
             raise ValueError("neighborhood_size must be >= 1")
         self.sims = sims
         self.neighborhood_size = neighborhood_size
-        self.r_max = train.r_max
         self.fallback = train.global_mean()
         users, self._items, self._values = train.arrays()
         # user u's rated items are _items[_bounds[u]:_bounds[u + 1]]
@@ -200,7 +199,7 @@ class CfPredictor(Predictor):
             num = np.bincount(row[top], weights=(s * r)[top], minlength=n)
             den = np.bincount(row[top], weights=np.abs(s[top]), minlength=n)
             np.divide(num, den, out=preds[rows], where=den > 0)
-        return np.clip(preds, 1.0, self.r_max)
+        return np.clip(preds, 1.0, R_MAX)
 
 
 @dataclass
@@ -363,15 +362,14 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
 
 
 class MfPredictor(Predictor):
-    """The factor model's dot product U_u . V_i, clamped to [1, r_max]."""
+    """The factor model's dot product U_u . V_i, clamped to [1, R_MAX]."""
 
-    def __init__(self, model: FactorModel, r_max: int):
+    def __init__(self, model: FactorModel):
         self.model = model
-        self.r_max = r_max
 
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         scores = np.vecdot(self.model.U[users], self.model.V[items])
-        return np.clip(scores, 1.0, self.r_max)
+        return np.clip(scores, 1.0, R_MAX)
 
 
 def mf_loss(train: RatingsDataset, U: np.ndarray, V: np.ndarray) -> float:

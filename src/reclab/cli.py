@@ -97,13 +97,13 @@ def _fit_itemcf(algo, config, train, parsed, seed) -> Predictor:
 
 def _fit_mf(algo, config, train, parsed, seed) -> Predictor:
     model = mf_train(train, config.train_config(algo, seed, len(train)))
-    return MfPredictor(model, train.r_max)
+    return MfPredictor(model)
 
 
 def _fit_shape_only(rule, algo, config, train, parsed, seed) -> Predictor:
     cfg = config.train_config(algo, seed, len(train))
     model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
-    return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
+    return ZeroShotPredictor(model, cfg.eps_floor)
 
 
 def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
@@ -119,7 +119,7 @@ def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
                            parsed.contexts[in_train], cfg,
                            n_users=train.n_users, n_items=train.n_items,
                            sigma_u=config.sigma_u, sigma_v=config.sigma_v)
-    return ZeroShotPredictor(model.factors, train.r_max, cfg.eps_floor)
+    return ZeroShotPredictor(model.factors, cfg.eps_floor)
 
 
 def _fit_hybrid(algo, config, train, parsed, seed) -> Predictor:

@@ -9,6 +9,9 @@ from typing import Optional
 
 import numpy as np
 
+# the rating scale: every rating is an integer in [1, R_MAX]
+R_MAX = 5
+
 
 class DatasetError(ValueError):
     """A dataset violates its bounds or uniqueness rules."""
@@ -40,10 +43,16 @@ def _check_range(name: str, column: np.ndarray, lo: int, hi: int) -> None:
         raise DatasetError(f"{name} {column[bad[0]]} outside [{lo}, {hi}] at row {bad[0]}")
 
 
+def _check_grid(n_users, n_items) -> None:
+    """int64 cell keys user * n_items + item need a grid of under 2^63 cells."""
+    if int(n_users) * int(n_items) >= 2 ** 63:  # in Python ints, which cannot wrap
+        raise DatasetError(f"a {n_users}x{n_items} grid overflows int64 cell keys")
+
+
 @dataclass(frozen=True, eq=False)
 class RatingsDataset:
-    """Sparse integer rating triples with scale bounds: row k is
-    (users[k], items[k], values[k]).
+    """Sparse integer rating triples on an n_users x n_items grid: row k is
+    (users[k], items[k], values[k]), a rating in [1, R_MAX].
 
     The rows are stored once, as three read-only int64 columns `users`,
     `items` and `values`, in the order they were given. Duplicate
@@ -57,21 +66,19 @@ class RatingsDataset:
     values: np.ndarray
     n_users: int
     n_items: int
-    r_max: int = 5
 
     def __post_init__(self):
-        n_users, n_items, r_max = self.n_users, self.n_items, self.r_max
+        n_users, n_items = self.n_users, self.n_items
         if n_users < 0 or n_items < 0:
             raise DatasetError("n_users and n_items must be nonnegative")
-        if r_max < 1:
-            raise DatasetError(f"r_max must be >= 1, got {r_max}")
+        _check_grid(n_users, n_items)
         columns = [np.asarray(c) for c in (self.users, self.items, self.values)]
         if len({c.size for c in columns}) > 1:
             raise DatasetError("user, item and value columns differ in length")
         if any(c.size and c.dtype.kind not in "iu" for c in columns):
             raise DatasetError("user ids, item ids and values must be integers")
         users, items, values = (_readonly(c, np.int64) for c in columns)
-        _check_range("rating value", values, 1, r_max)
+        _check_range("rating value", values, 1, R_MAX)
         _check_range("user_id", users, 0, n_users - 1)
         _check_range("item_id", items, 0, n_items - 1)
         keys, counts = np.unique(users * n_items + items, return_counts=True)
@@ -84,8 +91,7 @@ class RatingsDataset:
 
     def __reduce__(self):
         # copy and pickle rebuild through the validator, so columns stay read-only
-        return (RatingsDataset, (self.users, self.items, self.values,
-                                 self.n_users, self.n_items, self.r_max))
+        return (RatingsDataset, (self.users, self.items, self.values, self.n_users, self.n_items))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -7,12 +7,12 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import DatasetError, RatingsDataset
+from .core import R_MAX, DatasetError, RatingsDataset
 
 
 class Predictor(ABC):
     """Uniform prediction interface: total over in-range (u, i) and always
-    within [1, r_max]."""
+    within [1, R_MAX]."""
 
     @abstractmethod
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -30,9 +30,9 @@ def mae(predictor: Predictor, test: RatingsDataset) -> float:
 
 
 def random_baseline_mae(test: RatingsDataset, seed: int) -> float:
-    """MAE of guessing a uniform random integer in [1, r_max] per cell."""
+    """MAE of guessing a uniform random integer in [1, R_MAX] per cell."""
     if len(test) == 0:
         raise DatasetError("empty test set")
     rng = np.random.default_rng(seed)
-    guesses = rng.integers(1, test.r_max + 1, size=len(test))
+    guesses = rng.integers(1, R_MAX + 1, size=len(test))
     return float(np.mean(np.abs(guesses - test.values)))

@@ -13,11 +13,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DatasetError, RatingsDataset
+from .core import R_MAX, DatasetError, RatingsDataset, _check_grid
 
-# CoMoDa's id and rating columns, and its rating scale
+# CoMoDa's id and rating columns
 COMODA_USER, COMODA_ITEM, COMODA_RATING = "userID", "itemID", "rating"
-COMODA_R_MAX = 5
 
 
 class ParseError(ValueError):
@@ -92,15 +91,15 @@ def _kept_rows(keys: np.ndarray) -> np.ndarray:
     return order[np.roll(run_start, -1)][np.argsort(order[run_start])]
 
 
-def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int], values,
-             r_max: int) -> Tuple[ParseResult, np.ndarray]:
+def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int],
+             values) -> Tuple[ParseResult, np.ndarray]:
     """The parse of rows (user id, item id, value), with users and items given
     as (dense ids, id count): each repeated cell at its first position with
     its last row. Also returns the source row of each dataset row."""
     (users, n_users), (items, n_items) = users, items
     values = np.asarray(values, dtype=np.int64)
     rows = _kept_rows(users * n_items + items)
-    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items, r_max)
+    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items)
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
 
 
@@ -127,7 +126,7 @@ def _integer_fields(data: bytes, sep: str) -> Optional[np.ndarray]:
     same way. Lines end in LF or CR LF, and blank lines are allowed. Every
     other line is four fields split by `sep`, each of 1 to 18 ASCII digits
     (so it fits in int64). An id has no leading zero, since `01` and `1`
-    are two ids, and a rating is one digit from 1 to 5."""
+    are two ids, and a rating is one digit from 1 to R_MAX."""
     sep_char = sep[0].encode()
     if data.translate(None, b"0123456789\r\n" + sep_char):
         return None
@@ -146,7 +145,7 @@ def _integer_fields(data: bytes, sep: str) -> Optional[np.ndarray]:
     ratings = b[starts[:, 2]]
     if (widths[:, 0::2].max() > 18 or (widths[:, 4] != 1).any()
             or ((b[starts[:, :2]] == ord("0")) & (widths[:, 0:3:2] > 1)).any()
-            or (ratings < ord("1")).any() or (ratings > ord("5")).any()):
+            or (ratings < ord("1")).any() or (ratings > ord("0") + R_MAX).any()):
         return None
     # The three gaps inside each line must be exactly `sep`. When they hold
     # every separator character of the file, the other gaps hold line ends only.
@@ -176,7 +175,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     fields = _integer_fields(data, sep)
     if fields is not None:
         return _dataset(_dense_int_ids(fields[:, 0]), _dense_int_ids(fields[:, 1]),
-                        fields[:, 2], r_max=5)[0]
+                        fields[:, 2])[0]
     users, items, values = [], [], []
     for line_no, raw_line in enumerate(_lines(data), start=1):
         line = raw_line.rstrip("\n")
@@ -192,8 +191,8 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
             int(raw_ts)  # checked, not kept
         except ValueError as exc:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
-        if not (1 <= value <= 5):
-            raise DatasetError(f"line {line_no}: rating {value} outside [1, 5]")
+        if not (1 <= value <= R_MAX):
+            raise DatasetError(f"line {line_no}: rating {value} outside [1, {R_MAX}]")
         user, item = raw_user.strip(), raw_item.strip()
         if not (user and item):
             raise ParseError(f"empty {'item' if user else 'user'} id", line_no)
@@ -201,7 +200,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
         items.append(item)
         values.append(value)
 
-    return _dataset(_dense_ids(users), _dense_ids(items), values, r_max=5)[0]
+    return _dataset(_dense_ids(users), _dense_ids(items), values)[0]
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
@@ -216,7 +215,7 @@ def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFor
 
 def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
-    ratings on a 1-5 scale), from any source `parse_movielens` accepts, into
+    ratings in [1, R_MAX]), from any source `parse_movielens` accepts, into
     a dataset plus its contexts, of shape (len(dataset), len(context_columns)).
 
     Ids are compared without surrounding whitespace. Context columns hold
@@ -249,8 +248,8 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
             value = int(row[rating_col])
         except ValueError:
             raise ParseError(f"non-numeric rating {row[rating_col]!r}", line_no) from None
-        if not (1 <= value <= COMODA_R_MAX):
-            raise DatasetError(f"line {line_no}: rating {value} outside [1, {COMODA_R_MAX}]")
+        if not (1 <= value <= R_MAX):
+            raise DatasetError(f"line {line_no}: rating {value} outside [1, {R_MAX}]")
         user, item = row[user_col].strip(), row[item_col].strip()
         if not (user and item):
             raise ParseError(f"empty {'item' if user else 'user'} id", line_no)
@@ -271,8 +270,7 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
         values.append(value)
         contexts.append(context)
 
-    result, rows = _dataset(_dense_ids(users), _dense_ids(items), values,
-                            r_max=COMODA_R_MAX)
+    result, rows = _dataset(_dense_ids(users), _dense_ids(items), values)
     result.contexts = np.array(contexts, dtype=np.float64).reshape(
         len(contexts), len(context_columns))[rows]
     result.contexts.flags.writeable = False
@@ -281,7 +279,7 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:
     """Seeded random partition into (train, test); both sides keep the
-    parent's n_users / n_items / r_max. A side left empty is a DatasetError."""
+    parent's n_users and n_items. A side left empty is a DatasetError."""
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")
@@ -294,7 +292,7 @@ def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, Rat
     in_test[rng.permutation(n)[:n_test]] = True
     make = lambda mask: RatingsDataset(
         dataset.users[mask], dataset.items[mask], dataset.values[mask],
-        dataset.n_users, dataset.n_items, dataset.r_max)
+        dataset.n_users, dataset.n_items)
     return make(~in_test), make(in_test)
 
 
@@ -308,12 +306,12 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
 
 
 def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
-                  r_max: int = 5, seed: int = 0) -> RatingsDataset:
+                  seed: int = 0) -> RatingsDataset:
     """Synthetic dataset with power-law item popularity and rating-value
     counts proportional to the value itself.
 
     Item j (popularity rank j+1) is drawn with weight (j+1)^-exponent; the
-    rating value v is drawn with probability v / sum(1..r_max). A cell keeps
+    rating value v is drawn with probability v / sum(1..R_MAX). A cell keeps
     its first draw; if 200 rounds of draws leave cells to place, the rest are
     the first free cells in row-major order.
     """
@@ -321,8 +319,7 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         raise ValueError(f"exponent must be positive and finite, got {exponent}")
     if n_ratings < 0:
         raise ValueError(f"n_ratings must be >= 0, got {n_ratings}")
-    if n_users * n_items >= 2 ** 63:  # checked before any array is allocated
-        raise ValueError(f"a {n_users}x{n_items} grid overflows int64 cell keys")
+    _check_grid(n_users, n_items)  # before any array is allocated
     if n_ratings > n_users * n_items:
         raise DatasetError(
             f"cannot place {n_ratings} distinct ratings on a "
@@ -330,7 +327,7 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     rng = np.random.default_rng(seed)
     item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
     item_cum = _cdf(item_weights)
-    values_cum = _cdf(np.arange(1, r_max + 1, dtype=np.float64))
+    values_cum = _cdf(np.arange(1, R_MAX + 1, dtype=np.float64))
 
     # cell keys user * n_items + item, in draw order; a cell keeps its first draw
     keys = np.empty(0, dtype=np.int64)
@@ -352,4 +349,4 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         keys = np.concatenate([keys, free])
         free_values = np.searchsorted(values_cum, rng.random(len(free))) + 1
         values = np.concatenate([values, free_values])
-    return RatingsDataset(keys // n_items, keys % n_items, values, n_users, n_items, r_max)
+    return RatingsDataset(keys // n_items, keys % n_items, values, n_users, n_items)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .baselines import TrainStats, init_factors, sgd_epochs
-from .core import FactorModel, PowerMatModel, RatingsDataset, TrainConfig, _check_range
+from .core import R_MAX, FactorModel, PowerMatModel, RatingsDataset, TrainConfig, _check_range
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -118,9 +118,8 @@ def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
 
 
 def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
-                   cfg: TrainConfig, n_users: int, n_items: int,
-                   sigma_u: float = 1.0, sigma_v: float = 1.0,
-                   stats: Optional[TrainStats] = None) -> PowerMatModel:
+                   cfg: TrainConfig, n_users: int, n_items: int, sigma_u: float,
+                   sigma_v: float, stats: Optional[TrainStats] = None) -> PowerMatModel:
     """Train PowerMat on an n_users x n_items grid from the id columns of
     its rows and their contexts, an array with one row per (user, item)
     pair. No rating reaches it.
@@ -165,17 +164,16 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
 
 class ZeroShotPredictor(Predictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
-    r_max * (U_u . V_i) / max_j(U_u . V_j), with the per-user maximum
+    R_MAX * (U_u . V_i) / max_j(U_u . V_j), with the per-user maximum
     cached once and floored at eps_floor."""
 
-    def __init__(self, model: FactorModel, r_max: int, eps_floor: float = 1e-6):
-        self.r_max = r_max
+    def __init__(self, model: FactorModel, eps_floor: float):
         self._scores = model.U @ model.V.T
         self._row_max = np.maximum(self._scores.max(axis=1), eps_floor)
 
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        raw = self.r_max * self._scores[users, items] / self._row_max[users]
-        return np.clip(raw, 1.0, self.r_max)
+        raw = R_MAX * self._scores[users, items] / self._row_max[users]
+        return np.clip(raw, 1.0, R_MAX)
 
 
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
@@ -202,7 +200,7 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
         first = np.sort(np.unique(keys, return_index=True)[1])[:n]
         keys = keys[first]
     users, items = np.divmod(keys, train.n_items)
-    # predictions lie in [1, r_max]; rint rounds halves to even, as round() does
+    # predictions lie in [1, R_MAX]; rint rounds halves to even, as round() does
     fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
     values = np.concatenate([train.values, fills.astype(np.int64)])
-    return RatingsDataset(users, items, values, train.n_users, train.n_items, train.r_max)
+    return RatingsDataset(users, items, values, train.n_users, train.n_items)

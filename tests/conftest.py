@@ -25,13 +25,13 @@ def make_structured_dataset(n_users=600, n_items=800, n_ratings=40000,
            + np.einsum("ij,ij->i", user_lat[us], item_lat[js])
            + rng.normal(0, noise, n_ratings))
     vals = np.clip(np.rint(raw), 1, 5).astype(int)
-    return RatingsDataset(us, js, vals, n_users, n_items, r_max=5)
+    return RatingsDataset(us, js, vals, n_users, n_items)
 
 
-def from_rows(rows, n_users, n_items, r_max=5) -> RatingsDataset:
+def from_rows(rows, n_users, n_items) -> RatingsDataset:
     """The dataset whose row k is the (user, item, value) triple rows[k]."""
     users, items, values = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    return RatingsDataset(users, items, values, n_users, n_items, r_max)
+    return RatingsDataset(users, items, values, n_users, n_items)
 
 
 def fit_config(**keys) -> BenchConfig:

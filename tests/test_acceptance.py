@@ -138,8 +138,7 @@ def test_criterion_5_time_order_invariance(report):
                                  seed=19)
     train, test = split(ds, SplitSpec(0.2, 7))
     permuted = RatingsDataset(train.users[::-1], train.items[::-1], train.values[::-1],
-                              n_users=train.n_users, n_items=train.n_items,
-                              r_max=train.r_max)
+                              n_users=train.n_users, n_items=train.n_items)
     config = fit_config(train={"default": {"epochs": 3}})
     results = {}
     for algo in ("itemcf", "mf", "zeromat", "dotmat", "poissonmat",
@@ -156,8 +155,8 @@ def test_criterion_5_time_order_invariance(report):
     from reclab.evaluation import mae
     for rows in (slice(None), slice(None, None, -1)):
         model = powermat_train(users[rows], items[rows], contexts[rows], cfg,
-                               train.n_users, train.n_items)
-        predictor = ZeroShotPredictor(model.factors, train.r_max)
+                               train.n_users, train.n_items, sigma_u=1.0, sigma_v=1.0)
+        predictor = ZeroShotPredictor(model.factors, cfg.eps_floor)
         results.setdefault("powermat", []).append(mae(predictor, test))
     pm_a, pm_b = results.pop("powermat")
 
@@ -171,7 +170,7 @@ def test_criterion_6_numerical_suite(report):
     ok = True
     eps = 1e-6
 
-    train = generate_zipf(12, 10, 60, 1.0, 5, seed=13)
+    train = generate_zipf(12, 10, 60, 1.0, seed=13)
     rng = np.random.default_rng(14)
     U = rng.uniform(0.1, 1.0, size=(12, 4))
     V = rng.uniform(0.1, 1.0, size=(10, 4))
@@ -242,7 +241,7 @@ def test_criterion_7_analysis_suite(report):
         fit = fit_power_law([(x, 3.1 * x ** exponent) for x in xs])
         ok = ok and abs(fit.exponent - exponent) < 1e-9
 
-    ds = generate_zipf(300, 300, 10000, 1.0, 5, seed=3)
+    ds = generate_zipf(300, 300, 10000, 1.0, seed=3)
     hist = rating_histogram(ds)
     points = [(float(v), float(c)) for v, c in sorted(hist.items())]
     zipf_fit = fit_power_law(points)
@@ -254,8 +253,7 @@ def test_criterion_7_analysis_suite(report):
 
 def test_criterion_8_reproducibility(tmp_path, report):
     data = tmp_path / "ratings.data"
-    data.write_text(write_movielens(generate_zipf(80, 60, 2000, 1.0, 5,
-                                                  seed=33)))
+    data.write_text(write_movielens(generate_zipf(80, 60, 2000, 1.0, seed=33)))
     config = {
         "dataset": {"path": str(data), "format": "tab100k"},
         "split": {"test_fraction": 0.2, "seed": 42},

@@ -29,7 +29,7 @@ class TestRatingHistogram:
         assert hist == {5: 2, 3: 1}
 
     def test_total_equals_dataset_size(self):
-        ds = generate_zipf(40, 40, 700, 1.0, 5, seed=0)
+        ds = generate_zipf(40, 40, 700, 1.0, seed=0)
         assert sum(rating_histogram(ds).values()) == 700
 
     def test_empty_rejected(self):
@@ -38,7 +38,7 @@ class TestRatingHistogram:
             rating_histogram(empty)
 
     def test_zipf_counts_grow_with_value(self):
-        ds = generate_zipf(200, 200, 10000, 1.0, 5, seed=1)
+        ds = generate_zipf(200, 200, 10000, 1.0, seed=1)
         hist = rating_histogram(ds)
         counts = [hist.get(v, 0) for v in range(1, 6)]
         # monotone in expectation; allow small-sample slack
@@ -82,7 +82,7 @@ class TestFitPowerLaw:
             fit_power_law([(1.0, -1.0), (2.0, 2.0)])
 
     def test_zipf_generator_proportionality(self):
-        ds = generate_zipf(300, 300, 10000, 1.0, 5, seed=3)
+        ds = generate_zipf(300, 300, 10000, 1.0, seed=3)
         hist = rating_histogram(ds)
         points = [(float(v), float(c)) for v, c in sorted(hist.items())]
         fit = fit_power_law(points)

@@ -8,16 +8,16 @@ from reclab import baselines
 from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
-from reclab.core import FactorModel, RatingsDataset, TrainConfig, TrainingError
+from reclab.core import R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import SplitSpec, generate_zipf, split
 
 from conftest import from_rows, rows_of
 
 
-def clamp_prediction(raw, r_max):
-    """A raw prediction clamped onto the rating scale [1, r_max], one value
+def clamp_prediction(raw):
+    """A raw prediction clamped onto the rating scale [1, R_MAX], one value
     at a time: the oracle for the predictors' vectorized clip."""
-    return min(max(float(raw), 1.0), float(r_max))
+    return min(max(float(raw), 1.0), float(R_MAX))
 
 
 def dense_ratings(train):
@@ -55,7 +55,7 @@ def reference_predict(matrix, train, neighborhood_size, u, i):
     """One item-CF prediction from a dense similarity matrix, with a Python
     candidate sort per call as CfPredictor.predict once did: the oracle for
     predict_many."""
-    fallback = clamp_prediction(train.global_mean(), train.r_max)
+    fallback = clamp_prediction(train.global_mean())
     mine = train.users == u
     items = train.items[mine].tolist()
     values = train.values[mine].astype(np.float64).tolist()
@@ -68,7 +68,7 @@ def reference_predict(matrix, train, neighborhood_size, u, i):
     top = candidates[:neighborhood_size]
     num = sum(s * v for s, _, v in top)
     den = sum(abs(s) for s, _, _ in top)
-    return clamp_prediction(num / den, train.r_max)
+    return clamp_prediction(num / den)
 
 
 def sims_from_dense(matrix):
@@ -116,13 +116,13 @@ class TestItemSimilarities:
 
     def test_symmetry_exact(self):
         for shape in ORACLE_DATASETS:
-            ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+            ds = generate_zipf(*shape[:3], 1.0, seed=shape[3])
             for kind in SimilarityKind:
                 scores = dense_scores(item_similarities(ds, kind))
                 assert np.array_equal(scores, scores.T)
 
     def test_cosine_matches_brute_force(self):
-        ds = generate_zipf(30, 15, 250, 1.0, 5, seed=6)
+        ds = generate_zipf(30, 15, 250, 1.0, seed=6)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         dense = dense_ratings(ds)
         for i in range(15):
@@ -134,7 +134,7 @@ class TestItemSimilarities:
 
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
     def test_cosine_equals_dense_reference_exactly(self, shape):
-        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        ds = generate_zipf(*shape[:3], 1.0, seed=shape[3])
         sims = item_similarities(ds, SimilarityKind.COSINE)
         reference = reference_similarities(ds, SimilarityKind.COSINE)
         assert np.array_equal(dense_scores(sims), reference)
@@ -143,7 +143,7 @@ class TestItemSimilarities:
 
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
     def test_adjusted_cosine_matches_dense_reference(self, shape):
-        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        ds = generate_zipf(*shape[:3], 1.0, seed=shape[3])
         sims = item_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
         reference = reference_similarities(ds, SimilarityKind.ADJUSTED_COSINE)
         scores = dense_scores(sims)
@@ -152,7 +152,7 @@ class TestItemSimilarities:
         assert (sims.scores != 0.0).all()
 
     def test_pair_blocks_do_not_change_scores(self, monkeypatch):
-        ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
+        ds = generate_zipf(50, 60, 400, 1.0, seed=41)
         for kind in SimilarityKind:
             whole = item_similarities(ds, kind)
             # a cap below one item's pairs: every item is its own block
@@ -163,7 +163,7 @@ class TestItemSimilarities:
             assert np.array_equal(whole.scores, blocked.scores)
 
     def test_scores_bounded(self):
-        ds = generate_zipf(40, 20, 400, 1.0, 5, seed=7)
+        ds = generate_zipf(40, 20, 400, 1.0, seed=7)
         for kind in SimilarityKind:
             sims = item_similarities(ds, kind)
             assert (sims.scores >= -1.0).all() and (sims.scores <= 1.0).all()
@@ -179,9 +179,9 @@ class TestItemSimilarities:
     def test_all_zero_adjusted_cosine_stores_nothing(self, monkeypatch):
         # every user rates all their items alike, so every centered
         # vector is zero; small blocks make many empty ones
-        ds = generate_zipf(40, 30, 300, 1.0, 5, seed=3)
+        ds = generate_zipf(40, 30, 300, 1.0, seed=3)
         users, items, _ = ds.arrays()
-        flat = RatingsDataset(users, items, 1 + users % 5, ds.n_users, ds.n_items, ds.r_max)
+        flat = RatingsDataset(users, items, 1 + users % 5, ds.n_users, ds.n_items)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", 50)
         sims = item_similarities(flat, SimilarityKind.ADJUSTED_COSINE)
         assert len(sims.keys) == len(sims.scores) == 0
@@ -190,7 +190,7 @@ class TestItemSimilarities:
     def test_store_is_built_once(self):
         # the traced peak is the store plus one block's work, not the store
         # held several times over
-        ds = generate_zipf(800, 600, 50_000, 1.0, 5, seed=1)
+        ds = generate_zipf(800, 600, 50_000, 1.0, seed=1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -260,7 +260,7 @@ class TestCfPredict:
         assert CfPredictor(sims, train, 2).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_prediction_within_neighbor_range(self):
-        ds = generate_zipf(40, 25, 600, 1.0, 5, seed=10)
+        ds = generate_zipf(40, 25, 600, 1.0, seed=10)
         sims = item_similarities(ds, SimilarityKind.COSINE)
         predictor = CfPredictor(sims, ds, neighborhood_size=5)
         rng = np.random.default_rng(0)
@@ -290,7 +290,7 @@ class TestCfPredict:
     @pytest.mark.parametrize("size", [1, 5, 20])
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
     def test_predict_many_equals_reference(self, shape, size):
-        ds = generate_zipf(*shape[:3], 1.0, 5, seed=shape[3])
+        ds = generate_zipf(*shape[:3], 1.0, seed=shape[3])
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=shape[3]))
         # every cell of the grid, test cells first
         grid = np.divmod(np.arange(ds.n_users * ds.n_items), ds.n_items)
@@ -332,7 +332,7 @@ class TestCfPredict:
         assert four.predict_many([0], [0])[0] == pytest.approx(2.5 / 2.0)
 
     def test_pair_blocks_do_not_change_predictions(self, monkeypatch):
-        ds = generate_zipf(50, 60, 400, 1.0, 5, seed=41)
+        ds = generate_zipf(50, 60, 400, 1.0, seed=41)
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=41))
         predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE),
                                 train, neighborhood_size=5)
@@ -361,7 +361,7 @@ class TestMfTrain:
         assert np.array_equal(model.V, expected_v)
 
     def test_gradient_matches_finite_differences(self):
-        train = generate_zipf(12, 10, 60, 1.0, 5, seed=13)
+        train = generate_zipf(12, 10, 60, 1.0, seed=13)
         rng = np.random.default_rng(14)
         U = rng.uniform(0.1, 1.0, size=(12, 4))
         V = rng.uniform(0.1, 1.0, size=(10, 4))
@@ -383,7 +383,7 @@ class TestMfTrain:
             assert abs(G[r, c] - numeric) / denom < 1e-4
 
     def test_loss_non_increasing_over_epochs(self):
-        train = generate_zipf(40, 30, 600, 1.0, 5, seed=15)
+        train = generate_zipf(40, 30, 600, 1.0, seed=15)
         losses = []
         for epochs in (1, 3, 6, 10):
             model = mf_train(train, TrainConfig(k=8, gamma=0.005,
@@ -392,9 +392,9 @@ class TestMfTrain:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_invariant_to_input_row_order(self):
-        ds = generate_zipf(20, 15, 150, 1.0, 5, seed=17)
+        ds = generate_zipf(20, 15, 150, 1.0, seed=17)
         shuffled = RatingsDataset(ds.users[::-1], ds.items[::-1], ds.values[::-1],
-                                  n_users=20, n_items=15, r_max=5)
+                                  n_users=20, n_items=15)
         cfg = TrainConfig(k=4, gamma=0.01, epochs=3, seed=18)
         a = mf_train(ds, cfg)
         b = mf_train(shuffled, cfg)
@@ -402,7 +402,7 @@ class TestMfTrain:
         assert np.array_equal(a.V, b.V)
 
     def test_divergence_raises_with_epoch(self):
-        train = generate_zipf(10, 10, 80, 1.0, 5, seed=19)
+        train = generate_zipf(10, 10, 80, 1.0, seed=19)
         with pytest.raises(TrainingError) as exc:
             mf_train(train, TrainConfig(k=4, gamma=50.0, epochs=10, seed=20))
         assert exc.value.epoch is not None
@@ -417,15 +417,15 @@ class TestMfPredict:
     def test_dot_product(self):
         model = FactorModel(U=np.array([[2.0, 0.0]]),
                             V=np.array([[1.5, 9.0]]))
-        assert MfPredictor(model, 5).predict_many([0], [0])[0] == pytest.approx(3.0)
+        assert MfPredictor(model).predict_many([0], [0])[0] == pytest.approx(3.0)
 
     def test_upper_clamp(self):
         model = FactorModel(U=np.array([[3.1]]), V=np.array([[2.0]]))
-        assert MfPredictor(model, 5).predict_many([0], [0])[0] == 5.0
+        assert MfPredictor(model).predict_many([0], [0])[0] == 5.0
 
     def test_lower_clamp_on_zero_vector(self):
         model = FactorModel(U=np.array([[0.0]]), V=np.array([[2.0]]))
-        assert MfPredictor(model, 5).predict_many([0], [0])[0] == 1.0
+        assert MfPredictor(model).predict_many([0], [0])[0] == 1.0
 
     def test_predict_many_equals_per_cell_dot_products(self):
         # the oracle is one clamped U[u] @ V[i] per cell
@@ -433,7 +433,7 @@ class TestMfPredict:
         model = FactorModel(U=rng.uniform(0, 1, (9, 10)),
                             V=rng.uniform(0, 1, (7, 10)))
         users, items = np.divmod(np.arange(63), 7)
-        got = MfPredictor(model, 5).predict_many(users, items)
-        expected = [clamp_prediction(float(model.U[u] @ model.V[i]), 5)
+        got = MfPredictor(model).predict_many(users, items)
+        expected = [clamp_prediction(float(model.U[u] @ model.V[i]))
                     for u, i in zip(users.tolist(), items.tolist())]
         assert got.tolist() == expected

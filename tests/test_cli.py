@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reclab
 from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
-from reclab.core import RatingsDataset, TrainConfig
+from reclab.core import R_MAX, RatingsDataset, TrainConfig
 from reclab.evaluation import Predictor
 from reclab.ingest import ParseResult, SplitSpec, generate_zipf, split, write_movielens
 from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
@@ -35,7 +35,7 @@ def runner():
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "ratings.data"
-    path.write_text(write_movielens(generate_zipf(60, 50, 1500, 1.0, 5, seed=30)))
+    path.write_text(write_movielens(generate_zipf(60, 50, 1500, 1.0, seed=30)))
     return path
 
 
@@ -571,14 +571,14 @@ class TestExitCodes:
         assert exc.value.code == 1
 
 
-def assert_total(predictor, n_users, n_items, r_max=5):
-    """predict_many over the whole grid is finite, within [1, r_max], and
+def assert_total(predictor, n_users, n_items):
+    """predict_many over the whole grid is finite, within [1, R_MAX], and
     equals predict_many of each cell alone."""
     users, items = np.divmod(np.arange(n_users * n_items), n_items)
     preds = predictor.predict_many(users, items)
     assert preds.shape == (n_users * n_items,)
     assert np.isfinite(preds).all()
-    assert ((preds >= 1.0) & (preds <= r_max)).all()
+    assert ((preds >= 1.0) & (preds <= R_MAX)).all()
     assert preds.tolist() == [predictor.predict_many(users[k:k + 1], items[k:k + 1])[0]
                               for k in range(len(users))]
 
@@ -594,7 +594,7 @@ class ConstantPredictor(Predictor):
 class TestEvaluateAlgorithm:
     @staticmethod
     def train_test():
-        return split(generate_zipf(20, 20, 100, 1.0, 5, seed=8), SplitSpec(0.2, 8))
+        return split(generate_zipf(20, 20, 100, 1.0, seed=8), SplitSpec(0.2, 8))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_mae_rejected(self, value, monkeypatch):
@@ -635,7 +635,7 @@ class TestRegistry:
                                             ("dotmat", dotmat_step),
                                             ("poissonmat", poissonmat_step)])
     def test_shape_only_fit_trains_with_its_step_rule(self, algo, rule, monkeypatch):
-        train = generate_zipf(20, 25, 150, 1.0, 5, seed=28)
+        train = generate_zipf(20, 25, 150, 1.0, seed=28)
         models = []
         monkeypatch.setattr(reclab.cli, "train_zeroshot",
                             lambda *args: models.append(train_zeroshot(*args)) or models[-1])
@@ -663,7 +663,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_vanishing_fill_equals_plain_mf(self, hybrid):
-        train = generate_zipf(25, 25, 200, 1.0, 5, seed=22)
+        train = generate_zipf(25, 25, 200, 1.0, seed=22)
         config = fit_config(fill_fraction=1e-9, train={"mf": {"k": 4, "epochs": 3}})
         model = REGISTRY[hybrid].fit(hybrid, config, train, None, 5).model
         plain = REGISTRY["mf"].fit("mf", config, train, None, 5).model
@@ -671,7 +671,7 @@ class TestRegistry:
         assert np.array_equal(model.V, plain.V)
 
     def test_train_sections_drive_their_stages(self, monkeypatch):
-        train = generate_zipf(20, 20, 150, 1.0, 5, seed=25)
+        train = generate_zipf(20, 20, 150, 1.0, seed=25)
         hybrid, base = "poissonmat-hybrid", "poissonmat"
         configs = []  # the TrainConfig, the last argument, of each stage's trainer
 
@@ -698,7 +698,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_fills_come_from_the_base_fit(self, hybrid, monkeypatch):
-        train = generate_zipf(20, 25, 150, 1.0, 5, seed=27)
+        train = generate_zipf(20, 25, 150, 1.0, seed=27)
         base = hybrid.removesuffix("-hybrid")
         section = {"gamma": 2e-5 if base == "poissonmat" else 0.004, "epochs": 2, "k": 3}
         # train.mf, which a wrong composition would give the zero-shot stage
@@ -717,26 +717,26 @@ class TestRegistry:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["cosine", "adjusted_cosine"]),
-           size=st.integers(1, 6), r_max=st.integers(1, 5))
-    def test_itemcf_is_total_on_random_train_sets(self, data, kind, size, r_max):
+           size=st.integers(1, 6))
+    def test_itemcf_is_total_on_random_train_sets(self, data, kind, size):
         n_users = data.draw(st.integers(1, 7), label="n_users")
         n_items = data.draw(st.integers(1, 7), label="n_items")
         cells = data.draw(st.lists(st.integers(0, n_users * n_items - 1),
                                    min_size=1, unique=True), label="cells")
-        values = data.draw(st.lists(st.integers(1, r_max), min_size=len(cells),
+        values = data.draw(st.lists(st.integers(1, R_MAX), min_size=len(cells),
                                     max_size=len(cells)), label="values")
         users, items = np.divmod(np.array(cells), n_items)
-        train = RatingsDataset(users, items, values, n_users, n_items, r_max)
+        train = RatingsDataset(users, items, values, n_users, n_items)
         config = fit_config(similarity_kind=kind, neighborhood_size=size)
         predictor = REGISTRY["itemcf"].fit("itemcf", config, train, None, 0)
-        assert_total(predictor, n_users, n_items, r_max)
+        assert_total(predictor, n_users, n_items)
 
 
 class TestAnalyze:
     def test_zipf_mode_reports_good_fit(self, runner, tmp_path):
         data = tmp_path / "zipf.data"
         data.write_text(write_movielens(
-            generate_zipf(300, 300, 10000, 1.0, 5, seed=31)))
+            generate_zipf(300, 300, 10000, 1.0, seed=31)))
         out = tmp_path / "out"
         result = runner.invoke(main, ["analyze", "--mode", "zipf",
                                       "--dataset", str(data),
@@ -853,7 +853,7 @@ def golden_inputs(tmp_path, monkeypatch):
     """The inputs the files under tests/golden were written from, in the
     working directory, so the manifest records relative paths."""
     monkeypatch.chdir(tmp_path)
-    Path("ratings.data").write_text(write_movielens(generate_zipf(20, 15, 120, 1.0, 5, seed=4)))
+    Path("ratings.data").write_text(write_movielens(generate_zipf(20, 15, 120, 1.0, seed=4)))
     Path("ratings.csv").write_text("userID,itemID,rating\n1,1,5\n1,2,4\n2,1,5\n"
                                    "2,3,3\n3,2,5\n3,3,4\n4,1,2\n")
     Path("config.json").write_text(json.dumps({

@@ -27,6 +27,26 @@ class TestRatingsDataset:
         with pytest.raises(DatasetError):
             RatingsDataset([0], [5], [3], n_users=1, n_items=5)
 
+    def test_rejects_grid_whose_cell_keys_would_collide(self):
+        # user 2**24's key 2**64 would wrap to user 0's key 0 in int64
+        with pytest.raises(DatasetError,
+                           match=f"^a {2 ** 30}x{2 ** 40} grid overflows int64 cell keys$"):
+            RatingsDataset([0, 2 ** 24], [0, 0], [1, 1], 2 ** 30, 2 ** 40)
+
+    @pytest.mark.parametrize("n_users, n_items", [(4, 2 ** 62),
+                                                  (np.int64(4), np.int64(2 ** 62))])
+    def test_rejects_grid_whose_cell_keys_would_go_negative(self, n_users, n_items):
+        # user 3's key 3 * 2**62 would wrap negative in int64, and the int64
+        # product of numpy sizes wraps to 0
+        with pytest.raises(DatasetError, match=f"^a 4x{2 ** 62} grid overflows int64 cell keys$"):
+            RatingsDataset([0, 3], [0, 0], [1, 1], n_users, n_items)
+
+    def test_grid_bound_is_2_to_the_63_cells(self):
+        ds = RatingsDataset([0], [2 ** 63 - 2], [1], n_users=1, n_items=2 ** 63 - 1)
+        assert ds.keys().tolist() == [2 ** 63 - 2]
+        with pytest.raises(DatasetError, match="grid overflows int64 cell keys"):
+            RatingsDataset([0], [0], [1], n_users=1, n_items=2 ** 63)
+
     def test_arrays_are_canonically_ordered(self):
         ds = RatingsDataset([1, 0, 0], [0, 1, 0], [2, 3, 4], n_users=2, n_items=2)
         users, items, values = ds.arrays()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reclab.cli import run_bench
-from reclab.core import DatasetError, RatingsDataset
+from reclab.core import R_MAX, DatasetError, RatingsDataset
 from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
@@ -23,7 +23,7 @@ class CellPredictor(Predictor):
                         dtype=np.float64)
 
 
-def uniform_dataset(n_cells, r_max=5, seed=0):
+def uniform_dataset(n_cells, seed=0):
     rng = np.random.default_rng(seed)
     n_users = 400
     n_items = (n_cells + n_users - 1) // n_users
@@ -33,9 +33,9 @@ def uniform_dataset(n_cells, r_max=5, seed=0):
         for i in range(n_items):
             if count >= n_cells:
                 break
-            ratings.append((u, i, int(rng.integers(1, r_max + 1))))
+            ratings.append((u, i, int(rng.integers(1, R_MAX + 1))))
             count += 1
-    return from_rows(ratings, n_users, n_items, r_max)
+    return from_rows(ratings, n_users, n_items)
 
 
 class TestMae:
@@ -62,15 +62,15 @@ class TestMae:
             mae(CellPredictor(lambda u, i: 3.0), empty)
 
     def test_permutation_invariant_over_test_rows(self):
-        ds = generate_zipf(30, 30, 300, 1.0, 5, seed=1)
+        ds = generate_zipf(30, 30, 300, 1.0, seed=1)
         rev = RatingsDataset(ds.users[::-1], ds.items[::-1], ds.values[::-1],
-                             n_users=30, n_items=30, r_max=5)
+                             n_users=30, n_items=30)
         predictor = CellPredictor(lambda u, i: 3.0)
         assert mae(predictor, ds) == mae(predictor, rev)
 
     def test_running_total_in_row_order(self):
         # the oracle adds one row's error at a time, as a Python loop does
-        ds = generate_zipf(40, 30, 500, 1.0, 5, seed=3)
+        ds = generate_zipf(40, 30, 500, 1.0, seed=3)
         rng = np.random.default_rng(4)
         table = rng.uniform(1.0, 5.0, size=(40, 30))
         predictor = CellPredictor(lambda u, i: float(table[u, i]))
@@ -81,16 +81,12 @@ class TestMae:
         assert mae(predictor, ds) == total / len(ds)
 
     def test_bounded_for_clamped_predictor(self):
-        ds = generate_zipf(30, 30, 300, 1.0, 5, seed=2)
+        ds = generate_zipf(30, 30, 300, 1.0, seed=2)
         predictor = CellPredictor(lambda u, i: 1.0)
         assert 0.0 <= mae(predictor, ds) <= 4.0
 
 
 class TestRandomBaseline:
-    def test_single_value_scale_gives_zero(self):
-        ds = from_rows([(0, 0, 1), (0, 1, 1)], 1, 2, r_max=1)
-        assert random_baseline_mae(ds, 7) == 0.0
-
     def test_uniform_truth_expectation(self):
         # enumerating all 25 (truth, guess) pairs gives E[MAE] = 40/25 = 1.6
         ds = uniform_dataset(100_000, seed=3)
@@ -132,14 +128,14 @@ def bench_reports(tmp_path, ds, algorithms, seed):
 
 class TestCompare:
     def test_random_only(self, tmp_path):
-        ds = generate_zipf(20, 20, 100, 1.0, 5, seed=8)
+        ds = generate_zipf(20, 20, 100, 1.0, seed=8)
         reports, _ = bench_reports(tmp_path, ds, ["random"], seed=8)
         assert len(reports) == 1
         assert len(reports[0]["rows"]) == 1
         assert reports[0]["rows"][0]["algo"] == "random"
 
     def test_row_contract(self, tmp_path):
-        ds = generate_zipf(20, 20, 100, 1.0, 5, seed=9)
+        ds = generate_zipf(20, 20, 100, 1.0, seed=9)
         algorithms = ["zeromat", "random", "dotmat"]
         reports, n_test = bench_reports(tmp_path, ds, algorithms, seed=9)
         report, = reports

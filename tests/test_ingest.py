@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from reclab.analysis import fit_power_law
-from reclab.core import DatasetError, RatingsDataset
+from reclab.core import R_MAX, DatasetError, RatingsDataset
 from reclab.ingest import (MovieLensFormat, ParseError, SchemaError, SplitSpec,
                            _cdf, generate_zipf, parse_comoda, parse_movielens, split,
                            write_movielens)
@@ -128,7 +128,7 @@ class TestParseMovielens:
         assert ds.n_users == 2 and ds.n_items == 2
 
     def test_parse_write_parse_is_idempotent(self):
-        raw = write_movielens(generate_zipf(30, 20, 200, 1.0, 5, seed=3))
+        raw = write_movielens(generate_zipf(30, 20, 200, 1.0, seed=3))
         first = parse_movielens(raw, MovieLensFormat.TAB_100K).dataset
         text = write_movielens(first)
         second = parse_movielens(text, MovieLensFormat.TAB_100K).dataset
@@ -415,29 +415,29 @@ class TestParsersMatchDictOracle:
 
 class TestSplit:
     def test_counts(self):
-        ds = generate_zipf(20, 20, 10, 1.0, 5, seed=0)
+        ds = generate_zipf(20, 20, 10, 1.0, seed=0)
         train, test = split(ds, SplitSpec(0.2, 1))
         assert len(test) == 2 and len(train) == 8
 
     def test_determinism(self):
-        ds = generate_zipf(50, 50, 500, 1.0, 5, seed=0)
+        ds = generate_zipf(50, 50, 500, 1.0, seed=0)
         a = split(ds, SplitSpec(0.3, 9))
         b = split(ds, SplitSpec(0.3, 9))
         assert rows_of(a[0]) == rows_of(b[0])
         assert rows_of(a[1]) == rows_of(b[1])
 
     def test_partition_property(self):
-        ds = generate_zipf(50, 50, 500, 1.0, 5, seed=0)
+        ds = generate_zipf(50, 50, 500, 1.0, seed=0)
         train, test = split(ds, SplitSpec(0.25, 5))
         # distinct cells, so (user, item) decides the order
         assert sorted(rows_of(train) + rows_of(test)) == sorted(rows_of(ds))
         assert set(train.keys().tolist()).isdisjoint(test.keys().tolist())
 
     def test_metadata_carried_over(self):
-        ds = generate_zipf(50, 30, 100, 1.0, 4, seed=0)
+        ds = generate_zipf(50, 30, 100, 1.0, seed=0)
         train, test = split(ds, SplitSpec(0.5, 0))
         for part in (train, test):
-            assert (part.n_users, part.n_items, part.r_max) == (50, 30, 4)
+            assert (part.n_users, part.n_items) == (50, 30)
 
     def test_full_test_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -453,13 +453,13 @@ class TestSplit:
             split(empty, SplitSpec(0.2, 0))
 
 
-def sequential_zipf(n_users, n_items, n_ratings, exponent, r_max, seed):
+def sequential_zipf(n_users, n_items, n_ratings, exponent, seed):
     """Reference for generate_zipf: the same draws, with each cell taken or
     rejected one at a time."""
     rng = np.random.default_rng(seed)
     item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
     item_cum = np.cumsum(item_weights / item_weights.sum())
-    values_pmf = np.arange(1, r_max + 1, dtype=np.float64)
+    values_pmf = np.arange(1, R_MAX + 1, dtype=np.float64)
     values_cum = np.cumsum(values_pmf / values_pmf.sum())
     rows = {}
     for _ in range(200):
@@ -482,13 +482,13 @@ def sequential_zipf(n_users, n_items, n_ratings, exponent, r_max, seed):
 
 class TestGenerateZipf:
     @pytest.mark.parametrize("args", [
-        (30, 20, 200, 1.0, 5, 3),
-        (5, 5, 25, 1.0, 5, 0),
-        (40, 40, 400, 1.2, 4, 9),
+        (30, 20, 200, 1.0, 3),
+        (5, 5, 25, 1.0, 0),
+        (40, 40, 400, 1.2, 9),
         # the tail items are never drawn, so the row-major fill completes the grid
-        (3, 40, 120, 8.0, 5, 1),
+        (3, 40, 120, 8.0, 1),
         # 35 cells drawn, 65 completed row-major inside a 20,000-cell grid
-        (10, 2000, 100, 8.0, 5, 4),
+        (10, 2000, 100, 8.0, 4),
     ])
     def test_matches_sequential_reference(self, args):
         ds = generate_zipf(*args)
@@ -503,7 +503,7 @@ class TestGenerateZipf:
         assert np.searchsorted(_cdf(weights), largest_draw) == 9
 
     def test_value_counts_proportional_to_value(self):
-        ds = generate_zipf(300, 200, 15000, 1.0, 5, seed=2)
+        ds = generate_zipf(300, 200, 15000, 1.0, seed=2)
         counts = np.zeros(5)
         for v in ds.values.tolist():
             counts[v - 1] += 1
@@ -514,7 +514,7 @@ class TestGenerateZipf:
 
     def test_item_popularity_follows_power_law(self):
         # plenty of users so the head items do not saturate their user pool
-        ds = generate_zipf(6000, 1000, 20000, 1.0, 5, seed=4)
+        ds = generate_zipf(6000, 1000, 20000, 1.0, seed=4)
         item_counts = np.zeros(1000)
         for i in ds.items.tolist():
             item_counts[i] += 1
@@ -524,30 +524,32 @@ class TestGenerateZipf:
         assert abs(-fit.exponent - 1.0) <= 0.15
 
     def test_deterministic_per_seed(self):
-        a = generate_zipf(40, 40, 400, 1.2, 5, seed=9)
-        b = generate_zipf(40, 40, 400, 1.2, 5, seed=9)
+        a = generate_zipf(40, 40, 400, 1.2, seed=9)
+        b = generate_zipf(40, 40, 400, 1.2, seed=9)
         assert rows_of(a) == rows_of(b)
 
     def test_no_duplicate_cells_and_exact_count(self):
-        ds = generate_zipf(30, 30, 800, 1.0, 5, seed=1)
+        ds = generate_zipf(30, 30, 800, 1.0, seed=1)
         assert len(ds) == 800
         assert len(set(ds.keys().tolist())) == 800
 
     def test_infeasible_count_rejected(self):
         with pytest.raises(DatasetError):
-            generate_zipf(10, 10, 101, 1.0, 5, seed=0)
+            generate_zipf(10, 10, 101, 1.0, seed=0)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="n_ratings must be >= 0"):
-            generate_zipf(3, 3, -1, 1.0, 5, seed=0)
+            generate_zipf(3, 3, -1, 1.0, seed=0)
 
     @pytest.mark.parametrize("n_users, n_items", [(3 * 10 ** 9, 4 * 10 ** 9),
-                                                  (1, 2 ** 63), (2 ** 32, 2 ** 31)])
+                                                  (1, 2 ** 63), (2 ** 32, 2 ** 31),
+                                                  # their int64 product wraps to 0
+                                                  (np.int64(2 ** 32), np.int64(2 ** 32))])
     def test_grid_beyond_int64_keys_rejected_before_allocating(self, n_users, n_items):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="grid overflows int64 cell keys"):
-                generate_zipf(n_users, n_items, 1, 1.0, 5, seed=0)
+                generate_zipf(n_users, n_items, 1, 1.0, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,7 +559,7 @@ class TestGenerateZipf:
         # the 10**7-cell grid's free cells would take 80 MB; the completion reads 1,000
         tracemalloc.start()
         try:
-            ds = generate_zipf(100, 10 ** 5, 1000, 8.0, 5, seed=0)
+            ds = generate_zipf(100, 10 ** 5, 1000, 8.0, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,8 +569,8 @@ class TestGenerateZipf:
     @pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_exponent_rejected(self, exponent):
         with pytest.raises(ValueError, match="exponent must be positive and finite"):
-            generate_zipf(10, 10, 20, exponent, 5, seed=0)
+            generate_zipf(10, 10, 20, exponent, seed=0)
 
     def test_dense_grid_fill(self):
-        ds = generate_zipf(5, 5, 25, 1.0, 5, seed=0)
+        ds = generate_zipf(5, 5, 25, 1.0, seed=0)
         assert len(ds) == 25

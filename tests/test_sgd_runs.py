@@ -305,13 +305,13 @@ class TestBatchedStepRules:
 # --- trainers against the reference loops ---------------------------------
 
 def zipf_dataset(seed=3):
-    return generate_zipf(40, 60, 900, 1.2, 5, seed=seed)
+    return generate_zipf(40, 60, 900, 1.2, seed=seed)
 
 
 def uniform_dataset(seed=4):
     rng = np.random.default_rng(seed)
     cells = rng.choice(50 * 70, size=1200, replace=False)
-    return RatingsDataset(cells // 70, cells % 70, rng.integers(1, 6, size=1200), 50, 70, 5)
+    return RatingsDataset(cells // 70, cells % 70, rng.integers(1, 6, size=1200), 50, 70)
 
 
 class TestMfMatchesReference:
@@ -497,7 +497,7 @@ class TestPowerMatMatchesReference:
         with pytest.raises(TrainingError) as ref:
             reference_powermat_train(users, items, contexts, cfg, n_users, n_items)
         with pytest.raises(TrainingError) as got:
-            powermat_train(users, items, contexts, cfg, n_users, n_items)
+            powermat_train(users, items, contexts, cfg, n_users, n_items, 1.0, 1.0)
         # a later epoch: the epochs before it must match too
         assert ref.value.epoch > 0
         assert got.value.epoch == ref.value.epoch

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reclab.core import DatasetError, RatingsDataset
+from reclab.core import R_MAX, DatasetError, RatingsDataset
 from reclab.ingest import (MovieLensFormat, SplitSpec, parse_movielens, split,
                            write_movielens)
 
@@ -20,17 +20,16 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 @st.composite
 def row_sets(draw, min_size=0):
-    """(rows, n_users, n_items, r_max): distinct cells in random order, each
-    row a (user, item, value) tuple."""
+    """(rows, n_users, n_items): distinct cells in random order, each row a
+    (user, item, value) tuple."""
     n_users = draw(st.integers(1, 8))
     n_items = draw(st.integers(1, 8))
-    r_max = draw(st.integers(1, 5))
     keys = draw(st.lists(st.integers(0, n_users * n_items - 1), unique=True,
                          min_size=min(min_size, n_users * n_items)))
-    values = draw(st.lists(st.integers(1, r_max), min_size=len(keys),
+    values = draw(st.lists(st.integers(1, R_MAX), min_size=len(keys),
                            max_size=len(keys)))
     rows = [(k // n_items, k % n_items, v) for k, v in zip(keys, values)]
-    return rows, n_users, n_items, r_max
+    return rows, n_users, n_items
 
 
 def columns(rows):
@@ -41,10 +40,10 @@ def columns(rows):
 @SETTINGS
 @given(row_sets())
 def test_constructor_from_lists_and_from_arrays(case):
-    rows, n_users, n_items, r_max = case
+    rows, n_users, n_items = case
     lists = columns(rows)
-    a = RatingsDataset(*lists, n_users, n_items, r_max)
-    b = RatingsDataset(*map(np.array, lists), n_users, n_items, r_max)
+    a = RatingsDataset(*lists, n_users, n_items)
+    b = RatingsDataset(*map(np.array, lists), n_users, n_items)
     for name, given in zip(("users", "items", "values"), lists):
         col_a, col_b = getattr(a, name), getattr(b, name)
         assert col_a.dtype == col_b.dtype == np.int64
@@ -56,8 +55,8 @@ def test_constructor_from_lists_and_from_arrays(case):
 @SETTINGS
 @given(row_sets(min_size=1), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
 def test_split_partitions_rows_in_order(case, fraction, seed):
-    rows, n_users, n_items, r_max = case
-    ds = from_rows(rows, n_users, n_items, r_max)
+    rows, n_users, n_items = case
+    ds = from_rows(rows, n_users, n_items)
     n_test = int(round(fraction * len(ds)))
     if n_test in (0, len(ds)):  # a side would be empty: an error naming the split
         side = "test" if n_test == 0 else "train"
@@ -70,7 +69,7 @@ def test_split_partitions_rows_in_order(case, fraction, seed):
     assert len(train) + len(test) == len(ds)
     position = {key: k for k, key in enumerate(ds.keys().tolist())}
     for part in (train, test):
-        assert (part.n_users, part.n_items, part.r_max) == (n_users, n_items, r_max)
+        assert (part.n_users, part.n_items) == (n_users, n_items)
         at = [position[key] for key in part.keys().tolist()]
         assert at == sorted(at)
         assert rows_of(part) == [rows[k] for k in at]
@@ -80,8 +79,8 @@ def test_split_partitions_rows_in_order(case, fraction, seed):
 @SETTINGS
 @given(row_sets())
 def test_arrays_are_rows_sorted_by_cell(case):
-    rows, n_users, n_items, r_max = case
-    ds = from_rows(rows, n_users, n_items, r_max)
+    rows, n_users, n_items = case
+    ds = from_rows(rows, n_users, n_items)
     users, items, values = ds.arrays()
     expected = sorted(rows)  # distinct cells, so (user, item) decides the order
     assert users.tolist() == [u for u, i, v in expected]
@@ -93,8 +92,8 @@ def test_arrays_are_rows_sorted_by_cell(case):
 @SETTINGS
 @given(row_sets(), st.sampled_from(list(MovieLensFormat)))
 def test_movielens_round_trip(case, fmt):
-    rows, n_users, n_items, r_max = case
-    ds = from_rows(rows, n_users, n_items, r_max)
+    rows, n_users, n_items = case
+    ds = from_rows(rows, n_users, n_items)
     back = parse_movielens(write_movielens(ds, fmt), fmt).dataset
     # the parser numbers ids densely in order of first appearance
     user_ids, item_ids = {}, {}
@@ -111,28 +110,28 @@ def test_movielens_round_trip(case, fmt):
 @given(row_sets(min_size=1),
        st.sampled_from(["value", "user", "item", "duplicate"]), st.data())
 def test_invalid_rows_rejected(case, kind, data):
-    rows, n_users, n_items, r_max = case
+    rows, n_users, n_items = case
     k = data.draw(st.integers(0, len(rows) - 1))
     bad = list(rows)
     u, i, v = rows[k]
     if kind == "value":
-        bad[k] = (u, i, data.draw(st.sampled_from([0, r_max + 1])))
+        bad[k] = (u, i, data.draw(st.sampled_from([0, R_MAX + 1])))
     elif kind == "user":
         bad[k] = (data.draw(st.sampled_from([-1, n_users])), i, v)
     elif kind == "item":
         bad[k] = (u, data.draw(st.sampled_from([-1, n_items])), v)
     else:
         bad.insert(data.draw(st.integers(0, len(rows))),
-                   (u, i, data.draw(st.integers(1, r_max))))
+                   (u, i, data.draw(st.integers(1, R_MAX))))
     with pytest.raises(DatasetError):
-        RatingsDataset(*columns(bad), n_users, n_items, r_max)
+        RatingsDataset(*columns(bad), n_users, n_items)
     with pytest.raises(DatasetError):
-        RatingsDataset(*map(np.array, columns(bad)), n_users, n_items, r_max)
+        RatingsDataset(*map(np.array, columns(bad)), n_users, n_items)
 
 
 def test_dataset_is_immutable_and_copies_through_the_validator():
-    ds = RatingsDataset([0, 1], [1, 0], [3, 5], 2, 2, 5)
-    for name in ("users", "n_items", "r_max", "extra"):
+    ds = RatingsDataset([0, 1], [1, 0], [3, 5], 2, 2)
+    for name in ("users", "n_items", "extra"):
         with pytest.raises(AttributeError):
             setattr(ds, name, 1)
     with pytest.raises(AttributeError):
@@ -141,5 +140,5 @@ def test_dataset_is_immutable_and_copies_through_the_validator():
         ds.values[0] = 1
     for clone in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
         assert rows_of(clone) == rows_of(ds)
-        assert (clone.n_users, clone.n_items, clone.r_max) == (2, 2, 5)
+        assert (clone.n_users, clone.n_items) == (2, 2)
         assert not clone.users.flags.writeable

@@ -150,9 +150,9 @@ class TestPowerMat:
             values.append(int(rng.integers(1, 6)))
         return np.array(users), np.array(items), np.array(contexts), np.array(values)
 
-    def train(self, users, items, contexts, cfg, **kwargs):
+    def train(self, users, items, contexts, cfg, sigma_u=1.0, sigma_v=1.0):
         return powermat_train(users, items, contexts, cfg, self.N_USERS, self.N_ITEMS,
-                              **kwargs)
+                              sigma_u, sigma_v)
 
     def test_zero_gamma_keeps_initialization(self):
         cfg = _cfg(gamma=0.0)
@@ -228,23 +228,23 @@ class TestZeroShotPredict:
         return FactorModel(U=U, V=V)
 
     def test_row_maximum_predicts_r_max(self):
-        assert ZeroShotPredictor(self.model(), 5).predict_many([0], [0])[0] == 5.0
+        assert ZeroShotPredictor(self.model(), EPS).predict_many([0], [0])[0] == 5.0
 
     def test_half_of_row_maximum(self):
-        predictor = ZeroShotPredictor(self.model(), 5)
+        predictor = ZeroShotPredictor(self.model(), EPS)
         assert predictor.predict_many([0], [1])[0] == pytest.approx(2.5)
 
     def test_degenerate_equal_row(self):
         model = FactorModel(U=np.array([[1.0]]),
                             V=np.array([[0.3], [0.3], [0.3]]))
-        predictor = ZeroShotPredictor(model, 5)
+        predictor = ZeroShotPredictor(model, EPS)
         for i in range(3):
             assert predictor.predict_many([0], [i])[0] == 5.0
 
     def test_class_matches_function(self):
-        # oracle: r_max * (U_u . V_i) / max(max_j U_u . V_j, eps), clamped
+        # oracle: R_MAX * (U_u . V_i) / max(max_j U_u . V_j, eps), clamped
         model = self.model()
-        predictor = ZeroShotPredictor(model, 5, EPS)
+        predictor = ZeroShotPredictor(model, EPS)
         for u in range(2):
             row = model.U[u] @ model.V.T
             expected = np.clip(5 * row / max(row.max(), EPS), 1.0, 5.0)
@@ -253,7 +253,7 @@ class TestZeroShotPredict:
 
     def test_output_always_on_scale(self):
         model = train_zeroshot(dotmat_step, 20, 30, _cfg(gamma=0.005))
-        predictor = ZeroShotPredictor(model, 5)
+        predictor = ZeroShotPredictor(model, EPS)
         for u in range(20):
             for i in range(30):
                 assert 1.0 <= predictor.predict_many([u], [i])[0] <= 5.0
@@ -288,7 +288,7 @@ class CellPredictor:
 
 def _grid_train(n_users, n_items, cells):
     users, items = np.divmod(np.asarray(cells, dtype=np.int64), n_items)
-    return RatingsDataset(users, items, np.full(len(users), 3), n_users, n_items, 5)
+    return RatingsDataset(users, items, np.full(len(users), 3), n_users, n_items)
 
 
 class TestHybrid:
@@ -296,7 +296,7 @@ class TestHybrid:
     composition is tested through the registry in test_cli.py."""
 
     @pytest.mark.parametrize("train, fill_fraction", [
-        pytest.param(generate_zipf(60, 80, 300, 1.0, 5, seed=41), 1.0, id="sparse"),
+        pytest.param(generate_zipf(60, 80, 300, 1.0, seed=41), 1.0, id="sparse"),
         # every free cell is filled, over several chunks of draws
         pytest.param(_grid_train(40, 40, [c for c in range(1600) if c % 5]), 1.0,
                      id="dense"),
@@ -305,8 +305,8 @@ class TestHybrid:
         pytest.param(_grid_train(60, 60, range(0, 3600, 2)), 1.0, id="half-60x60"),
         # 1,799 of the 1,800 free cells are filled
         pytest.param(_grid_train(59, 61, range(0, 3598, 2)), 1.0, id="all-but-one-59x61"),
-        pytest.param(generate_zipf(50, 40, 600, 1.0, 5, seed=42), 0.3, id="fraction"),
-        pytest.param(generate_zipf(3, 500, 400, 1.0, 5, seed=43), 1.0, id="non-square"),
+        pytest.param(generate_zipf(50, 40, 600, 1.0, seed=42), 0.3, id="fraction"),
+        pytest.param(generate_zipf(3, 500, 400, 1.0, seed=43), 1.0, id="non-square"),
         # a bound of 1 draws nothing from the stream
         pytest.param(_grid_train(1, 40, range(0, 40, 3)), 1.0, id="one-user"),
         # a bound above 2**31 draws from the same stream
@@ -323,10 +323,10 @@ class TestHybrid:
     @staticmethod
     def _predictor(train, rule, cfg):
         model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
-        return ZeroShotPredictor(model, train.r_max, cfg.eps_floor)
+        return ZeroShotPredictor(model, cfg.eps_floor)
 
     def test_augmented_size_arithmetic(self):
-        train = generate_zipf(30, 30, 300, 1.0, 5, seed=21)
+        train = generate_zipf(30, 30, 300, 1.0, seed=21)
         predictor = self._predictor(train, zeromat_step, _cfg())
         augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=0.5)
         assert len(augmented) == 300 + 150
@@ -335,10 +335,10 @@ class TestHybrid:
     @pytest.mark.parametrize("rule", [zeromat_step, dotmat_step, poissonmat_step])
     def test_augmented_columns_equal_per_cell_reference(self, rule):
         # the oracle draws, rejects and scores one cell at a time
-        train = generate_zipf(25, 30, 400, 1.0, 5, seed=26)
+        train = generate_zipf(25, 30, 400, 1.0, seed=26)
         cfg = _cfg(gamma={poissonmat_step: 2e-5}.get(rule, 0.005))
         predictor = ZeroShotPredictor(
-            train_zeroshot(rule, train.n_users, train.n_items, cfg), 5, cfg.eps_floor)
+            train_zeroshot(rule, train.n_users, train.n_items, cfg), cfg.eps_floor)
         augmented = augment_with_zeroshot(train, predictor, cfg.seed, fill_fraction=0.8)
         rng = np.random.default_rng(cfg.seed)
         taken = set(train.keys().tolist())
@@ -357,7 +357,7 @@ class TestHybrid:
         assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
 
     def test_filled_values_are_integers_on_scale(self):
-        train = generate_zipf(20, 20, 150, 1.0, 5, seed=23)
+        train = generate_zipf(20, 20, 150, 1.0, seed=23)
         predictor = self._predictor(train, poissonmat_step, _cfg(gamma=2e-5))
         augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=1.0)
         new = set(rows_of(augmented)) - set(rows_of(train))
@@ -365,7 +365,7 @@ class TestHybrid:
         assert all(1 <= v <= 5 for u, i, v in new)
 
     def test_bad_fill_fraction_rejected(self):
-        train = generate_zipf(10, 10, 50, 1.0, 5, seed=24)
+        train = generate_zipf(10, 10, 50, 1.0, seed=24)
         predictor = self._predictor(train, zeromat_step, _cfg())
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="fill_fraction"):
