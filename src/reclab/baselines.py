@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -202,14 +202,6 @@ class CfPredictor(Predictor):
         return np.clip(preds, 1.0, R_MAX)
 
 
-@dataclass
-class TrainStats:
-    """Debug counters collected during a training run."""
-
-    clamp_activations: int = 0
-    epochs_run: int = 0
-
-
 def init_factors(n_users: int, n_items: int,
                  cfg: TrainConfig) -> Tuple[np.random.Generator, np.ndarray, np.ndarray]:
     """A trainer's generator, seeded by cfg.seed, and the U and V it draws
@@ -292,7 +284,6 @@ def dependency_levels(users: np.ndarray, items: np.ndarray, n_users: int,
 
 def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
                visit: Callable[[], tuple], step: Callable[..., tuple],
-               stats: Optional[TrainStats] = None,
                state: Sequence[np.ndarray] = ()) -> None:
     """The epoch loop of every SGD trainer; updates U and V in place.
 
@@ -300,16 +291,14 @@ def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
     and a column of per-step data (a rating, a context row) or None. The
     order is cut into batches of steps that share no user and no item, and
     each batch is one call step(user_rows, item_rows, data_of_the_batch),
-    which returns the updated rows and a mask of the steps whose dot
-    product was clamped (or None). The batches are the `dependency_levels`
+    which returns the updated rows. The batches are the `dependency_levels`
     of the order, each a contiguous slice of the columns permuted once.
     state holds further arrays that step updates in place and that every
     step reads, which orders all steps; with state the batches are the
     consecutive `conflict_free_runs` of the order instead. Either way each
     step computes on the same values as in the step-by-step loop. After
     each epoch every entry of U, V and state must be finite, or
-    TrainingError names the epoch. stats, if given, adds up the clamp masks
-    and counts the epochs.
+    TrainingError names the epoch.
     """
     for epoch in range(epochs):
         us, js, data = visit()
@@ -324,14 +313,10 @@ def sgd_epochs(name: str, U: np.ndarray, V: np.ndarray, epochs: int,
             for batch in batches:
                 u, j = us[batch], js[batch]
                 # take: the same rows as U[u], gathered with less overhead
-                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
-                                           None if data is None else data[batch])
-                if stats is not None:
-                    stats.clamp_activations += int(np.count_nonzero(clamped))
+                U[u], V[j] = step(U.take(u, axis=0), V.take(j, axis=0),
+                                  None if data is None else data[batch])
         if not all(np.isfinite(a).all() for a in (U, V, *state)):
             raise TrainingError(f"{name} diverged at epoch {epoch}", epoch=epoch)
-        if stats is not None:
-            stats.epochs_run = epoch + 1
 
 
 def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
@@ -355,7 +340,7 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
 
     def step(u_rows, v_rows, r):
         g = (cfg.gamma * 2.0 * (r - np.vecdot(u_rows, v_rows)))[:, None]
-        return u_rows + g * v_rows, v_rows + g * u_rows, None
+        return u_rows + g * v_rows, v_rows + g * u_rows
 
     sgd_epochs("mf_train", U, V, cfg.epochs, visit, step)
     return FactorModel(U=U, V=V)

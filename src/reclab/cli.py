@@ -119,7 +119,7 @@ def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
                            parsed.contexts[in_train], cfg,
                            n_users=train.n_users, n_items=train.n_items,
                            sigma_u=config.sigma_u, sigma_v=config.sigma_v)
-    return ZeroShotPredictor(model.factors, cfg.eps_floor)
+    return ZeroShotPredictor(model, cfg.eps_floor)
 
 
 def _fit_hybrid(algo, config, train, parsed, seed) -> Predictor:
@@ -211,7 +211,7 @@ class BenchConfig:
     raw: dict
     dataset_path: Path = dataclasses.field(init=False)
     dataset_format: str = dataclasses.field(init=False)
-    context_columns: list = dataclasses.field(init=False)  # read by comoda datasets only
+    context_columns: list = dataclasses.field(init=False)  # [] unless powermat is listed
     split: SplitSpec = dataclasses.field(init=False)  # repetition r adds r to its seed
     repetitions: int = dataclasses.field(init=False)
     algorithms: tuple = dataclasses.field(init=False)
@@ -309,6 +309,8 @@ class BenchConfig:
             spec = SplitSpec(split.get("test_fraction", 0.2), split.get("seed", 42))
         except ValueError as exc:
             raise ValueError(f"split: {exc}") from None
+        # only powermat reads contexts, so no other bench needs the columns
+        columns = columns if "powermat" in algorithms else []
         for name, value in dict(values, dataset_path=Path(dataset["path"]), dataset_format=fmt,
                                 context_columns=columns, split=spec, algorithms=algorithms,
                                 train=train, similarity_kind=SimilarityKind(kind)).items():

@@ -130,19 +130,6 @@ class FactorModel:
 
 
 @dataclass(frozen=True)
-class PowerMatModel:
-    """Context-aware factor model: latent factors plus a context-weight
-    vector alpha and scalar beta."""
-
-    factors: FactorModel
-    alpha: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters shared by every trainer.
 

@@ -8,7 +8,6 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,14 +102,12 @@ def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int],
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
 
 
-def _dense_ids(raw: list) -> Tuple[np.ndarray, int]:
-    """Dense ids of raw id strings, numbered in order of first appearance."""
-    ids = dict(zip(dict.fromkeys(raw), count()))
-    return np.fromiter(map(ids.__getitem__, raw), np.int64, len(raw)), len(ids)
-
-
-def _dense_int_ids(raw: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dense ids of integer raw ids, numbered in order of first appearance."""
+def _dense_ids(raw) -> Tuple[np.ndarray, int]:
+    """Dense ids of raw ids, an integer array or a list of id strings,
+    numbered in order of first appearance. Strings compare as Python str,
+    exactly: a fixed-width numpy str array would drop trailing NULs."""
+    if isinstance(raw, list):
+        raw = np.array(raw, dtype=object)
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -174,7 +171,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     data = _bytes(source)
     fields = _integer_fields(data, sep)
     if fields is not None:
-        return _dataset(_dense_int_ids(fields[:, 0]), _dense_int_ids(fields[:, 1]),
+        return _dataset(_dense_ids(fields[:, 0]), _dense_ids(fields[:, 1]),
                         fields[:, 2])[0]
     users, items, values = [], [], []
     for line_no, raw_line in enumerate(_lines(data), start=1):

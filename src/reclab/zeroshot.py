@@ -11,12 +11,12 @@ fill and the `mf` fit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .baselines import TrainStats, init_factors, sgd_epochs
-from .core import R_MAX, FactorModel, PowerMatModel, RatingsDataset, TrainConfig, _check_range
+from .baselines import init_factors, sgd_epochs
+from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_range
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -24,47 +24,43 @@ DOTMAT_P_MAX = 10.0
 
 # The three shape-only step rules take matching rows u_vec, v_vec of shape
 # (..., k): one pair of 1-D vectors, or a batch of pairs that share no user
-# and no item. They return the updated rows, computed from the pre-update
-# ones, and a (...)-shaped mask of the rows whose dot product p was clamped.
+# and no item. They return the updated rows, computed from the pre-update ones.
 
 def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                 eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """U += gamma (V/p - 2U), V += gamma (U/p - 2V), with the dot product p
     floored at eps_floor."""
     p = np.vecdot(u_vec, v_vec)
-    clamped = p < eps_floor
     p = np.maximum(p, eps_floor)[..., None]
     new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
     new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
-    return new_u, new_v, clamped
+    return new_u, new_v
 
 
 def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """The simplified rule: with p clamped to [eps_floor, DOTMAT_P_MAX] and
     g = p**p, U -= gamma * g * sign(g - p) * (1 + ln p) * V (and
     symmetrically). p = 1 is an exact fixed point since sign(0) = 0."""
     p = np.vecdot(u_vec, v_vec)
-    clamped = (p < eps_floor) | (p > DOTMAT_P_MAX)
     p = np.minimum(np.maximum(p, eps_floor), DOTMAT_P_MAX)
     g = p ** p
     coef = (gamma * g * np.sign(g - p) * (1.0 + np.log(p)))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
-    return new_u, new_v, clamped
+    return new_u, new_v
 
 
 def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                    eps_floor: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """U -= gamma ((p+1)/p + ln p - 1) V (and symmetrically), with p floored
     at eps_floor."""
     p = np.vecdot(u_vec, v_vec)
-    clamped = p < eps_floor
     p = np.maximum(p, eps_floor)
     coef = (gamma * ((p + 1.0) / p + np.log(p) - 1.0))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
-    return new_u, new_v, clamped
+    return new_u, new_v
 
 
 def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
@@ -74,10 +70,8 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     v_vec (..., k) and context (..., d), applied in row order. The rows
     share no user and no item, so each row's part of U and V is computed
     from its pre-update rows, while alpha and beta carry over from row to
-    row. Returns the updated rows, alpha and beta after the last row, and
-    the clamp mask."""
+    row. Returns the updated rows, and alpha and beta after the last row."""
     p = np.vecdot(u_vec, v_vec)
-    clamped = p < eps_floor
     p = np.maximum(p, eps_floor)
     # Row t subtracts gamma p_t (c_t, p_t) from (alpha, beta), and seen[t] is
     # the (alpha, beta) that row t sees. accumulate subtracts in row order,
@@ -93,17 +87,17 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     bp = bp[..., None]
     new_u = u_vec - gamma * (bp * v_vec + bps * v_vec - (2.0 / sigma_u) * u_vec)
     new_v = v_vec - gamma * (bp * u_vec + bps * u_vec - (2.0 / sigma_v) * v_vec)
-    return new_u, new_v, seen[-1, :-1], seen[-1, -1], clamped
+    return new_u, new_v, seen[-1, :-1], seen[-1, -1]
 
 
 def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
-                   cfg: TrainConfig, stats: Optional[TrainStats] = None) -> FactorModel:
+                   cfg: TrainConfig) -> FactorModel:
     """Train ZeroMat, DotMat or PoissonMat from the matrix shape alone: each
     epoch applies the step rule (`zeromat_step`, `dotmat_step` or
     `poissonmat_step`) to samples_per_epoch uniformly drawn grid cells, in
     draw order. Each of the draws' `dependency_levels` is one batched step,
     which matches stepping one cell at a time up to the last bits of numpy's
-    log and power; stats adds up the clamp masks."""
+    log and power."""
     rng, U, V = init_factors(n_users, n_items, cfg)
 
     def visit():
@@ -113,20 +107,21 @@ def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
     def step(u_rows, v_rows, _):
         return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
 
-    sgd_epochs("train_zeroshot", U, V, cfg.epochs, visit, step, stats)
+    sgd_epochs("train_zeroshot", U, V, cfg.epochs, visit, step)
     return FactorModel(U=U, V=V)
 
 
 def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
                    cfg: TrainConfig, n_users: int, n_items: int, sigma_u: float,
-                   sigma_v: float, stats: Optional[TrainStats] = None) -> PowerMatModel:
+                   sigma_v: float) -> FactorModel:
     """Train PowerMat on an n_users x n_items grid from the id columns of
     its rows and their contexts, an array with one row per (user, item)
     pair. No rating reaches it.
 
     Each epoch visits the rows in a seed-derived shuffled order. Each
     run of `conflict_free_runs` over it is one `powermat_step`, so U, V,
-    alpha and beta equal those of visiting the rows one at a time."""
+    alpha and beta equal those of visiting the rows one at a time. Returns
+    the factors; alpha and beta only steer training."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     ctx = np.asarray(contexts, dtype=np.float64)
@@ -152,14 +147,13 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
         return users[order], items[order], ctx[order]
 
     def step(u_rows, v_rows, c):
-        new_u, new_v, alpha_beta[:-1], alpha_beta[-1], clamped = powermat_step(
+        new_u, new_v, alpha_beta[:-1], alpha_beta[-1] = powermat_step(
             u_rows, v_rows, alpha_beta[:-1], alpha_beta[-1], c,
             cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
-        return new_u, new_v, clamped
+        return new_u, new_v
 
-    sgd_epochs("powermat", U, V, cfg.epochs, visit, step, stats, state=(alpha_beta,))
-    return PowerMatModel(factors=FactorModel(U=U, V=V),
-                         alpha=alpha_beta[:-1], beta=float(alpha_beta[-1]))
+    sgd_epochs("powermat", U, V, cfg.epochs, visit, step, state=(alpha_beta,))
+    return FactorModel(U=U, V=V)
 
 
 class ZeroShotPredictor(Predictor):

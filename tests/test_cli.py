@@ -234,6 +234,22 @@ class TestBench:
         report = json.loads((tmp_path / "out" / "report_seed42.json").read_text())
         assert {r["algo"] for r in report["rows"]} == {"powermat", "random"}
 
+    def test_comoda_reads_contexts_only_for_powermat(self, runner, comoda_file, tmp_path):
+        # a CSV of ids and ratings only, under the default context_columns
+        lines = comoda_file.read_text().splitlines()
+        comoda_file.write_text("".join(line.rsplit(",", 2)[0] + "\n" for line in lines))
+        dataset = {"path": str(comoda_file), "format": "comoda"}
+        out = tmp_path / "out"
+        config = bench_config(comoda_file, tmp_path, ["random", "itemcf"], dataset=dataset)
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report_seed42.json").read_text())
+        assert [r["algo"] for r in report["rows"]] == ["random", "itemcf"]
+        config = bench_config(comoda_file, tmp_path, ["random", "powermat"], dataset=dataset)
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: missing columns: ['mood', 'location']\n"
+
     def test_unknown_algorithm_exits_one(self, runner, fixture_file, tmp_path):
         config = bench_config(fixture_file, tmp_path, ["svdpp"])
         result = runner.invoke(main, ["bench", "--config", str(config),

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from reclab.core import (DatasetError, FactorModel, PowerMatModel, RatingsDataset,
-                         TrainConfig)
+from reclab.core import DatasetError, FactorModel, RatingsDataset, TrainConfig
 
 
 class TestRatingsDataset:
@@ -85,15 +84,6 @@ def test_read_only_owning_arrays_are_kept(writable):
     assert [np.shares_memory(k, given) for k, given in zip(kept, (*columns, *factors))] \
         == [not writable] * 5
     assert not any(k.flags.writeable for k in kept)
-
-
-class TestPowerMatModel:
-    def test_alpha_is_read_only(self):
-        factors = FactorModel(U=np.ones((1, 1)), V=np.ones((1, 1)))
-        model = PowerMatModel(factors=factors, alpha=[0.5, 0.25], beta=0.0)
-        assert model.alpha.dtype == np.float64
-        with pytest.raises(ValueError):
-            model.alpha[0] = 1.0
 
 
 class TestTrainConfig:

@@ -109,7 +109,8 @@ class TestParseMovielens:
         "01\t1\t5\t0\n1\t1\t4\t0\n",
         "0\t1\t5\t0\n00\t1\t4\t0\n",
         "99999999999999999999\t1\t5\t0\n99999999999999999998\t1\t4\t0\n",  # beyond int64
-    ], ids=["leading-zero", "zeros", "long"])
+        "1\x00\t1\t5\t0\n1\t1\t4\t0\n",  # a fixed-width numpy str drops trailing NULs
+    ], ids=["leading-zero", "zeros", "long", "trailing-nul"])
     def test_ids_are_compared_as_text(self, kind, text):
         result = parse_movielens(source_of(kind, text), MovieLensFormat.TAB_100K)
         assert (result.dataset.n_users, result.duplicates_replaced) == (2, 0)

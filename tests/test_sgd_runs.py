@@ -16,9 +16,9 @@ from reclab.baselines import (conflict_free_runs, dependency_levels, init_factor
                               mf_train)
 from reclab.core import RatingsDataset, TrainConfig, TrainingError
 from reclab.ingest import generate_zipf
-from reclab.zeroshot import (DOTMAT_P_MAX, TrainStats, dotmat_step,
-                             poissonmat_step, powermat_step, powermat_train,
-                             train_zeroshot, zeromat_step)
+from reclab.zeroshot import (DOTMAT_P_MAX, dotmat_step, poissonmat_step,
+                             powermat_step, powermat_train, train_zeroshot,
+                             zeromat_step)
 
 TOL = 1e-12
 
@@ -79,7 +79,7 @@ SCALAR_STEP = {
 def reference_train_zeroshot(rule, n_users, n_items, cfg):
     rng, U, V = init_factors(n_users, n_items, cfg)
     step = SCALAR_STEP[rule]
-    clamps = epochs_run = 0
+    clamps = 0
     for epoch in range(cfg.epochs):
         us = rng.integers(0, n_users, size=cfg.samples_per_epoch)
         js = rng.integers(0, n_items, size=cfg.samples_per_epoch)
@@ -89,8 +89,7 @@ def reference_train_zeroshot(rule, n_users, n_items, cfg):
                 clamps += bool(clamped)
         if not (np.isfinite(U).all() and np.isfinite(V).all()):
             raise TrainingError(f"train_zeroshot diverged at epoch {epoch}", epoch=epoch)
-        epochs_run = epoch + 1
-    return U, V, clamps, epochs_run
+    return U, V, clamps
 
 
 def scalar_powermat_step(u_vec, v_vec, alpha, beta, context, gamma,
@@ -118,7 +117,7 @@ def reference_powermat_train(users, items, contexts, cfg, n_users, n_items,
     ctx_arrays = [np.asarray(contexts[i], dtype=np.float64) for i in order]
     users = [int(users[i]) for i in order]
     items = [int(items[i]) for i in order]
-    clamps = epochs_run = 0
+    clamps = 0
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in rng.permutation(len(order)):
@@ -130,11 +129,10 @@ def reference_powermat_train(users, items, contexts, cfg, n_users, n_items,
         if not (np.isfinite(U).all() and np.isfinite(V).all()
                 and np.isfinite(alpha).all() and math.isfinite(beta)):
             raise TrainingError(f"powermat diverged at epoch {epoch}", epoch=epoch)
-        epochs_run = epoch + 1
-    return U, V, alpha, beta, clamps, epochs_run
+    return U, V, clamps
 
 
-def run_scheduled_sgd_epochs(name, U, V, epochs, visit, step, stats=None, state=()):
+def run_scheduled_sgd_epochs(name, U, V, epochs, visit, step, state=()):
     """The epoch driver as it was before dependency levels: one step call
     per consecutive conflict-free run, for every trainer."""
     for epoch in range(epochs):
@@ -142,14 +140,10 @@ def run_scheduled_sgd_epochs(name, U, V, epochs, visit, step, stats=None, state=
         with np.errstate(over="ignore", invalid="ignore"):
             for run in conflict_free_runs(us, js):
                 u, j = us[run], js[run]
-                U[u], V[j], clamped = step(U.take(u, axis=0), V.take(j, axis=0),
-                                           None if data is None else data[run])
-                if stats is not None:
-                    stats.clamp_activations += int(np.count_nonzero(clamped))
+                U[u], V[j] = step(U.take(u, axis=0), V.take(j, axis=0),
+                                  None if data is None else data[run])
         if not all(np.isfinite(a).all() for a in (U, V, *state)):
             raise TrainingError(f"{name} diverged at epoch {epoch}", epoch=epoch)
-        if stats is not None:
-            stats.epochs_run = epoch + 1
 
 
 @pytest.fixture
@@ -291,15 +285,13 @@ class TestBatchedStepRules:
            eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
     def test_batch_equals_rows(self, rule, batch, gamma, eps_floor):
         U, V = batch
-        new_u, new_v, clamped = rule(U, V, gamma, eps_floor)
+        new_u, new_v = rule(U, V, gamma, eps_floor)
         assert new_u.shape == U.shape and new_v.shape == V.shape
-        assert clamped.shape == (U.shape[0],)
         for i in range(U.shape[0]):
             for row_rule in (rule, SCALAR_STEP[rule]):
-                row_u, row_v, row_clamped = row_rule(U[i], V[i], gamma, eps_floor)
+                row_u, row_v = row_rule(U[i], V[i], gamma, eps_floor)[:2]
                 np.testing.assert_allclose(new_u[i], row_u, rtol=TOL, atol=TOL)
                 np.testing.assert_allclose(new_v[i], row_v, rtol=TOL, atol=TOL)
-                assert bool(clamped[i]) == bool(row_clamped)
 
 
 # --- trainers against the reference loops ---------------------------------
@@ -375,21 +367,16 @@ class TestZeroShotMatchesReference:
         # two epochs: PoissonMat from the tiny init diverges in the third
         cfg = TrainConfig(gamma=ZS_GAMMA[rule], k=6, epochs=2, seed=11,
                           samples_per_epoch=samples, **init)
-        ref_u, ref_v, ref_clamps, ref_epochs = reference_train_zeroshot(
-            rule, n_users, n_items, cfg)
-        stats, run_stats = TrainStats(), TrainStats()
-        model = train_zeroshot(rule, n_users, n_items, cfg, stats)
+        ref_u, ref_v, ref_clamps = reference_train_zeroshot(rule, n_users, n_items, cfg)
+        model = train_zeroshot(rule, n_users, n_items, cfg)
         np.testing.assert_allclose(model.U, ref_u, rtol=TOL, atol=TOL)
         np.testing.assert_allclose(model.V, ref_v, rtol=TOL, atol=TOL)
-        assert stats.clamp_activations == ref_clamps
-        assert stats.epochs_run == ref_epochs
         if init:
             assert ref_clamps > 0
         # bit for bit against the run schedule, which batches the same rows
-        runs = run_scheduled(train_zeroshot, rule, n_users, n_items, cfg, run_stats)
+        runs = run_scheduled(train_zeroshot, rule, n_users, n_items, cfg)
         assert np.array_equal(model.U, runs.U)
         assert np.array_equal(model.V, runs.V)
-        assert stats == run_stats
 
     def test_divergence_epoch_matches(self):
         cfg = TrainConfig(gamma=50.0, k=4, epochs=5, seed=1, samples_per_epoch=400)
@@ -419,15 +406,14 @@ class TestPowerMatStep:
     def test_prefix_differences_equal_sequential_steps(self, rows, gamma, sigmas,
                                                        eps_floor):
         U, V, C, alpha, beta = rows
-        new_u, new_v, new_alpha, new_beta, clamped = powermat_step(
+        new_u, new_v, new_alpha, new_beta = powermat_step(
             U, V, alpha, beta, C, gamma, *sigmas, eps_floor)
-        assert new_u.shape == U.shape and clamped.shape == (len(U),)
+        assert new_u.shape == U.shape
         for t in range(len(U)):
-            row_u, row_v, alpha, beta, row_clamped = scalar_powermat_step(
+            row_u, row_v, alpha, beta, _ = scalar_powermat_step(
                 U[t], V[t], alpha, beta, C[t], gamma, *sigmas, eps_floor)
             assert np.array_equal(new_u[t], row_u)
             assert np.array_equal(new_v[t], row_v)
-            assert bool(clamped[t]) == row_clamped
         assert np.array_equal(new_alpha, alpha)
         assert new_beta == beta
 
@@ -448,17 +434,12 @@ def context_columns(seed, n, d, n_users, n_items):
 class TestPowerMatMatchesReference:
     def check(self, columns, cfg, sigma_u=1.0, sigma_v=1.0):
         users, items, contexts, n_users, n_items = columns
-        ref_u, ref_v, ref_alpha, ref_beta, ref_clamps, ref_epochs = reference_powermat_train(
+        ref_u, ref_v, ref_clamps = reference_powermat_train(
             users, items, contexts, cfg, n_users, n_items, sigma_u, sigma_v)
-        stats = TrainStats()
         model = powermat_train(users, items, contexts, cfg, n_users, n_items,
-                               sigma_u, sigma_v, stats)
-        assert np.array_equal(model.factors.U, ref_u)
-        assert np.array_equal(model.factors.V, ref_v)
-        assert np.array_equal(model.alpha, ref_alpha)
-        assert model.beta == ref_beta
-        assert stats.clamp_activations == ref_clamps
-        assert stats.epochs_run == ref_epochs
+                               sigma_u, sigma_v)
+        assert np.array_equal(model.U, ref_u)
+        assert np.array_equal(model.V, ref_v)
         return ref_clamps
 
     @pytest.mark.parametrize("d", [1, 2, 5])

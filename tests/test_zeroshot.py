@@ -7,10 +7,9 @@ import pytest
 from reclab import cli
 from reclab.core import FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import ParseResult, generate_zipf
-from reclab.zeroshot import (TrainStats, ZeroShotPredictor,
-                             augment_with_zeroshot, dotmat_step,
-                             poissonmat_step, powermat_step, powermat_train,
-                             train_zeroshot, zeromat_step)
+from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
+                             dotmat_step, poissonmat_step, powermat_step,
+                             powermat_train, train_zeroshot, zeromat_step)
 
 from conftest import fit_config, rows_of
 
@@ -20,20 +19,19 @@ EPS = 1e-6
 class TestStepOracles:
     def test_zeromat_single_step(self):
         # k=1, U=V=[1], p=1: U <- 1 + 0.1*(1 - 2) = 0.9
-        u, v, clamped = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1, EPS)
+        u, v = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1, EPS)
         assert abs(u[0] - 0.9) < 1e-12
         assert abs(v[0] - 0.9) < 1e-12
-        assert not clamped
 
     def test_dotmat_fixed_point_at_p_one(self):
         u0, v0 = np.array([0.5, 0.5]), np.array([1.0, 1.0])  # p = 1
-        u, v, _ = dotmat_step(u0, v0, 0.3, EPS)
+        u, v = dotmat_step(u0, v0, 0.3, EPS)
         assert np.array_equal(u, u0)
         assert np.array_equal(v, v0)
 
     def test_dotmat_half_step_magnitude(self):
         gamma = 0.07
-        u, _, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma, EPS)
+        u, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma, EPS)
         expected_delta = -gamma * (0.5 ** 0.5) * (1.0 + math.log(0.5))
         assert abs((u[0] - 0.5) - expected_delta) < 1e-12
         # spec-level magnitude: ~ -0.21700 * gamma
@@ -45,7 +43,7 @@ class TestStepOracles:
         u0 = np.array([1.0, 1.0])
         # scale u so p = 1
         u0 = u0 / float(u0 @ v0)
-        u, _, _ = poissonmat_step(u0, v0, gamma, EPS)
+        u, _ = poissonmat_step(u0, v0, gamma, EPS)
         assert np.max(np.abs((u - u0) + gamma * v0)) < 1e-12
 
     def test_poissonmat_coefficient_at_e(self):
@@ -54,29 +52,21 @@ class TestStepOracles:
         u0 = np.array([p])
         v0 = np.array([1.0])
         gamma = 1.0
-        u, _, _ = poissonmat_step(u0, v0, gamma, EPS)
+        u, _ = poissonmat_step(u0, v0, gamma, EPS)
         assert abs((u0[0] - u[0]) - (1.0 + 1.0 / math.e)) < 1e-12
 
     def test_powermat_beta_step(self):
         u0, v0 = np.array([2.0]), np.array([1.0])  # p = 2
         gamma = 0.05
-        _, _, _, beta, _ = powermat_step(u0, v0, np.array([0.3]), 0.5,
-                                         np.array([1.0]), gamma, 1.0, 1.0, EPS)
+        _, _, _, beta = powermat_step(u0, v0, np.array([0.3]), 0.5,
+                                      np.array([1.0]), gamma, 1.0, 1.0, EPS)
         assert abs(beta - (0.5 - 4.0 * gamma)) < 1e-12
 
     def test_steps_use_pre_update_vectors(self):
         u0, v0 = np.array([1.0, 2.0]), np.array([0.5, 0.25])
-        u, v, _ = zeromat_step(u0, v0, 0.1, EPS)
+        u, v = zeromat_step(u0, v0, 0.1, EPS)
         p = float(u0 @ v0)
         assert np.allclose(v, v0 + 0.1 * (u0 / p - 2 * v0), atol=1e-15)
-
-    def test_clamp_reported(self):
-        u0, v0 = np.array([1e-8]), np.array([1e-8])
-        for step in (zeromat_step, poissonmat_step):
-            _, _, clamped = step(u0, v0, 0.0, EPS)
-            assert clamped
-        _, _, clamped = dotmat_step(np.array([10.0]), np.array([10.0]), 0.0, EPS)
-        assert clamped  # p above the cap
 
 
 def _cfg(**kw):
@@ -114,13 +104,6 @@ class TestTrainers:
         a = train_zeroshot(zeromat_step, 25, 30, cfg)
         b = train_zeroshot(zeromat_step, 25, 30, cfg)
         assert np.array_equal(a.U, b.U)
-
-    def test_clamp_counter_records_floor_hits(self):
-        cfg = _cfg(gamma=0.0, init_lo=1e-9, init_hi=1e-8)
-        stats = TrainStats()
-        train_zeroshot(zeromat_step, 10, 10, cfg, stats)
-        assert stats.clamp_activations == 2 * 500
-        assert stats.epochs_run == 2
 
     def test_positive_factors_stay_finite(self):
         for rule, gamma in ((zeromat_step, 0.002), (dotmat_step, 0.005),
@@ -160,17 +143,14 @@ class TestPowerMat:
         rng = np.random.default_rng(cfg.seed)
         expected_u = rng.uniform(cfg.init_lo, cfg.init_hi, size=(10, 4)) / 2.0
         expected_v = rng.uniform(cfg.init_lo, cfg.init_hi, size=(12, 4)) / 2.0
-        expected_alpha = rng.uniform(0.0, cfg.init_lo, size=3)
-        assert np.array_equal(model.factors.U, expected_u)
-        assert np.array_equal(model.factors.V, expected_v)
-        assert np.array_equal(model.alpha, expected_alpha)
-        assert model.beta == cfg.init_lo
+        assert np.array_equal(model.U, expected_u)
+        assert np.array_equal(model.V, expected_v)
 
     def test_rating_values_never_read(self, monkeypatch):
         # no parameter can carry a rating: ids, contexts, sizes and settings
         assert list(inspect.signature(powermat_train).parameters) == [
             "users", "items", "contexts", "cfg", "n_users", "n_items",
-            "sigma_u", "sigma_v", "stats"]
+            "sigma_u", "sigma_v"]
         # and the registry's fit passes none on: two parses that differ only
         # in their ratings train one model
         users, items, contexts, values = self.columns()
@@ -183,18 +163,16 @@ class TestPowerMat:
             cli.REGISTRY["powermat"].fit("powermat", fit_config(train={"powermat": {"epochs": 3}}),
                                          dataset, parsed, 7)
         a, b = models
-        assert np.array_equal(a.factors.U, b.factors.U)
-        assert np.array_equal(a.factors.V, b.factors.V)
-        assert np.array_equal(a.alpha, b.alpha)
-        assert a.beta == b.beta
+        assert np.array_equal(a.U, b.U)
+        assert np.array_equal(a.V, b.V)
 
     def test_invariant_to_context_row_order(self):
         cfg = _cfg(gamma=0.0005, epochs=2)
         users, items, contexts, _ = self.columns()
         a = self.train(users, items, contexts, cfg)
         b = self.train(users[::-1], items[::-1], contexts[::-1], cfg)
-        assert np.array_equal(a.factors.U, b.factors.U)
-        assert a.beta == b.beta
+        assert np.array_equal(a.U, b.U)
+        assert np.array_equal(a.V, b.V)
 
     @pytest.mark.parametrize("contexts", [np.ones((1, 2)), np.ones(2), np.ones((2, 1, 1))],
                              ids=["one-row-short", "one-dimensional", "three-dimensional"])
@@ -215,10 +193,6 @@ class TestPowerMat:
     def test_nonpositive_sigma_rejected(self, sigmas):
         with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
             self.train(*self.columns()[:3], _cfg(), sigma_u=sigmas[0], sigma_v=sigmas[1])
-
-    def test_alpha_length_matches_context_dim(self):
-        model = self.train(*self.columns(d=5)[:3], _cfg(gamma=0.0005))
-        assert model.alpha.shape == (5,)
 
 
 class TestZeroShotPredict:
