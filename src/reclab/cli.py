@@ -24,7 +24,7 @@ from .baselines import (CfPredictor, MfPredictor, SimilarityKind,
                         item_similarities, mf_train)
 from .core import RatingsDataset, TrainConfig, TrainingError
 from .evaluation import Predictor
-from .ingest import MovieLensFormat, ParseResult, SplitSpec
+from .ingest import MovieLensFormat, SplitSpec
 from .zeroshot import (ZeroShotPredictor, augment_with_zeroshot, dotmat_step,
                        poissonmat_step, powermat_train, train_zeroshot, zeromat_step)
 
@@ -74,59 +74,52 @@ def _read_json(path: Path):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_dataset(path: Path, fmt: str, context_columns) -> ParseResult:
+def _load_dataset(path: Path, fmt: str, context_columns) -> RatingsDataset:
     if fmt in _FORMATS:
-        return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt])
+        return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt]).dataset
     if fmt == "comoda":
-        return ingest.parse_comoda(path.read_bytes(), context_columns)
+        return ingest.parse_comoda(path.read_bytes(), context_columns).dataset
     raise ValueError(f"unknown dataset format {fmt!r}; expected one of "
                      f"{sorted(_FORMATS) + ['comoda']}")
 
 
-# Fit functions: fit(name, config, train, parsed, seed) trains the named
-# algorithm with the settings of BenchConfig `config` and split seed `seed` on
-# a train split of the ParseResult `parsed` (None: no contexts), and returns
-# its predictor. They look trainers and predictor classes up by this module's
-# names at call time (REGISTRY holds fits and step rules only), so wrappers
-# installed on those names (perfbench/tracing.py) see every call.
+# Fit functions: fit(name, config, train, seed) trains the named algorithm on
+# the train split with the settings of BenchConfig `config` and the split
+# seed, and returns its predictor. They look trainers and predictor classes up
+# by this module's names at call time (REGISTRY holds fits and step rules
+# only), so wrappers installed on those names (perfbench/tracing.py) see every call.
 
-def _fit_itemcf(algo, config, train, parsed, seed) -> Predictor:
+def _fit_itemcf(algo, config, train, seed) -> Predictor:
     return CfPredictor(item_similarities(train, config.similarity_kind), train,
                        config.neighborhood_size)
 
 
-def _fit_mf(algo, config, train, parsed, seed) -> Predictor:
+def _fit_mf(algo, config, train, seed) -> Predictor:
     model = mf_train(train, config.train_config(algo, seed, len(train)))
     return MfPredictor(model)
 
 
-def _fit_shape_only(rule, algo, config, train, parsed, seed) -> Predictor:
+def _fit_shape_only(rule, algo, config, train, seed) -> Predictor:
     cfg = config.train_config(algo, seed, len(train))
     model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
     return ZeroShotPredictor(model, cfg.eps_floor)
 
 
-def _fit_powermat(algo, config, train, parsed, seed) -> Predictor:
-    if parsed is None or parsed.contexts is None:
+def _fit_powermat(algo, config, train, seed) -> Predictor:
+    if train.contexts is None:
         raise ValueError("powermat: context required (use a comoda dataset)")
     cfg = config.train_config(algo, seed, len(train))
-    dataset = parsed.dataset
-    # a lookup table of at most n_users * n_items bools: an eighth of the
-    # score matrix ZeroShotPredictor builds, and no sort
-    in_train = np.isin(dataset.keys(), train.keys(), kind="table")
     # sized by the dataset, not by the train ids, so test-only ids stay in range
-    model = powermat_train(dataset.users[in_train], dataset.items[in_train],
-                           parsed.contexts[in_train], cfg,
-                           n_users=train.n_users, n_items=train.n_items,
-                           sigma_u=config.sigma_u, sigma_v=config.sigma_v)
+    model = powermat_train(train.users, train.items, train.contexts, cfg, train.n_users,
+                           train.n_items, config.sigma_u, config.sigma_v)
     return ZeroShotPredictor(model, cfg.eps_floor)
 
 
-def _fit_hybrid(algo, config, train, parsed, seed) -> Predictor:
+def _fit_hybrid(algo, config, train, seed) -> Predictor:
     base = algo.removesuffix("-hybrid")
-    zero_shot = REGISTRY[base].fit(base, config, train, parsed, seed)
+    zero_shot = REGISTRY[base].fit(base, config, train, seed)
     augmented = augment_with_zeroshot(train, zero_shot, seed, config.fill_fraction)
-    return _fit_mf("mf", config, augmented, parsed, seed)
+    return _fit_mf("mf", config, augmented, seed)
 
 
 class Algorithm(NamedTuple):
@@ -161,13 +154,13 @@ ALGORITHMS = tuple(REGISTRY)
 
 
 def _evaluate_algorithm(algo: str, config: BenchConfig, train: RatingsDataset,
-                        test: RatingsDataset, parsed: Optional[ParseResult], seed: int) -> float:
+                        test: RatingsDataset, seed: int) -> float:
     """Fit one registered algorithm on train and return its MAE on test."""
     if algo == "random":
         mae = evaluation.random_baseline_mae(test, seed)
     else:
         try:
-            predictor = REGISTRY[algo].fit(algo, config, train, parsed, seed)
+            predictor = REGISTRY[algo].fit(algo, config, train, seed)
         except TrainingError as exc:
             # name the registered algorithm and the seed; exc names the stage
             raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
@@ -250,10 +243,9 @@ class BenchConfig:
         if "path" not in dataset:
             raise ValueError("config missing required key 'dataset.path'")
         columns = config.get("context_columns", ["mood", "location"])
-        if not all(isinstance(c, str) for c in columns):
-            raise ValueError("config key 'context_columns' must list strings")
-        if not columns:
-            raise ValueError("config key 'context_columns' must name at least one column")
+        if not columns or not all(isinstance(c, str) for c in columns):
+            raise ValueError("config key 'context_columns' must list one or more strings")
+        ingest.check_context_columns(columns)
         kind, kinds = config.get("similarity_kind", "cosine"), [k.value for k in SimilarityKind]
         if kind not in kinds:
             raise ValueError(f"config key 'similarity_kind' must be one of {kinds}, got {kind!r}")
@@ -349,9 +341,9 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> None:
     reports plus a manifest into out_dir (default `reclab-out`); these files
     are its result. The config itself is left unchanged."""
     bench = BenchConfig(config)
-    parsed = _load_dataset(bench.dataset_path, bench.dataset_format, bench.context_columns)
+    dataset = _load_dataset(bench.dataset_path, bench.dataset_format, bench.context_columns)
     # split before the first write: every repetition's sides have these sizes
-    train, test = ingest.split(parsed.dataset, bench.split)
+    train, test = ingest.split(dataset, bench.split)
 
     out_dir = out_dir or Path("reclab-out")
     _write_json(out_dir / "manifest.json", {**config, "split": dataclasses.asdict(bench.split)},
@@ -362,8 +354,8 @@ def run_bench(config: dict, out_dir: Optional[Path] = None) -> None:
     for rep in range(bench.repetitions):
         spec = SplitSpec(bench.split.test_fraction, bench.split.seed + rep)
         if rep:
-            train, test = ingest.split(parsed.dataset, spec)
-        maes.append([_evaluate_algorithm(a, bench, train, test, parsed, spec.seed)
+            train, test = ingest.split(dataset, spec)
+        maes.append([_evaluate_algorithm(a, bench, train, test, spec.seed)
                      for a in bench.algorithms])
         rows = [(algo, mae, len(test)) for algo, mae in zip(bench.algorithms, maes[-1])]
         _write_json(out_dir / f"report_seed{spec.seed}.json", {
@@ -433,12 +425,12 @@ def analyze(mode, dataset_path, fmt, input_path, out_dir):
     if mode == "zipf":
         if dataset_path is None:
             raise ValueError("zipf mode requires --dataset")
-        parsed = _load_dataset(dataset_path, fmt, [])  # the histogram reads no context
-        hist = analysis.rating_histogram(parsed.dataset)
-        fit = analysis.fit_power_law([(v, c) for v, c in sorted(hist.items()) if c > 0])
+        dataset = _load_dataset(dataset_path, fmt, [])  # the histogram reads no context
+        hist = analysis.rating_histogram(dataset)  # ascending values, counts >= 1
+        fit = analysis.fit_power_law(list(hist.items()))
         # rating values are 1-5, so sorting their string keys keeps numeric order
         _write_json(out_dir / "histogram.json", {str(v): c for v, c in hist.items()})
-        _write_csv(out_dir / "histogram.csv", ("value", "count"), sorted(hist.items()))
+        _write_csv(out_dir / "histogram.csv", ("value", "count"), hist.items())
         _write_json(out_dir / "fit.json", dataclasses.asdict(fit))
     else:
         if input_path is None:

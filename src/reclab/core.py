@@ -52,13 +52,14 @@ def _check_grid(n_users, n_items) -> None:
 @dataclass(frozen=True, eq=False)
 class RatingsDataset:
     """Sparse integer rating triples on an n_users x n_items grid: row k is
-    (users[k], items[k], values[k]), a rating in [1, R_MAX].
+    (users[k], items[k], values[k]), a rating in [1, R_MAX], given in
+    context contexts[k] unless `contexts` is None.
 
-    The rows are stored once, as three read-only int64 columns `users`,
-    `items` and `values`, in the order they were given. Duplicate
-    (user, item) cells and out-of-range ids or values are rejected up front.
-    Immutable after construction. Datasets compare by identity; compare
-    their columns to compare their rows.
+    The rows are stored once, in the order they were given, as read-only
+    int64 columns `users`, `items`, `values` and a float64 (rows, d) array
+    `contexts`. Duplicate (user, item) cells, out-of-range ids or values and
+    misshapen contexts are rejected up front. Immutable after construction.
+    Datasets compare by identity; compare their columns to compare rows.
     """
 
     users: np.ndarray
@@ -66,6 +67,7 @@ class RatingsDataset:
     values: np.ndarray
     n_users: int
     n_items: int
+    contexts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n_users, n_items = self.n_users, self.n_items
@@ -85,13 +87,18 @@ class RatingsDataset:
         if (counts > 1).any():
             key = int(keys[counts > 1][0])
             raise DatasetError(f"duplicate rating for cell {divmod(key, n_items)}")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "values", values)
+        contexts = None if self.contexts is None else _readonly(self.contexts)
+        if contexts is not None and (contexts.ndim != 2 or len(contexts) != len(values)):
+            raise DatasetError(f"contexts of shape {contexts.shape} do not give "
+                               f"one row to each of {len(values)} ratings")
+        for name, column in dict(users=users, items=items, values=values,
+                                 contexts=contexts).items():
+            object.__setattr__(self, name, column)
 
     def __reduce__(self):
         # copy and pickle rebuild through the validator, so columns stay read-only
-        return (RatingsDataset, (self.users, self.items, self.values, self.n_users, self.n_items))
+        return (RatingsDataset, (self.users, self.items, self.values, self.n_users,
+                                 self.n_items, self.contexts))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -47,15 +47,13 @@ class SplitSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParseResult:
-    """A parsed dataset, the number of duplicate cells the parser replaced,
-    and (CoMoDa only, else None) a read-only float64 array of contexts
-    whose row k is the context of dataset row k."""
+    """A parsed dataset (with contexts for CoMoDa) and the number of
+    duplicate cells the parser replaced."""
 
     dataset: RatingsDataset
     duplicates_replaced: int = 0
-    contexts: Optional[np.ndarray] = None
 
 
 def _bytes(source) -> bytes:
@@ -91,15 +89,16 @@ def _kept_rows(keys: np.ndarray) -> np.ndarray:
 
 
 def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int],
-             values) -> Tuple[ParseResult, np.ndarray]:
-    """The parse of rows (user id, item id, value), with users and items given
-    as (dense ids, id count): each repeated cell at its first position with
-    its last row. Also returns the source row of each dataset row."""
+             values, contexts: Optional[np.ndarray] = None) -> ParseResult:
+    """The parse of rows (user id, item id, value[, context]), with users and
+    items given as (dense ids, id count): each repeated cell at its first
+    position with its last row."""
     (users, n_users), (items, n_items) = users, items
     values = np.asarray(values, dtype=np.int64)
     rows = _kept_rows(users * n_items + items)
-    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items)
-    return ParseResult(dataset, duplicates_replaced=len(values) - len(rows)), rows
+    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items,
+                             None if contexts is None else contexts[rows])
+    return ParseResult(dataset, duplicates_replaced=len(values) - len(rows))
 
 
 def _dense_ids(raw) -> Tuple[np.ndarray, int]:
@@ -171,8 +170,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     data = _bytes(source)
     fields = _integer_fields(data, sep)
     if fields is not None:
-        return _dataset(_dense_ids(fields[:, 0]), _dense_ids(fields[:, 1]),
-                        fields[:, 2])[0]
+        return _dataset(_dense_ids(fields[:, 0]), _dense_ids(fields[:, 1]), fields[:, 2])
     users, items, values = [], [], []
     for line_no, raw_line in enumerate(_lines(data), start=1):
         line = raw_line.rstrip("\n")
@@ -197,7 +195,7 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
         items.append(item)
         values.append(value)
 
-    return _dataset(_dense_ids(users), _dense_ids(items), values)[0]
+    return _dataset(_dense_ids(users), _dense_ids(items), values)
 
 
 def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFormat.TAB_100K) -> str:
@@ -210,20 +208,25 @@ def write_movielens(dataset: RatingsDataset, fmt: MovieLensFormat = MovieLensFor
     return "\n".join(lines) + "\n"
 
 
-def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
-    """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
-    ratings in [1, R_MAX]), from any source `parse_movielens` accepts, into
-    a dataset plus its contexts, of shape (len(dataset), len(context_columns)).
-
-    Ids are compared without surrounding whitespace. Context columns hold
-    integer category codes; missing markers (-1, empty) are encoded as 0.
-    """
+def check_context_columns(context_columns: Sequence[str]) -> None:
+    """A SchemaError unless each context column is named once and reads no id or rating."""
     not_context = [c for c in context_columns if c in (COMODA_USER, COMODA_ITEM, COMODA_RATING)]
     if not_context:  # a rating read as context would reach the data-free PowerMat
         raise SchemaError(f"context columns may not name {not_context}")
     twice = [c for c in dict.fromkeys(context_columns) if context_columns.count(c) > 1]
     if twice:  # PowerMat would read one feature as two
         raise SchemaError(f"context columns named more than once: {twice}")
+
+
+def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
+    """Parse an LDOS-CoMoDa style CSV (userID, itemID and rating columns,
+    ratings in [1, R_MAX]), from any source `parse_movielens` accepts, into
+    a dataset whose contexts have shape (len(dataset), len(context_columns)).
+
+    Ids are compared without surrounding whitespace. Context columns hold
+    integer category codes; missing markers (-1, empty) are encoded as 0.
+    """
+    check_context_columns(context_columns)
     rows = _csv_rows(_bytes(source))
     _, header = next(rows, (0, None))
     if header is None:
@@ -267,16 +270,14 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
         values.append(value)
         contexts.append(context)
 
-    result, rows = _dataset(_dense_ids(users), _dense_ids(items), values)
-    result.contexts = np.array(contexts, dtype=np.float64).reshape(
-        len(contexts), len(context_columns))[rows]
-    result.contexts.flags.writeable = False
-    return result
+    return _dataset(_dense_ids(users), _dense_ids(items), values,
+                    np.array(contexts, dtype=np.float64).reshape(len(users), len(context_columns)))
 
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:
-    """Seeded random partition into (train, test); both sides keep the
-    parent's n_users and n_items. A side left empty is a DatasetError."""
+    """Seeded random partition into (train, test); each side keeps the
+    parent's n_users and n_items, and its own rows' contexts. A side left
+    empty is a DatasetError."""
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")
@@ -288,8 +289,8 @@ def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, Rat
     in_test = np.zeros(n, dtype=bool)
     in_test[rng.permutation(n)[:n_test]] = True
     make = lambda mask: RatingsDataset(
-        dataset.users[mask], dataset.items[mask], dataset.values[mask],
-        dataset.n_users, dataset.n_items)
+        dataset.users[mask], dataset.items[mask], dataset.values[mask], dataset.n_users,
+        dataset.n_items, None if dataset.contexts is None else dataset.contexts[mask])
     return make(~in_test), make(in_test)
 
 

@@ -39,7 +39,7 @@ def harness(benchmark_dataset):
     seconds = {}
     for algo in ALGOS:
         start = time.perf_counter()
-        maes[algo] = _evaluate_algorithm(algo, fit_config(), train, test, None, SPLIT_SEED)
+        maes[algo] = _evaluate_algorithm(algo, fit_config(), train, test, SPLIT_SEED)
         seconds[algo] = time.perf_counter() - start
     return {"maes": maes, "seconds": seconds}
 
@@ -124,9 +124,8 @@ def test_criterion_4_data_freedom(report):
         text = "userID,itemID,rating,mood,location,weather\n" + "".join(
             f"{u},{j},{6 - v if flip else v},{','.join(map(str, ctx))}\n"
             for u, j, v, ctx in rows)
-        parsed = parse_comoda(text, ["mood", "location", "weather"])
-        ds = parsed.dataset
-        predictor = REGISTRY["powermat"].fit("powermat", config, ds, parsed, 5)
+        ds = parse_comoda(text, ["mood", "location", "weather"]).dataset
+        predictor = REGISTRY["powermat"].fit("powermat", config, ds, 5)
         users, items = np.divmod(np.arange(ds.n_users * ds.n_items), ds.n_items)
         predictions.append(predictor.predict_many(users, items))
     ok = ok and np.array_equal(*predictions)
@@ -143,8 +142,8 @@ def test_criterion_5_time_order_invariance(report):
     results = {}
     for algo in ("itemcf", "mf", "zeromat", "dotmat", "poissonmat",
                  "dotmat-hybrid"):
-        a = _evaluate_algorithm(algo, config, train, test, None, 7)
-        b = _evaluate_algorithm(algo, config, permuted, test, None, 7)
+        a = _evaluate_algorithm(algo, config, train, test, 7)
+        b = _evaluate_algorithm(algo, config, permuted, test, 7)
         results[algo] = (a, b)
 
     # powermat sees (user, item, context) columns; reverse those as well

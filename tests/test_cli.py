@@ -19,7 +19,7 @@ from reclab import cli
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import R_MAX, RatingsDataset, TrainConfig
 from reclab.evaluation import Predictor
-from reclab.ingest import ParseResult, SplitSpec, generate_zipf, split, write_movielens
+from reclab.ingest import SplitSpec, generate_zipf, split, write_movielens
 from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
 
 from conftest import fit_config
@@ -234,6 +234,27 @@ class TestBench:
         report = json.loads((tmp_path / "out" / "report_seed42.json").read_text())
         assert {r["algo"] for r in report["rows"]} == {"powermat", "random"}
 
+    def test_powermat_repetitions_match_one_repetition_benches(self, runner, comoda_file,
+                                                               tmp_path):
+        # each repetition's train split carries its own rows' contexts to powermat
+        algorithms = ["random", "powermat"]
+        config = comoda_config(comoda_file, tmp_path, algorithms, repetitions=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        maes = []
+        for seed in (42, 43):
+            config = comoda_config(comoda_file, tmp_path, algorithms,
+                                   split={"test_fraction": 0.2, "seed": seed})
+            one = tmp_path / f"one{seed}"
+            result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(one)])
+            assert result.exit_code == 0, result.output
+            for name in (f"report_seed{seed}.json", f"report_seed{seed}.csv"):
+                assert (out / name).read_text() == (one / name).read_text()
+            rows = json.loads((one / f"report_seed{seed}.json").read_text())["rows"]
+            maes.append({r["algo"]: r["mae"] for r in rows}["powermat"])
+        assert maes[0] != maes[1]  # the second repetition trained on a new split
+
     def test_comoda_reads_contexts_only_for_powermat(self, runner, comoda_file, tmp_path):
         # a CSV of ids and ratings only, under the default context_columns
         lines = comoda_file.read_text().splitlines()
@@ -383,6 +404,12 @@ class TestBench:
         # nor reads one feature twice
         pytest.param(lambda c: {**c, "context_columns": ["mood", "mood"]},
                      id="repeated-context-column"),
+        # both are checked whatever the algorithms, like every other key
+        pytest.param(lambda c: {**c, "algorithms": ["random"], "context_columns": ["rating"]},
+                     id="unread-rating-context-column"),
+        pytest.param(lambda c: {**c, "algorithms": ["random"],
+                                "context_columns": ["mood", "mood"]},
+                     id="unread-repeated-context-column"),
         # powermat reads contexts, which no MovieLens format has
         pytest.param(lambda c: {**c, "dataset": {**c["dataset"], "format": "tab100k"}},
                      id="powermat-on-tab100k"),
@@ -618,17 +645,17 @@ class TestEvaluateAlgorithm:
         monkeypatch.setitem(REGISTRY, "mf",
                             cli.Algorithm({}, lambda *args: ConstantPredictor(value)))
         with pytest.raises(ValueError, match=f"^mf: mae must be finite and >= 0, got {value}$"):
-            cli._evaluate_algorithm("mf", fit_config(), *self.train_test(), None, 8)
+            cli._evaluate_algorithm("mf", fit_config(), *self.train_test(), 8)
 
     def test_negative_mae_rejected(self, monkeypatch):
         monkeypatch.setattr(cli.evaluation, "mae", lambda predictor, test: -0.1)
         with pytest.raises(ValueError, match="^mf: mae must be finite and >= 0, got -0.1$"):
             cli._evaluate_algorithm("mf", fit_config(train={"mf": {"epochs": 1}}),
-                                    *self.train_test(), None, 8)
+                                    *self.train_test(), 8)
 
     def test_returns_the_mae_as_a_float(self):
         train, test = self.train_test()
-        mae = cli._evaluate_algorithm("random", fit_config(), train, test, None, 8)
+        mae = cli._evaluate_algorithm("random", fit_config(), train, test, 8)
         assert type(mae) is float and mae == cli.evaluation.random_baseline_mae(test, 8)
 
 
@@ -639,12 +666,11 @@ class TestRegistry:
         cells = [(u, i) for u in range(6) for i in range(7) if (u + i) % 3]
         users, items = np.array(cells).T
         values = 1 + (users * 7 + items) % 5
-        parsed = ParseResult(RatingsDataset(users, items, values, n_users=6, n_items=7),
-                             contexts=np.array([(u % 2, i % 3) for u, i in cells], float))
+        contexts = np.array([(u % 2, i % 3) for u, i in cells], float)
         in_train = (users != 5) & (items != 6)
         train = RatingsDataset(users[in_train], items[in_train], values[in_train],
-                               n_users=6, n_items=7)
-        predictor = REGISTRY[algo].fit(algo, fit_config(), train, parsed, 3)
+                               n_users=6, n_items=7, contexts=contexts[in_train])
+        predictor = REGISTRY[algo].fit(algo, fit_config(), train, 3)
         assert_total(predictor, 6, 7)
 
     @pytest.mark.parametrize("algo, rule", [("zeromat", zeromat_step),
@@ -655,7 +681,7 @@ class TestRegistry:
         models = []
         monkeypatch.setattr(reclab.cli, "train_zeroshot",
                             lambda *args: models.append(train_zeroshot(*args)) or models[-1])
-        REGISTRY[algo].fit(algo, fit_config(train={"default": {"k": 3}}), train, None, 4)
+        REGISTRY[algo].fit(algo, fit_config(train={"default": {"k": 3}}), train, 4)
         cfg = TrainConfig(**{**REGISTRY[algo].defaults, "k": 3}, seed=4,
                           samples_per_epoch=len(train))
         expected = train_zeroshot(rule, 20, 25, cfg)
@@ -664,25 +690,33 @@ class TestRegistry:
         assert np.array_equal(model.V, expected.V)
 
     def test_powermat_trains_on_the_train_cells_only(self, monkeypatch):
+        # each cell's context is (user, item), so a context names its cell
         users, items = np.divmod(np.arange(12), 4)
-        parsed = ParseResult(RatingsDataset(users, items, [3] * 12, 3, 4),
-                             contexts=users[:, None].astype(float))
-        train = RatingsDataset([2, 0], [1, 3], [4, 5], 3, 4)
+        dataset = RatingsDataset(users, items, [3] * 12, 3, 4,
+                                 contexts=np.column_stack([users, items]).astype(float))
+        train, test = split(dataset, SplitSpec(0.5, 3))
         passed = []
         real = reclab.cli.powermat_train
         monkeypatch.setattr(reclab.cli, "powermat_train",
                             lambda *args, **kw: passed.append(args[:3]) or real(*args, **kw))
-        REGISTRY["powermat"].fit("powermat", fit_config(), train, parsed, 3)
-        users, items, contexts = passed[0]
-        assert list(zip(users.tolist(), items.tolist())) == [(0, 3), (2, 1)]
-        assert contexts.tolist() == [[0.0], [2.0]]
+        REGISTRY["powermat"].fit("powermat", fit_config(), train, 3)
+        (fit_users, fit_items, contexts), = passed
+        cells = list(zip(fit_users.tolist(), fit_items.tolist()))
+        assert cells == list(zip(train.users.tolist(), train.items.tolist()))
+        assert not set(cells) & set(zip(test.users.tolist(), test.items.tolist()))
+        assert contexts.tolist() == [[float(u), float(i)] for u, i in cells]
+
+    def test_powermat_on_a_dataset_without_contexts_is_an_error(self):
+        train = generate_zipf(5, 6, 12, 1.0, seed=3)
+        with pytest.raises(ValueError, match=r"^powermat: context required \(use a comoda"):
+            REGISTRY["powermat"].fit("powermat", fit_config(), train, 3)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
     def test_vanishing_fill_equals_plain_mf(self, hybrid):
         train = generate_zipf(25, 25, 200, 1.0, seed=22)
         config = fit_config(fill_fraction=1e-9, train={"mf": {"k": 4, "epochs": 3}})
-        model = REGISTRY[hybrid].fit(hybrid, config, train, None, 5).model
-        plain = REGISTRY["mf"].fit("mf", config, train, None, 5).model
+        model = REGISTRY[hybrid].fit(hybrid, config, train, 5).model
+        plain = REGISTRY["mf"].fit("mf", config, train, 5).model
         assert np.array_equal(model.U, plain.U)
         assert np.array_equal(model.V, plain.V)
 
@@ -698,7 +732,7 @@ class TestRegistry:
             monkeypatch.setattr(reclab.cli, name, recording(getattr(reclab.cli, name)))
 
         def factors(sections):
-            model = REGISTRY[hybrid].fit(hybrid, fit_config(train=sections), train, None, 5).model
+            model = REGISTRY[hybrid].fit(hybrid, fit_config(train=sections), train, 5).model
             return np.concatenate([model.U, model.V])
 
         sections = {base: {"epochs": 1}, "mf": {"gamma": 0.01, "epochs": 4}}
@@ -707,7 +741,7 @@ class TestRegistry:
         assert (zs_cfg.gamma, zs_cfg.epochs) == (2e-5, 1)  # the base's defaults and section
         assert (mf_cfg.gamma, mf_cfg.epochs) == (0.01, 4)
         # the zero-shot stage trains as the base algorithm's own fit does
-        REGISTRY[base].fit(base, fit_config(train=sections), train, None, 5)
+        REGISTRY[base].fit(base, fit_config(train=sections), train, 5)
         assert configs[-1] == zs_cfg
         assert not np.array_equal(factors({**sections, base: {"k": 2}}), reference)
         assert not np.array_equal(factors({**sections, "mf": {"epochs": 4}}), reference)
@@ -723,9 +757,9 @@ class TestRegistry:
         real = reclab.cli.augment_with_zeroshot
         monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
                             lambda *args: passed.append(args) or real(*args))
-        REGISTRY[hybrid].fit(hybrid, config, train, None, 11)
+        REGISTRY[hybrid].fit(hybrid, config, train, 11)
         (filled_train, predictor, seed, fill_fraction), = passed
-        expected = REGISTRY[base].fit(base, config, train, None, 11)
+        expected = REGISTRY[base].fit(base, config, train, 11)
         users, items = np.divmod(np.arange(20 * 25), 25)
         assert filled_train is train and (seed, fill_fraction) == (11, 0.6)
         assert np.array_equal(predictor.predict_many(users, items),
@@ -744,7 +778,7 @@ class TestRegistry:
         users, items = np.divmod(np.array(cells), n_items)
         train = RatingsDataset(users, items, values, n_users, n_items)
         config = fit_config(similarity_kind=kind, neighborhood_size=size)
-        predictor = REGISTRY["itemcf"].fit("itemcf", config, train, None, 0)
+        predictor = REGISTRY["itemcf"].fit("itemcf", config, train, 0)
         assert_total(predictor, n_users, n_items)
 
 

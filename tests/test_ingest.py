@@ -146,22 +146,22 @@ class TestParseComoda:
     def test_context_codes_pass_through(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
         assert result.dataset.values[0] == 4
-        assert result.contexts[0].tolist() == [2.0, 1.0]
+        assert result.dataset.contexts[0].tolist() == [2.0, 1.0]
 
     def test_missing_marker_becomes_zero(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        assert result.contexts[1].tolist() == [0.0, 1.0]
+        assert result.dataset.contexts[1].tolist() == [0.0, 1.0]
 
     def test_contexts_are_a_read_only_float_array(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        assert result.contexts.dtype == np.float64
-        assert result.contexts.shape == (len(result.dataset), 2)
-        assert not result.contexts.flags.writeable
+        assert result.dataset.contexts.dtype == np.float64
+        assert result.dataset.contexts.shape == (len(result.dataset), 2)
+        assert not result.dataset.contexts.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            result.contexts[0, 0] = 9.0
+            result.dataset.contexts[0, 0] = 9.0
 
     def test_movielens_parse_has_no_contexts(self):
-        assert parse_movielens("1\t2\t4\t0\n", MovieLensFormat.TAB_100K).contexts is None
+        assert parse_movielens("1\t2\t4\t0\n", MovieLensFormat.TAB_100K).dataset.contexts is None
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -218,7 +218,7 @@ class TestParseComoda:
         result = parse_comoda("userID,itemID,rating,mood\n1,3,4,1\n1, 3,5,1\n", ["mood"])
         assert (result.dataset.n_users, result.dataset.n_items) == (1, 1)
         assert result.duplicates_replaced == 1
-        assert result.contexts.tolist() == [[1.0]]
+        assert result.dataset.contexts.tolist() == [[1.0]]
         with pytest.raises(ParseError, match="^line 5: empty item id$"):
             parse_comoda(self.CSV + "15,  ,4,1,1\n", ["mood", "location"])
 
@@ -237,7 +237,7 @@ class TestParseComoda:
 
     def test_repeated_unread_column_is_allowed(self):
         result = parse_comoda("userID,itemID,rating,mood,note,note\n1,3,4,1,a,b\n", ["mood"])
-        assert result.contexts.tolist() == [[1.0]]
+        assert result.dataset.contexts.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("kind", SOURCE_KINDS)
     @pytest.mark.parametrize("where, line_no", [("header", 1), ("row", 5)])
@@ -261,7 +261,7 @@ class TestParseComoda:
 
     def test_shared_context_dimension(self):
         result = parse_comoda(self.CSV, ["mood", "location"])
-        assert result.contexts.shape == (3, 2)
+        assert result.dataset.contexts.shape == (3, 2)
 
     @pytest.mark.parametrize("columns, twice", [
         (["mood", "mood"], ["mood"]),
@@ -392,7 +392,7 @@ def comoda_files(draw):
 def _parsed(result):
     ds = result.dataset
     rows = list(zip(ds.users.tolist(), ds.items.tolist(), ds.values.tolist()))
-    contexts = result.contexts
+    contexts = result.dataset.contexts
     return (rows, ds.n_users, ds.n_items, result.duplicates_replaced,
             None if contexts is None else list(map(tuple, contexts.tolist())))
 
@@ -411,7 +411,7 @@ class TestParsersMatchDictOracle:
         text, context_columns = file
         result = parse_comoda(source_of(kind, text), context_columns)
         assert _parsed(result) == dict_parse_comoda(text, context_columns)
-        assert result.contexts.shape == (len(result.dataset), len(context_columns))
+        assert result.dataset.contexts.shape == (len(result.dataset), len(context_columns))
 
 
 class TestSplit:

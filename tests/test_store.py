@@ -56,7 +56,9 @@ def test_constructor_from_lists_and_from_arrays(case):
 @given(row_sets(min_size=1), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
 def test_split_partitions_rows_in_order(case, fraction, seed):
     rows, n_users, n_items = case
-    ds = from_rows(rows, n_users, n_items)
+    # context row k is (k, -k), so a side's contexts name the rows they came from
+    ds = RatingsDataset(*columns(rows), n_users, n_items,
+                        contexts=[(k, -k) for k in range(len(rows))])
     n_test = int(round(fraction * len(ds)))
     if n_test in (0, len(ds)):  # a side would be empty: an error naming the split
         side = "test" if n_test == 0 else "train"
@@ -73,6 +75,7 @@ def test_split_partitions_rows_in_order(case, fraction, seed):
         at = [position[key] for key in part.keys().tolist()]
         assert at == sorted(at)
         assert rows_of(part) == [rows[k] for k in at]
+        assert part.contexts.tolist() == [[k, -k] for k in at]
     assert set(train.keys().tolist()).isdisjoint(test.keys().tolist())
 
 
@@ -129,16 +132,32 @@ def test_invalid_rows_rejected(case, kind, data):
         RatingsDataset(*map(np.array, columns(bad)), n_users, n_items)
 
 
+@pytest.mark.parametrize("contexts", [[1.0, 2.0], [[1.0]], [[1.0]] * 3, np.ones((2, 1, 1))],
+                         ids=["1-d", "short", "long", "3-d"])
+def test_misshapen_contexts_rejected(contexts):
+    with pytest.raises(DatasetError, match="^contexts of shape .* do not give one row "
+                                           "to each of 2 ratings$"):
+        RatingsDataset([0, 1], [1, 0], [3, 5], 2, 2, contexts=contexts)
+
+
 def test_dataset_is_immutable_and_copies_through_the_validator():
-    ds = RatingsDataset([0, 1], [1, 0], [3, 5], 2, 2)
-    for name in ("users", "n_items", "extra"):
+    source = np.array([[1, 2], [3, 4]])
+    ds = RatingsDataset([0, 1], [1, 0], [3, 5], 2, 2, contexts=source)
+    source[0, 0] = 9  # the dataset keeps its own copy
+    assert ds.contexts.dtype == np.float64
+    assert RatingsDataset([0], [0], [1], 1, 1).contexts is None
+    for name in ("users", "n_items", "contexts", "extra"):
         with pytest.raises(AttributeError):
             setattr(ds, name, 1)
     with pytest.raises(AttributeError):
         del ds.users
     with pytest.raises(ValueError):
         ds.values[0] = 1
+    with pytest.raises(ValueError):
+        ds.contexts[0, 0] = 1.0
     for clone in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
         assert rows_of(clone) == rows_of(ds)
         assert (clone.n_users, clone.n_items) == (2, 2)
         assert not clone.users.flags.writeable
+        assert clone.contexts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not clone.contexts.flags.writeable

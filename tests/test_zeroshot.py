@@ -6,7 +6,7 @@ import pytest
 
 from reclab import cli
 from reclab.core import FactorModel, RatingsDataset, TrainConfig
-from reclab.ingest import ParseResult, generate_zipf
+from reclab.ingest import generate_zipf
 from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
                              dotmat_step, poissonmat_step, powermat_step,
                              powermat_train, train_zeroshot, zeromat_step)
@@ -151,17 +151,16 @@ class TestPowerMat:
         assert list(inspect.signature(powermat_train).parameters) == [
             "users", "items", "contexts", "cfg", "n_users", "n_items",
             "sigma_u", "sigma_v"]
-        # and the registry's fit passes none on: two parses that differ only
+        # and the registry's fit passes none on: two datasets that differ only
         # in their ratings train one model
         users, items, contexts, values = self.columns()
         models = []
         monkeypatch.setattr(cli, "powermat_train",
                             lambda *a, **kw: models.append(powermat_train(*a, **kw)) or models[-1])
         for vals in (values, 1 + (values % 5)):
-            dataset = RatingsDataset(users, items, vals, self.N_USERS, self.N_ITEMS)
-            parsed = ParseResult(dataset, contexts=contexts)
+            dataset = RatingsDataset(users, items, vals, self.N_USERS, self.N_ITEMS, contexts)
             cli.REGISTRY["powermat"].fit("powermat", fit_config(train={"powermat": {"epochs": 3}}),
-                                         dataset, parsed, 7)
+                                         dataset, 7)
         a, b = models
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.V, b.V)
