@@ -33,6 +33,7 @@ EXIT_DIVERGENCE = 2
 
 _FORMATS = {"tab100k": MovieLensFormat.TAB_100K,
             "colons1m": MovieLensFormat.COLONS_1M}
+DATASET_FORMATS = sorted(_FORMATS) + ["comoda"]
 
 def _atomic_write(path: Path, content: str) -> None:
     """Write content to path, making its directory only now, so that a run
@@ -75,12 +76,10 @@ def _read_json(path: Path):
 
 
 def _load_dataset(path: Path, fmt: str, context_columns) -> RatingsDataset:
-    if fmt in _FORMATS:
-        return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt]).dataset
+    """The dataset in path, in one of DATASET_FORMATS."""
     if fmt == "comoda":
         return ingest.parse_comoda(path.read_bytes(), context_columns).dataset
-    raise ValueError(f"unknown dataset format {fmt!r}; expected one of "
-                     f"{sorted(_FORMATS) + ['comoda']}")
+    return ingest.parse_movielens(path.read_bytes(), _FORMATS[fmt]).dataset
 
 
 # Fit functions: fit(name, config, train, seed) trains the named algorithm on
@@ -270,6 +269,8 @@ class BenchConfig:
         if repeated:
             raise ValueError(f"algorithms listed more than once: {repeated}")
         fmt = dataset.get("format", "tab100k")
+        if fmt not in DATASET_FORMATS:
+            raise ValueError(f"unknown dataset format {fmt!r}; expected one of {DATASET_FORMATS}")
         if "powermat" in algorithms and fmt in _FORMATS:
             raise ValueError("powermat: context required (use a comoda dataset)")
         for section, keys in sections.items():
@@ -415,7 +416,7 @@ def bench(config_path: Path, out_dir: Optional[Path]):
 @main.command()
 @click.option("--mode", type=click.Choice(["zipf", "diversity"]), required=True)
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path))
-@click.option("--format", "fmt", default="tab100k")
+@click.option("--format", "fmt", type=click.Choice(DATASET_FORMATS), default="tab100k")
 @click.option("--input", "input_path", type=click.Path(path_type=Path),
               help="diversity mode: JSON with groups [[K, M], ...] and n_market")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path),

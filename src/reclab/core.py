@@ -49,6 +49,23 @@ def _check_grid(n_users, n_items) -> None:
         raise DatasetError(f"a {n_users}x{n_items} grid overflows int64 cell keys")
 
 
+def first_draws(keys: np.ndarray, n: int, grid: int, draw) -> np.ndarray:
+    """n distinct cell keys: `keys`, all distinct, then the first draw of each
+    untaken cell of a `grid`-cell grid. A round appends draw(m) keys, m sized
+    by the untaken share, so draw must give one stream whatever the m. If 200
+    rounds leave keys missing, the rest are the first free cells in row-major order."""
+    grid = int(grid)  # in Python ints, so 2 * missing * grid cannot wrap
+    for _ in range(200):
+        if len(keys) == n:
+            return keys
+        m = max(-(-2 * (n - len(keys)) * grid // (grid - len(keys))), 1024)
+        keys = np.concatenate([keys, draw(m)])
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])[:n]]
+    # among the cells below n at most len(keys) are taken
+    free = np.setdiff1d(np.arange(n), keys)[:n - len(keys)]
+    return np.concatenate([keys, free])
+
+
 @dataclass(frozen=True, eq=False)
 class RatingsDataset:
     """Sparse integer rating triples on an n_users x n_items grid: row k is

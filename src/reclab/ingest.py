@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import R_MAX, DatasetError, RatingsDataset, _check_grid
+from .core import R_MAX, DatasetError, RatingsDataset, _check_grid, first_draws
 
 # CoMoDa's id and rating columns
 COMODA_USER, COMODA_ITEM, COMODA_RATING = "userID", "itemID", "rating"
@@ -224,7 +224,8 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     a dataset whose contexts have shape (len(dataset), len(context_columns)).
 
     Ids are compared without surrounding whitespace. Context columns hold
-    integer category codes; missing markers (-1, empty) are encoded as 0.
+    integer category codes; an empty field and any negative code (a missing
+    marker such as -1) are encoded as 0.
     """
     check_context_columns(context_columns)
     rows = _csv_rows(_bytes(source))
@@ -264,7 +265,7 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
             if not math.isfinite(code):  # float() reads nan and inf
                 raise ParseError(f"non-finite context value {cell_text!r} in {col}",
                                  line_no)
-            context.append(max(code, 0.0))  # missing marker (-1 or blank) -> 0
+            context.append(max(code, 0.0))  # any negative code -> 0
         users.append(user)
         items.append(item)
         values.append(value)
@@ -309,9 +310,11 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     counts proportional to the value itself.
 
     Item j (popularity rank j+1) is drawn with weight (j+1)^-exponent; the
-    rating value v is drawn with probability v / sum(1..R_MAX). A cell keeps
-    its first draw; if 200 rounds of draws leave cells to place, the rest are
-    the first free cells in row-major order.
+    rating value v is drawn with probability v / sum(1..R_MAX). Users, items
+    and values come from three streams spawned from `seed`. A cell keeps its
+    first draw, in rounds sized as in the hybrid fill (`first_draws`); if 200
+    rounds leave cells to place, the rest are the first free cells in
+    row-major order. Each kept cell, in that order, takes the next value draw.
     """
     if not (0 < exponent < math.inf):  # NaN fails both comparisons
         raise ValueError(f"exponent must be positive and finite, got {exponent}")
@@ -322,29 +325,12 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
         raise DatasetError(
             f"cannot place {n_ratings} distinct ratings on a "
             f"{n_users}x{n_items} grid")
-    rng = np.random.default_rng(seed)
-    item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
-    item_cum = _cdf(item_weights)
+    users_rng, items_rng, values_rng = np.random.default_rng(seed).spawn(3)
+    item_cum = _cdf(np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent))
     values_cum = _cdf(np.arange(1, R_MAX + 1, dtype=np.float64))
-
-    # cell keys user * n_items + item, in draw order; a cell keeps its first draw
-    keys = np.empty(0, dtype=np.int64)
-    values = np.empty(0, dtype=np.int64)
-    for _ in range(200):  # then fill dense grids in row-major order
-        if len(keys) == n_ratings:
-            break
-        batch = max(2 * (n_ratings - len(keys)), 1024)
-        us = rng.integers(0, n_users, size=batch)
-        js = np.searchsorted(item_cum, rng.random(batch))
-        vs = np.searchsorted(values_cum, rng.random(batch)) + 1
-        keys = np.concatenate([keys, us * n_items + js])
-        values = np.concatenate([values, vs])
-        first = np.sort(np.unique(keys, return_index=True)[1])[:n_ratings]
-        keys = keys[first]
-        values = values[first]
-    if len(keys) < n_ratings:
-        free = np.setdiff1d(np.arange(n_ratings), keys)[:n_ratings - len(keys)]
-        keys = np.concatenate([keys, free])
-        free_values = np.searchsorted(values_cum, rng.random(len(free))) + 1
-        values = np.concatenate([values, free_values])
+    # users and items from streams of their own: the same draws whatever the m
+    draw = lambda m: (users_rng.integers(0, n_users, size=m) * n_items
+                      + np.searchsorted(item_cum, items_rng.random(m)))
+    keys = first_draws(np.empty(0, dtype=np.int64), n_ratings, n_users * n_items, draw)
+    values = np.searchsorted(values_cum, values_rng.random(n_ratings)) + 1
     return RatingsDataset(keys // n_items, keys % n_items, values, n_users, n_items)

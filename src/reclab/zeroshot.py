@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .baselines import init_factors, sgd_epochs
-from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_range
+from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_range, first_draws
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -182,18 +182,12 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
     grid = train.n_users * train.n_items
     n = len(train) + min(int(round(fill_fraction * len(train))), grid - len(train))
     # m draws against [n_users, n_items] tiled m times are the stream of m
-    # alternating scalar (user, item) draws. A cell keeps its first draw, as
-    # in generate_zipf; train's distinct keys come first, so they keep their
-    # rows. Sizing m by the untaken share keeps dense trains to a few rounds.
+    # alternating scalar (user, item) draws, whatever the m; each (u, j) row
+    # is the key u * n_items + j. train's keys come first, so they keep their rows.
     rng = np.random.default_rng(seed)
-    keys = train.keys()
-    while len(keys) < n:
-        m = max(-(-2 * (n - len(keys)) * grid // (grid - len(keys))), 1024)
-        u, j = rng.integers(0, np.tile([train.n_users, train.n_items], m)).reshape(m, 2).T
-        keys = np.concatenate([keys, u * train.n_items + j])
-        first = np.sort(np.unique(keys, return_index=True)[1])[:n]
-        keys = keys[first]
-    users, items = np.divmod(keys, train.n_items)
+    draw = lambda m: (rng.integers(0, np.tile([train.n_users, train.n_items], m))
+                      .reshape(m, 2) @ [train.n_items, 1])
+    users, items = np.divmod(first_draws(train.keys(), n, grid, draw), train.n_items)
     # predictions lie in [1, R_MAX]; rint rounds halves to even, as round() does
     fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
     values = np.concatenate([train.values, fills.astype(np.int64)])

@@ -572,6 +572,13 @@ class TestConfigTable:
         stated = cli.BenchConfig(with_key(self.MINIMAL, key, value))
         assert typed(stated) == typed(cli.BenchConfig(self.MINIMAL))
 
+    def test_unknown_dataset_format_is_a_config_error(self):
+        # the constructor is the check, before any file is read
+        config = with_key(self.MINIMAL, "dataset.format", "bogus")
+        with pytest.raises(ValueError, match=r"^unknown dataset format 'bogus'; expected "
+                                             r"one of \['colons1m', 'tab100k', 'comoda'\]$"):
+            cli.BenchConfig(config)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import bisect
 import csv
 import gc
 import io
@@ -454,46 +455,66 @@ class TestSplit:
             split(empty, SplitSpec(0.2, 0))
 
 
-def sequential_zipf(n_users, n_items, n_ratings, exponent, seed):
-    """Reference for generate_zipf: the same draws, with each cell taken or
-    rejected one at a time."""
-    rng = np.random.default_rng(seed)
+def sequential_zipf(n_users, n_items, n_ratings, exponent, seed, max_draws=None):
+    """Reference for generate_zipf, one scalar draw at a time from the three
+    streams spawned from the seed: one user and one item per draw, each cell
+    kept at its first draw, until n_ratings cells are kept or max_draws draws
+    are made; then the first free cells in row-major order; then one value
+    draw per kept cell, in order."""
+    users_rng, items_rng, values_rng = np.random.default_rng(seed).spawn(3)
     item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
     item_cum = np.cumsum(item_weights / item_weights.sum())
+    item_cum[-1] = 1.0
     values_pmf = np.arange(1, R_MAX + 1, dtype=np.float64)
     values_cum = np.cumsum(values_pmf / values_pmf.sum())
-    rows = {}
-    for _ in range(200):
-        need = n_ratings - len(rows)
-        if need == 0:
-            break
-        batch = max(2 * need, 1024)
-        us = rng.integers(0, n_users, size=batch)
-        js = np.searchsorted(item_cum, rng.random(batch))
-        vs = np.searchsorted(values_cum, rng.random(batch)) + 1
-        for u, j, v in zip(us.tolist(), js.tolist(), vs.tolist()):
-            if len(rows) < n_ratings:
-                rows.setdefault((u, j), v)
+    values_cum[-1] = 1.0
+    # bisect_left on the list is searchsorted(side="left"), one draw at a time
+    item_cum, values_cum = item_cum.tolist(), values_cum.tolist()
+    cells = {}
+    draws = 0
+    while len(cells) < n_ratings and draws != max_draws:
+        u = int(users_rng.integers(0, n_users))
+        j = bisect.bisect_left(item_cum, items_rng.random())
+        cells.setdefault((u, j), None)
+        draws += 1
     for u in range(n_users):
         for j in range(n_items):
-            if len(rows) < n_ratings and (u, j) not in rows:
-                rows[u, j] = int(np.searchsorted(values_cum, rng.random())) + 1
-    return [(u, j, v) for (u, j), v in rows.items()]
+            if len(cells) < n_ratings:
+                cells.setdefault((u, j), None)
+    return [(u, j, bisect.bisect_left(values_cum, values_rng.random()) + 1)
+            for u, j in cells]
 
 
 class TestGenerateZipf:
-    @pytest.mark.parametrize("args", [
-        (30, 20, 200, 1.0, 3),
-        (5, 5, 25, 1.0, 0),
-        (40, 40, 400, 1.2, 9),
-        # the tail items are never drawn, so the row-major fill completes the grid
-        (3, 40, 120, 8.0, 1),
-        # 35 cells drawn, 65 completed row-major inside a 20,000-cell grid
-        (10, 2000, 100, 8.0, 4),
+    @pytest.mark.parametrize("args, max_draws", [
+        ((30, 20, 200, 1.0, 3), None),
+        ((5, 5, 25, 1.0, 0), None),
+        ((40, 40, 400, 1.2, 9), None),
+        # 280 of 300 cells: the last rounds draw many times the missing count
+        ((20, 15, 280, 1.0, 5), None),
+        ((60, 50, 3000, 1.0, 1), None),
+        # The tail items are never drawn, so these end in the row-major fill.
+        # Each of their 200 rounds draws the minimum 1024 cells, since
+        # 2 * missing * grid / untaken stays below it.
+        # 11 cells drawn, 109 completed: the whole grid
+        ((3, 40, 120, 8.0, 1), 200 * 1024),
+        # 35 cells drawn, 65 completed inside a 20,000-cell grid
+        ((10, 2000, 100, 8.0, 4), 200 * 1024),
     ])
-    def test_matches_sequential_reference(self, args):
+    def test_matches_sequential_reference(self, args, max_draws):
         ds = generate_zipf(*args)
-        assert rows_of(ds) == sequential_zipf(*args)
+        assert rows_of(ds) == sequential_zipf(*args, max_draws=max_draws)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), bound=st.integers(1, 2 ** 40))
+    def test_user_and_item_streams_ignore_the_chunk_size(self, seed, bound):
+        # generate_zipf's rounds may split its draws anywhere
+        chunks, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        users = np.concatenate([chunks.integers(0, bound, size=7),
+                                chunks.integers(0, bound, size=13)])
+        assert np.array_equal(users, whole.integers(0, bound, size=20))
+        items = np.concatenate([chunks.random(7), chunks.random(13)])
+        assert np.array_equal(items, whole.random(20))
 
     def test_cdf_last_bin_takes_every_draw_below_one(self):
         # 10 items at exponent 1.2: the plain cumulative sum rounds down to
