@@ -26,13 +26,12 @@ PAIR_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric item-item similarity scores of the co-rated pairs.
-
-    scores[k] belongs to the pair (i, j) with keys[k] = i * n_items + j.
-    The keys are strictly increasing and only nonzero scores are stored;
-    every absent pair scores 0. The diagonal is never used for neighbor
-    selection. Read-only int64 keys and float64 scores that own their data
-    are kept as given; anything else is copied into read-only arrays.
+    """Symmetric item-item similarity scores of the co-rated pairs, each
+    stored once: scores[k] is the score of (i, j) and of (j, i), where
+    keys[k] = i * n_items + j and i <= j. The keys are strictly increasing
+    and only nonzero scores are stored; every absent pair scores 0. The
+    diagonal is never used for neighbor selection. Read-only int64 keys and
+    float64 scores that own their data are kept, anything else copied read-only.
     """
 
     n_items: int
@@ -45,13 +44,17 @@ class SimilarityMatrix:
             raise ValueError("keys and scores must be 1-d and of one length")
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("keys must be strictly increasing")
+        # no key in [i * n_items, i * (n_items + 1)), row i's part below the diagonal
+        edges = (np.arange(self.n_items)[:, None] * [self.n_items, self.n_items + 1]).ravel()
+        if np.diff(np.searchsorted(keys, edges))[::2].any():
+            raise ValueError("keys must lie on or above the diagonal, i <= j")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "scores", scores)
 
     def lookup(self, i, j) -> np.ndarray:
         """The scores of the pairs (i[k], j[k]); 0.0 for a pair not stored."""
-        query = (np.asarray(i, dtype=np.int64) * self.n_items
-                 + np.asarray(j, dtype=np.int64))
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        query = np.minimum(i, j) * self.n_items + np.maximum(i, j)
         if not len(self.keys):
             return np.zeros(query.shape)
         pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
@@ -87,23 +90,23 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     and restricts norms to the co-rating users. Pairs without co-raters
     score 0 and are not stored.
 
-    Each rating is paired with every rating of the same user, a block of
-    anchor items at a time, and the terms of each pair are summed in user
-    order. So memory grows with the number of co-rated pairs, not with
-    n_users * n_items, and adjusted-cosine scores are exactly symmetric.
-    Cosine numerators and norms are sums of integers, so they are exact.
+    Each rating is paired with its user's ratings of items from its own
+    on, a block of anchor items at a time, so each pair (i, j), i <= j, is
+    summed once, from anchor i, in user order. Memory grows with the number
+    of co-rated pairs, not with n_users * n_items. Cosine numerators and
+    norms are sums of integers, so they are exact.
     """
     if len(train) == 0:
         raise ValueError("train set is empty")
     n_items = train.n_items
     users, items, values = train.arrays()
-    # user u's ratings are bounds[u]:bounds[u + 1], ordered by item
+    # user u's ratings are bounds[u]:bounds[u + 1], ascending by item
     bounds = np.searchsorted(users, np.arange(train.n_users + 1))
-    degree = np.diff(bounds)
+    ahead = bounds[users + 1] - np.arange(len(users))  # rating r pairs with r:bounds[users[r] + 1]
     adjusted = kind is SimilarityKind.ADJUSTED_COSINE
     if adjusted:
         sums = np.bincount(users, weights=values, minlength=train.n_users)
-        values = values - (sums / np.maximum(degree, 1))[users]
+        values = values - (sums / np.maximum(np.diff(bounds), 1))[users]
     else:
         norms = np.sqrt(np.bincount(items, weights=values ** 2, minlength=n_items))
 
@@ -111,7 +114,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     # anchors[item_bounds[i]:item_bounds[i + 1]]
     anchors = np.argsort(items, kind="stable")
     item_bounds = np.searchsorted(items[anchors], np.arange(n_items + 1))
-    pairs_per_item = np.bincount(items, weights=degree[users], minlength=n_items)
+    pairs_per_item = np.bincount(items, weights=ahead, minlength=n_items)
 
     # The store grows block by block in its final arrays. resize
     # reallocates, in place where the allocator can (glibc remaps a large
@@ -120,7 +123,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     scores = np.empty(0, dtype=np.float64)
     for block in _blocks(pairs_per_item, PAIR_BLOCK):
         anchor = anchors[item_bounds[block.start]:item_bounds[block.stop]]
-        owner, partner = _expand(bounds[users[anchor]], degree[users[anchor]])
+        owner, partner = _expand(anchor, ahead[anchor])
         if not len(owner):
             continue
         anchor = anchor[owner]

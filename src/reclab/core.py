@@ -100,10 +100,10 @@ class RatingsDataset:
         _check_range("rating value", values, 1, R_MAX)
         _check_range("user_id", users, 0, n_users - 1)
         _check_range("item_id", items, 0, n_items - 1)
-        keys, counts = np.unique(users * n_items + items, return_counts=True)
-        if (counts > 1).any():
-            key = int(keys[counts > 1][0])
-            raise DatasetError(f"duplicate rating for cell {divmod(key, n_items)}")
+        keys = np.sort(users * n_items + items)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeated):
+            raise DatasetError(f"duplicate rating for cell {divmod(int(repeated[0]), n_items)}")
         contexts = None if self.contexts is None else _readonly(self.contexts)
         if contexts is not None and (contexts.ndim != 2 or len(contexts) != len(values)):
             raise DatasetError(f"contexts of shape {contexts.shape} do not give "
@@ -130,9 +130,9 @@ class RatingsDataset:
         return float(np.mean(self.values))
 
     def arrays(self):
-        """(users, items, values) in canonical (user, item) order, values as
-        floats, so that every consumer is invariant to the row order."""
-        order = np.lexsort((self.items, self.users))
+        """(users, items, values) sorted by cell key, that is by (user, item),
+        values as floats, so that every consumer is invariant to the row order."""
+        order = np.argsort(self.keys())
         return (self.users[order], self.items[order],
                 self.values[order].astype(np.float64))
 

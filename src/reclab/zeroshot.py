@@ -16,7 +16,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .baselines import init_factors, sgd_epochs
-from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_range, first_draws
+from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_grid, _check_range,
+                   first_draws)
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -133,9 +134,9 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
         raise ValueError("contexts must be one row per (user, item) pair")
     _check_range("user_id", users, 0, n_users - 1)
     _check_range("item_id", items, 0, n_items - 1)
-    # canonical (user, item) order keeps training invariant to input row
-    # order; lexsort is stable, so equal keys keep their input order
-    order = np.lexsort((items, users))
+    _check_grid(n_users, n_items)
+    # a stable sort by cell key keeps training invariant to the input row order
+    order = np.argsort(users * n_items + items, kind="stable")
     users, items, ctx = users[order], items[order], ctx[order]
 
     rng, U, V = init_factors(n_users, n_items, cfg)

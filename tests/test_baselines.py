@@ -72,9 +72,10 @@ def reference_predict(matrix, train, neighborhood_size, u, i):
 
 
 def sims_from_dense(matrix):
-    """A SimilarityMatrix holding the nonzero entries of a square matrix."""
+    """A SimilarityMatrix holding the nonzero entries on and above the
+    diagonal of a symmetric matrix."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    keys = np.flatnonzero(matrix)
+    keys = np.flatnonzero(np.triu(matrix))
     return SimilarityMatrix(n_items=len(matrix), keys=keys,
                             scores=matrix.ravel()[keys])
 
@@ -138,8 +139,8 @@ class TestItemSimilarities:
         sims = item_similarities(ds, SimilarityKind.COSINE)
         reference = reference_similarities(ds, SimilarityKind.COSINE)
         assert np.array_equal(dense_scores(sims), reference)
-        # only the nonzero scores are stored
-        assert len(sims.keys) == np.count_nonzero(reference)
+        # only the nonzero scores on and above the diagonal are stored
+        assert len(sims.keys) == np.count_nonzero(np.triu(reference))
 
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
     def test_adjusted_cosine_matches_dense_reference(self, shape):
@@ -190,7 +191,7 @@ class TestItemSimilarities:
     def test_store_is_built_once(self):
         # the traced peak is the store plus one block's work, not the store
         # held several times over
-        ds = generate_zipf(800, 600, 50_000, 1.0, seed=1)
+        ds = generate_zipf(400, 1200, 30_000, 1.0, seed=1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -205,6 +206,11 @@ class TestItemSimilarities:
     def test_unsorted_keys_rejected(self):
         with pytest.raises(ValueError):
             SimilarityMatrix(n_items=2, keys=[3, 1], scores=[0.5, 0.5])
+
+    def test_keys_below_the_diagonal_rejected(self):
+        # key 2 is the pair (1, 0): each pair is stored once, as (0, 1)
+        with pytest.raises(ValueError, match="diagonal"):
+            SimilarityMatrix(n_items=2, keys=[1, 2], scores=[0.5, 0.5])
 
 
 class TestSimilarityMatrix:
@@ -231,7 +237,7 @@ class TestSimilarityMatrix:
                 view.setflags(write=False)
         sims = SimilarityMatrix(n_items=2, keys=passed[0], scores=passed[1])
         keys[0], scores[:] = 2, 0.75
-        assert sims.lookup([0, 1, 1], [1, 0, 1]).tolist() == [0.5, 0.0, -0.25]
+        assert sims.lookup([0, 1, 1], [1, 0, 1]).tolist() == [0.5, 0.5, -0.25]
         assert not sims.keys.flags.writeable and not sims.scores.flags.writeable
 
 

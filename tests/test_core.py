@@ -20,6 +20,11 @@ class TestRatingsDataset:
         with pytest.raises(DatasetError):
             RatingsDataset([0, 0], [0, 0], [3, 4], n_users=1, n_items=1)
 
+    def test_duplicate_error_names_the_smallest_repeated_cell(self):
+        # cells (1, 0) and (0, 1) both repeat, the larger one first
+        with pytest.raises(DatasetError, match=r"^duplicate rating for cell \(0, 1\)$"):
+            RatingsDataset([1, 1, 0, 0], [0, 0, 1, 1], [3, 4, 5, 2], n_users=2, n_items=2)
+
     def test_rejects_index_out_of_bounds(self):
         with pytest.raises(DatasetError):
             RatingsDataset([2], [0], [3], n_users=2, n_items=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reclab import cli
-from reclab.core import FactorModel, RatingsDataset, TrainConfig
+from reclab.core import DatasetError, FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
                              dotmat_step, poissonmat_step, powermat_step,
@@ -136,6 +136,11 @@ class TestPowerMat:
     def train(self, users, items, contexts, cfg, sigma_u=1.0, sigma_v=1.0):
         return powermat_train(users, items, contexts, cfg, self.N_USERS, self.N_ITEMS,
                               sigma_u, sigma_v)
+
+    def test_grid_whose_cell_keys_would_wrap_rejected(self):
+        # rows are ordered by cell key, checked before any factor is drawn
+        with pytest.raises(DatasetError, match="overflows int64 cell keys"):
+            powermat_train([0], [0], [[1.0]], _cfg(), 2 ** 32, 2 ** 32, 1.0, 1.0)
 
     def test_zero_gamma_keeps_initialization(self):
         cfg = _cfg(gamma=0.0)
