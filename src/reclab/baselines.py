@@ -99,7 +99,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     if len(train) == 0:
         raise ValueError("train set is empty")
     n_items = train.n_items
-    users, items, values = train.arrays()
+    users, items, values = train.users, train.items, train.values
     # user u's ratings are bounds[u]:bounds[u + 1], ascending by item
     bounds = np.searchsorted(users, np.arange(train.n_users + 1))
     ahead = bounds[users + 1] - np.arange(len(users))  # rating r pairs with r:bounds[users[r] + 1]
@@ -172,9 +172,9 @@ class CfPredictor(Predictor):
         self.sims = sims
         self.neighborhood_size = neighborhood_size
         self.fallback = train.global_mean()
-        users, self._items, self._values = train.arrays()
-        # user u's rated items are _items[_bounds[u]:_bounds[u + 1]]
-        self._bounds = np.searchsorted(users, np.arange(train.n_users + 1))
+        self.train = train
+        # user u's rated items are train.items[_bounds[u]:_bounds[u + 1]]
+        self._bounds = np.searchsorted(train.users, np.arange(train.n_users + 1))
 
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Each cell's candidates are u's rated items j other than i with a
@@ -187,10 +187,10 @@ class CfPredictor(Predictor):
         preds = np.full(len(users), self.fallback)
         for rows in _blocks(counts, PAIR_BLOCK):
             row, pos = _expand(first[rows], counts[rows])
-            target, j = items[rows][row], self._items[pos]
+            target, j = items[rows][row], self.train.items[pos]
             s = self.sims.lookup(target, j)
             keep = (j != target) & (s != 0.0)
-            row, s, r = row[keep], s[keep], self._values[pos][keep]
+            row, s, r = row[keep], s[keep], self.train.values[pos][keep]
             # j ascends within each row and lexsort is stable, so this
             # orders by (row, -s, j)
             order = np.lexsort((-s, row))
@@ -335,7 +335,7 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
     if len(train) == 0:
         raise ValueError("train set is empty")
     rng, U, V = init_factors(train.n_users, train.n_items, cfg)
-    users, items, values = train.arrays()
+    users, items, values = train.users, train.items, train.values
 
     def visit():
         order = rng.permutation(len(users))
@@ -362,14 +362,13 @@ class MfPredictor(Predictor):
 
 def mf_loss(train: RatingsDataset, U: np.ndarray, V: np.ndarray) -> float:
     """Sum of squared reconstruction errors over the observed cells."""
-    users, items, values = train.arrays()
-    preds = np.einsum("ij,ij->i", U[users], V[items])
-    return float(np.sum((values - preds) ** 2))
+    preds = np.einsum("ij,ij->i", U[train.users], V[train.items])
+    return float(np.sum((train.values - preds) ** 2))
 
 
 def mf_gradients(train: RatingsDataset, U: np.ndarray, V: np.ndarray):
     """Analytic gradient of mf_loss with respect to (U, V)."""
-    users, items, values = train.arrays()
+    users, items, values = train.users, train.items, train.values
     errors = values - np.einsum("ij,ij->i", U[users], V[items])
     grad_u = np.zeros_like(U)
     grad_v = np.zeros_like(V)

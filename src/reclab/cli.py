@@ -302,6 +302,8 @@ class BenchConfig:
             spec = SplitSpec(split.get("test_fraction", 0.2), split.get("seed", 42))
         except ValueError as exc:
             raise ValueError(f"split: {exc}") from None
+        if spec.seed + values["repetitions"] > 2 ** 63:  # each seed names a report file
+            raise ValueError("config key 'split.seed' plus 'repetitions' must be at most 2**63")
         # only powermat reads contexts, so no other bench needs the columns
         columns = columns if "powermat" in algorithms else []
         for name, value in dict(values, dataset_path=Path(dataset["path"]), dataset_format=fmt,

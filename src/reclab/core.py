@@ -72,8 +72,9 @@ class RatingsDataset:
     (users[k], items[k], values[k]), a rating in [1, R_MAX], given in
     context contexts[k] unless `contexts` is None.
 
-    The rows are stored once, in the order they were given, as read-only
-    int64 columns `users`, `items`, `values` and a float64 (rows, d) array
+    The rows are stored once, sorted by cell key (`keys()`, that is by
+    (user, item)) whatever order they were given in, as read-only int64
+    columns `users`, `items`, `values` and a float64 (rows, d) array
     `contexts`. Duplicate (user, item) cells, out-of-range ids or values and
     misshapen contexts are rejected up front. Immutable after construction.
     Datasets compare by identity; compare their columns to compare rows.
@@ -100,16 +101,23 @@ class RatingsDataset:
         _check_range("rating value", values, 1, R_MAX)
         _check_range("user_id", users, 0, n_users - 1)
         _check_range("item_id", items, 0, n_items - 1)
-        keys = np.sort(users * n_items + items)
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        if len(repeated):
-            raise DatasetError(f"duplicate rating for cell {divmod(int(repeated[0]), n_items)}")
         contexts = None if self.contexts is None else _readonly(self.contexts)
         if contexts is not None and (contexts.ndim != 2 or len(contexts) != len(values)):
             raise DatasetError(f"contexts of shape {contexts.shape} do not give "
                                f"one row to each of {len(values)} ratings")
+        keys = users * n_items + items
+        if (keys[1:] <= keys[:-1]).any():  # not yet strictly increasing: sort once
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            twice = keys[1:][keys[1:] == keys[:-1]]
+            if len(twice):
+                raise DatasetError(f"duplicate rating for cell {divmod(int(twice[0]), n_items)}")
+            users, items, values = users[order], items[order], values[order]
+            contexts = None if contexts is None else contexts[order]
         for name, column in dict(users=users, items=items, values=values,
                                  contexts=contexts).items():
+            if column is not None:
+                column.setflags(write=False)  # a fresh copy, or read-only already
             object.__setattr__(self, name, column)
 
     def __reduce__(self):
@@ -128,13 +136,6 @@ class RatingsDataset:
         if not len(self):
             raise DatasetError("empty dataset has no mean")
         return float(np.mean(self.values))
-
-    def arrays(self):
-        """(users, items, values) sorted by cell key, that is by (user, item),
-        values as floats, so that every consumer is invariant to the row order."""
-        order = np.argsort(self.keys())
-        return (self.users[order], self.items[order],
-                self.values[order].astype(np.float64))
 
 
 @dataclass(frozen=True)

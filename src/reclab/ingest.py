@@ -79,38 +79,35 @@ def _csv_rows(data: bytes) -> Iterator[Tuple[int, List[str]]]:
 
 
 def _kept_rows(keys: np.ndarray) -> np.ndarray:
-    """Of rows with these cell keys, in file order, the rows a parse keeps:
-    each cell's last row, at the position of the cell's first row."""
+    """Of rows with these cell keys, in file order, the rows a parse keeps,
+    in cell-key order: each cell's last row."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    run_start = np.ones(len(keys), dtype=bool)
-    run_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return order[np.roll(run_start, -1)][np.argsort(order[run_start])]
+    run_end = np.ones(len(keys), dtype=bool)
+    run_end[:-1] = sorted_keys[1:] != sorted_keys[:-1]
+    return order[run_end]
 
 
 def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int],
              values, contexts: Optional[np.ndarray] = None) -> ParseResult:
     """The parse of rows (user id, item id, value[, context]), with users and
-    items given as (dense ids, id count): each repeated cell at its first
-    position with its last row."""
+    items given as (dense ids, id count): each repeated cell with its last row."""
     (users, n_users), (items, n_items) = users, items
-    values = np.asarray(values, dtype=np.int64)
     rows = _kept_rows(users * n_items + items)
-    dataset = RatingsDataset(users[rows], items[rows], values[rows], n_users, n_items,
-                             None if contexts is None else contexts[rows])
+    dataset = RatingsDataset(users[rows], items[rows], np.asarray(values)[rows], n_users,
+                             n_items, None if contexts is None else contexts[rows])
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows))
 
 
 def _dense_ids(raw) -> Tuple[np.ndarray, int]:
-    """Dense ids of raw ids, an integer array or a list of id strings,
-    numbered in order of first appearance. Strings compare as Python str,
-    exactly: a fixed-width numpy str array would drop trailing NULs."""
+    """Dense ids of raw ids, a list of id strings or an integer array (whose
+    text has no leading zero), numbered in shortlex order of their text:
+    shorter first, then by code point, which for integers is numeric order."""
     if isinstance(raw, list):
-        raw = np.array(raw, dtype=object)
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.reshape(-1)], len(first)
+        number = {s: k for k, s in enumerate(sorted(set(raw), key=lambda s: (len(s), s)))}
+        return np.array([number[s] for s in raw], dtype=np.int64), len(number)
+    distinct, inverse = np.unique(raw, return_inverse=True)
+    return inverse.reshape(-1), len(distinct)
 
 
 _TO_SPACE = bytes.maketrans(b"\t:\r\n", b"    ")
@@ -159,8 +156,8 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     Accepts str, bytes, a text stream or a binary stream, read as UTF-8
     bytes. Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp
     must be an integer but is not kept. Ids are compared without surrounding
-    whitespace. Duplicate cells keep the last occurrence (counted in
-    duplicates_replaced) at the position of the first.
+    whitespace and numbered in shortlex order of that text (`_dense_ids`). A
+    repeated cell keeps its last line's value (counted in duplicates_replaced).
 
     Input whose every line is plain ASCII integers (see `_integer_fields`)
     is parsed in numpy; all other input line by line. Both give the same
@@ -223,9 +220,9 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
     ratings in [1, R_MAX]), from any source `parse_movielens` accepts, into
     a dataset whose contexts have shape (len(dataset), len(context_columns)).
 
-    Ids are compared without surrounding whitespace. Context columns hold
-    integer category codes; an empty field and any negative code (a missing
-    marker such as -1) are encoded as 0.
+    Ids and repeated cells are handled as in `parse_movielens`. Context
+    columns hold integer category codes; an empty field and any negative
+    code (a missing marker such as -1) are encoded as 0.
     """
     check_context_columns(context_columns)
     rows = _csv_rows(_bytes(source))
@@ -277,8 +274,8 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
 
 def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, RatingsDataset]:
     """Seeded random partition into (train, test); each side keeps the
-    parent's n_users and n_items, and its own rows' contexts. A side left
-    empty is a DatasetError."""
+    parent's n_users and n_items, and its own rows' contexts, in the
+    parent's cell-key order. A side left empty is a DatasetError."""
     n = len(dataset)
     if n == 0:
         raise DatasetError("cannot split an empty dataset")
@@ -314,7 +311,8 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
     and values come from three streams spawned from `seed`. A cell keeps its
     first draw, in rounds sized as in the hybrid fill (`first_draws`); if 200
     rounds leave cells to place, the rest are the first free cells in
-    row-major order. Each kept cell, in that order, takes the next value draw.
+    row-major order. Each kept cell, in that order, takes the next value
+    draw; the dataset then holds the cells in cell-key order.
     """
     if not (0 < exponent < math.inf):  # NaN fails both comparisons
         raise ValueError(f"exponent must be positive and finite, got {exponent}")

@@ -184,7 +184,7 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
     n = len(train) + min(int(round(fill_fraction * len(train))), grid - len(train))
     # m draws against [n_users, n_items] tiled m times are the stream of m
     # alternating scalar (user, item) draws, whatever the m; each (u, j) row
-    # is the key u * n_items + j. train's keys come first, so they keep their rows.
+    # is the key u * n_items + j. train's keys come first, so their cells stay taken.
     rng = np.random.default_rng(seed)
     draw = lambda m: (rng.integers(0, np.tile([train.n_users, train.n_items], m))
                       .reshape(m, 2) @ [train.n_items, 1])

@@ -29,7 +29,7 @@ def make_structured_dataset(n_users=600, n_items=800, n_ratings=40000,
 
 
 def from_rows(rows, n_users, n_items) -> RatingsDataset:
-    """The dataset whose row k is the (user, item, value) triple rows[k]."""
+    """The dataset of these (user, item, value) rows, given in this order."""
     users, items, values = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     return RatingsDataset(users, items, values, n_users, n_items)
 

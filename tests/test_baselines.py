@@ -181,8 +181,7 @@ class TestItemSimilarities:
         # every user rates all their items alike, so every centered
         # vector is zero; small blocks make many empty ones
         ds = generate_zipf(40, 30, 300, 1.0, seed=3)
-        users, items, _ = ds.arrays()
-        flat = RatingsDataset(users, items, 1 + users % 5, ds.n_users, ds.n_items)
+        flat = RatingsDataset(ds.users, ds.items, 1 + ds.users % 5, ds.n_users, ds.n_items)
         monkeypatch.setattr(baselines, "PAIR_BLOCK", 50)
         sims = item_similarities(flat, SimilarityKind.ADJUSTED_COSINE)
         assert len(sims.keys) == len(sims.scores) == 0

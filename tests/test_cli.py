@@ -200,6 +200,33 @@ class TestBench:
         assert [row["algo"] for row in report["rows"]] == ["random", "mf", "zeromat"]
         assert all(row["n"] == 300 and row["mae"] >= 0.0 for row in report["rows"])
 
+    @pytest.mark.parametrize("kind", ["tab100k", "comoda"])
+    def test_line_order_does_not_reach_the_reports(self, runner, fixture_file, comoda_file,
+                                                   tmp_path, kind):
+        # neither file repeats a cell, so the shuffled copy holds the same ratings
+        if kind == "tab100k":
+            path, header = fixture_file, 0
+            make = lambda p: bench_config(p, tmp_path, ["itemcf", "mf", "zeromat",
+                                                        "dotmat-hybrid"])
+        else:
+            path, header = comoda_file, 1
+            make = lambda p: comoda_config(p, tmp_path, ["powermat"], repetitions=2)
+        lines = path.read_text().splitlines(keepends=True)
+        order = header + np.random.default_rng(1).permutation(len(lines) - header)
+        shuffled = tmp_path / f"shuffled-{path.name}"
+        shuffled.write_text("".join(lines[:header] + [lines[k] for k in order]))
+        outputs = []
+        for source in (path, shuffled):
+            out = tmp_path / f"out-{source.name}"
+            result = runner.invoke(main, ["bench", "--config", str(make(source)),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            # the manifest names the input path
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert len(outputs[0]) == 1 + 2 * (1 if kind == "tab100k" else 2)
+        assert outputs[0] == outputs[1]
+
     def test_import_does_not_load_scipy(self, fixture_file, tmp_path):
         # only `reclab analyze` needs scipy; neither bench start-up nor an
         # item-CF bench run should pay for it
@@ -468,8 +495,14 @@ class TestBench:
          "config key 'train.poissonmat-hybrid' is not read: "
          "poissonmat-hybrid trains with train.poissonmat and train.mf\n"),
         (lambda c: {**c, "split": {"seed": -1}}, "split: seed must be >= 0, got -1\n"),
+        # a seed names its report file: 300 digits are too long a file name
+        (lambda c: {**c, "split": {"seed": int("9" * 300)}},
+         "config key 'split.seed' plus 'repetitions' must be at most 2**63\n"),
+        (lambda c: {**c, "split": {"seed": 2 ** 63 - 1}, "repetitions": 2},
+         "config key 'split.seed' plus 'repetitions' must be at most 2**63\n"),
     ], ids=["hybrid-k", "hybrid-mf-stage-epochs", "test-fraction", "default", "trainer",
-            "default-pair", "trainer-next-to-bad-default", "hybrid-section", "split-seed"])
+            "default-pair", "trainer-next-to-bad-default", "hybrid-section", "split-seed",
+            "long-split-seed", "last-repetition-seed"])
     def test_bad_value_fails_before_writing(self, runner, fixture_file, tmp_path,
                                             edit, section):
         path = bench_config(fixture_file, tmp_path, ["random", "poissonmat-hybrid"])
@@ -480,6 +513,14 @@ class TestBench:
         assert result.output.startswith(f"error: {section}")
         assert result.output.count("\n") == 1
         assert not (out / "manifest.json").exists()
+
+    def test_largest_split_seed_runs(self, runner, fixture_file, tmp_path):
+        config = bench_config(fixture_file, tmp_path, ["random", "zeromat"],
+                              split={"test_fraction": 0.2, "seed": 2 ** 63 - 2}, repetitions=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / f"report_seed{2 ** 63 - 1}.json").exists()
 
     def test_default_and_trainer_sections_may_combine(self, runner, fixture_file, tmp_path):
         # init_lo 0.95 is valid only with each trainer's init_hi above it

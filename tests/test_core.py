@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,20 @@ class TestRatingsDataset:
         with pytest.raises(DatasetError, match="grid overflows int64 cell keys"):
             RatingsDataset([0], [0], [1], n_users=1, n_items=2 ** 63)
 
-    def test_arrays_are_canonically_ordered(self):
-        ds = RatingsDataset([1, 0, 0], [0, 1, 0], [2, 3, 4], n_users=2, n_items=2)
-        users, items, values = ds.arrays()
-        assert users.tolist() == [0, 0, 1]
-        assert items.tolist() == [0, 1, 0]
-        assert values.tolist() == [4.0, 3.0, 2.0]
+    def test_rows_are_stored_in_cell_key_order(self):
+        # (user, item, value, context) rows, listed here in cell-key order
+        rows = [(0, 0, 4, 0.5), (0, 1, 3, 1.5), (1, 0, 2, 2.5), (1, 1, 5, 3.5)]
+        for order in itertools.permutations(rows):
+            users, items, values, contexts = zip(*order)
+            ds = RatingsDataset(users, items, values, n_users=2, n_items=2,
+                                contexts=[[c] for c in contexts])
+            assert (np.diff(ds.keys()) > 0).all()
+            assert ds.users.tolist() == [0, 0, 1, 1]
+            assert ds.items.tolist() == [0, 1, 0, 1]
+            assert ds.values.tolist() == [4, 3, 2, 5]
+            assert ds.contexts.ravel().tolist() == [0.5, 1.5, 2.5, 3.5]
+            columns = (ds.users, ds.items, ds.values, ds.contexts)
+            assert not any(c.flags.writeable for c in columns)
 
 
 class TestFactorModel:

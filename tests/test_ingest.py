@@ -280,11 +280,11 @@ class TestParseComoda:
 MIXED_LINE_ENDS = [
     (lambda source: parse_movielens(source, MovieLensFormat.TAB_100K),
      "1\t2\t4\t0\r\n3\t2\t2\t0\r\r\n1\t2\t5\t0\n\n7\t1\t3\t0\r",
-     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1, None),
+     ([(0, 1, 5), (1, 1, 2), (2, 0, 3)], 3, 2, 1, None),
      "\r1\t2\t9\t0\n", "line 8: rating 9 outside [1, 5]"),
     (lambda source: parse_comoda(source, ["mood"]),
      "userID,itemID,rating,mood\r1,2,4,1\r\n3,2,2,-1\n\r1,2,5,2\r\r\n7,1,3,1\n",
-     ([(0, 0, 5), (1, 0, 2), (2, 1, 3)], 3, 2, 1,
+     ([(0, 1, 5), (1, 1, 2), (2, 0, 3)], 3, 2, 1,
       [(2.0,), (0.0,), (1.0,)]),
      "\r7,2,0,1\n", "line 9: rating 0 outside [1, 5]"),
 ]
@@ -301,43 +301,54 @@ def test_every_source_kind_reads_mixed_line_ends_alike(kind, parse, text, parsed
     assert str(exc.value) == error
 
 
-# The dict-based parsers that preceded the shared row-to-cell path, as an
-# oracle for well-formed input: an id dict per side and one cell dict whose
-# insertion order is each cell's first position and whose value is its last
-# row. Ids are stripped of surrounding whitespace, as the parsers now do, and
-# LF, CR LF and a lone CR each end a line.
+# Dict-based parsers, as an oracle for well-formed input: one cell dict,
+# keyed by the (user, item) id texts, whose value is the cell's last row.
+# Ids are stripped of surrounding whitespace and numbered in shortlex order
+# of that text, shorter first; the rows come out sorted by cell. LF, CR LF
+# and a lone CR each end a line.
+
+def shortlex_ids(texts):
+    return {t: k for k, t in enumerate(sorted(set(texts), key=lambda t: (len(t), t)))}
+
+
+def dict_rows(cell_to_row):
+    """(rows sorted by cell, n_users, n_items) of a dict from (user, item)
+    id texts to (value, ...) rows."""
+    users = shortlex_ids(u for u, _ in cell_to_row)
+    items = shortlex_ids(i for _, i in cell_to_row)
+    rows = sorted((users[u], items[i], *row) for (u, i), row in cell_to_row.items())
+    return rows, len(users), len(items)
+
 
 def dict_parse_movielens(text, sep):
-    user_index, item_index, cell_to_value = {}, {}, {}
+    cell_to_row = {}
     duplicates = 0
     for line in io.StringIO(text, newline=None):
         line = line.rstrip("\r\n")
         if not line:
             continue
         raw_user, raw_item, raw_value, _ = line.split(sep)
-        user = user_index.setdefault(raw_user.strip(), len(user_index))
-        item = item_index.setdefault(raw_item.strip(), len(item_index))
-        duplicates += (user, item) in cell_to_value
-        cell_to_value[user, item] = int(raw_value)
-    rows = [(u, i, v) for (u, i), v in cell_to_value.items()]
-    return rows, len(user_index), len(item_index), duplicates, None
+        cell = raw_user.strip(), raw_item.strip()
+        duplicates += cell in cell_to_row
+        cell_to_row[cell] = (int(raw_value),)
+    rows, n_users, n_items = dict_rows(cell_to_row)
+    return rows, n_users, n_items, duplicates, None
 
 
 def dict_parse_comoda(text, context_columns):
-    user_index, item_index, cell_to_row = {}, {}, {}
+    cell_to_row = {}
     duplicates = 0
     for row in csv.DictReader(io.StringIO(text, newline=None)):
         context = []
         for col in context_columns:
             cell_text = row[col].strip()
             context.append(max(float(cell_text) if cell_text else 0.0, 0.0))
-        user = user_index.setdefault(row["userID"].strip(), len(user_index))
-        item = item_index.setdefault(row["itemID"].strip(), len(item_index))
-        duplicates += (user, item) in cell_to_row
-        cell_to_row[user, item] = (int(row["rating"]), context)
-    rows = [(u, i, v) for (u, i), (v, _) in cell_to_row.items()]
-    contexts = [tuple(c) for _, c in cell_to_row.values()]
-    return rows, len(user_index), len(item_index), duplicates, contexts
+        cell = row["userID"].strip(), row["itemID"].strip()
+        duplicates += cell in cell_to_row
+        cell_to_row[cell] = (int(row["rating"]), tuple(context))
+    rows, n_users, n_items = dict_rows(cell_to_row)
+    return ([row[:3] for row in rows], n_users, n_items, duplicates,
+            [row[3] for row in rows])
 
 
 # a few ids, so that cells repeat; some with surrounding spaces
@@ -460,7 +471,7 @@ def sequential_zipf(n_users, n_items, n_ratings, exponent, seed, max_draws=None)
     streams spawned from the seed: one user and one item per draw, each cell
     kept at its first draw, until n_ratings cells are kept or max_draws draws
     are made; then the first free cells in row-major order; then one value
-    draw per kept cell, in order."""
+    draw per kept cell, in order. The rows come out sorted by cell."""
     users_rng, items_rng, values_rng = np.random.default_rng(seed).spawn(3)
     item_weights = np.arange(1, n_items + 1, dtype=np.float64) ** (-exponent)
     item_cum = np.cumsum(item_weights / item_weights.sum())
@@ -481,8 +492,8 @@ def sequential_zipf(n_users, n_items, n_ratings, exponent, seed, max_draws=None)
         for j in range(n_items):
             if len(cells) < n_ratings:
                 cells.setdefault((u, j), None)
-    return [(u, j, bisect.bisect_left(values_cum, values_rng.random()) + 1)
-            for u, j in cells]
+    return sorted((u, j, bisect.bisect_left(values_cum, values_rng.random()) + 1)
+                  for u, j in cells)
 
 
 class TestGenerateZipf:

@@ -27,7 +27,7 @@ TOL = 1e-12
 
 def reference_mf_train(train, cfg):
     rng, U, V = init_factors(train.n_users, train.n_items, cfg)
-    users, items, values = train.arrays()
+    users, items, values = train.users, train.items, train.values
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in rng.permutation(len(users)):
@@ -325,7 +325,7 @@ class TestMfMatchesReference:
     def test_zipf_runs_are_short(self):
         # the skewed fixture exercises many short runs, not a few long ones
         train = zipf_dataset()
-        users, items, _ = train.arrays()
+        users, items = train.users, train.items
         order = np.random.default_rng(0).permutation(len(users))
         runs = conflict_free_runs(users[order], items[order])
         assert len(train) / len(runs) < 8
@@ -336,7 +336,7 @@ class TestMfMatchesReference:
         # average, and a level holds at most one of them, which keeps this
         # small fixture above a third.
         train = uniform_dataset()
-        users, items, _ = train.arrays()
+        users, items = train.users, train.items
         order = np.random.default_rng(0).permutation(len(users))
         us, js = users[order], items[order]
         _, levels = dependency_levels(us, js, train.n_users, train.n_items)

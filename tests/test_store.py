@@ -1,5 +1,5 @@
 """Property tests of the columnar rating store: construction, split,
-canonical order, MovieLens round trip, validation and immutability."""
+cell-key order, MovieLens round trip, validation and immutability."""
 
 import copy
 import pickle
@@ -44,21 +44,23 @@ def test_constructor_from_lists_and_from_arrays(case):
     lists = columns(rows)
     a = RatingsDataset(*lists, n_users, n_items)
     b = RatingsDataset(*map(np.array, lists), n_users, n_items)
-    for name, given in zip(("users", "items", "values"), lists):
+    # distinct cells, so (user, item) decides the stored order
+    for name, stored in zip(("users", "items", "values"), columns(sorted(rows))):
         col_a, col_b = getattr(a, name), getattr(b, name)
         assert col_a.dtype == col_b.dtype == np.int64
         assert not col_a.flags.writeable and not col_b.flags.writeable
         assert np.array_equal(col_a, col_b)
-        assert col_a.tolist() == given
+        assert col_a.tolist() == stored
 
 
 @SETTINGS
 @given(row_sets(min_size=1), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
 def test_split_partitions_rows_in_order(case, fraction, seed):
     rows, n_users, n_items = case
-    # context row k is (k, -k), so a side's contexts name the rows they came from
+    # context row k is (k, -k), so the contexts name the rows they came from
     ds = RatingsDataset(*columns(rows), n_users, n_items,
                         contexts=[(k, -k) for k in range(len(rows))])
+    assert rows_of(ds) == [rows[k] for k in ds.contexts[:, 0].astype(int).tolist()]
     n_test = int(round(fraction * len(ds)))
     if n_test in (0, len(ds)):  # a side would be empty: an error naming the split
         side = "test" if n_test == 0 else "train"
@@ -74,22 +76,18 @@ def test_split_partitions_rows_in_order(case, fraction, seed):
         assert (part.n_users, part.n_items) == (n_users, n_items)
         at = [position[key] for key in part.keys().tolist()]
         assert at == sorted(at)
-        assert rows_of(part) == [rows[k] for k in at]
-        assert part.contexts.tolist() == [[k, -k] for k in at]
+        assert rows_of(part) == [rows_of(ds)[k] for k in at]
+        assert part.contexts.tolist() == ds.contexts[at].tolist()
     assert set(train.keys().tolist()).isdisjoint(test.keys().tolist())
 
 
 @SETTINGS
 @given(row_sets())
-def test_arrays_are_rows_sorted_by_cell(case):
+def test_rows_are_stored_sorted_by_cell(case):
     rows, n_users, n_items = case
     ds = from_rows(rows, n_users, n_items)
-    users, items, values = ds.arrays()
-    expected = sorted(rows)  # distinct cells, so (user, item) decides the order
-    assert users.tolist() == [u for u, i, v in expected]
-    assert items.tolist() == [i for u, i, v in expected]
-    assert values.dtype == np.float64
-    assert values.tolist() == [float(v) for u, i, v in expected]
+    assert (np.diff(ds.keys()) > 0).all()
+    assert rows_of(ds) == sorted(rows)  # distinct cells, so (user, item) decides the order
 
 
 @SETTINGS
@@ -98,15 +96,12 @@ def test_movielens_round_trip(case, fmt):
     rows, n_users, n_items = case
     ds = from_rows(rows, n_users, n_items)
     back = parse_movielens(write_movielens(ds, fmt), fmt).dataset
-    # the parser numbers ids densely in order of first appearance
-    user_ids, item_ids = {}, {}
-    for u, i, v in rows:
-        user_ids.setdefault(u, len(user_ids))
-        item_ids.setdefault(i, len(item_ids))
+    # The parser numbers ids densely in shortlex order of their text. The
+    # written ids u + 1 have no leading zeros, so that is numeric order.
+    user_ids = {u: k for k, u in enumerate(sorted({u for u, i, v in rows}))}
+    item_ids = {i: k for k, i in enumerate(sorted({i for u, i, v in rows}))}
     assert (back.n_users, back.n_items) == (len(user_ids), len(item_ids))
-    assert back.users.tolist() == [user_ids[u] for u, i, v in rows]
-    assert back.items.tolist() == [item_ids[i] for u, i, v in rows]
-    assert back.values.tolist() == [v for u, i, v in rows]
+    assert rows_of(back) == [(user_ids[u], item_ids[i], v) for u, i, v in sorted(rows)]
 
 
 @SETTINGS

@@ -294,9 +294,8 @@ class TestHybrid:
         augmented = augment_with_zeroshot(train, CellPredictor(), 17, fill_fraction)
         users, items, values = loop_fill(train, CellPredictor(), 17, fill_fraction)
         assert len(augmented) == len(train) + len(users) > len(train)
-        assert np.array_equal(augmented.users, np.concatenate([train.users, users]))
-        assert np.array_equal(augmented.items, np.concatenate([train.items, items]))
-        assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
+        filled = zip(users.tolist(), items.tolist(), values.tolist())
+        assert rows_of(augmented) == sorted([*rows_of(train), *filled])
 
     @staticmethod
     def _predictor(train, rule, cfg):
@@ -329,10 +328,7 @@ class TestHybrid:
             taken.add(u * train.n_items + j)
             value = int(round(predictor.predict_many([u], [j])[0]))
             filled.append((u, j, min(max(value, 1), 5)))
-        users, items, values = np.array(filled).T
-        assert np.array_equal(augmented.users, np.concatenate([train.users, users]))
-        assert np.array_equal(augmented.items, np.concatenate([train.items, items]))
-        assert np.array_equal(augmented.values, np.concatenate([train.values, values]))
+        assert rows_of(augmented) == sorted([*rows_of(train), *filled])
 
     def test_filled_values_are_integers_on_scale(self):
         train = generate_zipf(20, 20, 150, 1.0, seed=23)
