@@ -58,8 +58,8 @@ def rating_histogram(dataset: RatingsDataset) -> Dict[int, int]:
 
 
 def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
-    """Ordinary least squares of ln y on ln x; the slope is the fitted
-    exponent."""
+    """Ordinary least squares of ln y on ln x, in closed form (no LAPACK);
+    the slope is the fitted exponent."""
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
     if np.unique(xs).size < 2:  # else the slope is undetermined
@@ -67,12 +67,14 @@ def fit_power_law(points: Sequence[Tuple[float, float]]) -> PowerLawFit:
     if (xs <= 0).any() or (ys <= 0).any():
         raise ValueError("all coordinates must be strictly positive")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, deg=1)
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = float(ly.mean() - slope * lx.mean())
     residuals = ly - (slope * lx + intercept)
     ss_res = float(np.sum(residuals ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return PowerLawFit(exponent=float(slope), log_intercept=float(intercept),
+    return PowerLawFit(exponent=slope, log_intercept=intercept,
                        r_squared=min(r_squared, 1.0))
 
 

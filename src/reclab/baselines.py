@@ -9,7 +9,8 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError, _readonly
+from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError, _frozen,
+                   _readonly, row_dot)
 from .evaluation import Predictor
 
 
@@ -155,9 +156,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
         scores.resize(size, refcheck=False)
         keys[n:] = block_keys[stored]
         scores[n:] = block_scores[stored]
-    keys.setflags(write=False)
-    scores.setflags(write=False)
-    return SimilarityMatrix(n_items=n_items, keys=keys, scores=scores)
+    return SimilarityMatrix(n_items, *_frozen(keys, scores))
 
 
 class CfPredictor(Predictor):
@@ -342,11 +341,11 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
         return users[order], items[order], values[order]
 
     def step(u_rows, v_rows, r):
-        g = (cfg.gamma * 2.0 * (r - np.vecdot(u_rows, v_rows)))[:, None]
+        g = (cfg.gamma * 2.0 * (r - row_dot(u_rows, v_rows)))[:, None]
         return u_rows + g * v_rows, v_rows + g * u_rows
 
     sgd_epochs("mf_train", U, V, cfg.epochs, visit, step)
-    return FactorModel(U=U, V=V)
+    return FactorModel(*_frozen(U, V))
 
 
 class MfPredictor(Predictor):
@@ -356,20 +355,18 @@ class MfPredictor(Predictor):
         self.model = model
 
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        scores = np.vecdot(self.model.U[users], self.model.V[items])
-        return np.clip(scores, 1.0, R_MAX)
+        return np.clip(row_dot(self.model.U[users], self.model.V[items]), 1.0, R_MAX)
 
 
 def mf_loss(train: RatingsDataset, U: np.ndarray, V: np.ndarray) -> float:
     """Sum of squared reconstruction errors over the observed cells."""
-    preds = np.einsum("ij,ij->i", U[train.users], V[train.items])
-    return float(np.sum((train.values - preds) ** 2))
+    return float(np.sum((train.values - row_dot(U[train.users], V[train.items])) ** 2))
 
 
 def mf_gradients(train: RatingsDataset, U: np.ndarray, V: np.ndarray):
     """Analytic gradient of mf_loss with respect to (U, V)."""
     users, items, values = train.users, train.items, train.values
-    errors = values - np.einsum("ij,ij->i", U[users], V[items])
+    errors = values - row_dot(U[users], V[items])
     grad_u = np.zeros_like(U)
     grad_v = np.zeros_like(V)
     np.add.at(grad_u, users, (-2.0 * errors)[:, None] * V[items])

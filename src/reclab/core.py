@@ -32,9 +32,21 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     if (isinstance(a, np.ndarray) and a.dtype == dtype
             and a.flags.owndata and not a.flags.writeable):
         return a
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+    return _frozen(np.array(a, dtype=dtype))[0]
+
+
+def _frozen(*columns):
+    """columns, fresh arrays no caller holds (or None), made read-only for `_readonly` to keep."""
+    for c in columns:
+        if c is not None:
+            c.setflags(write=False)
+    return columns
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (..., k), summed over k by numpy's own
+    einsum loop, not by BLAS, so their bits do not depend on the BLAS kernel."""
+    return np.einsum("...k,...k->...", a, b)
 
 
 def _check_range(name: str, column: np.ndarray, lo: int, hi: int) -> None:
@@ -114,10 +126,9 @@ class RatingsDataset:
                 raise DatasetError(f"duplicate rating for cell {divmod(int(twice[0]), n_items)}")
             users, items, values = users[order], items[order], values[order]
             contexts = None if contexts is None else contexts[order]
-        for name, column in dict(users=users, items=items, values=values,
-                                 contexts=contexts).items():
-            if column is not None:
-                column.setflags(write=False)  # a fresh copy, or read-only already
+        # each column is a fresh copy, or read-only already
+        for name, column in zip(("users", "items", "values", "contexts"),
+                                _frozen(users, items, values, contexts)):
             object.__setattr__(self, name, column)
 
     def __reduce__(self):

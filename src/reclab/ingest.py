@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import R_MAX, DatasetError, RatingsDataset, _check_grid, first_draws
+from .core import R_MAX, DatasetError, RatingsDataset, _check_grid, _frozen, first_draws
 
 # CoMoDa's id and rating columns
 COMODA_USER, COMODA_ITEM, COMODA_RATING = "userID", "itemID", "rating"
@@ -94,8 +94,9 @@ def _dataset(users: Tuple[np.ndarray, int], items: Tuple[np.ndarray, int],
     items given as (dense ids, id count): each repeated cell with its last row."""
     (users, n_users), (items, n_items) = users, items
     rows = _kept_rows(users * n_items + items)
-    dataset = RatingsDataset(users[rows], items[rows], np.asarray(values)[rows], n_users,
-                             n_items, None if contexts is None else contexts[rows])
+    dataset = RatingsDataset(*_frozen(users[rows], items[rows], np.asarray(values)[rows]),
+                             n_users, n_items,
+                             *_frozen(None if contexts is None else contexts[rows]))
     return ParseResult(dataset, duplicates_replaced=len(values) - len(rows))
 
 
@@ -287,8 +288,9 @@ def split(dataset: RatingsDataset, spec: SplitSpec) -> Tuple[RatingsDataset, Rat
     in_test = np.zeros(n, dtype=bool)
     in_test[rng.permutation(n)[:n_test]] = True
     make = lambda mask: RatingsDataset(
-        dataset.users[mask], dataset.items[mask], dataset.values[mask], dataset.n_users,
-        dataset.n_items, None if dataset.contexts is None else dataset.contexts[mask])
+        *_frozen(dataset.users[mask], dataset.items[mask], dataset.values[mask]),
+        dataset.n_users, dataset.n_items,
+        *_frozen(None if dataset.contexts is None else dataset.contexts[mask]))
     return make(~in_test), make(in_test)
 
 
@@ -331,4 +333,4 @@ def generate_zipf(n_users: int, n_items: int, n_ratings: int, exponent: float,
                       + np.searchsorted(item_cum, items_rng.random(m)))
     keys = first_draws(np.empty(0, dtype=np.int64), n_ratings, n_users * n_items, draw)
     values = np.searchsorted(values_cum, values_rng.random(n_ratings)) + 1
-    return RatingsDataset(keys // n_items, keys % n_items, values, n_users, n_items)
+    return RatingsDataset(*_frozen(keys // n_items, keys % n_items, values), n_users, n_items)

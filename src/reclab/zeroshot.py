@@ -17,10 +17,13 @@ import numpy as np
 
 from .baselines import init_factors, sgd_epochs
 from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_grid, _check_range,
-                   first_draws)
+                   _frozen, first_draws, row_dot)
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
+# ZeroShotPredictor scores at most this many cells at a time. It bounds
+# memory, not results: each score is the same sum over k in every block.
+SCORE_BLOCK = 1 << 16
 
 
 # The three shape-only step rules take matching rows u_vec, v_vec of shape
@@ -31,8 +34,7 @@ def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
                  eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """U += gamma (V/p - 2U), V += gamma (U/p - 2V), with the dot product p
     floored at eps_floor."""
-    p = np.vecdot(u_vec, v_vec)
-    p = np.maximum(p, eps_floor)[..., None]
+    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)[..., None]
     new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
     new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
     return new_u, new_v
@@ -43,8 +45,7 @@ def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
     """The simplified rule: with p clamped to [eps_floor, DOTMAT_P_MAX] and
     g = p**p, U -= gamma * g * sign(g - p) * (1 + ln p) * V (and
     symmetrically). p = 1 is an exact fixed point since sign(0) = 0."""
-    p = np.vecdot(u_vec, v_vec)
-    p = np.minimum(np.maximum(p, eps_floor), DOTMAT_P_MAX)
+    p = np.minimum(np.maximum(row_dot(u_vec, v_vec), eps_floor), DOTMAT_P_MAX)
     g = p ** p
     coef = (gamma * g * np.sign(g - p) * (1.0 + np.log(p)))[..., None]
     new_u = u_vec - coef * v_vec
@@ -56,8 +57,7 @@ def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
                     eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """U -= gamma ((p+1)/p + ln p - 1) V (and symmetrically), with p floored
     at eps_floor."""
-    p = np.vecdot(u_vec, v_vec)
-    p = np.maximum(p, eps_floor)
+    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)
     coef = (gamma * ((p + 1.0) / p + np.log(p) - 1.0))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
@@ -72,8 +72,7 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     share no user and no item, so each row's part of U and V is computed
     from its pre-update rows, while alpha and beta carry over from row to
     row. Returns the updated rows, and alpha and beta after the last row."""
-    p = np.vecdot(u_vec, v_vec)
-    p = np.maximum(p, eps_floor)
+    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)
     # Row t subtracts gamma p_t (c_t, p_t) from (alpha, beta), and seen[t] is
     # the (alpha, beta) that row t sees. accumulate subtracts in row order,
     # as one row at a time does, so the bits are the same.
@@ -84,7 +83,7 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     seen[1:, -1] = gp * p
     np.subtract.accumulate(seen, out=seen)
     bp = seen[:-1, -1].reshape(np.shape(p)) * p
-    bps = (bp + np.vecdot(seen[:-1, :-1].reshape(np.shape(context)), context))[..., None]
+    bps = (bp + row_dot(seen[:-1, :-1].reshape(np.shape(context)), context))[..., None]
     bp = bp[..., None]
     new_u = u_vec - gamma * (bp * v_vec + bps * v_vec - (2.0 / sigma_u) * u_vec)
     new_v = v_vec - gamma * (bp * u_vec + bps * u_vec - (2.0 / sigma_v) * v_vec)
@@ -109,7 +108,7 @@ def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
         return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
 
     sgd_epochs("train_zeroshot", U, V, cfg.epochs, visit, step)
-    return FactorModel(U=U, V=V)
+    return FactorModel(*_frozen(U, V))
 
 
 def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
@@ -154,21 +153,31 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
         return new_u, new_v
 
     sgd_epochs("powermat", U, V, cfg.epochs, visit, step, state=(alpha_beta,))
-    return FactorModel(U=U, V=V)
+    return FactorModel(*_frozen(U, V))
 
 
 class ZeroShotPredictor(Predictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
-    R_MAX * (U_u . V_i) / max_j(U_u . V_j), with the per-user maximum
-    cached once and floored at eps_floor."""
+    R_MAX * (U_u . V_i) / max_j(U_u . V_j), clamped to [1, R_MAX]. `row_max`,
+    each user's maximum floored at eps_floor, is computed from a block of
+    users at a time, and only the requested cells are scored: memory grows
+    with SCORE_BLOCK, not with n_users * n_items."""
 
     def __init__(self, model: FactorModel, eps_floor: float):
-        self._scores = model.U @ model.V.T
-        self._row_max = np.maximum(self._scores.max(axis=1), eps_floor)
+        self.model = model
+        self.row_max = np.empty(len(model.U))
+        step = max(SCORE_BLOCK // len(model.V), 1)
+        for a in range(0, len(model.U), step):
+            scores = np.einsum("uk,ik->ui", model.U[a:a + step], model.V)
+            np.maximum(scores.max(axis=1), eps_floor, out=self.row_max[a:a + step])
 
     def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        raw = R_MAX * self._scores[users, items] / self._row_max[users]
-        return np.clip(raw, 1.0, R_MAX)
+        raw = np.empty(len(users))
+        for a in range(0, len(users), SCORE_BLOCK):
+            u, i = users[a:a + SCORE_BLOCK], items[a:a + SCORE_BLOCK]
+            raw[a:a + SCORE_BLOCK] = row_dot(self.model.U[u], self.model.V[i]) / self.row_max[u]
+        # the ratio first: a row's maximum cell is max / max = 1, so exactly R_MAX
+        return np.clip(R_MAX * raw, 1.0, R_MAX)
 
 
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
@@ -192,4 +201,4 @@ def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int
     # predictions lie in [1, R_MAX]; rint rounds halves to even, as round() does
     fills = np.rint(predictor.predict_many(users[len(train):], items[len(train):]))
     values = np.concatenate([train.values, fills.astype(np.int64)])
-    return RatingsDataset(users, items, values, train.n_users, train.n_items)
+    return RatingsDataset(*_frozen(users, items, values), train.n_users, train.n_items)

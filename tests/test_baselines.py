@@ -8,7 +8,8 @@ from reclab import baselines
 from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
-from reclab.core import R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError
+from reclab.core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError,
+                         row_dot)
 from reclab.ingest import SplitSpec, generate_zipf, split
 
 from conftest import from_rows, rows_of
@@ -433,12 +434,12 @@ class TestMfPredict:
         assert MfPredictor(model).predict_many([0], [0])[0] == 1.0
 
     def test_predict_many_equals_per_cell_dot_products(self):
-        # the oracle is one clamped U[u] @ V[i] per cell
+        # the oracle is one clamped row_dot(U[u], V[i]) per cell
         rng = np.random.default_rng(3)
         model = FactorModel(U=rng.uniform(0, 1, (9, 10)),
                             V=rng.uniform(0, 1, (7, 10)))
         users, items = np.divmod(np.arange(63), 7)
         got = MfPredictor(model).predict_many(users, items)
-        expected = [clamp_prediction(float(model.U[u] @ model.V[i]))
+        expected = [clamp_prediction(float(row_dot(model.U[u], model.V[i])))
                     for u, i in zip(users.tolist(), items.tolist())]
         assert got.tolist() == expected

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,36 @@ class TestBench:
         assert result.stdout.split() == ["False", "False"]
         assert (tmp_path / "out" / "report_seed42.json").exists()
 
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_reports_do_not_depend_on_the_blas_kernel(self, fixture_file, comoda_file,
+                                                      tmp_path):
+        # OpenBLAS picks its kernels by CPU; forcing two of them must not
+        # move a byte of any report
+        (tmp_path / "tab100k").mkdir()
+        (tmp_path / "comoda").mkdir()
+        configs = {
+            "tab100k": bench_config(fixture_file, tmp_path / "tab100k",
+                                    [a for a in ALGORITHMS if a != "powermat"],
+                                    train={"default": {"k": 4, "epochs": 3}}),
+            "comoda": comoda_config(comoda_file, tmp_path / "comoda", ["powermat", "random"]),
+        }
+        src = str(Path(reclab.__file__).parents[1])
+        kernels = ("Prescott", "Haswell")
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "reclab.cli", "bench", "--config", str(config),
+             "--out", str(tmp_path / name / kernel)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            for name, config in configs.items() for kernel in kernels]
+        for run in runs:
+            output = run.communicate(timeout=120)[0]
+            assert run.returncode == 0, output
+        for name in configs:
+            reports = [{p.name: p.read_bytes() for p in (tmp_path / name / kernel).iterdir()
+                        if p.name != "manifest.json"} for kernel in kernels]
+            assert len(reports[0]) == 3 and reports[0] == reports[1]
+
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
         # rejected with the config, before random trains or anything is written
@@ -320,7 +351,7 @@ class TestBench:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert result.output == ("error: zeromat (seed 42): "
-                                 "train_zeroshot diverged at epoch 1\n")
+                                 "train_zeroshot diverged at epoch 0\n")
 
     def test_hybrid_divergence_names_the_hybrid(self, runner, fixture_file, tmp_path):
         # the MF stage diverges; the message names the registered hybrid

@@ -465,6 +465,22 @@ class TestSplit:
         with pytest.raises(DatasetError):
             split(empty, SplitSpec(0.2, 0))
 
+    def test_sides_are_allocated_once(self):
+        # each side's masked columns are handed to the dataset, not copied
+        # again: the masks, the permutation and the key check fit in half
+        # of the columns' bytes
+        ds = generate_zipf(6040, 3706, 100_000, 1.0, seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sides = split(ds, SplitSpec(0.2, 42))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for side in sides for c in (side.users, side.items, side.values))
+        assert columns == 3 * 8 * len(ds)
+        assert peak <= 1.5 * columns
+
 
 def sequential_zipf(n_users, n_items, n_ratings, exponent, seed, max_draws=None):
     """Reference for generate_zipf, one scalar draw at a time from the three

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from reclab import baselines, zeroshot
 from reclab.baselines import (conflict_free_runs, dependency_levels, init_factors,
                               mf_train)
-from reclab.core import RatingsDataset, TrainConfig, TrainingError
+from reclab.core import RatingsDataset, TrainConfig, TrainingError, row_dot
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (DOTMAT_P_MAX, dotmat_step, poissonmat_step,
                              powermat_step, powermat_train, train_zeroshot,
@@ -32,7 +32,7 @@ def reference_mf_train(train, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in rng.permutation(len(users)):
                 u, j, r = users[idx], items[idx], values[idx]
-                e = r - U[u] @ V[j]
+                e = r - row_dot(U[u], V[j])
                 step = cfg.gamma * 2.0 * e
                 u_old = U[u].copy()
                 U[u] += step * V[j]
@@ -94,10 +94,10 @@ def reference_train_zeroshot(rule, n_users, n_items, cfg):
 
 def scalar_powermat_step(u_vec, v_vec, alpha, beta, context, gamma,
                          sigma_u, sigma_v, eps_floor):
-    p = float(u_vec @ v_vec)
+    p = float(row_dot(u_vec, v_vec))
     clamped = p < eps_floor
     p = max(p, eps_floor)
-    s = float(alpha @ context)
+    s = float(row_dot(alpha, context))
     new_u = u_vec - gamma * (beta * p * v_vec + (beta * p + s) * v_vec
                              - (2.0 / sigma_u) * u_vec)
     new_v = v_vec - gamma * (beta * p * u_vec + (beta * p + s) * u_vec
