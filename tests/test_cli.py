@@ -246,33 +246,23 @@ class TestBench:
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="OPENBLAS_CORETYPE names x86-64 kernels")
-    def test_reports_do_not_depend_on_the_blas_kernel(self, fixture_file, comoda_file,
-                                                      tmp_path):
-        # OpenBLAS picks its kernels by CPU; forcing two of them must not
-        # move a byte of any report
-        (tmp_path / "tab100k").mkdir()
-        (tmp_path / "comoda").mkdir()
-        configs = {
-            "tab100k": bench_config(fixture_file, tmp_path / "tab100k",
-                                    [a for a in ALGORITHMS if a != "powermat"],
-                                    train={"default": {"k": 4, "epochs": 3}}),
-            "comoda": comoda_config(comoda_file, tmp_path / "comoda", ["powermat", "random"]),
-        }
+    def test_reports_do_not_depend_on_the_blas_kernel(self, golden_benches):
+        # OpenBLAS picks its kernels by CPU; under each of two forced kernels
+        # every golden bench must write its golden bytes
         src = str(Path(reclab.__file__).parents[1])
         kernels = ("Prescott", "Haswell")
         runs = [subprocess.Popen(
-            [sys.executable, "-m", "reclab.cli", "bench", "--config", str(config),
-             "--out", str(tmp_path / name / kernel)],
+            [sys.executable, "-m", "reclab.cli", "bench", "--config", f"{name}.json",
+             "--out", f"{name}-{kernel}"], cwd=golden_benches,
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel},
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-            for name, config in configs.items() for kernel in kernels]
+            for name in GOLDEN_BENCHES for kernel in kernels]
         for run in runs:
             output = run.communicate(timeout=120)[0]
             assert run.returncode == 0, output
-        for name in configs:
-            reports = [{p.name: p.read_bytes() for p in (tmp_path / name / kernel).iterdir()
-                        if p.name != "manifest.json"} for kernel in kernels]
-            assert len(reports[0]) == 3 and reports[0] == reports[1]
+        for name in GOLDEN_BENCHES:
+            for kernel in kernels:
+                assert_golden_bench(golden_benches / f"{name}-{kernel}", name)
 
     def test_powermat_without_context_exits_one(self, runner, fixture_file,
                                                 tmp_path):
@@ -1003,7 +993,46 @@ GOLDEN_RUNS = {
 }
 
 
+# Benches of every registered algorithm the format allows, two repetitions
+# each, whose files are tests/golden/<name>. The tab100k input is denser
+# than fixture_file's, so that each path does real work: item-CF builds
+# 18,346 and 18,335 pairs, over one PAIR_BLOCK; each hybrid's fill takes two
+# first_draws rounds; MF's epochs have 84 to 189 dependency levels; and
+# PowerMat's epochs have 22 to 30 conflict-free runs.
+GOLDEN_BENCHES = {
+    "bench-tab100k": {"dataset": {"path": "dense.data"},
+                      "algorithms": [a for a in ALGORITHMS if a != "powermat"]},
+    "bench-comoda": {"dataset": {"path": "comoda.csv", "format": "comoda"},
+                     "context_columns": ["mood", "location"], "algorithms": ["powermat", "random"]},
+}
+
+
+@pytest.fixture
+def golden_benches(tmp_path, comoda_file):
+    """tmp_path, holding the golden benches' inputs and their configs
+    <name>.json, whose paths are relative to it."""
+    (tmp_path / "dense.data").write_text(write_movielens(generate_zipf(60, 50, 1800, 1.0, seed=30)))
+    for name, config in GOLDEN_BENCHES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {**config, "repetitions": 2, "train": {"default": {"k": 4, "epochs": 3}}}))
+    return tmp_path
+
+
+def assert_golden_bench(out: Path, name: str) -> None:
+    """out holds the files of golden bench `name`, byte for byte."""
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for file in written:
+        assert (out / file).read_bytes() == (GOLDEN / name / file).read_bytes(), file
+
+
 class TestOutputFiles:
+    @pytest.mark.parametrize("name", list(GOLDEN_BENCHES))
+    def test_every_algorithm_equals_its_golden_bytes(self, golden_benches, monkeypatch, name):
+        monkeypatch.chdir(golden_benches)
+        run_bench(json.loads(Path(f"{name}.json").read_text()), Path(name))
+        assert_golden_bench(golden_benches / name, name)
+
     @pytest.mark.parametrize("run", list(GOLDEN_RUNS))
     def test_files_equal_their_golden_bytes(self, runner, golden_inputs, run):
         result = runner.invoke(main, GOLDEN_RUNS[run])
