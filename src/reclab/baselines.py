@@ -9,8 +9,8 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError, _frozen,
-                   _readonly, row_dot)
+from .core import (FactorModel, RatingsDataset, TrainConfig, TrainingError, _frozen, _readonly,
+                   row_dot)
 from .evaluation import Predictor
 
 
@@ -161,8 +161,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
 
 class CfPredictor(Predictor):
     """Item-based CF: the similarity-weighted average of u's ratings on i's
-    nearest neighbors, clamped to the scale, or the global train mean when
-    no neighbor qualifies."""
+    nearest neighbors, or the global train mean when no neighbor qualifies."""
 
     def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
                  neighborhood_size: int):
@@ -175,12 +174,11 @@ class CfPredictor(Predictor):
         # user u's rated items are train.items[_bounds[u]:_bounds[u + 1]]
         self._bounds = np.searchsorted(train.users, np.arange(train.n_users + 1))
 
-    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Each cell's candidates are u's rated items j other than i with a
         nonzero score s_ij. The top neighborhood_size of them, most similar
         first and ties to the lower j, give sum(s * r) / sum(|s|), added in
         that order."""
-        users, items = np.asarray(users), np.asarray(items)
         first = self._bounds[users]
         counts = self._bounds[users + 1] - first
         preds = np.full(len(users), self.fallback)
@@ -201,7 +199,7 @@ class CfPredictor(Predictor):
             num = np.bincount(row[top], weights=(s * r)[top], minlength=n)
             den = np.bincount(row[top], weights=np.abs(s[top]), minlength=n)
             np.divide(num, den, out=preds[rows], where=den > 0)
-        return np.clip(preds, 1.0, R_MAX)
+        return preds
 
 
 def init_factors(n_users: int, n_items: int,
@@ -349,13 +347,13 @@ def mf_train(train: RatingsDataset, cfg: TrainConfig) -> FactorModel:
 
 
 class MfPredictor(Predictor):
-    """The factor model's dot product U_u . V_i, clamped to [1, R_MAX]."""
+    """The factor model's dot product U_u . V_i."""
 
     def __init__(self, model: FactorModel):
         self.model = model
 
-    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        return np.clip(row_dot(self.model.U[users], self.model.V[items]), 1.0, R_MAX)
+    def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        return row_dot(self.model.U[users], self.model.V[items])
 
 
 def mf_loss(train: RatingsDataset, U: np.ndarray, V: np.ndarray) -> float:

@@ -9,32 +9,44 @@ import numpy as np
 
 from .core import R_MAX, DatasetError, RatingsDataset
 
+# A predictor scores at most this many cells at a time. It bounds memory,
+# not results: each cell's score is the same in every block.
+SCORE_BLOCK = 1 << 16
+
 
 class Predictor(ABC):
     """Uniform prediction interface: total over in-range (u, i) and always
-    within [1, R_MAX]."""
+    within [1, R_MAX]. A subclass implements `scores`; `predict_many` calls
+    it on blocks of at most SCORE_BLOCK cells and clamps once."""
 
     @abstractmethod
-    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Float predictions for the cells (users[k], items[k])."""
+    def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Unclamped float scores of the cells (users[k], items[k])."""
+
+    def predict_many(self, users, items) -> np.ndarray:
+        """Float predictions in [1, R_MAX] for the cells (users[k], items[k])."""
+        users, items = np.asarray(users), np.asarray(items)
+        preds = np.empty(len(users))
+        for a in range(0, len(users), SCORE_BLOCK):
+            preds[a:a + SCORE_BLOCK] = self.scores(users[a:a + SCORE_BLOCK],
+                                                   items[a:a + SCORE_BLOCK])
+        return np.clip(preds, 1.0, R_MAX, out=preds)
 
 
 def _mean_abs(errors: np.ndarray) -> float:
     """Mean of |errors|. A running total in row order adds them one at a time,
     so the result does not depend on numpy's pairwise summation."""
+    if len(errors) == 0:
+        raise DatasetError("empty test set")
     return float(np.cumsum(np.abs(errors))[-1]) / len(errors)
 
 
 def mae(predictor: Predictor, test: RatingsDataset) -> float:
     """Mean absolute error over the observed test cells."""
-    if len(test) == 0:
-        raise DatasetError("empty test set")
     return _mean_abs(predictor.predict_many(test.users, test.items) - test.values)
 
 
 def random_baseline_mae(test: RatingsDataset, seed: int) -> float:
     """MAE of guessing a uniform random integer in [1, R_MAX] per cell."""
-    if len(test) == 0:
-        raise DatasetError("empty test set")
     guesses = np.random.default_rng(seed).integers(1, R_MAX + 1, size=len(test))
     return _mean_abs(guesses - test.values)

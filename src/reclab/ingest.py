@@ -57,9 +57,10 @@ class ParseResult:
 
 
 def _bytes(source) -> bytes:
-    """The UTF-8 bytes of a str, bytes, text stream or binary stream."""
+    """The UTF-8 bytes of a str, bytes, text stream or binary stream, without
+    a leading byte-order mark, which would otherwise join the first id."""
     data = source if isinstance(source, (str, bytes)) else source.read()
-    return data.encode("utf-8") if isinstance(data, str) else data
+    return (data.encode("utf-8") if isinstance(data, str) else data).removeprefix(b"\xef\xbb\xbf")
 
 
 def _lines(data: bytes) -> Iterable[str]:

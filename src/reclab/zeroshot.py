@@ -15,15 +15,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from . import evaluation
 from .baselines import init_factors, sgd_epochs
 from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_grid, _check_range,
                    _frozen, first_draws, row_dot)
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
-# ZeroShotPredictor scores at most this many cells at a time. It bounds
-# memory, not results: each score is the same sum over k in every block.
-SCORE_BLOCK = 1 << 16
 
 
 # The three shape-only step rules take matching rows u_vec, v_vec of shape
@@ -158,26 +156,22 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
 
 class ZeroShotPredictor(Predictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
-    R_MAX * (U_u . V_i) / max_j(U_u . V_j), clamped to [1, R_MAX]. `row_max`,
-    each user's maximum floored at eps_floor, is computed from a block of
-    users at a time, and only the requested cells are scored: memory grows
-    with SCORE_BLOCK, not with n_users * n_items."""
+    R_MAX * (U_u . V_i) / max_j(U_u . V_j). `row_max`, each user's maximum
+    floored at eps_floor, is computed from a block of users of at most
+    `evaluation.SCORE_BLOCK` scores at a time, and only the requested cells
+    are scored: memory grows with SCORE_BLOCK, not with n_users * n_items."""
 
     def __init__(self, model: FactorModel, eps_floor: float):
         self.model = model
         self.row_max = np.empty(len(model.U))
-        step = max(SCORE_BLOCK // len(model.V), 1)
+        step = max(evaluation.SCORE_BLOCK // len(model.V), 1)
         for a in range(0, len(model.U), step):
-            scores = np.einsum("uk,ik->ui", model.U[a:a + step], model.V)
-            np.maximum(scores.max(axis=1), eps_floor, out=self.row_max[a:a + step])
+            block = np.einsum("uk,ik->ui", model.U[a:a + step], model.V)
+            np.maximum(block.max(axis=1), eps_floor, out=self.row_max[a:a + step])
 
-    def predict_many(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        raw = np.empty(len(users))
-        for a in range(0, len(users), SCORE_BLOCK):
-            u, i = users[a:a + SCORE_BLOCK], items[a:a + SCORE_BLOCK]
-            raw[a:a + SCORE_BLOCK] = row_dot(self.model.U[u], self.model.V[i]) / self.row_max[u]
+    def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         # the ratio first: a row's maximum cell is max / max = 1, so exactly R_MAX
-        return np.clip(R_MAX * raw, 1.0, R_MAX)
+        return R_MAX * (row_dot(self.model.U[users], self.model.V[items]) / self.row_max[users])
 
 
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,

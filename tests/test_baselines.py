@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reclab import baselines
+from reclab import baselines, evaluation
 from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
@@ -443,3 +443,20 @@ class TestMfPredict:
         expected = [clamp_prediction(float(row_dot(model.U[u], model.V[i])))
                     for u, i in zip(users.tolist(), items.tolist())]
         assert got.tolist() == expected
+
+    def test_memory_is_bounded_by_one_score_block(self):
+        # 200k cells of k 10: gathering every cell's rows at once would take
+        # 32 MB; one block's two gathers take 10.5 MB beside the 1.6 MB output
+        rng = np.random.default_rng(5)
+        model = FactorModel(U=rng.uniform(0, 1, (600, 10)), V=rng.uniform(0, 1, (800, 10)))
+        users, items = rng.integers(0, 600, 200_000), rng.integers(0, 800, 200_000)
+        predictor = MfPredictor(model)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            preds = predictor.predict_many(users, items)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        gathers = 2 * evaluation.SCORE_BLOCK * model.U[0].nbytes
+        assert peak <= preds.nbytes + 1.25 * gathers

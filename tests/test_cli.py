@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reclab
-from reclab import cli
+from reclab import cli, evaluation
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import R_MAX, RatingsDataset, TrainConfig
-from reclab.evaluation import Predictor
 from reclab.ingest import SplitSpec, generate_zipf, split, write_movielens
-from reclab.zeroshot import dotmat_step, poissonmat_step, train_zeroshot, zeromat_step
+from reclab.zeroshot import (ZeroShotPredictor, dotmat_step, poissonmat_step, train_zeroshot,
+                             zeromat_step)
 
 from conftest import fit_config
 
@@ -695,7 +695,10 @@ def assert_total(predictor, n_users, n_items):
                               for k in range(len(users))]
 
 
-class ConstantPredictor(Predictor):
+class ConstantPredictor:
+    """Not a Predictor, whose predict_many would clamp: value may be inf.
+    mae calls predict_many alone."""
+
     def __init__(self, value):
         self.value = value
 
@@ -741,6 +744,31 @@ class TestRegistry:
                                n_users=6, n_items=7, contexts=contexts[in_train])
         predictor = REGISTRY[algo].fit(algo, fit_config(), train, 3)
         assert_total(predictor, 6, 7)
+
+    @pytest.mark.parametrize("block", [7, 70])
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "random"])
+    def test_score_blocks_do_not_change_predictions(self, algo, block, monkeypatch):
+        # 23 users of 30 items: 7 scores put each user in a row-maximum block
+        # of its own, and 70 leave the last block one user; neither divides
+        # the 690 cells, which one default block holds
+        ds = generate_zipf(23, 30, 300, 1.0, seed=12)
+        train = RatingsDataset(ds.users, ds.items, ds.values, 23, 30,
+                               contexts=np.column_stack([ds.users % 2, ds.items % 3]) * 1.0)
+        config = fit_config(train={"default": {"k": 3, "epochs": 2}})
+        users, items = np.divmod(np.arange(23 * 30), 30)
+        whole = REGISTRY[algo].fit(algo, config, train, 3)
+        expected = whole.predict_many(users, items)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
+        blocked = REGISTRY[algo].fit(algo, config, train, 3)
+        got = blocked.predict_many(users, items)
+        assert np.array_equal(got, expected)
+        assert got.shape == (23 * 30,) and ((got >= 1.0) & (got <= R_MAX)).all()
+        if isinstance(blocked, ZeroShotPredictor):
+            assert np.array_equal(blocked.row_max, whole.row_max)
+            # each user's argmax cell is the ratio max / max, exactly R_MAX
+            model = blocked.model
+            best = np.einsum("uk,ik->ui", model.U, model.V).argmax(axis=1)
+            assert (blocked.predict_many(np.arange(23), best) == R_MAX).all()
 
     @pytest.mark.parametrize("algo, rule", [("zeromat", zeromat_step),
                                             ("dotmat", dotmat_step),

@@ -5,6 +5,7 @@ import pytest
 
 from reclab.cli import run_bench
 from reclab.core import R_MAX, DatasetError, RatingsDataset
+from reclab import evaluation
 from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
@@ -18,7 +19,7 @@ class CellPredictor(Predictor):
     def __init__(self, fn):
         self.fn = fn
 
-    def predict_many(self, users, items):
+    def scores(self, users, items):
         return np.array([self.fn(u, i) for u, i in zip(users.tolist(), items.tolist())],
                         dtype=np.float64)
 
@@ -36,6 +37,24 @@ def uniform_dataset(n_cells, seed=0):
             ratings.append((u, i, int(rng.integers(1, R_MAX + 1))))
             count += 1
     return from_rows(ratings, n_users, n_items)
+
+
+class TestPredictMany:
+    def test_scores_bounded_blocks_and_clamps_their_concatenation(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 7)
+        calls = []
+
+        class Spy(Predictor):
+            def scores(self, users, items):
+                calls.append(len(users))
+                return 0.25 * (users * 6 + items) - 1.0
+
+        users, items = np.divmod(np.arange(30), 6)
+        got = Spy().predict_many(users.tolist(), items.tolist())
+        assert calls == [7, 7, 7, 7, 2]
+        # the scores run from -1 to 6.25, so both bounds of the scale clamp
+        expected = [min(max(0.25 * k - 1.0, 1.0), R_MAX) for k in range(30)]
+        assert got.tolist() == expected
 
 
 class TestMae:

@@ -301,6 +301,30 @@ def test_every_source_kind_reads_mixed_line_ends_alike(kind, parse, text, parsed
     assert str(exc.value) == error
 
 
+# One file per parser path, each with a repeated cell: the numpy paths of
+# both MovieLens formats, the line loop (an id with spaces leaves the numpy
+# grammar) and CoMoDa, from bytes, and a str source
+TAB_100K = lambda source: parse_movielens(source, MovieLensFormat.TAB_100K)
+COLONS_1M = lambda source: parse_movielens(source, MovieLensFormat.COLONS_1M)
+BOM_FILES = {
+    "tab100k": (TAB_100K, "bytes", "1\t1\t5\t0\n1\t2\t3\t0\n2\t1\t4\t0\n1\t1\t2\t0\n"),
+    "colons1m": (COLONS_1M, "bytes", "1::1::5::0\r\n2::1::4::0\r\n2::1::3::0\r\n"),
+    "colons1m-line-loop": (COLONS_1M, "bytes", "1::1::5::0\n 2::1::4::0\n2::1::3::0\n"),
+    "comoda": (lambda source: parse_comoda(source, ["mood"]), "bytes",
+               "userID,itemID,rating,mood\n1,1,5,1\n2,1,4,2\n1,1,3,0\n"),
+    "str": (TAB_100K, "str", "1\t1\t5\t0\n2\t1\t4\t0\n2\t1\t3\t0\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_FILES))
+def test_leading_byte_order_mark_is_skipped(name):
+    # the mark must not join the first id: "\ufeff1" and "1" would be two users
+    parse, kind, text = BOM_FILES[name]
+    plain, marked = (parse(source_of(kind, t)) for t in (text, "\ufeff" + text))
+    assert _parsed(marked) == _parsed(plain)
+    assert marked.dataset.n_users == 2 and plain.duplicates_replaced == 1
+
+
 # Dict-based parsers, as an oracle for well-formed input: one cell dict,
 # keyed by the (user, item) id texts, whose value is the cell's last row.
 # Ids are stripped of surrounding whitespace and numbered in shortlex order

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from reclab import cli, zeroshot
-from reclab.core import R_MAX, DatasetError, FactorModel, RatingsDataset, TrainConfig
+from reclab import cli
+from reclab.core import DatasetError, FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
                              dotmat_step, poissonmat_step, powermat_step,
@@ -235,25 +235,6 @@ class TestZeroShotPredict:
         for u in range(20):
             for i in range(30):
                 assert 1.0 <= predictor.predict_many([u], [i])[0] <= 5.0
-
-    @pytest.mark.parametrize("block", [7, 70], ids=["one-user", "two-users"])
-    def test_score_blocks_do_not_change_predictions(self, monkeypatch, block):
-        # 23 users of 30 items: a budget below one row puts each user in a
-        # block of its own, and 70 scores leave the last block one user;
-        # neither budget divides the 690 cells
-        model = train_zeroshot(dotmat_step, 23, 30, _cfg(gamma=0.005))
-        users, items = np.divmod(np.arange(23 * 30), 30)
-        whole = ZeroShotPredictor(model, EPS)
-        expected = whole.predict_many(users, items)
-        monkeypatch.setattr(zeroshot, "SCORE_BLOCK", block)
-        blocked = ZeroShotPredictor(model, EPS)
-        got = blocked.predict_many(users, items)
-        assert np.array_equal(blocked.row_max, whole.row_max)
-        assert np.array_equal(got, expected)
-        assert got.shape == (23 * 30,) and ((got >= 1.0) & (got <= R_MAX)).all()
-        # each user's argmax cell is the ratio max / max, exactly R_MAX
-        best = np.einsum("uk,ik->ui", model.U, model.V).argmax(axis=1)
-        assert (blocked.predict_many(np.arange(23), best) == R_MAX).all()
 
 
 def loop_fill(train, predictor, seed, fill_fraction):
