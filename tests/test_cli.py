@@ -696,8 +696,8 @@ def assert_total(predictor, n_users, n_items):
 
 
 class ConstantPredictor:
-    """Not a Predictor, whose predict_many would clamp: value may be inf.
-    mae calls predict_many alone."""
+    """Predicts `value` unclamped, inf say. It is no Predictor, whose
+    predict_many would clamp it; mae calls nothing but predict_many."""
 
     def __init__(self, value):
         self.value = value
@@ -753,7 +753,7 @@ class TestRegistry:
         # the 690 cells, which one default block holds
         ds = generate_zipf(23, 30, 300, 1.0, seed=12)
         train = RatingsDataset(ds.users, ds.items, ds.values, 23, 30,
-                               contexts=np.column_stack([ds.users % 2, ds.items % 3]) * 1.0)
+                               contexts=np.column_stack([ds.users % 2, ds.items % 3]))
         config = fit_config(train={"default": {"k": 3, "epochs": 2}})
         users, items = np.divmod(np.arange(23 * 30), 30)
         whole = REGISTRY[algo].fit(algo, config, train, 3)
@@ -1037,8 +1037,8 @@ GOLDEN_BENCHES = {
 
 @pytest.fixture
 def golden_benches(tmp_path, comoda_file):
-    """tmp_path, holding the golden benches' inputs and their configs
-    <name>.json, whose paths are relative to it."""
+    """tmp_path, holding the golden benches' inputs (comoda.csv is
+    comoda_file's) and their configs <name>.json, whose paths are relative to it."""
     (tmp_path / "dense.data").write_text(write_movielens(generate_zipf(60, 50, 1800, 1.0, seed=30)))
     for name, config in GOLDEN_BENCHES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(

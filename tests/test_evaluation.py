@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from reclab import evaluation
 from reclab.cli import run_bench
 from reclab.core import R_MAX, DatasetError, RatingsDataset
-from reclab import evaluation
 from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)

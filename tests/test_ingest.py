@@ -4,6 +4,7 @@ import gc
 import io
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -304,15 +305,15 @@ def test_every_source_kind_reads_mixed_line_ends_alike(kind, parse, text, parsed
 # One file per parser path, each with a repeated cell: the numpy paths of
 # both MovieLens formats, the line loop (an id with spaces leaves the numpy
 # grammar) and CoMoDa, from bytes, and a str source
-TAB_100K = lambda source: parse_movielens(source, MovieLensFormat.TAB_100K)
-COLONS_1M = lambda source: parse_movielens(source, MovieLensFormat.COLONS_1M)
+tab100k = partial(parse_movielens, fmt=MovieLensFormat.TAB_100K)
+colons1m = partial(parse_movielens, fmt=MovieLensFormat.COLONS_1M)
 BOM_FILES = {
-    "tab100k": (TAB_100K, "bytes", "1\t1\t5\t0\n1\t2\t3\t0\n2\t1\t4\t0\n1\t1\t2\t0\n"),
-    "colons1m": (COLONS_1M, "bytes", "1::1::5::0\r\n2::1::4::0\r\n2::1::3::0\r\n"),
-    "colons1m-line-loop": (COLONS_1M, "bytes", "1::1::5::0\n 2::1::4::0\n2::1::3::0\n"),
-    "comoda": (lambda source: parse_comoda(source, ["mood"]), "bytes",
+    "tab100k": (tab100k, "bytes", "1\t1\t5\t0\n1\t2\t3\t0\n2\t1\t4\t0\n1\t1\t2\t0\n"),
+    "colons1m": (colons1m, "bytes", "1::1::5::0\r\n2::1::4::0\r\n2::1::3::0\r\n"),
+    "colons1m-line-loop": (colons1m, "bytes", "1::1::5::0\n 2::1::4::0\n2::1::3::0\n"),
+    "comoda": (partial(parse_comoda, context_columns=["mood"]), "bytes",
                "userID,itemID,rating,mood\n1,1,5,1\n2,1,4,2\n1,1,3,0\n"),
-    "str": (TAB_100K, "str", "1\t1\t5\t0\n2\t1\t4\t0\n2\t1\t3\t0\n"),
+    "str": (tab100k, "str", "1\t1\t5\t0\n2\t1\t4\t0\n2\t1\t3\t0\n"),
 }
 
 
