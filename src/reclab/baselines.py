@@ -10,7 +10,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .core import (FactorModel, RatingsDataset, TrainConfig, TrainingError, _frozen, _readonly,
-                   row_dot)
+                   blocks, row_dot)
 from .evaluation import Predictor
 
 
@@ -19,10 +19,10 @@ class SimilarityKind(Enum):
     ADJUSTED_COSINE = "adjusted_cosine"
 
 
-# Item-CF materializes at most this many (rating, rating) pairs at a time,
-# when it builds similarities and when it predicts. It bounds memory, not
-# results: each block's outputs are final.
-PAIR_BLOCK = 1 << 14
+# The bytes item-CF holds per (rating, rating) pair it materializes, when it
+# builds similarities and when it predicts: measured at 60 to 95, within 12
+# int64 or float64 values. Its loops cut `core.blocks` by it.
+PAIR_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,6 @@ class SimilarityMatrix:
             return np.zeros(query.shape)
         pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
         return np.where(self.keys[pos] == query, self.scores[pos], 0.0)
-
-
-def _blocks(counts: np.ndarray, cap: int) -> List[slice]:
-    """Cut range(len(counts)) into consecutive slices whose counts sum to at
-    most cap, or that hold a single index."""
-    ends = np.cumsum(counts)
-    bounds = [0]
-    while bounds[-1] < len(counts):
-        start = bounds[-1]
-        reached = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, reached + cap, side="right"))
-        bounds.append(max(stop, start + 1))
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _expand(starts: np.ndarray, lengths: np.ndarray):
@@ -122,7 +109,7 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
     # block's pages), so the store is not held twice.
     keys = np.empty(0, dtype=np.int64)
     scores = np.empty(0, dtype=np.float64)
-    for block in _blocks(pairs_per_item, PAIR_BLOCK):
+    for block in blocks(n_items, pairs_per_item * PAIR_BYTES):
         anchor = anchors[item_bounds[block.start]:item_bounds[block.stop]]
         owner, partner = _expand(anchor, ahead[anchor])
         if not len(owner):
@@ -174,32 +161,32 @@ class CfPredictor(Predictor):
         # user u's rated items are train.items[_bounds[u]:_bounds[u + 1]]
         self._bounds = np.searchsorted(train.users, np.arange(train.n_users + 1))
 
+    def cell_bytes(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        # a cell's candidate pairs, and one pair's worth for the cell itself
+        return ((np.diff(self._bounds) + 1) * PAIR_BYTES)[users]
+
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Each cell's candidates are u's rated items j other than i with a
         nonzero score s_ij. The top neighborhood_size of them, most similar
         first and ties to the lower j, give sum(s * r) / sum(|s|), added in
         that order."""
         first = self._bounds[users]
-        counts = self._bounds[users + 1] - first
+        row, pos = _expand(first, self._bounds[users + 1] - first)
+        target, j = items[row], self.train.items[pos]
+        s = self.sims.lookup(target, j)
+        keep = (j != target) & (s != 0.0)
+        row, s, r = row[keep], s[keep], self.train.values[pos][keep]
+        # j ascends within each row and lexsort is stable, so this orders by
+        # (row, -s, j)
+        order = np.lexsort((-s, row))
+        row, s, r = row[order], s[order], r[order]
+        rank = np.arange(len(row)) - np.searchsorted(row, row)
+        top = rank < self.neighborhood_size
+        # bincount adds each row's terms in array order, as the rank order
+        num = np.bincount(row[top], weights=(s * r)[top], minlength=len(users))
+        den = np.bincount(row[top], weights=np.abs(s[top]), minlength=len(users))
         preds = np.full(len(users), self.fallback)
-        for rows in _blocks(counts, PAIR_BLOCK):
-            row, pos = _expand(first[rows], counts[rows])
-            target, j = items[rows][row], self.train.items[pos]
-            s = self.sims.lookup(target, j)
-            keep = (j != target) & (s != 0.0)
-            row, s, r = row[keep], s[keep], self.train.values[pos][keep]
-            # j ascends within each row and lexsort is stable, so this
-            # orders by (row, -s, j)
-            order = np.lexsort((-s, row))
-            row, s, r = row[order], s[order], r[order]
-            rank = np.arange(len(row)) - np.searchsorted(row, row)
-            top = rank < self.neighborhood_size
-            n = rows.stop - rows.start
-            # bincount adds each row's terms in array order, as the rank order
-            num = np.bincount(row[top], weights=(s * r)[top], minlength=n)
-            den = np.bincount(row[top], weights=np.abs(s[top]), minlength=n)
-            np.divide(num, den, out=preds[rows], where=den > 0)
-        return preds
+        return np.divide(num, den, out=preds, where=den > 0)
 
 
 def init_factors(n_users: int, n_items: int,
@@ -351,6 +338,10 @@ class MfPredictor(Predictor):
 
     def __init__(self, model: FactorModel):
         self.model = model
+
+    def cell_bytes(self, users: np.ndarray, items: np.ndarray) -> int:
+        # the cell's two gathered rows of k float64s, and its score
+        return 8 * (2 * self.model.U.shape[1] + 1)
 
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         return row_dot(self.model.U[users], self.model.V[items])

@@ -159,11 +159,10 @@ def _evaluate_algorithm(algo: str, config: BenchConfig, train: RatingsDataset,
         mae = evaluation.random_baseline_mae(test, seed)
     else:
         try:
-            predictor = REGISTRY[algo].fit(algo, config, train, seed)
+            mae = evaluation.mae(REGISTRY[algo].fit(algo, config, train, seed), test)
         except TrainingError as exc:
             # name the registered algorithm and the seed; exc names the stage
             raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
-        mae = evaluation.mae(predictor, test)
     if not (math.isfinite(mae) and mae >= 0):
         raise ValueError(f"{algo}: mae must be finite and >= 0, got {mae}")
     return mae

@@ -7,29 +7,35 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import R_MAX, DatasetError, RatingsDataset
-
-# A predictor scores at most this many cells at a time. It bounds memory,
-# not results: each cell's score is the same in every block.
-SCORE_BLOCK = 1 << 16
+from .core import R_MAX, DatasetError, RatingsDataset, TrainingError, blocks
 
 
 class Predictor(ABC):
     """Uniform prediction interface: total over in-range (u, i) and always
-    within [1, R_MAX]. A subclass implements `scores`; `predict_many` calls
-    it on blocks of at most SCORE_BLOCK cells and clamps once."""
+    within [1, R_MAX]. A subclass implements `scores`, and `cell_bytes` if one
+    cell's score takes more than its float64; `predict_many` calls `scores`
+    on `core.blocks` of cells and clamps once."""
 
     @abstractmethod
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Unclamped float scores of the cells (users[k], items[k])."""
 
+    def cell_bytes(self, users: np.ndarray, items: np.ndarray):
+        """The bytes that scoring each cell takes: one number for every cell,
+        or an array of one per cell."""
+        return 8
+
     def predict_many(self, users, items) -> np.ndarray:
-        """Float predictions in [1, R_MAX] for the cells (users[k], items[k])."""
+        """Float predictions in [1, R_MAX] for the cells (users[k], items[k]).
+        A non-finite score is a TrainingError: the model it came from diverged."""
         users, items = np.asarray(users), np.asarray(items)
         preds = np.empty(len(users))
-        for a in range(0, len(users), SCORE_BLOCK):
-            preds[a:a + SCORE_BLOCK] = self.scores(users[a:a + SCORE_BLOCK],
-                                                   items[a:a + SCORE_BLOCK])
+        # overflow surfaces as non-finite scores, checked block by block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in blocks(len(users), self.cell_bytes(users, items)):
+                preds[rows] = self.scores(users[rows], items[rows])
+                if not np.isfinite(preds[rows]).all():
+                    raise TrainingError(f"{type(self).__name__} scored a non-finite value")
         return np.clip(preds, 1.0, R_MAX, out=preds)
 
 

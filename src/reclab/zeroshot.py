@@ -15,10 +15,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import evaluation
-from .baselines import init_factors, sgd_epochs
+from .baselines import MfPredictor, init_factors, sgd_epochs
 from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_grid, _check_range,
-                   _frozen, first_draws, row_dot)
+                   _frozen, blocks, first_draws, row_dot)
 from .evaluation import Predictor
 
 DOTMAT_P_MAX = 10.0
@@ -154,24 +153,25 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
     return FactorModel(*_frozen(U, V))
 
 
-class ZeroShotPredictor(Predictor):
+class ZeroShotPredictor(MfPredictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
-    R_MAX * (U_u . V_i) / max_j(U_u . V_j). `row_max`, each user's maximum
-    floored at eps_floor, is computed from a block of users of at most
-    `evaluation.SCORE_BLOCK` scores at a time, and only the requested cells
-    are scored: memory grows with SCORE_BLOCK, not with n_users * n_items."""
+    R_MAX * (U_u . V_i) / max_j(U_u . V_j), that is MfPredictor's score over
+    the user's row maximum. `row_max`, each user's maximum floored at
+    eps_floor, is computed from `core.blocks` of users, n_items float64
+    scores each, and only the requested cells are scored: memory grows with
+    `core.BLOCK_BYTES`, not with n_users * n_items."""
 
     def __init__(self, model: FactorModel, eps_floor: float):
-        self.model = model
+        super().__init__(model)
         self.row_max = np.empty(len(model.U))
-        step = max(evaluation.SCORE_BLOCK // len(model.V), 1)
-        for a in range(0, len(model.U), step):
-            block = np.einsum("uk,ik->ui", model.U[a:a + step], model.V)
-            np.maximum(block.max(axis=1), eps_floor, out=self.row_max[a:a + step])
+        for rows in blocks(len(model.U), 8 * len(model.V)):
+            # no name holds the block's scores, so they are freed before the next block's
+            best = np.einsum("uk,ik->ui", model.U[rows], model.V).max(axis=1)
+            np.maximum(best, eps_floor, out=self.row_max[rows])
 
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         # the ratio first: a row's maximum cell is max / max = 1, so exactly R_MAX
-        return R_MAX * (row_dot(self.model.U[users], self.model.V[items]) / self.row_max[users])
+        return R_MAX * (super().scores(users, items) / self.row_max[users])
 
 
 def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ def fit_config(**keys) -> BenchConfig:
     """The BenchConfig of a bench config with these top-level keys, to call a
     fit with: its dataset and algorithm list, which no fit reads, are stand-ins."""
     return BenchConfig({"dataset": {"path": "unused"}, "algorithms": ["random"], **keys})
+
+
+# What one traced call allocates beyond its arrays: numpy's indexing and
+# errstate bookkeeping, a few kB whatever the size of the input.
+CALL_OVERHEAD = 16 << 10
+
+
+def traced_peak(call):
+    """call()'s result, and the most memory tracemalloc saw it hold above
+    what was held when it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def rows_of(ds: RatingsDataset) -> list:

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reclab import baselines, evaluation
-from reclab.baselines import (CfPredictor, MfPredictor, SimilarityKind,
+from reclab import core
+from reclab.baselines import (PAIR_BYTES, CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
 from reclab.core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, TrainingError,
                          row_dot)
 from reclab.ingest import SplitSpec, generate_zipf, split
 
-from conftest import from_rows, rows_of
+from conftest import CALL_OVERHEAD, from_rows, rows_of, traced_peak
 
 
 def clamp_prediction(raw):
@@ -153,12 +153,14 @@ class TestItemSimilarities:
         assert np.array_equal(scores, scores.T)
         assert (sims.scores != 0.0).all()
 
-    def test_pair_blocks_do_not_change_scores(self, monkeypatch):
+    @pytest.mark.parametrize("pairs", [3, 50])
+    def test_pair_blocks_do_not_change_scores(self, pairs, monkeypatch):
+        # 3 pairs' bytes are below one item's pairs, so every item is its own
+        # block; 50 pairs' bytes hold several items
         ds = generate_zipf(50, 60, 400, 1.0, seed=41)
         for kind in SimilarityKind:
             whole = item_similarities(ds, kind)
-            # a cap below one item's pairs: every item is its own block
-            monkeypatch.setattr(baselines, "PAIR_BLOCK", 3)
+            monkeypatch.setattr(core, "BLOCK_BYTES", pairs * PAIR_BYTES)
             blocked = item_similarities(ds, kind)
             monkeypatch.undo()
             assert np.array_equal(whole.keys, blocked.keys)
@@ -183,7 +185,7 @@ class TestItemSimilarities:
         # vector is zero; small blocks make many empty ones
         ds = generate_zipf(40, 30, 300, 1.0, seed=3)
         flat = RatingsDataset(ds.users, ds.items, 1 + ds.users % 5, ds.n_users, ds.n_items)
-        monkeypatch.setattr(baselines, "PAIR_BLOCK", 50)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 50 * PAIR_BYTES)
         sims = item_similarities(flat, SimilarityKind.ADJUSTED_COSINE)
         assert len(sims.keys) == len(sims.scores) == 0
         assert not dense_scores(sims).any()
@@ -337,15 +339,29 @@ class TestCfPredict:
         four = CfPredictor(sims, train, 4)
         assert four.predict_many([0], [0])[0] == pytest.approx(2.5 / 2.0)
 
-    def test_pair_blocks_do_not_change_predictions(self, monkeypatch):
+    @pytest.mark.parametrize("pairs", [4, 40])
+    def test_pair_blocks_do_not_change_predictions(self, pairs, monkeypatch):
+        # 4 pairs' bytes are below most cells' candidates, so those cells are
+        # blocks of their own; 40 pairs' bytes hold a few cells
         ds = generate_zipf(50, 60, 400, 1.0, seed=41)
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=41))
         predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE),
                                 train, neighborhood_size=5)
         whole = predictor.predict_many(test.users, test.items)
-        monkeypatch.setattr(baselines, "PAIR_BLOCK", 4)
+        monkeypatch.setattr(core, "BLOCK_BYTES", pairs * PAIR_BYTES)
         blocked = predictor.predict_many(test.users, test.items)
         assert np.array_equal(whole, blocked)
+
+    def test_memory_is_bounded_by_one_block(self):
+        # 200k cells whose users rated 50 items each on average: their 10M
+        # candidate pairs at once would take about 1 GB. Cutting the cells
+        # into blocks takes two int64 columns: their bytes and the running sum.
+        ds = generate_zipf(600, 400, 30_000, 1.0, seed=2)
+        predictor = CfPredictor(item_similarities(ds, SimilarityKind.COSINE), ds, 20)
+        rng = np.random.default_rng(5)
+        users, items = rng.integers(0, 600, 200_000), rng.integers(0, 400, 200_000)
+        preds, peak = traced_peak(lambda: predictor.predict_many(users, items))
+        assert peak <= 3 * preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
 
 
 class TestMfTrain:
@@ -444,19 +460,14 @@ class TestMfPredict:
                     for u, i in zip(users.tolist(), items.tolist())]
         assert got.tolist() == expected
 
-    def test_memory_is_bounded_by_one_score_block(self):
-        # 200k cells of k 10: gathering every cell's rows at once would take
-        # 32 MB; one block's two gathers take 10.5 MB beside the 1.6 MB output
+    @pytest.mark.parametrize("k", [4, 10, 100])
+    def test_memory_is_bounded_by_one_block(self, k):
+        # 200k cells at the MovieLens-1M shape: gathering every cell's two
+        # rows at once would take 32 MB at k 10 and 320 MB at k 100. Each
+        # block's gathers and scores fit in the budget, whatever the k.
         rng = np.random.default_rng(5)
-        model = FactorModel(U=rng.uniform(0, 1, (600, 10)), V=rng.uniform(0, 1, (800, 10)))
-        users, items = rng.integers(0, 600, 200_000), rng.integers(0, 800, 200_000)
+        model = FactorModel(U=rng.uniform(0, 1, (6040, k)), V=rng.uniform(0, 1, (3706, k)))
+        users, items = rng.integers(0, 6040, 200_000), rng.integers(0, 3706, 200_000)
         predictor = MfPredictor(model)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            preds = predictor.predict_many(users, items)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        gathers = 2 * evaluation.SCORE_BLOCK * model.U[0].nbytes
-        assert peak <= preds.nbytes + 1.25 * gathers
+        preds, peak = traced_peak(lambda: predictor.predict_many(users, items))
+        assert peak <= preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD

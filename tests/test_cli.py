@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reclab
-from reclab import cli, evaluation
+from reclab import cli, core
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import R_MAX, RatingsDataset, TrainConfig
 from reclab.ingest import SplitSpec, generate_zipf, split, write_movielens
@@ -353,6 +354,22 @@ class TestBench:
         assert result.exit_code == 2
         assert result.output == ("error: dotmat-hybrid (seed 7): "
                                  "mf_train diverged at epoch 0\n")
+
+    @pytest.mark.parametrize("algo", ["zeromat", "zeromat-hybrid"])
+    def test_overflowing_predictions_exit_two(self, algo, runner, fixture_file, tmp_path):
+        # the factors stay finite, but their dot products overflow, and the
+        # zero-shot score inf / inf is NaN: the predictor diverged, named
+        # with the algorithm and the seed, and numpy warns nothing
+        config = bench_config(fixture_file, tmp_path, [algo],
+                              train={"default": {"init_lo": 1e159, "init_hi": 1e160}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["bench", "--config", str(config),
+                                          "--out", str(tmp_path / "out")])
+        assert caught == []
+        assert result.exit_code == 2
+        assert result.output == (f"error: {algo} (seed 42): "
+                                 "ZeroShotPredictor scored a non-finite value\n")
 
     def test_non_finite_mae_exits_one(self, runner, fixture_file, tmp_path,
                                       monkeypatch):
@@ -745,12 +762,14 @@ class TestRegistry:
         predictor = REGISTRY[algo].fit(algo, fit_config(), train, 3)
         assert_total(predictor, 6, 7)
 
-    @pytest.mark.parametrize("block", [7, 70])
+    @pytest.mark.parametrize("budget", [1, 2000])
     @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "random"])
-    def test_score_blocks_do_not_change_predictions(self, algo, block, monkeypatch):
-        # 23 users of 30 items: 7 scores put each user in a row-maximum block
-        # of its own, and 70 leave the last block one user; neither divides
-        # the 690 cells, which one default block holds
+    def test_score_blocks_do_not_change_predictions(self, algo, budget, monkeypatch):
+        # 23 users of 30 items at k 3. A 1-byte budget makes every block one
+        # unit: a cell, a user's row maximum, an item's pairs. 2,000 bytes
+        # hold 8 users' row maxima (240 bytes each) and 35 factor cells (56
+        # bytes each), dividing neither the 23 users nor the 690 cells, which
+        # one default block holds.
         ds = generate_zipf(23, 30, 300, 1.0, seed=12)
         train = RatingsDataset(ds.users, ds.items, ds.values, 23, 30,
                                contexts=np.column_stack([ds.users % 2, ds.items % 3]))
@@ -758,7 +777,7 @@ class TestRegistry:
         users, items = np.divmod(np.arange(23 * 30), 30)
         whole = REGISTRY[algo].fit(algo, config, train, 3)
         expected = whole.predict_many(users, items)
-        monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
+        monkeypatch.setattr(core, "BLOCK_BYTES", budget)
         blocked = REGISTRY[algo].fit(algo, config, train, 3)
         got = blocked.predict_many(users, items)
         assert np.array_equal(got, expected)
@@ -1024,9 +1043,9 @@ GOLDEN_RUNS = {
 # Benches of every registered algorithm the format allows, two repetitions
 # each, whose files are tests/golden/<name>. The tab100k input is denser
 # than fixture_file's, so that each path does real work: item-CF builds
-# 18,346 and 18,335 pairs, over one PAIR_BLOCK; each hybrid's fill takes two
-# first_draws rounds; MF's epochs have 84 to 189 dependency levels; and
-# PowerMat's epochs have 22 to 30 conflict-free runs.
+# 18,346 and 18,335 pairs, four blocks of items each; each hybrid's fill
+# takes two first_draws rounds; MF's epochs have 84 to 189 dependency
+# levels; and PowerMat's epochs have 22 to 30 conflict-free runs.
 GOLDEN_BENCHES = {
     "bench-tab100k": {"dataset": {"path": "dense.data"},
                       "algorithms": [a for a in ALGORITHMS if a != "powermat"]},

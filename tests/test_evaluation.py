@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from reclab import evaluation
+import warnings
+
+from reclab import core
 from reclab.cli import run_bench
-from reclab.core import R_MAX, DatasetError, RatingsDataset
+from reclab.core import R_MAX, DatasetError, RatingsDataset, TrainingError
 from reclab.evaluation import Predictor, mae, random_baseline_mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
@@ -41,7 +43,8 @@ def uniform_dataset(n_cells, seed=0):
 
 class TestPredictMany:
     def test_scores_bounded_blocks_and_clamps_their_concatenation(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "SCORE_BLOCK", 7)
+        # a cell takes one float64 unless the predictor says otherwise
+        monkeypatch.setattr(core, "BLOCK_BYTES", 56)
         calls = []
 
         class Spy(Predictor):
@@ -55,6 +58,36 @@ class TestPredictMany:
         # the scores run from -1 to 6.25, so both bounds of the scale clamp
         expected = [min(max(0.25 * k - 1.0, 1.0), R_MAX) for k in range(30)]
         assert got.tolist() == expected
+
+    def test_blocks_hold_the_cells_bytes(self, monkeypatch):
+        # in a 48-byte budget: a cell larger than it is a block of its own,
+        # and a block may fill it exactly
+        monkeypatch.setattr(core, "BLOCK_BYTES", 48)
+        calls = []
+
+        class Spy(Predictor):
+            def cell_bytes(self, users, items):
+                return np.array([8, 8, 200, 8, 8, 8, 40, 40, 8])[items]
+
+            def scores(self, users, items):
+                calls.append(items.tolist())
+                return np.ones(len(items))
+
+        Spy().predict_many(np.zeros(9, dtype=int), np.arange(9))
+        assert calls == [[0, 1], [2], [3, 4, 5], [6], [7, 8]]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_is_a_training_error(self, value):
+        # the clamp would hide inf as R_MAX, and NaN survives it; overflow
+        # on the way there warns nothing
+        class Overflowing(Predictor):
+            def scores(self, users, items):
+                return np.where(items == 3, value, np.full(len(items), 1e300) * 10.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="^Overflowing scored a non-finite value$"):
+                Overflowing().predict_many([0, 0, 0, 0], [0, 1, 2, 3])
 
 
 class TestMae:

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from reclab import cli
+from reclab import cli, core
 from reclab.core import DatasetError, FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import generate_zipf
 from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
                              dotmat_step, poissonmat_step, powermat_step,
                              powermat_train, train_zeroshot, zeromat_step)
 
-from conftest import fit_config, rows_of
+from conftest import CALL_OVERHEAD, fit_config, rows_of, traced_peak
 
 EPS = 1e-6
 
@@ -235,6 +235,20 @@ class TestZeroShotPredict:
         for u in range(20):
             for i in range(30):
                 assert 1.0 <= predictor.predict_many([u], [i])[0] <= 5.0
+
+    @pytest.mark.parametrize("k", [4, 10, 100])
+    def test_memory_is_bounded_by_one_block(self, k):
+        # At the MovieLens-1M shape the row maxima take one block of users'
+        # scores at a time, not the 179 MB score matrix. Scoring 200k cells
+        # takes one block of cells' gathers at a time, whatever the k: all of
+        # them at once would take 32 MB at k 10 and 320 MB at k 100.
+        rng = np.random.default_rng(5)
+        model = FactorModel(U=rng.uniform(0, 1, (6040, k)), V=rng.uniform(0, 1, (3706, k)))
+        predictor, peak = traced_peak(lambda: ZeroShotPredictor(model, EPS))
+        assert peak <= predictor.row_max.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
+        users, items = rng.integers(0, 6040, 200_000), rng.integers(0, 3706, 200_000)
+        preds, peak = traced_peak(lambda: predictor.predict_many(users, items))
+        assert peak <= preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
 
 
 def loop_fill(train, predictor, seed, fill_fraction):
