@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,13 +193,7 @@ class TestItemSimilarities:
         # the traced peak is the store plus one block's work, not the store
         # held several times over
         ds = generate_zipf(400, 1200, 30_000, 1.0, seed=1)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            sims = item_similarities(ds, SimilarityKind.COSINE)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        sims, peak = traced_peak(lambda: item_similarities(ds, SimilarityKind.COSINE))
         store = sims.keys.nbytes + sims.scores.nbytes
         assert store >= 4_000_000
         assert peak <= 2 * store

@@ -1,9 +1,8 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-
-import warnings
 
 from reclab import core
 from reclab.cli import run_bench
