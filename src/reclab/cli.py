@@ -101,7 +101,7 @@ def _fit_mf(algo, config, train, seed) -> Predictor:
 def _fit_shape_only(rule, algo, config, train, seed) -> Predictor:
     cfg = config.train_config(algo, seed, len(train))
     model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
-    return ZeroShotPredictor(model, cfg.eps_floor)
+    return ZeroShotPredictor(model)
 
 
 def _fit_powermat(algo, config, train, seed) -> Predictor:
@@ -111,7 +111,7 @@ def _fit_powermat(algo, config, train, seed) -> Predictor:
     # sized by the dataset, not by the train ids, so test-only ids stay in range
     model = powermat_train(train.users, train.items, train.contexts, cfg, train.n_users,
                            train.n_items, config.sigma_u, config.sigma_v)
-    return ZeroShotPredictor(model, cfg.eps_floor)
+    return ZeroShotPredictor(model)
 
 
 def _fit_hybrid(algo, config, train, seed) -> Predictor:

@@ -57,13 +57,15 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def blocks(n: int, unit_bytes) -> Iterator[slice]:
     """Cut range(n) into consecutive slices whose units take at most
     BLOCK_BYTES together, or that hold a single unit. unit_bytes is what one
-    unit takes: one number for every unit, or an array of one per unit."""
+    unit takes: one number for every unit, or a fresh array of one per unit,
+    which is overwritten with its running sum, so that no second n-long
+    array is held."""
     if np.ndim(unit_bytes) == 0:
         step = max(BLOCK_BYTES // max(int(unit_bytes), 1), 1)
         for start in range(0, n, step):
             yield slice(start, min(start + step, n))
         return
-    ends = np.cumsum(unit_bytes)
+    ends = np.cumsum(unit_bytes, out=unit_bytes)
     start = 0
     while start < n:
         reached = ends[start - 1] if start else 0
@@ -200,7 +202,6 @@ class TrainConfig:
     k: int = 10
     epochs: int = 30
     seed: int = 42
-    eps_floor: float = 1e-6
     init_lo: float = 0.1
     init_hi: float = 0.9
     samples_per_epoch: int = 10000
@@ -210,7 +211,7 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("gamma", "eps_floor", "init_lo", "init_hi"):
+        for name in ("gamma", "init_lo", "init_hi"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
@@ -225,7 +226,5 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be >= 1")
-        if self.eps_floor <= 0:
-            raise ValueError("eps_floor must be positive")
         if not (0 < self.init_lo < self.init_hi):
             raise ValueError("need 0 < init_lo < init_hi")

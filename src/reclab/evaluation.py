@@ -22,7 +22,8 @@ class Predictor(ABC):
 
     def cell_bytes(self, users: np.ndarray, items: np.ndarray):
         """The bytes that scoring each cell takes: one number for every cell,
-        or an array of one per cell."""
+        or a fresh array of one per cell, which `predict_many` overwrites
+        with its running sum."""
         return 8
 
     def predict_many(self, users, items) -> np.ndarray:

@@ -20,6 +20,10 @@ from .core import (R_MAX, FactorModel, RatingsDataset, TrainConfig, _check_grid,
                    _frozen, blocks, first_draws, row_dot)
 from .evaluation import Predictor
 
+# The floor of every data-free step rule's dot product p = U_u . V_i and of
+# ZeroShotPredictor's row maxima, so that no 1/p or ln p meets zero; DotMat
+# also caps p at DOTMAT_P_MAX, so that p**p stays finite.
+EPS_FLOOR = 1e-6
 DOTMAT_P_MAX = 10.0
 
 
@@ -27,22 +31,22 @@ DOTMAT_P_MAX = 10.0
 # (..., k): one pair of 1-D vectors, or a batch of pairs that share no user
 # and no item. They return the updated rows, computed from the pre-update ones.
 
-def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                 eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
+def zeromat_step(u_vec: np.ndarray, v_vec: np.ndarray,
+                 gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """U += gamma (V/p - 2U), V += gamma (U/p - 2V), with the dot product p
-    floored at eps_floor."""
-    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)[..., None]
+    floored at EPS_FLOOR."""
+    p = np.maximum(row_dot(u_vec, v_vec), EPS_FLOOR)[..., None]
     new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
     new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
     return new_u, new_v
 
 
-def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The simplified rule: with p clamped to [eps_floor, DOTMAT_P_MAX] and
+def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray,
+                gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The simplified rule: with p clamped to [EPS_FLOOR, DOTMAT_P_MAX] and
     g = p**p, U -= gamma * g * sign(g - p) * (1 + ln p) * V (and
     symmetrically). p = 1 is an exact fixed point since sign(0) = 0."""
-    p = np.minimum(np.maximum(row_dot(u_vec, v_vec), eps_floor), DOTMAT_P_MAX)
+    p = np.minimum(np.maximum(row_dot(u_vec, v_vec), EPS_FLOOR), DOTMAT_P_MAX)
     g = p ** p
     coef = (gamma * g * np.sign(g - p) * (1.0 + np.log(p)))[..., None]
     new_u = u_vec - coef * v_vec
@@ -50,11 +54,11 @@ def dotmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
     return new_u, new_v
 
 
-def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
-                    eps_floor: float) -> Tuple[np.ndarray, np.ndarray]:
+def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray,
+                    gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """U -= gamma ((p+1)/p + ln p - 1) V (and symmetrically), with p floored
-    at eps_floor."""
-    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)
+    at EPS_FLOOR."""
+    p = np.maximum(row_dot(u_vec, v_vec), EPS_FLOOR)
     coef = (gamma * ((p + 1.0) / p + np.log(p) - 1.0))[..., None]
     new_u = u_vec - coef * v_vec
     new_v = v_vec - coef * u_vec
@@ -63,13 +67,13 @@ def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray, gamma: float,
 
 def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
                   beta: float, context: np.ndarray, gamma: float,
-                  sigma_u: float, sigma_v: float, eps_floor: float):
+                  sigma_u: float, sigma_v: float):
     """Context-driven updates of (U, V, alpha, beta), one per row of u_vec,
     v_vec (..., k) and context (..., d), applied in row order. The rows
     share no user and no item, so each row's part of U and V is computed
     from its pre-update rows, while alpha and beta carry over from row to
     row. Returns the updated rows, and alpha and beta after the last row."""
-    p = np.maximum(row_dot(u_vec, v_vec), eps_floor)
+    p = np.maximum(row_dot(u_vec, v_vec), EPS_FLOOR)
     # Row t subtracts gamma p_t (c_t, p_t) from (alpha, beta), and seen[t] is
     # the (alpha, beta) that row t sees. accumulate subtracts in row order,
     # as one row at a time does, so the bits are the same.
@@ -102,7 +106,7 @@ def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
                 rng.integers(0, n_items, size=cfg.samples_per_epoch), None)
 
     def step(u_rows, v_rows, _):
-        return rule(u_rows, v_rows, cfg.gamma, cfg.eps_floor)
+        return rule(u_rows, v_rows, cfg.gamma)
 
     sgd_epochs("train_zeroshot", U, V, cfg.epochs, visit, step)
     return FactorModel(*_frozen(U, V))
@@ -146,7 +150,7 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
     def step(u_rows, v_rows, c):
         new_u, new_v, alpha_beta[:-1], alpha_beta[-1] = powermat_step(
             u_rows, v_rows, alpha_beta[:-1], alpha_beta[-1], c,
-            cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
+            cfg.gamma, sigma_u, sigma_v)
         return new_u, new_v
 
     sgd_epochs("powermat", U, V, cfg.epochs, visit, step, state=(alpha_beta,))
@@ -157,17 +161,17 @@ class ZeroShotPredictor(MfPredictor):
     """Prediction via the rating-scale-normalized dot-product ratio:
     R_MAX * (U_u . V_i) / max_j(U_u . V_j), that is MfPredictor's score over
     the user's row maximum. `row_max`, each user's maximum floored at
-    eps_floor, is computed from `core.blocks` of users, n_items float64
+    EPS_FLOOR, is computed from `core.blocks` of users, n_items float64
     scores each, and only the requested cells are scored: memory grows with
     `core.BLOCK_BYTES`, not with n_users * n_items."""
 
-    def __init__(self, model: FactorModel, eps_floor: float):
+    def __init__(self, model: FactorModel):
         super().__init__(model)
         self.row_max = np.empty(len(model.U))
         for rows in blocks(len(model.U), 8 * len(model.V)):
             # no name holds the block's scores, so they are freed before the next block's
             best = np.einsum("uk,ik->ui", model.U[rows], model.V).max(axis=1)
-            np.maximum(best, eps_floor, out=self.row_max[rows])
+            np.maximum(best, EPS_FLOOR, out=self.row_max[rows])
 
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         # the ratio first: a row's maximum cell is max / max = 1, so exactly R_MAX

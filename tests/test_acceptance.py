@@ -155,7 +155,7 @@ def test_criterion_5_time_order_invariance(report):
     for rows in (slice(None), slice(None, None, -1)):
         model = powermat_train(users[rows], items[rows], contexts[rows], cfg,
                                train.n_users, train.n_items, sigma_u=1.0, sigma_v=1.0)
-        predictor = ZeroShotPredictor(model, cfg.eps_floor)
+        predictor = ZeroShotPredictor(model)
         results.setdefault("powermat", []).append(mae(predictor, test))
     pm_a, pm_b = results.pop("powermat")
 
@@ -167,7 +167,6 @@ def test_criterion_5_time_order_invariance(report):
 
 def test_criterion_6_numerical_suite(report):
     ok = True
-    eps = 1e-6
 
     train = generate_zipf(12, 10, 60, 1.0, seed=13)
     rng = np.random.default_rng(14)
@@ -189,26 +188,26 @@ def test_criterion_6_numerical_suite(report):
         numeric = (up - down) / (2 * h)
         ok = ok and abs(G[r, c] - numeric) / max(abs(numeric), 1e-8) < 1e-4
 
-    u, _ = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1, eps)
+    u, _ = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1)
     ok = ok and abs(u[0] - 0.9) < 1e-12
 
     u0, v0 = np.array([0.5, 0.5]), np.array([1.0, 1.0])
-    u, v = dotmat_step(u0, v0, 0.3, eps)
+    u, v = dotmat_step(u0, v0, 0.3)
     ok = ok and np.array_equal(u, u0) and np.array_equal(v, v0)
     gamma = 0.07
-    u, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma, eps)
+    u, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma)
     expected = -gamma * (0.5 ** 0.5) * (1.0 + math.log(0.5))
     ok = ok and abs((u[0] - 0.5) - expected) < 1e-12
     ok = ok and abs((u[0] - 0.5) / gamma + 0.21700) < 1e-4
 
     v0 = np.array([0.25, 0.75])
     u0 = np.array([1.0, 1.0]) / float(np.array([1.0, 1.0]) @ v0)
-    u, _ = poissonmat_step(u0, v0, 0.11, eps)
+    u, _ = poissonmat_step(u0, v0, 0.11)
     ok = ok and np.max(np.abs((u - u0) + 0.11 * v0)) < 1e-12
 
     _, _, _, beta = powermat_step(np.array([2.0]), np.array([1.0]),
                                   np.array([0.3]), 0.5, np.array([1.0]),
-                                  0.05, 1.0, 1.0, eps)
+                                  0.05, 1.0, 1.0)
     ok = ok and abs(beta - (0.5 - 4.0 * 0.05)) < 1e-12
 
     assert report("6 numerical suite", ok)

@@ -165,6 +165,26 @@ class TestItemSimilarities:
             assert np.array_equal(whole.keys, blocked.keys)
             assert np.array_equal(whole.scores, blocked.scores)
 
+    def test_block_of_unrated_items_is_skipped(self, monkeypatch):
+        # items 0-4 have no pairs and item 5's 93 pairs alone exceed the
+        # budget, so the first block holds items 0-4 and nothing to score
+        rows = [(u, j, 1 + (u * (j + 1)) % 5) for u in range(40) for j in (5, 6, 7)
+                if j == 5 or (u + j) % 3]
+        ds = from_rows(rows, 40, 8)
+        for kind in SimilarityKind:
+            whole = item_similarities(ds, kind)
+            monkeypatch.setattr(core, "BLOCK_BYTES", 20 * PAIR_BYTES)
+            blocked = item_similarities(ds, kind)
+            monkeypatch.undo()
+            assert len(whole.keys) > 0
+            assert np.array_equal(whole.keys, blocked.keys)
+            assert np.array_equal(whole.scores, blocked.scores)
+
+    def test_empty_train_rejected(self):
+        empty = RatingsDataset([], [], [], n_users=1, n_items=1)
+        with pytest.raises(ValueError, match="^train set is empty$"):
+            item_similarities(empty, SimilarityKind.COSINE)
+
     def test_scores_bounded(self):
         ds = generate_zipf(40, 20, 400, 1.0, seed=7)
         for kind in SimilarityKind:
@@ -209,6 +229,12 @@ class TestItemSimilarities:
 
 
 class TestSimilarityMatrix:
+    @pytest.mark.parametrize("keys, scores", [([1, 3], [0.5]), ([[1, 3]], [[0.5, 0.5]])],
+                             ids=["lengths-differ", "2-d"])
+    def test_misshapen_arrays_rejected(self, keys, scores):
+        with pytest.raises(ValueError, match="^keys and scores must be 1-d and of one length$"):
+            SimilarityMatrix(n_items=2, keys=keys, scores=scores)
+
     def test_read_only_arrays_are_kept(self):
         keys, scores = np.array([1, 3]), np.array([0.5, -0.25])
         keys.setflags(write=False)
@@ -348,13 +374,13 @@ class TestCfPredict:
     def test_memory_is_bounded_by_one_block(self):
         # 200k cells whose users rated 50 items each on average: their 10M
         # candidate pairs at once would take about 1 GB. Cutting the cells
-        # into blocks takes two int64 columns: their bytes and the running sum.
+        # into blocks takes one int64 column: their bytes, then their running sum.
         ds = generate_zipf(600, 400, 30_000, 1.0, seed=2)
         predictor = CfPredictor(item_similarities(ds, SimilarityKind.COSINE), ds, 20)
         rng = np.random.default_rng(5)
         users, items = rng.integers(0, 600, 200_000), rng.integers(0, 400, 200_000)
         preds, peak = traced_peak(lambda: predictor.predict_many(users, items))
-        assert peak <= 3 * preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
+        assert peak <= 2 * preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
 
 
 class TestMfTrain:

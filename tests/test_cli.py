@@ -552,6 +552,19 @@ class TestBench:
         assert result.output.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("section", ["default", "mf", "zeromat", "dotmat", "poissonmat",
+                                         "powermat"])
+    def test_eps_floor_is_an_unknown_key(self, runner, fixture_file, tmp_path, section):
+        # the floor is the constant zeroshot.EPS_FLOOR, not a setting
+        path = bench_config(fixture_file, tmp_path, ["random", "zeromat"],
+                            train={section: {"eps_floor": 1e-3}})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: unknown keys ['eps_floor'] in train.{section}; "
+                                 f"expected some of {cli._TRAIN_KEYS}\n")
+        assert not out.exists()
+
     def test_largest_split_seed_runs(self, runner, fixture_file, tmp_path):
         config = bench_config(fixture_file, tmp_path, ["random", "zeromat"],
                               split={"test_fraction": 0.2, "seed": 2 ** 63 - 2}, repetitions=2)
@@ -937,6 +950,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("text, message", [
         ('{"groups": [[1]], "n_market": 2}',
          "diversity input group [1] is not a [K, M] pair of integers"),
+        ('{"groups": {"1": 3}, "n_market": 2}',
+         "diversity input 'groups' must be a list of [K, M] pairs, got {\"1\": 3}"),
         ('{"groups": [[1, 3]]}', "diversity input missing required key 'n_market'"),
         ("[1]", "diversity input must be a JSON object with keys 'groups' and 'n_market'"),
         ('{"groups": [[1, 3], [1.5, 2]], "n_market": 2}',
@@ -953,7 +968,7 @@ class TestAnalyze:
          "group 0: M is too large to compute with in floats"),
         ('{"groups": [[1, 3]], "n_market": 1%s}' % ("0" * 400),
          "n_market is too large to compute with in floats"),
-    ], ids=["short-group", "no-n_market", "not-an-object", "float-count",
+    ], ids=["short-group", "groups-not-a-list", "no-n_market", "not-an-object", "float-count",
             "bool-count", "float-n_market", "infinite-count", "huge-count",
             "overflowing-count", "huge-n_market"])
     def test_diversity_input_of_wrong_shape_names_the_problem(self, runner, tmp_path,
@@ -981,6 +996,13 @@ class TestAnalyze:
                                       "--input", str(tmp_path / "nope.json"),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_diversity_without_input_exits_one(self, runner, tmp_path):
+        result = runner.invoke(main, ["analyze", "--mode", "diversity",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == "error: diversity mode requires --input\n"
         assert not (tmp_path / "out").exists()
 
     def test_zipf_without_dataset_exits_one(self, runner, tmp_path):

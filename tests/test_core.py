@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,19 @@ class TestRatingsDataset:
         ds = RatingsDataset([0, 0], [0, 1], [5, 3], n_users=1, n_items=2)
         assert len(ds) == 2
         assert ds.global_mean() == 4.0
+
+    @pytest.mark.parametrize("columns, n_users, message", [
+        (([0], [0], [3]), -1, "n_users and n_items must be nonnegative"),
+        (([0, 1], [0], [3, 4]), 2, "user, item and value columns differ in length"),
+        (([0], [0], [3.5]), 1, "user ids, item ids and values must be integers"),
+    ], ids=["negative-size", "ragged", "fractional-value"])
+    def test_rejects_malformed_columns(self, columns, n_users, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            RatingsDataset(*columns, n_users=n_users, n_items=1)
+
+    def test_empty_dataset_has_no_mean(self):
+        with pytest.raises(DatasetError, match="^empty dataset has no mean$"):
+            RatingsDataset([], [], [], n_users=1, n_items=1).global_mean()
 
     def test_rejects_out_of_range_value(self):
         with pytest.raises(DatasetError):
@@ -109,10 +123,11 @@ class TestTrainConfig:
         {"gamma": -0.1},
         {"k": 0},
         {"epochs": 0},
-        {"eps_floor": 0.0},
+        {"gamma": math.nan},
         {"init_lo": 0.9, "init_hi": 0.1},
         {"init_lo": 0.0},
         {"seed": -1},
+        {"init_hi": "0.9"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -193,6 +193,16 @@ class TestParseComoda:
                                              f"'{text}' in location"):
             parse_comoda(bad, ["mood", "location"])
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("", SchemaError, "empty input: no header row"),
+        (CSV + "22,8,3,2,calm\n", ParseError,
+         "line 5: non-numeric context value 'calm' in location"),
+    ], ids=["empty", "non-numeric-context"])
+    def test_unreadable_input_names_the_problem(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_comoda(text, ["mood", "location"])
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("row, side", [(",,4,1,1", "user"), ("15,,4,1,1", "item")],
                              ids=["user", "item"])
     def test_empty_id_is_parse_error(self, row, side):

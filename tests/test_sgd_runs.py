@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,7 +16,7 @@ from reclab.baselines import (conflict_free_runs, dependency_levels, init_factor
                               mf_train)
 from reclab.core import RatingsDataset, TrainConfig, TrainingError, row_dot
 from reclab.ingest import generate_zipf
-from reclab.zeroshot import (DOTMAT_P_MAX, dotmat_step, poissonmat_step,
+from reclab.zeroshot import (DOTMAT_P_MAX, EPS_FLOOR, dotmat_step, poissonmat_step,
                              powermat_step, powermat_train, train_zeroshot,
                              zeromat_step)
 
@@ -42,28 +42,28 @@ def reference_mf_train(train, cfg):
     return U, V
 
 
-def scalar_zeromat_step(u_vec, v_vec, gamma, eps_floor):
+def scalar_zeromat_step(u_vec, v_vec, gamma):
     p = float(u_vec @ v_vec)
-    clamped = p < eps_floor
-    p = max(p, eps_floor)
+    clamped = p < EPS_FLOOR
+    p = max(p, EPS_FLOOR)
     new_u = u_vec + gamma * (v_vec / p - 2.0 * u_vec)
     new_v = v_vec + gamma * (u_vec / p - 2.0 * v_vec)
     return new_u, new_v, clamped
 
 
-def scalar_dotmat_step(u_vec, v_vec, gamma, eps_floor):
+def scalar_dotmat_step(u_vec, v_vec, gamma):
     p = float(u_vec @ v_vec)
-    clamped = p < eps_floor or p > DOTMAT_P_MAX
-    p = min(max(p, eps_floor), DOTMAT_P_MAX)
+    clamped = p < EPS_FLOOR or p > DOTMAT_P_MAX
+    p = min(max(p, EPS_FLOOR), DOTMAT_P_MAX)
     g = p ** p
     coef = gamma * g * float(np.sign(g - p)) * (1.0 + math.log(p))
     return u_vec - coef * v_vec, v_vec - coef * u_vec, clamped
 
 
-def scalar_poissonmat_step(u_vec, v_vec, gamma, eps_floor):
+def scalar_poissonmat_step(u_vec, v_vec, gamma):
     p = float(u_vec @ v_vec)
-    clamped = p < eps_floor
-    p = max(p, eps_floor)
+    clamped = p < EPS_FLOOR
+    p = max(p, EPS_FLOOR)
     coef = gamma * ((p + 1.0) / p + math.log(p) - 1.0)
     return u_vec - coef * v_vec, v_vec - coef * u_vec, clamped
 
@@ -85,7 +85,7 @@ def reference_train_zeroshot(rule, n_users, n_items, cfg):
         js = rng.integers(0, n_items, size=cfg.samples_per_epoch)
         with np.errstate(over="ignore", invalid="ignore"):
             for u, j in zip(us, js):
-                U[u], V[j], clamped = step(U[u], V[j], cfg.gamma, cfg.eps_floor)
+                U[u], V[j], clamped = step(U[u], V[j], cfg.gamma)
                 clamps += bool(clamped)
         if not (np.isfinite(U).all() and np.isfinite(V).all()):
             raise TrainingError(f"train_zeroshot diverged at epoch {epoch}", epoch=epoch)
@@ -93,10 +93,10 @@ def reference_train_zeroshot(rule, n_users, n_items, cfg):
 
 
 def scalar_powermat_step(u_vec, v_vec, alpha, beta, context, gamma,
-                         sigma_u, sigma_v, eps_floor):
+                         sigma_u, sigma_v):
     p = float(row_dot(u_vec, v_vec))
-    clamped = p < eps_floor
-    p = max(p, eps_floor)
+    clamped = p < EPS_FLOOR
+    p = max(p, EPS_FLOOR)
     s = float(row_dot(alpha, context))
     new_u = u_vec - gamma * (beta * p * v_vec + (beta * p + s) * v_vec
                              - (2.0 / sigma_u) * u_vec)
@@ -124,7 +124,7 @@ def reference_powermat_train(users, items, contexts, cfg, n_users, n_items,
                 u, j = users[idx], items[idx]
                 U[u], V[j], alpha, beta, clamped = scalar_powermat_step(
                     U[u], V[j], alpha, beta, ctx_arrays[idx],
-                    cfg.gamma, sigma_u, sigma_v, cfg.eps_floor)
+                    cfg.gamma, sigma_u, sigma_v)
                 clamps += bool(clamped)
         if not (np.isfinite(U).all() and np.isfinite(V).all()
                 and np.isfinite(alpha).all() and math.isfinite(beta)):
@@ -278,18 +278,24 @@ rows = st.integers(1, 12).flatmap(lambda n: st.integers(1, 6).flatmap(
                                      elements=st.floats(-3.0, 3.0))] * 2)))
 
 
+# rows whose dot products are -0.5, floored at EPS_FLOOR, 12, above
+# DOTMAT_P_MAX, and 1, DotMat's fixed point
+CLAMPED_ROWS = (np.array([[-1.0, 0.25], [2.0, 2.0], [0.5, 0.5]]),
+                np.array([[1.0, 2.0], [3.0, 3.0], [1.0, 1.0]]))
+
+
 class TestBatchedStepRules:
     @pytest.mark.parametrize("rule", list(SCALAR_STEP))
     @settings(max_examples=100, deadline=None)
-    @given(batch=rows, gamma=st.floats(0.0, 0.1),
-           eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
-    def test_batch_equals_rows(self, rule, batch, gamma, eps_floor):
+    @given(batch=rows, gamma=st.floats(0.0, 0.1))
+    @example(batch=CLAMPED_ROWS, gamma=0.05)
+    def test_batch_equals_rows(self, rule, batch, gamma):
         U, V = batch
-        new_u, new_v = rule(U, V, gamma, eps_floor)
+        new_u, new_v = rule(U, V, gamma)
         assert new_u.shape == U.shape and new_v.shape == V.shape
         for i in range(U.shape[0]):
             for row_rule in (rule, SCALAR_STEP[rule]):
-                row_u, row_v = row_rule(U[i], V[i], gamma, eps_floor)[:2]
+                row_u, row_v = row_rule(U[i], V[i], gamma)[:2]
                 np.testing.assert_allclose(new_u[i], row_u, rtol=TOL, atol=TOL)
                 np.testing.assert_allclose(new_v[i], row_v, rtol=TOL, atol=TOL)
 
@@ -401,17 +407,17 @@ class TestPowerMatStep:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(0, 5))
            .flatmap(lambda nkd: powermat_rows(*nkd)),
-           gamma=st.floats(0.0, 0.1), sigmas=st.sampled_from([(1.0, 1.0), (0.5, 3.0)]),
-           eps_floor=st.sampled_from([1e-6, 1e-3, 0.5]))
-    def test_prefix_differences_equal_sequential_steps(self, rows, gamma, sigmas,
-                                                       eps_floor):
+           gamma=st.floats(0.0, 0.1), sigmas=st.sampled_from([(1.0, 1.0), (0.5, 3.0)]))
+    @example(rows=(*CLAMPED_ROWS, np.array([[1.0], [0.5], [2.0]]), np.array([0.3]), 0.5),
+             gamma=0.05, sigmas=(1.0, 1.0))
+    def test_prefix_differences_equal_sequential_steps(self, rows, gamma, sigmas):
         U, V, C, alpha, beta = rows
         new_u, new_v, new_alpha, new_beta = powermat_step(
-            U, V, alpha, beta, C, gamma, *sigmas, eps_floor)
+            U, V, alpha, beta, C, gamma, *sigmas)
         assert new_u.shape == U.shape
         for t in range(len(U)):
             row_u, row_v, alpha, beta, _ = scalar_powermat_step(
-                U[t], V[t], alpha, beta, C[t], gamma, *sigmas, eps_floor)
+                U[t], V[t], alpha, beta, C[t], gamma, *sigmas)
             assert np.array_equal(new_u[t], row_u)
             assert np.array_equal(new_v[t], row_v)
         assert np.array_equal(new_alpha, alpha)

@@ -7,31 +7,29 @@ import pytest
 from reclab import cli, core
 from reclab.core import DatasetError, FactorModel, RatingsDataset, TrainConfig
 from reclab.ingest import generate_zipf
-from reclab.zeroshot import (ZeroShotPredictor, augment_with_zeroshot,
+from reclab.zeroshot import (EPS_FLOOR, ZeroShotPredictor, augment_with_zeroshot,
                              dotmat_step, poissonmat_step, powermat_step,
                              powermat_train, train_zeroshot, zeromat_step)
 
 from conftest import CALL_OVERHEAD, fit_config, rows_of, traced_peak
 
-EPS = 1e-6
-
 
 class TestStepOracles:
     def test_zeromat_single_step(self):
         # k=1, U=V=[1], p=1: U <- 1 + 0.1*(1 - 2) = 0.9
-        u, v = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1, EPS)
+        u, v = zeromat_step(np.array([1.0]), np.array([1.0]), 0.1)
         assert abs(u[0] - 0.9) < 1e-12
         assert abs(v[0] - 0.9) < 1e-12
 
     def test_dotmat_fixed_point_at_p_one(self):
         u0, v0 = np.array([0.5, 0.5]), np.array([1.0, 1.0])  # p = 1
-        u, v = dotmat_step(u0, v0, 0.3, EPS)
+        u, v = dotmat_step(u0, v0, 0.3)
         assert np.array_equal(u, u0)
         assert np.array_equal(v, v0)
 
     def test_dotmat_half_step_magnitude(self):
         gamma = 0.07
-        u, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma, EPS)
+        u, _ = dotmat_step(np.array([0.5]), np.array([1.0]), gamma)
         expected_delta = -gamma * (0.5 ** 0.5) * (1.0 + math.log(0.5))
         assert abs((u[0] - 0.5) - expected_delta) < 1e-12
         # spec-level magnitude: ~ -0.21700 * gamma
@@ -43,7 +41,7 @@ class TestStepOracles:
         u0 = np.array([1.0, 1.0])
         # scale u so p = 1
         u0 = u0 / float(u0 @ v0)
-        u, _ = poissonmat_step(u0, v0, gamma, EPS)
+        u, _ = poissonmat_step(u0, v0, gamma)
         assert np.max(np.abs((u - u0) + gamma * v0)) < 1e-12
 
     def test_poissonmat_coefficient_at_e(self):
@@ -52,19 +50,19 @@ class TestStepOracles:
         u0 = np.array([p])
         v0 = np.array([1.0])
         gamma = 1.0
-        u, _ = poissonmat_step(u0, v0, gamma, EPS)
+        u, _ = poissonmat_step(u0, v0, gamma)
         assert abs((u0[0] - u[0]) - (1.0 + 1.0 / math.e)) < 1e-12
 
     def test_powermat_beta_step(self):
         u0, v0 = np.array([2.0]), np.array([1.0])  # p = 2
         gamma = 0.05
         _, _, _, beta = powermat_step(u0, v0, np.array([0.3]), 0.5,
-                                      np.array([1.0]), gamma, 1.0, 1.0, EPS)
+                                      np.array([1.0]), gamma, 1.0, 1.0)
         assert abs(beta - (0.5 - 4.0 * gamma)) < 1e-12
 
     def test_steps_use_pre_update_vectors(self):
         u0, v0 = np.array([1.0, 2.0]), np.array([0.5, 0.25])
-        u, v = zeromat_step(u0, v0, 0.1, EPS)
+        u, v = zeromat_step(u0, v0, 0.1)
         p = float(u0 @ v0)
         assert np.allclose(v, v0 + 0.1 * (u0 / p - 2 * v0), atol=1e-15)
 
@@ -193,6 +191,10 @@ class TestPowerMat:
         with pytest.raises(ValueError, match=rf"^{column} {bad} outside \[0, \d+\] at row 3$"):
             self.train(users, items, contexts, _cfg())
 
+    def test_empty_contexts_rejected(self):
+        with pytest.raises(ValueError, match="^contexts is empty$"):
+            self.train(np.array([], dtype=int), np.array([], dtype=int), np.ones((0, 2)), _cfg())
+
     @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (1.0, -2.0)])
     def test_nonpositive_sigma_rejected(self, sigmas):
         with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
@@ -206,32 +208,40 @@ class TestZeroShotPredict:
         return FactorModel(U=U, V=V)
 
     def test_row_maximum_predicts_r_max(self):
-        assert ZeroShotPredictor(self.model(), EPS).predict_many([0], [0])[0] == 5.0
+        assert ZeroShotPredictor(self.model()).predict_many([0], [0])[0] == 5.0
 
     def test_half_of_row_maximum(self):
-        predictor = ZeroShotPredictor(self.model(), EPS)
+        predictor = ZeroShotPredictor(self.model())
         assert predictor.predict_many([0], [1])[0] == pytest.approx(2.5)
 
     def test_degenerate_equal_row(self):
         model = FactorModel(U=np.array([[1.0]]),
                             V=np.array([[0.3], [0.3], [0.3]]))
-        predictor = ZeroShotPredictor(model, EPS)
+        predictor = ZeroShotPredictor(model)
         for i in range(3):
             assert predictor.predict_many([0], [i])[0] == 5.0
 
     def test_class_matches_function(self):
-        # oracle: R_MAX * (U_u . V_i) / max(max_j U_u . V_j, eps), clamped
+        # oracle: R_MAX * (U_u . V_i) / max(max_j U_u . V_j, EPS_FLOOR), clamped
         model = self.model()
-        predictor = ZeroShotPredictor(model, EPS)
+        predictor = ZeroShotPredictor(model)
         for u in range(2):
             row = model.U[u] @ model.V.T
-            expected = np.clip(5 * row / max(row.max(), EPS), 1.0, 5.0)
+            expected = np.clip(5 * row / max(row.max(), EPS_FLOOR), 1.0, 5.0)
             for i in range(3):
                 assert predictor.predict_many([u], [i])[0] == expected[i]
 
+    def test_row_maximum_is_floored(self):
+        # every score of user 0 is negative, so its row maximum is EPS_FLOOR
+        # and each prediction clamps to 1; user 1's row is untouched
+        model = FactorModel(U=np.array([[-1.0], [1.0]]), V=np.array([[0.5], [2.0]]))
+        predictor = ZeroShotPredictor(model)
+        assert predictor.row_max.tolist() == [EPS_FLOOR, 2.0]
+        assert predictor.predict_many([0, 0, 1, 1], [0, 1, 0, 1]).tolist() == [1.0, 1.0, 1.25, 5.0]
+
     def test_output_always_on_scale(self):
         model = train_zeroshot(dotmat_step, 20, 30, _cfg(gamma=0.005))
-        predictor = ZeroShotPredictor(model, EPS)
+        predictor = ZeroShotPredictor(model)
         for u in range(20):
             for i in range(30):
                 assert 1.0 <= predictor.predict_many([u], [i])[0] <= 5.0
@@ -244,7 +254,7 @@ class TestZeroShotPredict:
         # them at once would take 32 MB at k 10 and 320 MB at k 100.
         rng = np.random.default_rng(5)
         model = FactorModel(U=rng.uniform(0, 1, (6040, k)), V=rng.uniform(0, 1, (3706, k)))
-        predictor, peak = traced_peak(lambda: ZeroShotPredictor(model, EPS))
+        predictor, peak = traced_peak(lambda: ZeroShotPredictor(model))
         assert peak <= predictor.row_max.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
         users, items = rng.integers(0, 6040, 200_000), rng.integers(0, 3706, 200_000)
         preds, peak = traced_peak(lambda: predictor.predict_many(users, items))
@@ -314,7 +324,7 @@ class TestHybrid:
     @staticmethod
     def _predictor(train, rule, cfg):
         model = train_zeroshot(rule, train.n_users, train.n_items, cfg)
-        return ZeroShotPredictor(model, cfg.eps_floor)
+        return ZeroShotPredictor(model)
 
     def test_augmented_size_arithmetic(self):
         train = generate_zipf(30, 30, 300, 1.0, seed=21)
@@ -329,7 +339,7 @@ class TestHybrid:
         train = generate_zipf(25, 30, 400, 1.0, seed=26)
         cfg = _cfg(gamma={poissonmat_step: 2e-5}.get(rule, 0.005))
         predictor = ZeroShotPredictor(
-            train_zeroshot(rule, train.n_users, train.n_items, cfg), cfg.eps_floor)
+            train_zeroshot(rule, train.n_users, train.n_items, cfg))
         augmented = augment_with_zeroshot(train, predictor, cfg.seed, fill_fraction=0.8)
         rng = np.random.default_rng(cfg.seed)
         taken = set(train.keys().tolist())
@@ -351,6 +361,11 @@ class TestHybrid:
         new = set(rows_of(augmented)) - set(rows_of(train))
         assert len(new) == 150
         assert all(1 <= v <= 5 for u, i, v in new)
+
+    def test_empty_train_rejected(self):
+        empty = RatingsDataset([], [], [], n_users=2, n_items=2)
+        with pytest.raises(ValueError, match="^train set is empty$"):
+            augment_with_zeroshot(empty, CellPredictor(), 5, fill_fraction=1.0)
 
     def test_bad_fill_fraction_rejected(self):
         train = generate_zipf(10, 10, 50, 1.0, seed=24)
