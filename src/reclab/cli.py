@@ -19,11 +19,11 @@ from typing import Callable, Dict, NamedTuple, Optional
 import click
 import numpy as np
 
-from . import analysis, evaluation, ingest
+from . import evaluation, ingest
 from .baselines import (CfPredictor, MfPredictor, SimilarityKind,
                         item_similarities, mf_train)
 from .core import RatingsDataset, TrainConfig, TrainingError
-from .evaluation import Predictor
+from .evaluation import Predictor, RandomPredictor
 from .ingest import MovieLensFormat, SplitSpec
 from .zeroshot import (ZeroShotPredictor, augment_with_zeroshot, dotmat_step,
                        poissonmat_step, powermat_train, train_zeroshot, zeromat_step)
@@ -121,14 +121,18 @@ def _fit_hybrid(algo, config, train, seed) -> Predictor:
     return _fit_mf("mf", config, augmented, seed)
 
 
+def _fit_random(algo, config, train, seed) -> Predictor:
+    return RandomPredictor(seed)
+
+
 class Algorithm(NamedTuple):
     """The TrainConfig fields an algorithm starts from, which the config's
     `train.default` and `train.<name>` sections override (None: it takes
-    no `train` section), and its fit function (None for `random`, which
-    guesses per test row, not per cell)."""
+    no `train` section), and its fit function, which returns the Predictor
+    that scores it."""
 
     defaults: Optional[Dict]
-    fit: Optional[Callable[..., Predictor]]
+    fit: Callable[..., Predictor]
 
 
 # Stable starting points per trainer. ZeroMat collapses to a uniform fixed
@@ -146,7 +150,7 @@ REGISTRY: Dict[str, Algorithm] = {
     "zeromat-hybrid": Algorithm(None, _fit_hybrid),
     "dotmat-hybrid": Algorithm(None, _fit_hybrid),
     "poissonmat-hybrid": Algorithm(None, _fit_hybrid),
-    "random": Algorithm(None, None),
+    "random": Algorithm(None, _fit_random),
 }
 
 ALGORITHMS = tuple(REGISTRY)
@@ -155,17 +159,11 @@ ALGORITHMS = tuple(REGISTRY)
 def _evaluate_algorithm(algo: str, config: BenchConfig, train: RatingsDataset,
                         test: RatingsDataset, seed: int) -> float:
     """Fit one registered algorithm on train and return its MAE on test."""
-    if algo == "random":
-        mae = evaluation.random_baseline_mae(test, seed)
-    else:
-        try:
-            mae = evaluation.mae(REGISTRY[algo].fit(algo, config, train, seed), test)
-        except TrainingError as exc:
-            # name the registered algorithm and the seed; exc names the stage
-            raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
-    if not (math.isfinite(mae) and mae >= 0):
-        raise ValueError(f"{algo}: mae must be finite and >= 0, got {mae}")
-    return mae
+    try:
+        return evaluation.mae(REGISTRY[algo].fit(algo, config, train, seed), test)
+    except TrainingError as exc:
+        # name the registered algorithm and the seed; exc names the stage
+        raise TrainingError(f"{algo} (seed {seed}): {exc}", epoch=exc.epoch) from exc
 
 
 # Every config key `reclab bench` reads, by dotted path, with its JSON type.
@@ -316,9 +314,10 @@ class BenchConfig:
         return TrainConfig(**{"samples_per_epoch": n_train, **self.train[algo], "seed": seed})
 
 
-def _diversity_input(obj) -> analysis.DiversityInput:
-    """The `analyze --mode diversity` input from its parsed JSON; a ValueError
-    names the first part of the wrong shape."""
+def _diversity_input(obj):
+    """The `analyze --mode diversity` input (an analysis.DiversityInput) from
+    its parsed JSON; a ValueError names the first part of the wrong shape."""
+    from . import analysis
     if not isinstance(obj, dict):
         raise ValueError("diversity input must be a JSON object with keys "
                          "'groups' and 'n_market'")
@@ -424,6 +423,7 @@ def bench(config_path: Path, out_dir: Optional[Path]):
               default=Path("reclab-out"))
 def analyze(mode, dataset_path, fmt, input_path, out_dir):
     """Zipf proportionality check or log-space diversity computation."""
+    from . import analysis  # imported here, not at start-up: bench never reads it
     if mode == "zipf":
         if dataset_path is None:
             raise ValueError("zipf mode requires --dataset")

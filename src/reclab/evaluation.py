@@ -1,5 +1,5 @@
-"""MAE evaluation: single-predictor scoring and the uniform random
-baseline."""
+"""MAE evaluation: the Predictor interface and its one scoring path, the
+MAE of a predictor on a test split, and the uniform random baseline."""
 
 from __future__ import annotations
 
@@ -40,20 +40,23 @@ class Predictor(ABC):
         return np.clip(preds, 1.0, R_MAX, out=preds)
 
 
-def _mean_abs(errors: np.ndarray) -> float:
-    """Mean of |errors|. A running total in row order adds them one at a time,
-    so the result does not depend on numpy's pairwise summation."""
-    if len(errors) == 0:
-        raise DatasetError("empty test set")
-    return float(np.cumsum(np.abs(errors))[-1]) / len(errors)
-
-
 def mae(predictor: Predictor, test: RatingsDataset) -> float:
-    """Mean absolute error over the observed test cells."""
-    return _mean_abs(predictor.predict_many(test.users, test.items) - test.values)
+    """Mean absolute error over the observed test cells. A running total in
+    row order adds the errors one at a time, so the result does not depend
+    on numpy's pairwise summation."""
+    if len(test) == 0:
+        raise DatasetError("empty test set")
+    errors = np.abs(predictor.predict_many(test.users, test.items) - test.values)
+    return float(np.cumsum(errors)[-1]) / len(errors)
 
 
-def random_baseline_mae(test: RatingsDataset, seed: int) -> float:
-    """MAE of guessing a uniform random integer in [1, R_MAX] per cell."""
-    guesses = np.random.default_rng(seed).integers(1, R_MAX + 1, size=len(test))
-    return _mean_abs(guesses - test.values)
+class RandomPredictor(Predictor):
+    """The uniform random baseline: one guess drawn from the integers
+    1..R_MAX per requested cell, in request order, from one generator seeded
+    once, so a second block or a second call continues the stream."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+
+    def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        return self.rng.integers(1, R_MAX + 1, size=len(users)).astype(np.float64)

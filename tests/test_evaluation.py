@@ -7,7 +7,7 @@ import pytest
 from reclab import core
 from reclab.cli import run_bench
 from reclab.core import R_MAX, DatasetError, RatingsDataset, TrainingError
-from reclab.evaluation import Predictor, mae, random_baseline_mae
+from reclab.evaluation import Predictor, RandomPredictor, mae
 from reclab.ingest import (MovieLensFormat, SplitSpec, generate_zipf,
                            parse_movielens, split, write_movielens)
 
@@ -141,23 +141,23 @@ class TestRandomBaseline:
     def test_uniform_truth_expectation(self):
         # enumerating all 25 (truth, guess) pairs gives E[MAE] = 40/25 = 1.6
         ds = uniform_dataset(100_000, seed=3)
-        assert random_baseline_mae(ds, 4) == pytest.approx(1.6, abs=0.05)
+        assert mae(RandomPredictor(4), ds) == pytest.approx(1.6, abs=0.05)
 
     def test_constant_truth_expectation(self):
         # truth 3 on a 1..5 scale: (2+1+0+1+2)/5 = 1.2
         ratings = [(u, i, 3) for u in range(250) for i in range(400)]
         ds = from_rows(ratings, 250, 400)
-        assert random_baseline_mae(ds, 5) == pytest.approx(1.2, abs=0.05)
+        assert mae(RandomPredictor(5), ds) == pytest.approx(1.2, abs=0.05)
 
     def test_concentrates_over_seeds(self):
         ds = uniform_dataset(20_000, seed=6)
-        maes = [random_baseline_mae(ds, s) for s in range(100, 110)]
+        maes = [mae(RandomPredictor(s), ds) for s in range(100, 110)]
         assert np.mean(maes) == pytest.approx(1.6, abs=0.02)
 
     def test_empty_rejected(self):
         empty = RatingsDataset([], [], [], n_users=1, n_items=1)
         with pytest.raises(DatasetError):
-            random_baseline_mae(empty, 0)
+            mae(RandomPredictor(0), empty)
 
 
 def bench_reports(tmp_path, ds, algorithms, seed):
