@@ -23,6 +23,8 @@ class SimilarityKind(Enum):
 # builds similarities and when it predicts: measured at 60 to 95, within 12
 # int64 or float64 values. Its loops cut `core.blocks` by it.
 PAIR_BYTES = 96
+# How many of a user's rated items, the most similar first, item-CF averages.
+NEIGHBORHOOD_SIZE = 20
 
 
 @dataclass(frozen=True)
@@ -148,14 +150,11 @@ def item_similarities(train: RatingsDataset, kind: SimilarityKind) -> Similarity
 
 class CfPredictor(Predictor):
     """Item-based CF: the similarity-weighted average of u's ratings on i's
-    nearest neighbors, or the global train mean when no neighbor qualifies."""
+    NEIGHBORHOOD_SIZE nearest neighbors, or the global train mean when no
+    neighbor qualifies."""
 
-    def __init__(self, sims: SimilarityMatrix, train: RatingsDataset,
-                 neighborhood_size: int):
-        if neighborhood_size < 1:
-            raise ValueError("neighborhood_size must be >= 1")
+    def __init__(self, sims: SimilarityMatrix, train: RatingsDataset):
         self.sims = sims
-        self.neighborhood_size = neighborhood_size
         self.fallback = train.global_mean()
         self.train = train
         # user u's rated items are train.items[_bounds[u]:_bounds[u + 1]]
@@ -167,7 +166,7 @@ class CfPredictor(Predictor):
 
     def scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Each cell's candidates are u's rated items j other than i with a
-        nonzero score s_ij. The top neighborhood_size of them, most similar
+        nonzero score s_ij. The top NEIGHBORHOOD_SIZE of them, most similar
         first and ties to the lower j, give sum(s * r) / sum(|s|), added in
         that order."""
         first = self._bounds[users]
@@ -181,7 +180,7 @@ class CfPredictor(Predictor):
         order = np.lexsort((-s, row))
         row, s, r = row[order], s[order], r[order]
         rank = np.arange(len(row)) - np.searchsorted(row, row)
-        top = rank < self.neighborhood_size
+        top = rank < NEIGHBORHOOD_SIZE
         # bincount adds each row's terms in array order, as the rank order
         num = np.bincount(row[top], weights=(s * r)[top], minlength=len(users))
         den = np.bincount(row[top], weights=np.abs(s[top]), minlength=len(users))

@@ -67,10 +67,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _read_json(path: Path):
-    """The JSON value in path. Nesting deeper than the parser's recursion
-    limit is a ValueError naming the file, not a RecursionError."""
+    """The JSON value in path, read as UTF-8 after any leading byte-order
+    mark. Nesting deeper than the parser's recursion limit is a ValueError
+    naming the file, not a RecursionError."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -89,8 +90,7 @@ def _load_dataset(path: Path, fmt: str, context_columns) -> RatingsDataset:
 # only), so wrappers installed on those names (perfbench/tracing.py) see every call.
 
 def _fit_itemcf(algo, config, train, seed) -> Predictor:
-    return CfPredictor(item_similarities(train, config.similarity_kind), train,
-                       config.neighborhood_size)
+    return CfPredictor(item_similarities(train, config.similarity_kind), train)
 
 
 def _fit_mf(algo, config, train, seed) -> Predictor:
@@ -110,14 +110,14 @@ def _fit_powermat(algo, config, train, seed) -> Predictor:
     cfg = config.train_config(algo, seed, len(train))
     # sized by the dataset, not by the train ids, so test-only ids stay in range
     model = powermat_train(train.users, train.items, train.contexts, cfg, train.n_users,
-                           train.n_items, config.sigma_u, config.sigma_v)
+                           train.n_items)
     return ZeroShotPredictor(model)
 
 
 def _fit_hybrid(algo, config, train, seed) -> Predictor:
     base = algo.removesuffix("-hybrid")
     zero_shot = REGISTRY[base].fit(base, config, train, seed)
-    augmented = augment_with_zeroshot(train, zero_shot, seed, config.fill_fraction)
+    augmented = augment_with_zeroshot(train, zero_shot, seed)
     return _fit_mf("mf", config, augmented, seed)
 
 
@@ -174,8 +174,7 @@ _CONFIG_TYPES = {
     "dataset": dict, "dataset.path": str, "dataset.format": str,
     "split": dict, "split.test_fraction": _NUMBER, "split.seed": int,
     "train": dict, "algorithms": list, "context_columns": list,
-    "similarity_kind": str, "neighborhood_size": int, "sigma_u": _NUMBER,
-    "sigma_v": _NUMBER, "fill_fraction": _NUMBER, "repetitions": int,
+    "similarity_kind": str, "repetitions": int,
 }
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
                     int: "an integer", _NUMBER: "a number"}
@@ -206,10 +205,6 @@ class BenchConfig:
     algorithms: tuple = dataclasses.field(init=False)
     train: Dict[str, Dict] = dataclasses.field(init=False)  # TrainConfig fields but seed
     similarity_kind: SimilarityKind = dataclasses.field(init=False)
-    neighborhood_size: int = dataclasses.field(init=False)
-    sigma_u: float = dataclasses.field(init=False)
-    sigma_v: float = dataclasses.field(init=False)
-    fill_fraction: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         config = self.raw
@@ -245,16 +240,9 @@ class BenchConfig:
         kind, kinds = config.get("similarity_kind", "cosine"), [k.value for k in SimilarityKind]
         if kind not in kinds:
             raise ValueError(f"config key 'similarity_kind' must be one of {kinds}, got {kind!r}")
-        values = {}  # each number key: its default, and the range its value must lie in
-        for key, default, ok, wanted in (
-                ("repetitions", 1, lambda v: v >= 1, ">= 1"),
-                ("neighborhood_size", 20, lambda v: v >= 1, ">= 1"),
-                ("sigma_u", 1.0, lambda v: v > 0, "positive"),
-                ("sigma_v", 1.0, lambda v: v > 0, "positive"),
-                ("fill_fraction", 1.0, lambda v: 0 < v <= 1, "in (0, 1]")):
-            values[key] = config.get(key, default)
-            if not ok(values[key]):
-                raise ValueError(f"config key {key!r} must be {wanted}, got {values[key]}")
+        repetitions = config.get("repetitions", 1)
+        if repetitions < 1:
+            raise ValueError(f"config key 'repetitions' must be >= 1, got {repetitions}")
         algorithms = tuple(config["algorithms"])
         if not algorithms:
             raise ValueError("config key 'algorithms' must name at least one algorithm")
@@ -299,13 +287,14 @@ class BenchConfig:
             spec = SplitSpec(split.get("test_fraction", 0.2), split.get("seed", 42))
         except ValueError as exc:
             raise ValueError(f"split: {exc}") from None
-        if spec.seed + values["repetitions"] > 2 ** 63:  # each seed names a report file
+        if spec.seed + repetitions > 2 ** 63:  # each seed names a report file
             raise ValueError("config key 'split.seed' plus 'repetitions' must be at most 2**63")
         # only powermat reads contexts, so no other bench needs the columns
         columns = columns if "powermat" in algorithms else []
-        for name, value in dict(values, dataset_path=Path(dataset["path"]), dataset_format=fmt,
-                                context_columns=columns, split=spec, algorithms=algorithms,
-                                train=train, similarity_kind=SimilarityKind(kind)).items():
+        for name, value in dict(dataset_path=Path(dataset["path"]), dataset_format=fmt,
+                                context_columns=columns, split=spec, repetitions=repetitions,
+                                algorithms=algorithms, train=train,
+                                similarity_kind=SimilarityKind(kind)).items():
             object.__setattr__(self, name, value)
 
     def train_config(self, algo: str, seed: int, n_train: int) -> TrainConfig:

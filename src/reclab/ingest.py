@@ -79,6 +79,15 @@ def _csv_rows(data: bytes) -> Iterator[Tuple[int, List[str]]]:
         raise ParseError(str(exc), reader.line_num) from None
 
 
+def _number(kind, text: str):
+    """kind(text), with kind int or float, for plain ASCII text without `_`.
+    Both would also read Python's literal syntax: `0_5` as 5, or a
+    non-ASCII digit such as `٣` as 3."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for {kind.__name__}(): {text!r}")
+    return kind(text)
+
+
 def _kept_rows(keys: np.ndarray) -> np.ndarray:
     """Of rows with these cell keys, in file order, the rows a parse keeps,
     in cell-key order: each cell's last row."""
@@ -156,8 +165,9 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
     """Parse a MovieLens ratings file into a dataset with dense 0-based ids.
 
     Accepts str, bytes, a text stream or a binary stream, read as UTF-8
-    bytes. Lines are "user<sep>item<sep>rating<sep>timestamp"; the timestamp
-    must be an integer but is not kept. Ids are compared without surrounding
+    bytes. Lines are "user<sep>item<sep>rating<sep>timestamp"; the rating
+    and the timestamp must be plain ASCII integers (`_number`), and the
+    timestamp is not kept. Ids are compared without surrounding
     whitespace and numbered in shortlex order of that text (`_dense_ids`). A
     repeated cell keeps its last line's value (counted in duplicates_replaced).
 
@@ -181,8 +191,8 @@ def parse_movielens(source, fmt: MovieLensFormat) -> ParseResult:
                              line_no)
         raw_user, raw_item, raw_value, raw_ts = fields
         try:
-            value = int(raw_value)
-            int(raw_ts)  # checked, not kept
+            value = _number(int, raw_value)
+            _number(int, raw_ts)  # checked, not kept
         except ValueError as exc:
             raise ParseError(f"non-integer rating or timestamp: {exc}", line_no) from None
         if not (1 <= value <= R_MAX):
@@ -245,7 +255,7 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
         try:
-            value = int(row[rating_col])
+            value = _number(int, row[rating_col])
         except ValueError:
             raise ParseError(f"non-numeric rating {row[rating_col]!r}", line_no) from None
         if not (1 <= value <= R_MAX):
@@ -257,7 +267,7 @@ def parse_comoda(source, context_columns: Sequence[str]) -> ParseResult:
         for col, k in zip(context_columns, context_cols):
             cell_text = row[k].strip()
             try:
-                code = float(cell_text) if cell_text else 0.0
+                code = _number(float, cell_text) if cell_text else 0.0
             except ValueError:
                 raise ParseError(f"non-numeric context value {cell_text!r} in {col}",
                                  line_no) from None

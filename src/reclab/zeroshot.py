@@ -66,13 +66,14 @@ def poissonmat_step(u_vec: np.ndarray, v_vec: np.ndarray,
 
 
 def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
-                  beta: float, context: np.ndarray, gamma: float,
-                  sigma_u: float, sigma_v: float):
+                  beta: float, context: np.ndarray, gamma: float):
     """Context-driven updates of (U, V, alpha, beta), one per row of u_vec,
     v_vec (..., k) and context (..., d), applied in row order. The rows
     share no user and no item, so each row's part of U and V is computed
     from its pre-update rows, while alpha and beta carry over from row to
-    row. Returns the updated rows, and alpha and beta after the last row."""
+    row. The Gaussian priors on U and V have unit variance, so their
+    regularization terms are 2U and 2V. Returns the updated rows, and alpha
+    and beta after the last row."""
     p = np.maximum(row_dot(u_vec, v_vec), EPS_FLOOR)
     # Row t subtracts gamma p_t (c_t, p_t) from (alpha, beta), and seen[t] is
     # the (alpha, beta) that row t sees. accumulate subtracts in row order,
@@ -86,8 +87,8 @@ def powermat_step(u_vec: np.ndarray, v_vec: np.ndarray, alpha: np.ndarray,
     bp = seen[:-1, -1].reshape(np.shape(p)) * p
     bps = (bp + row_dot(seen[:-1, :-1].reshape(np.shape(context)), context))[..., None]
     bp = bp[..., None]
-    new_u = u_vec - gamma * (bp * v_vec + bps * v_vec - (2.0 / sigma_u) * u_vec)
-    new_v = v_vec - gamma * (bp * u_vec + bps * u_vec - (2.0 / sigma_v) * v_vec)
+    new_u = u_vec - gamma * (bp * v_vec + bps * v_vec - 2.0 * u_vec)
+    new_v = v_vec - gamma * (bp * u_vec + bps * u_vec - 2.0 * v_vec)
     return new_u, new_v, seen[-1, :-1], seen[-1, -1]
 
 
@@ -113,8 +114,7 @@ def train_zeroshot(rule: Callable[..., tuple], n_users: int, n_items: int,
 
 
 def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
-                   cfg: TrainConfig, n_users: int, n_items: int, sigma_u: float,
-                   sigma_v: float) -> FactorModel:
+                   cfg: TrainConfig, n_users: int, n_items: int) -> FactorModel:
     """Train PowerMat on an n_users x n_items grid from the id columns of
     its rows and their contexts, an array with one row per (user, item)
     pair. No rating reaches it.
@@ -128,8 +128,6 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
     ctx = np.asarray(contexts, dtype=np.float64)
     if not len(users):
         raise ValueError("contexts is empty")
-    if sigma_u <= 0 or sigma_v <= 0:
-        raise ValueError("sigma_u and sigma_v must be positive")
     if ctx.ndim != 2 or not len(users) == len(items) == len(ctx):
         raise ValueError("contexts must be one row per (user, item) pair")
     _check_range("user_id", users, 0, n_users - 1)
@@ -149,8 +147,7 @@ def powermat_train(users: np.ndarray, items: np.ndarray, contexts: np.ndarray,
 
     def step(u_rows, v_rows, c):
         new_u, new_v, alpha_beta[:-1], alpha_beta[-1] = powermat_step(
-            u_rows, v_rows, alpha_beta[:-1], alpha_beta[-1], c,
-            cfg.gamma, sigma_u, sigma_v)
+            u_rows, v_rows, alpha_beta[:-1], alpha_beta[-1], c, cfg.gamma)
         return new_u, new_v
 
     sgd_epochs("powermat", U, V, cfg.epochs, visit, step, state=(alpha_beta,))
@@ -178,17 +175,15 @@ class ZeroShotPredictor(MfPredictor):
         return R_MAX * (super().scores(users, items) / self.row_max[users])
 
 
-def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor, seed: int,
-                          fill_fraction: float) -> RatingsDataset:
+def augment_with_zeroshot(train: RatingsDataset, predictor: Predictor,
+                          seed: int) -> RatingsDataset:
     """Densify the training matrix: add predictor's rounded predictions for
-    min(round(fill_fraction * |train|), free cells) unobserved cells, the
-    first draws of untaken cells from the stream seeded with `seed`."""
+    min(|train|, free cells) unobserved cells, the first draws of untaken
+    cells from the stream seeded with `seed`."""
     if len(train) == 0:
         raise ValueError("train set is empty")
-    if not (0.0 < fill_fraction <= 1.0):
-        raise ValueError("fill_fraction must be in (0, 1]")
     grid = train.n_users * train.n_items
-    n = len(train) + min(int(round(fill_fraction * len(train))), grid - len(train))
+    n = min(2 * len(train), grid)
     # m draws against [n_users, n_items] tiled m times are the stream of m
     # alternating scalar (user, item) draws, whatever the m; each (u, j) row
     # is the key u * n_items + j. train's keys come first, so their cells stay taken.

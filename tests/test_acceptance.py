@@ -154,7 +154,7 @@ def test_criterion_5_time_order_invariance(report):
     from reclab.evaluation import mae
     for rows in (slice(None), slice(None, None, -1)):
         model = powermat_train(users[rows], items[rows], contexts[rows], cfg,
-                               train.n_users, train.n_items, sigma_u=1.0, sigma_v=1.0)
+                               train.n_users, train.n_items)
         predictor = ZeroShotPredictor(model)
         results.setdefault("powermat", []).append(mae(predictor, test))
     pm_a, pm_b = results.pop("powermat")
@@ -206,8 +206,7 @@ def test_criterion_6_numerical_suite(report):
     ok = ok and np.max(np.abs((u - u0) + 0.11 * v0)) < 1e-12
 
     _, _, _, beta = powermat_step(np.array([2.0]), np.array([1.0]),
-                                  np.array([0.3]), 0.5, np.array([1.0]),
-                                  0.05, 1.0, 1.0)
+                                  np.array([0.3]), 0.5, np.array([1.0]), 0.05)
     ok = ok and abs(beta - (0.5 - 4.0 * 0.05)) < 1e-12
 
     assert report("6 numerical suite", ok)

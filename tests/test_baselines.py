@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reclab import core
+from reclab import baselines, core
 from reclab.baselines import (PAIR_BYTES, CfPredictor, MfPredictor, SimilarityKind,
                               SimilarityMatrix, item_similarities,
                               mf_gradients, mf_loss, mf_train)
@@ -269,27 +269,27 @@ class TestCfPredict:
     def test_single_neighbor(self):
         train = from_rows([(0, 1, 4)], 1, 2)
         sims = self.sims([[1.0, 0.8], [0.8, 1.0]])
-        assert CfPredictor(sims, train, 2).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_equal_weights_average(self):
         train = from_rows([(0, 1, 5), (0, 2, 3)], 1, 3)
         sims = self.sims([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
-        assert CfPredictor(sims, train, 3).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_hand_computed_weighted_average(self):
         train = from_rows([(0, 1, 5), (0, 2, 2)], 1, 3)
         sims = self.sims([[1, 0.5, 0.25], [0.5, 1, 0], [0.25, 0, 1]])
-        assert CfPredictor(sims, train, 3).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_fallback_is_global_mean(self):
         train = from_rows([(0, 1, 5), (1, 0, 3)], 2, 2)
         sims = self.sims([[1, 0], [0, 1]])  # no cross-similarity
-        assert CfPredictor(sims, train, 2).predict_many([0], [0])[0] == pytest.approx(4.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(4.0)
 
     def test_prediction_within_neighbor_range(self):
         ds = generate_zipf(40, 25, 600, 1.0, seed=10)
         sims = item_similarities(ds, SimilarityKind.COSINE)
-        predictor = CfPredictor(sims, ds, neighborhood_size=5)
+        predictor = CfPredictor(sims, ds)
         rng = np.random.default_rng(0)
         by_user = {}
         for u, i, v in rows_of(ds):
@@ -302,21 +302,17 @@ class TestCfPredict:
             if values:  # nonneg similarities: weighted average of some subset
                 assert 1.0 <= pred <= 5.0
 
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_nonpositive_neighborhood_size_rejected(self, size):
-        train = from_rows([(0, 1, 5), (0, 2, 1)], 1, 3)
-        with pytest.raises(ValueError, match="neighborhood_size must be >= 1"):
-            CfPredictor(self.sims(np.eye(3)), train, size)
-
-    def test_neighborhood_size_limits_neighbors(self):
+    def test_neighborhood_size_limits_neighbors(self, monkeypatch):
         train = from_rows([(0, 1, 5), (0, 2, 1)], 1, 3)
         sims = self.sims([[1, 0.9, 0.5], [0.9, 1, 0], [0.5, 0, 1]])
+        monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", 1)
         # only the most similar neighbor (item 1) is used
-        assert CfPredictor(sims, train, 1).predict_many([0], [0])[0] == pytest.approx(5.0)
+        assert CfPredictor(sims, train).predict_many([0], [0])[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("size", [1, 5, 20])
     @pytest.mark.parametrize("shape", ORACLE_DATASETS)
-    def test_predict_many_equals_reference(self, shape, size):
+    def test_predict_many_equals_reference(self, shape, size, monkeypatch):
+        monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", size)
         ds = generate_zipf(*shape[:3], 1.0, seed=shape[3])
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=shape[3]))
         # every cell of the grid, test cells first
@@ -325,13 +321,13 @@ class TestCfPredict:
         items = np.concatenate([test.items, grid[1]])
         for kind in SimilarityKind:
             sims = item_similarities(train, kind)
-            got = CfPredictor(sims, train, size).predict_many(users, items)
+            got = CfPredictor(sims, train).predict_many(users, items)
             matrix = dense_scores(sims)
             expected = [reference_predict(matrix, train, size, u, i)
                         for u, i in zip(users.tolist(), items.tolist())]
             assert got.tolist() == expected
 
-    def test_predict_many_handles_ties_negatives_and_fallbacks(self):
+    def test_predict_many_handles_ties_negatives_and_fallbacks(self, monkeypatch):
         # user 0 rated items 1-4; user 1 rated nothing; item 5 has no
         # co-raters; items 1 and 2 tie for item 0, item 3 scores negative
         train = from_rows([(0, 1, 5), (0, 2, 1), (0, 3, 2), (0, 4, 4),
@@ -343,20 +339,22 @@ class TestCfPredict:
         sims = sims_from_dense(matrix)
         users = np.array([0, 0, 0, 0, 1, 0, 2])
         items = np.array([0, 0, 5, 1, 0, 2, 5])
+        predictor = CfPredictor(sims, train)
         for size in (1, 2, 3, 4, 20):
-            got = CfPredictor(sims, train, size).predict_many(users, items)
+            monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", size)
+            got = predictor.predict_many(users, items)
             expected = [reference_predict(matrix, train, size, u, i)
                         for u, i in zip(users.tolist(), items.tolist())]
             assert got.tolist() == expected
         mean = train.global_mean()
-        one = CfPredictor(sims, train, 1)
+        monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", 1)
         # the tie goes to the lower item; no rows or no co-raters: the mean
-        assert one.predict_many(users, items).tolist() == [5.0, 5.0, mean, 1.0,
-                                                           mean, 1.0, mean]
+        assert predictor.predict_many(users, items).tolist() == [5.0, 5.0, mean, 1.0,
+                                                                 mean, 1.0, mean]
         # the negative neighbor ranks last and pulls the average down:
         # (0.5*5 + 0.5*1 + 0.25*4 - 0.75*2) / (0.5 + 0.5 + 0.25 + 0.75)
-        four = CfPredictor(sims, train, 4)
-        assert four.predict_many([0], [0])[0] == pytest.approx(2.5 / 2.0)
+        monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", 4)
+        assert predictor.predict_many([0], [0])[0] == pytest.approx(2.5 / 2.0)
 
     @pytest.mark.parametrize("pairs", [4, 40])
     def test_pair_blocks_do_not_change_predictions(self, pairs, monkeypatch):
@@ -364,8 +362,8 @@ class TestCfPredict:
         # blocks of their own; 40 pairs' bytes hold a few cells
         ds = generate_zipf(50, 60, 400, 1.0, seed=41)
         train, test = split(ds, SplitSpec(test_fraction=0.3, seed=41))
-        predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE),
-                                train, neighborhood_size=5)
+        monkeypatch.setattr(baselines, "NEIGHBORHOOD_SIZE", 5)
+        predictor = CfPredictor(item_similarities(train, SimilarityKind.COSINE), train)
         whole = predictor.predict_many(test.users, test.items)
         monkeypatch.setattr(core, "BLOCK_BYTES", pairs * PAIR_BYTES)
         blocked = predictor.predict_many(test.users, test.items)
@@ -376,7 +374,7 @@ class TestCfPredict:
         # candidate pairs at once would take about 1 GB. Cutting the cells
         # into blocks takes one int64 column: their bytes, then their running sum.
         ds = generate_zipf(600, 400, 30_000, 1.0, seed=2)
-        predictor = CfPredictor(item_similarities(ds, SimilarityKind.COSINE), ds, 20)
+        predictor = CfPredictor(item_similarities(ds, SimilarityKind.COSINE), ds)
         rng = np.random.default_rng(5)
         users, items = rng.integers(0, 600, 200_000), rng.integers(0, 400, 200_000)
         preds, peak = traced_peak(lambda: predictor.predict_many(users, items))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reclab
-from reclab import cli, core
+from reclab import baselines, cli, core
 from reclab.cli import ALGORITHMS, REGISTRY, main, run_bench
 from reclab.core import R_MAX, RatingsDataset, TrainConfig
 from reclab.ingest import SplitSpec, generate_zipf, split, write_movielens
@@ -201,6 +201,19 @@ class TestBench:
         report = json.loads((out1 / "report_seed42.json").read_text())
         assert [row["algo"] for row in report["rows"]] == ["random", "mf", "zeromat"]
         assert all(row["n"] == 300 and row["mae"] >= 0.0 for row in report["rows"])
+
+    def test_config_with_byte_order_mark_benches_alike(self, runner, fixture_file, tmp_path):
+        # some editors save JSON with a leading UTF-8 byte-order mark
+        config = bench_config(fixture_file, tmp_path, ["random", "zeromat"])
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        outputs = []
+        for path in (config, marked):
+            out = tmp_path / f"out-{path.stem}"
+            result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["tab100k", "comoda"])
     def test_line_order_does_not_reach_the_reports(self, runner, fixture_file, comoda_file,
@@ -415,10 +428,10 @@ class TestBench:
                      id="nan-gamma"),
         pytest.param(lambda c: {**c, "train": {"zeromat": {"samples_per_epoch": 0}}},
                      id="zero-samples-per-epoch"),
-        pytest.param(lambda c: {**c, "sigma_u": 0}, id="zero-sigma"),
         # json.loads accepts NaN, which would make the manifest invalid JSON;
-        # fill_fraction is a known key that this config does not read
-        pytest.param(lambda c: {**c, "fill_fraction": float("nan")}, id="nan-unread-key"),
+        # train.dotmat is a known section that this config does not read
+        pytest.param(lambda c: {**c, "train": {"dotmat": {"gamma": float("nan")}}},
+                     id="nan-unread-key"),
         # keys and sections that nothing reads
         pytest.param(lambda c: {**c, "neighbourhood_size": 1}, id="neighbourhood_size"),
         pytest.param(lambda c: {**c, "dataset": {**c["dataset"], "fromat": "tab100k"}},
@@ -434,13 +447,9 @@ class TestBench:
                      id="repeated-algorithm"),
         pytest.param(lambda c: {**c, "context_columns": []},
                      id="empty-context-columns"),
-        # values checked whenever the key is present, whatever the
-        # algorithms: none of these configs lists itemcf or a hybrid
+        # checked whenever the key is present, whatever the algorithms:
+        # this config does not list itemcf
         pytest.param(lambda c: {**c, "similarity_kind": "pearson"}, id="similarity_kind"),
-        pytest.param(lambda c: {**c, "neighborhood_size": 0}, id="neighborhood_size"),
-        pytest.param(lambda c: {**c, "sigma_v": -1.0}, id="sigma_v"),
-        pytest.param(lambda c: {**c, "fill_fraction": 1.5}, id="fill_fraction"),
-        pytest.param(lambda c: {**c, "fill_fraction": 0}, id="zero-fill_fraction"),
         # every train section is checked, whether or not a listed algorithm reads it
         pytest.param(lambda c: {**c, "algorithms": ["random"],
                                 "train": {"default": {"epochs": "x"}}},
@@ -552,6 +561,21 @@ class TestBench:
         assert result.exit_code == 1
         assert result.output == (f"error: unknown keys ['eps_floor'] in train.{section}; "
                                  f"expected some of {cli._TRAIN_KEYS}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("sigma_u", 1.0), ("sigma_v", 1.0),
+                                            ("fill_fraction", 1.0), ("neighborhood_size", 20)])
+    def test_constant_setting_is_an_unknown_key(self, runner, fixture_file, tmp_path,
+                                                key, value):
+        # PowerMat's unit prior variances, the hybrids' full fill and
+        # baselines.NEIGHBORHOOD_SIZE are constants: even the value they
+        # hold is not a setting
+        path = bench_config(fixture_file, tmp_path, ["random", "zeromat"], **{key: value})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: unknown config key '{key}'; the README lists "
+                                 f"every key reclab bench reads\n")
         assert not out.exists()
 
     def test_largest_split_seed_runs(self, runner, fixture_file, tmp_path):
@@ -810,9 +834,13 @@ class TestRegistry:
             REGISTRY["powermat"].fit("powermat", fit_config(), train, 3)
 
     @pytest.mark.parametrize("hybrid", HYBRIDS)
-    def test_vanishing_fill_equals_plain_mf(self, hybrid):
+    def test_empty_fill_equals_plain_mf(self, hybrid, monkeypatch):
+        # the fits look augment_with_zeroshot up at call time: with no cell
+        # filled, the hybrid's MF stage is the mf fit
+        monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
+                            lambda train, predictor, seed: train)
         train = generate_zipf(25, 25, 200, 1.0, seed=22)
-        config = fit_config(fill_fraction=1e-9, train={"mf": {"k": 4, "epochs": 3}})
+        config = fit_config(train={"mf": {"k": 4, "epochs": 3}})
         model = REGISTRY[hybrid].fit(hybrid, config, train, 5).model
         plain = REGISTRY["mf"].fit("mf", config, train, 5).model
         assert np.array_equal(model.U, plain.U)
@@ -850,16 +878,16 @@ class TestRegistry:
         base = hybrid.removesuffix("-hybrid")
         section = {"gamma": 2e-5 if base == "poissonmat" else 0.004, "epochs": 2, "k": 3}
         # train.mf, which a wrong composition would give the zero-shot stage
-        config = fit_config(fill_fraction=0.6, train={base: section, "mf": {"k": 5}})
+        config = fit_config(train={base: section, "mf": {"k": 5}})
         passed = []
         real = reclab.cli.augment_with_zeroshot
         monkeypatch.setattr(reclab.cli, "augment_with_zeroshot",
                             lambda *args: passed.append(args) or real(*args))
         REGISTRY[hybrid].fit(hybrid, config, train, 11)
-        (filled_train, predictor, seed, fill_fraction), = passed
+        (filled_train, predictor, seed), = passed
         expected = REGISTRY[base].fit(base, config, train, 11)
         users, items = np.divmod(np.arange(20 * 25), 25)
-        assert filled_train is train and (seed, fill_fraction) == (11, 0.6)
+        assert filled_train is train and seed == 11
         assert np.array_equal(predictor.predict_many(users, items),
                               expected.predict_many(users, items))
 
@@ -875,9 +903,11 @@ class TestRegistry:
                                     max_size=len(cells)), label="values")
         users, items = np.divmod(np.array(cells), n_items)
         train = RatingsDataset(users, items, values, n_users, n_items)
-        config = fit_config(similarity_kind=kind, neighborhood_size=size)
-        assert_total(lambda: REGISTRY["itemcf"].fit("itemcf", config, train, 0),
-                     n_users, n_items)
+        config = fit_config(similarity_kind=kind)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "NEIGHBORHOOD_SIZE", size)
+            assert_total(lambda: REGISTRY["itemcf"].fit("itemcf", config, train, 0),
+                         n_users, n_items)
 
 
 class TestAnalyze:

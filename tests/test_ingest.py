@@ -100,6 +100,13 @@ class TestParseMovielens:
         ("1\t2\t5\t\n", "line 1: non-integer rating or timestamp: "
                         "invalid literal for int() with base 10: ''"),
         ("1\t2\t5\t0\n\n1\t\t5\t0\n", "line 3: empty item id"),
+        # int() would read Python's literal syntax: 5 and 3, and 10
+        ("1\t2\t5\t0\n1\t2\t0_5\t0\n", "line 2: non-integer rating or timestamp: "
+                                     "invalid literal for int(): '0_5'"),
+        ("1\t2\t\u0663\t0\n", "line 1: non-integer rating or timestamp: "
+                           "invalid literal for int(): '\u0663'"),
+        ("1\t2\t5\t1_0\n", "line 1: non-integer rating or timestamp: "
+                         "invalid literal for int(): '1_0'"),
     ])
     def test_errors_do_not_depend_on_the_source_kind(self, kind, text, message):
         with pytest.raises((ParseError, DatasetError)) as exc:
@@ -197,7 +204,14 @@ class TestParseComoda:
         ("", SchemaError, "empty input: no header row"),
         (CSV + "22,8,3,2,calm\n", ParseError,
          "line 5: non-numeric context value 'calm' in location"),
-    ], ids=["empty", "non-numeric-context"])
+        # int() and float() would read Python's literal syntax: 3, 10.0 and 3.0
+        (CSV + "22,8,0_3,2,1\n", ParseError, "line 5: non-numeric rating '0_3'"),
+        (CSV + "22,8,3,2,1_0\n", ParseError,
+         "line 5: non-numeric context value '1_0' in location"),
+        (CSV + "22,8,3,\u0663,1\n", ParseError,
+         "line 5: non-numeric context value '\u0663' in mood"),
+    ], ids=["empty", "non-numeric-context", "underscore-rating", "underscore-context",
+            "non-ascii-context"])
     def test_unreadable_input_names_the_problem(self, text, error, message):
         with pytest.raises(error) as exc:
             parse_comoda(text, ["mood", "location"])

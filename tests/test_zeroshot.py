@@ -57,7 +57,7 @@ class TestStepOracles:
         u0, v0 = np.array([2.0]), np.array([1.0])  # p = 2
         gamma = 0.05
         _, _, _, beta = powermat_step(u0, v0, np.array([0.3]), 0.5,
-                                      np.array([1.0]), gamma, 1.0, 1.0)
+                                      np.array([1.0]), gamma)
         assert abs(beta - (0.5 - 4.0 * gamma)) < 1e-12
 
     def test_steps_use_pre_update_vectors(self):
@@ -131,14 +131,13 @@ class TestPowerMat:
             values.append(int(rng.integers(1, 6)))
         return np.array(users), np.array(items), np.array(contexts), np.array(values)
 
-    def train(self, users, items, contexts, cfg, sigma_u=1.0, sigma_v=1.0):
-        return powermat_train(users, items, contexts, cfg, self.N_USERS, self.N_ITEMS,
-                              sigma_u, sigma_v)
+    def train(self, users, items, contexts, cfg):
+        return powermat_train(users, items, contexts, cfg, self.N_USERS, self.N_ITEMS)
 
     def test_grid_whose_cell_keys_would_wrap_rejected(self):
         # rows are ordered by cell key, checked before any factor is drawn
         with pytest.raises(DatasetError, match="overflows int64 cell keys"):
-            powermat_train([0], [0], [[1.0]], _cfg(), 2 ** 32, 2 ** 32, 1.0, 1.0)
+            powermat_train([0], [0], [[1.0]], _cfg(), 2 ** 32, 2 ** 32)
 
     def test_zero_gamma_keeps_initialization(self):
         cfg = _cfg(gamma=0.0)
@@ -152,8 +151,7 @@ class TestPowerMat:
     def test_rating_values_never_read(self, monkeypatch):
         # no parameter can carry a rating: ids, contexts, sizes and settings
         assert list(inspect.signature(powermat_train).parameters) == [
-            "users", "items", "contexts", "cfg", "n_users", "n_items",
-            "sigma_u", "sigma_v"]
+            "users", "items", "contexts", "cfg", "n_users", "n_items"]
         # and the registry's fit passes none on: two datasets that differ only
         # in their ratings train one model
         users, items, contexts, values = self.columns()
@@ -194,11 +192,6 @@ class TestPowerMat:
     def test_empty_contexts_rejected(self):
         with pytest.raises(ValueError, match="^contexts is empty$"):
             self.train(np.array([], dtype=int), np.array([], dtype=int), np.ones((0, 2)), _cfg())
-
-    @pytest.mark.parametrize("sigmas", [(0.0, 1.0), (1.0, -2.0)])
-    def test_nonpositive_sigma_rejected(self, sigmas):
-        with pytest.raises(ValueError, match="sigma_u and sigma_v must be positive"):
-            self.train(*self.columns()[:3], _cfg(), sigma_u=sigmas[0], sigma_v=sigmas[1])
 
 
 class TestZeroShotPredict:
@@ -261,11 +254,10 @@ class TestZeroShotPredict:
         assert peak <= preds.nbytes + core.BLOCK_BYTES + CALL_OVERHEAD
 
 
-def loop_fill(train, predictor, seed, fill_fraction):
+def loop_fill(train, predictor, seed):
     """The fill one scalar (user, item) draw pair at a time: a cell is kept
     at its first draw unless it is in train or kept already."""
-    n_fill = min(int(round(fill_fraction * len(train))),
-                 train.n_users * train.n_items - len(train))
+    n_fill = min(len(train), train.n_users * train.n_items - len(train))
     rng = np.random.default_rng(seed)
     taken = set(train.keys().tolist())
     users, items = [], []
@@ -297,26 +289,24 @@ class TestHybrid:
     """augment_with_zeroshot fills from a fitted predictor; the hybrids'
     composition is tested through the registry in test_cli.py."""
 
-    @pytest.mark.parametrize("train, fill_fraction", [
-        pytest.param(generate_zipf(60, 80, 300, 1.0, seed=41), 1.0, id="sparse"),
+    @pytest.mark.parametrize("train", [
+        pytest.param(generate_zipf(60, 80, 300, 1.0, seed=41), id="sparse"),
         # every free cell is filled, over several chunks of draws
-        pytest.param(_grid_train(40, 40, [c for c in range(1600) if c % 5]), 1.0,
-                     id="dense"),
-        pytest.param(_grid_train(7, 3, range(0, 21, 2)), 1.0, id="dense-7x3"),
+        pytest.param(_grid_train(40, 40, [c for c in range(1600) if c % 5]), id="dense"),
+        pytest.param(_grid_train(7, 3, range(0, 21, 2)), id="dense-7x3"),
         # half the grid taken: every free cell is filled
-        pytest.param(_grid_train(60, 60, range(0, 3600, 2)), 1.0, id="half-60x60"),
+        pytest.param(_grid_train(60, 60, range(0, 3600, 2)), id="half-60x60"),
         # 1,799 of the 1,800 free cells are filled
-        pytest.param(_grid_train(59, 61, range(0, 3598, 2)), 1.0, id="all-but-one-59x61"),
-        pytest.param(generate_zipf(50, 40, 600, 1.0, seed=42), 0.3, id="fraction"),
-        pytest.param(generate_zipf(3, 500, 400, 1.0, seed=43), 1.0, id="non-square"),
+        pytest.param(_grid_train(59, 61, range(0, 3598, 2)), id="all-but-one-59x61"),
+        pytest.param(generate_zipf(3, 500, 400, 1.0, seed=43), id="non-square"),
         # a bound of 1 draws nothing from the stream
-        pytest.param(_grid_train(1, 40, range(0, 40, 3)), 1.0, id="one-user"),
+        pytest.param(_grid_train(1, 40, range(0, 40, 3)), id="one-user"),
         # a bound above 2**31 draws from the same stream
-        pytest.param(_grid_train(2, 2**31 + 5, [0, 2**31 + 9]), 1.0, id="wide"),
+        pytest.param(_grid_train(2, 2**31 + 5, [0, 2**31 + 9]), id="wide"),
     ])
-    def test_fill_equals_the_scalar_draw_loop(self, train, fill_fraction):
-        augmented = augment_with_zeroshot(train, CellPredictor(), 17, fill_fraction)
-        users, items, values = loop_fill(train, CellPredictor(), 17, fill_fraction)
+    def test_fill_equals_the_scalar_draw_loop(self, train):
+        augmented = augment_with_zeroshot(train, CellPredictor(), 17)
+        users, items, values = loop_fill(train, CellPredictor(), 17)
         assert len(augmented) == len(train) + len(users) > len(train)
         filled = zip(users.tolist(), items.tolist(), values.tolist())
         assert rows_of(augmented) == sorted([*rows_of(train), *filled])
@@ -329,8 +319,8 @@ class TestHybrid:
     def test_augmented_size_arithmetic(self):
         train = generate_zipf(30, 30, 300, 1.0, seed=21)
         predictor = self._predictor(train, zeromat_step, _cfg())
-        augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=0.5)
-        assert len(augmented) == 300 + 150
+        augmented = augment_with_zeroshot(train, predictor, 5)
+        assert len(augmented) == 300 + 300
         assert set(train.keys().tolist()) <= set(augmented.keys().tolist())
 
     @pytest.mark.parametrize("rule", [zeromat_step, dotmat_step, poissonmat_step])
@@ -340,11 +330,11 @@ class TestHybrid:
         cfg = _cfg(gamma={poissonmat_step: 2e-5}.get(rule, 0.005))
         predictor = ZeroShotPredictor(
             train_zeroshot(rule, train.n_users, train.n_items, cfg))
-        augmented = augment_with_zeroshot(train, predictor, cfg.seed, fill_fraction=0.8)
+        augmented = augment_with_zeroshot(train, predictor, cfg.seed)
         rng = np.random.default_rng(cfg.seed)
         taken = set(train.keys().tolist())
         filled = []
-        while len(filled) < 320:
+        while len(filled) < min(len(train), 25 * 30 - len(train)):
             u = int(rng.integers(0, train.n_users))
             j = int(rng.integers(0, train.n_items))
             if u * train.n_items + j in taken:
@@ -357,7 +347,7 @@ class TestHybrid:
     def test_filled_values_are_integers_on_scale(self):
         train = generate_zipf(20, 20, 150, 1.0, seed=23)
         predictor = self._predictor(train, poissonmat_step, _cfg(gamma=2e-5))
-        augmented = augment_with_zeroshot(train, predictor, 5, fill_fraction=1.0)
+        augmented = augment_with_zeroshot(train, predictor, 5)
         new = set(rows_of(augmented)) - set(rows_of(train))
         assert len(new) == 150
         assert all(1 <= v <= 5 for u, i, v in new)
@@ -365,11 +355,4 @@ class TestHybrid:
     def test_empty_train_rejected(self):
         empty = RatingsDataset([], [], [], n_users=2, n_items=2)
         with pytest.raises(ValueError, match="^train set is empty$"):
-            augment_with_zeroshot(empty, CellPredictor(), 5, fill_fraction=1.0)
-
-    def test_bad_fill_fraction_rejected(self):
-        train = generate_zipf(10, 10, 50, 1.0, seed=24)
-        predictor = self._predictor(train, zeromat_step, _cfg())
-        for bad in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError, match="fill_fraction"):
-                augment_with_zeroshot(train, predictor, 5, fill_fraction=bad)
+            augment_with_zeroshot(empty, CellPredictor(), 5)
